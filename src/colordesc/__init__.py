@@ -22,7 +22,6 @@ from .corpus import (
     Description,
     EncodedDataset,
     Vocabulary,
-    build_vocabulary,
     encode_dataset,
     load_corpus,
     load_manifest,
@@ -102,7 +101,6 @@ __all__ = [
     "Vocabulary",
     "accuracy",
     "aic",
-    "build_vocabulary",
     "bucket_index",
     "canonical_hue",
     "count_params",

@@ -183,7 +183,7 @@ def cmd_train(args, parser_defaults: dict) -> int:
     settings = {
         "family": family, "features": args.features, "data": str(args.data),
         "out": str(outdir), "subsample_train": args.subsample_train,
-        "deterministic": args.deterministic, "config": config.to_dict(),
+        "config": config.to_dict(),
     }
     _write_run_meta(outdir, "train", settings)
     print(f"checkpoint: {ckpt_path}")
@@ -353,9 +353,6 @@ def build_parser():
                          choices=("every-step", "init-state"))
     p_train.add_argument("--subsample-train", type=int, default=0,
                          help="train on a seeded random subsample of this size")
-    p_train.add_argument("--deterministic", action="store_true",
-                         help="recorded in run metadata; reductions are "
-                              "fixed-order in either case")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p_eval.add_argument("--ckpt", required=True)

@@ -92,18 +92,6 @@ class Vocabulary:
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self.id_to_token == other.id_to_token
 
-    @property
-    def start_id(self) -> int:
-        return START_ID
-
-    @property
-    def end_id(self) -> int:
-        return END_ID
-
-    @property
-    def unk_id(self) -> int:
-        return UNK_ID
-
     def encode(self, text_or_tokens) -> list[int]:
         """Token ids with start/end sentinels; OOV tokens map to <unk>."""
         tokens = (
@@ -164,10 +152,6 @@ class Dataset:
             descriptions=[self.descriptions[i] for i in idx],
             split=f"{self.split}[{n}]",
         )
-
-
-def build_vocabulary(train: Dataset) -> Vocabulary:
-    return Vocabulary.build(train)
 
 
 _HEADER_SETS = {

@@ -8,8 +8,11 @@
   finest-first backoff (90x10x10 -> 45x5x5 -> 1x1x1).
 
 All families expose score_description / sample / predict_top1 and a
-common checkpoint container. Scores are natural-log probabilities;
-metric code converts to bits where needed.
+common checkpoint container. Each family has one scoring path,
+``score_token_batch(colors, token_seqs)``; score_description,
+score_dataset and score_color_array only adapt their arguments to it.
+Scores are natural-log probabilities; metric code converts to bits
+where needed.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ DEFAULT_BEAM_WIDTH = 10
 DEFAULT_MAX_LEN = 20
 
 BUCKET_PARAM_NAMES = ("buckets.fine", "buckets.mid", "buckets.global")
+HISTOGRAM_LEVELS = ("fine", "mid", "global")
 
 # featurizer constants are stamped into checkpoints so a file trained
 # under different conventions is rejected instead of silently misread
@@ -59,6 +63,9 @@ FEATURE_CONSTANTS = {
 }
 
 _SCORE_BATCH = 512
+
+# first cell of each resolution when the three are numbered as one space
+_LEVEL_OFFSETS = np.cumsum((0,) + BUCKET_SIZES[:-1])
 
 
 def _as_color_array(c) -> np.ndarray:
@@ -74,6 +81,33 @@ def _as_tokens(d) -> list:
     if isinstance(d, str):
         return tokenize(d)
     return list(d)
+
+
+def _class_ids(index: dict, token_seqs) -> np.ndarray:
+    """Inventory class id of each token sequence, -1 outside the inventory."""
+    return np.array([index.get(tuple(t), -1) for t in token_seqs], dtype=np.int64)
+
+
+# Each family's score_description / score_dataset / score_color_array,
+# bound in every class body rather than inherited: perfbench's tracer
+# wraps the attributes each family class holds itself.
+
+def _score_description(self, c, d) -> float:
+    """Natural-log probability of description d given color c."""
+    tokens = _as_tokens(d)
+    if not tokens:
+        raise ValueError("cannot score an empty description")
+    return float(self.score_token_batch(_as_color_array(c), [tokens])[0])
+
+
+def _score_dataset(self, ds: Dataset) -> np.ndarray:
+    return self.score_token_batch(ds.colors, [d.tokens for d in ds.descriptions])
+
+
+def _score_color_array(self, colors: np.ndarray, tokens) -> np.ndarray:
+    """One description scored against many colors (grid queries)."""
+    return self.score_token_batch(np.asarray(colors, dtype=np.float64),
+                                  [list(tokens)] * len(colors))
 
 
 def _featurize(params: dict, scheme: str, dtype, colors: np.ndarray):
@@ -171,15 +205,9 @@ class SequenceDecoderModel:
 
     # -- scoring
 
-    def score_description(self, c, d) -> float:
-        """Natural-log probability of the full description given c,
-        </s> included. OOV tokens score as <unk>."""
-        tokens = _as_tokens(d)
-        if not tokens:
-            raise ValueError("cannot score an empty description")
-        return float(self.score_token_batch(_as_color_array(c), [tokens])[0])
-
     def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
+        """Log probability of each full description, </s> included, given
+        its color row. OOV tokens score as <unk>."""
         ids = [np.asarray(self.vocab.encode(t), dtype=np.int64) for t in token_seqs]
         out = np.empty(len(ids), dtype=np.float64)
         for lo in range(0, len(ids), _SCORE_BATCH):
@@ -190,13 +218,9 @@ class SequenceDecoderModel:
                 self.params, self.config, feats, in_ids, targets, mask)
         return out
 
-    def score_dataset(self, ds: Dataset) -> np.ndarray:
-        return self.score_token_batch(ds.colors, [d.tokens for d in ds.descriptions])
-
-    def score_color_array(self, colors: np.ndarray, tokens) -> np.ndarray:
-        """One description scored against many colors (grid queries)."""
-        return self.score_token_batch(np.asarray(colors, dtype=np.float64),
-                                      [list(tokens)] * len(colors))
+    score_description = _score_description
+    score_dataset = _score_dataset
+    score_color_array = _score_color_array
 
     # -- incremental decoding (also the enumeration probe used in tests)
 
@@ -367,35 +391,21 @@ class AtomicModel:
         feats, _ = self.featurize(colors)
         return nn.atomic_logprobs(self.params, self.config, feats)
 
-    def score_description(self, c, d) -> float:
-        tokens = _as_tokens(d)
-        if not tokens:
-            raise ValueError("cannot score an empty description")
-        cls_id = self.index.get(tuple(tokens))
-        if cls_id is None:
-            return -math.inf
-        return float(self.class_logprobs(_as_color_array(c))[0, cls_id])
-
-    def score_dataset(self, ds: Dataset) -> np.ndarray:
-        out = np.full(len(ds), -np.inf, dtype=np.float64)
-        keys = [self.index.get(d.key()) for d in ds.descriptions]
-        known = [i for i, k in enumerate(keys) if k is not None]
+    def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
+        """Log probability of each description given its color row;
+        -inf outside the inventory."""
+        cls_ids = _class_ids(self.index, token_seqs)
+        out = np.full(len(cls_ids), -np.inf, dtype=np.float64)
+        known = np.flatnonzero(cls_ids >= 0)
         for lo in range(0, len(known), _SCORE_BATCH):
-            chunk = known[lo : lo + _SCORE_BATCH]
-            lp = self.class_logprobs(ds.colors[chunk])
-            out[chunk] = lp[np.arange(len(chunk)), [keys[i] for i in chunk]]
+            rows = known[lo : lo + _SCORE_BATCH]
+            lp = self.class_logprobs(colors[rows])
+            out[rows] = lp[np.arange(len(rows)), cls_ids[rows]]
         return out
 
-    def score_color_array(self, colors: np.ndarray, tokens) -> np.ndarray:
-        colors = np.asarray(colors, dtype=np.float64)
-        cls_id = self.index.get(tuple(tokens))
-        if cls_id is None:
-            return np.full(len(colors), -np.inf, dtype=np.float64)
-        out = np.empty(len(colors), dtype=np.float64)
-        for lo in range(0, len(colors), _SCORE_BATCH):
-            hi = min(lo + _SCORE_BATCH, len(colors))
-            out[lo:hi] = self.class_logprobs(colors[lo:hi])[:, cls_id]
-        return out
+    score_description = _score_description
+    score_dataset = _score_dataset
+    score_color_array = _score_color_array
 
     def _description(self, cls_id: int) -> Description:
         tokens = list(self.inventory[cls_id])
@@ -425,110 +435,104 @@ class AtomicModel:
 
 class HistogramModel:
     """Add-one-smoothed description counts per color bucket with strict
-    backoff to the first resolution whose bucket is nonempty."""
+    backoff to the first resolution whose bucket is nonempty.
+
+    ``counts[r]`` holds resolution r (fine, mid, global) as an (n, 3)
+    int32 array of (bucket, class, count) rows sorted by (bucket, class)
+    with every count >= 1, exactly as the checkpoint stores it. The
+    global level must be nonempty.
+    """
 
     family = "histogram"
     scheme = "buckets"
 
     def __init__(self, config: TrainingConfig, inventory: list, counts: list,
                  epochs_trained: float = 1.0):
-        # counts[r]: dict bucket id -> {class id: count}
         self.config = config
         self.inventory = [tuple(k) for k in inventory]
         self.index = {k: i for i, k in enumerate(self.inventory)}
-        self.counts = counts
-        self.totals = [
-            {b: sum(cc.values()) for b, cc in level.items()} for level in counts
-        ]
+        self.counts = list(counts)
         self.epochs_trained = epochs_trained
+        # all levels in one cell space: cell = level offset + bucket id,
+        # row key = cell * C + class, increasing across the joined rows
+        rows = np.concatenate(self.counts).astype(np.int64)
+        level_sizes = [len(lvl) for lvl in self.counts]
+        cells = rows[:, 0] + np.repeat(_LEVEL_OFFSETS, level_sizes)
+        self._keys = cells * len(self.inventory) + rows[:, 1]
+        self._row_counts = rows[:, 2]
+        self._totals = np.bincount(cells, weights=self._row_counts,
+                                   minlength=sum(BUCKET_SIZES)).astype(np.int64)
 
     @classmethod
     def build(cls, config: TrainingConfig, train: Dataset) -> "HistogramModel":
         if len(train) == 0:
             raise ConfigError("histogram model needs a nonempty dataset")
         inventory = sorted({d.key() for d in train.descriptions})
-        index = {k: i for i, k in enumerate(inventory)}
+        C = len(inventory)
+        cls_ids = _class_ids({k: i for i, k in enumerate(inventory)},
+                             [d.tokens for d in train.descriptions])
         idx = bucket_index_array(train.colors)
-        counts = [dict() for _ in BUCKET_GRIDS]
-        for i, d in enumerate(train.descriptions):
-            cls_id = index[d.key()]
-            for r in range(len(BUCKET_GRIDS)):
-                bucket = counts[r].setdefault(int(idx[i, r]), {})
-                bucket[cls_id] = bucket.get(cls_id, 0) + 1
+        counts = []
+        for r in range(len(BUCKET_GRIDS)):
+            keys, n = np.unique(idx[:, r] * C + cls_ids, return_counts=True)
+            counts.append(np.column_stack([keys // C, keys % C, n]).astype(np.int32))
         return cls(config, inventory, counts)
 
     @property
     def param_count(self) -> int:
         """(inventory - 1) free probabilities per nonempty bucket."""
-        nonempty = sum(len(level) for level in self.counts)
-        return (len(self.inventory) - 1) * nonempty
+        return (len(self.inventory) - 1) * int(np.count_nonzero(self._totals))
 
-    def _resolve_bucket(self, c):
-        idx = bucket_index_array(_as_color_array(c))[0]
-        for r in range(len(BUCKET_GRIDS)):
-            b = int(idx[r])
-            if self.totals[r].get(b, 0) > 0:
-                return self.counts[r][b], self.totals[r][b]
-        return {}, 0
+    def _backoff(self, colors: np.ndarray):
+        """(cell, total) per color row: the fine bucket if it has counts,
+        else the mid bucket if it has, else the global one."""
+        cells = bucket_index_array(colors) + _LEVEL_OFFSETS
+        totals = self._totals[cells]
+        level = np.argmax(totals > 0, axis=1)
+        rows = np.arange(len(cells))
+        return cells[rows, level], totals[rows, level]
 
-    def hm_probability(self, c, d) -> float:
-        tokens = _as_tokens(d)
-        bucket, total = self._resolve_bucket(c)
+    def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
+        """Log of (count + 1) / (total + C) in each row's backed-off bucket;
+        a description outside the inventory has count 0."""
         C = len(self.inventory)
-        cls_id = self.index.get(tuple(tokens))
-        count = bucket.get(cls_id, 0) if cls_id is not None else 0
-        return (count + 1.0) / (total + C)
+        cls_ids = _class_ids(self.index, token_seqs)
+        cell, total = self._backoff(colors)
+        query = cell * C + cls_ids
+        pos = np.minimum(np.searchsorted(self._keys, query), len(self._keys) - 1)
+        # class -1 would alias the last class of the previous cell
+        hit = (cls_ids >= 0) & (self._keys[pos] == query)
+        count = np.where(hit, self._row_counts[pos], 0)
+        return np.log((count + 1.0) / (total + C))
 
-    def score_description(self, c, d) -> float:
-        tokens = _as_tokens(d)
-        if not tokens:
-            raise ValueError("cannot score an empty description")
-        return math.log(self.hm_probability(c, tokens))
+    score_description = _score_description
+    score_dataset = _score_dataset
+    score_color_array = _score_color_array
 
-    def score_dataset(self, ds: Dataset) -> np.ndarray:
-        return np.array(
-            [self.score_description(ds.colors[i], ds.descriptions[i])
-             for i in range(len(ds))],
-            dtype=np.float64,
-        )
-
-    def score_color_array(self, colors: np.ndarray, tokens) -> np.ndarray:
-        idx = bucket_index_array(np.asarray(colors, dtype=np.float64))
+    def _bucket_rows(self, c):
+        """Row slice of c's backed-off bucket, and its total."""
+        cell, total = self._backoff(_as_color_array(c))
         C = len(self.inventory)
-        cls_id = self.index.get(tuple(tokens))
-        out = np.empty(len(idx), dtype=np.float64)
-        for i in range(len(idx)):
-            for r in range(len(BUCKET_GRIDS)):
-                total = self.totals[r].get(int(idx[i, r]), 0)
-                if total > 0:
-                    bucket = self.counts[r][int(idx[i, r])]
-                    count = bucket.get(cls_id, 0) if cls_id is not None else 0
-                    out[i] = math.log((count + 1.0) / (total + C))
-                    break
-            else:
-                out[i] = -math.log(C)
-        return out
-
-    def _bucket_distribution(self, c) -> np.ndarray:
-        bucket, total = self._resolve_bucket(c)
-        C = len(self.inventory)
-        p = np.ones(C, dtype=np.float64)
-        for cls_id, count in bucket.items():
-            p[cls_id] += count
-        return p / (total + C)
+        lo, hi = np.searchsorted(self._keys, [cell[0] * C, (cell[0] + 1) * C])
+        return slice(lo, hi), int(total[0])
 
     def _description(self, cls_id: int) -> Description:
         tokens = list(self.inventory[cls_id])
         return Description(raw=" ".join(tokens), tokens=tokens)
 
     def sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
-        return self._description(int(rng.choice(len(self.inventory),
-                                                 p=self._bucket_distribution(c))))
+        rows, total = self._bucket_rows(c)
+        C = len(self.inventory)
+        p = np.ones(C, dtype=np.float64)
+        p[self._keys[rows] % C] += self._row_counts[rows]
+        return self._description(int(rng.choice(C, p=p / (total + C))))
 
     def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
                      max_len: int = DEFAULT_MAX_LEN) -> Description:
-        # inventory is sorted, so argmax ties go to the smaller key
-        return self._description(int(np.argmax(self._bucket_distribution(c))))
+        # rows are sorted by class, so argmax ties go to the smaller key
+        rows, _ = self._bucket_rows(c)
+        best = rows.start + int(np.argmax(self._row_counts[rows]))
+        return self._description(int(self._keys[best] % len(self.inventory)))
 
     def save(self, path) -> None:
         save_checkpoint(self, path)
@@ -609,13 +613,11 @@ def _neural_train_loop(model, config: TrainingConfig, make_batch, n_items: int,
 
 
 def _train_sequence(train: Dataset, config: TrainingConfig, scheme: str,
-                    dev: Dataset | None):
+                    monitor: Dataset, monitor_name: str):
     vocab = Vocabulary.build(train)
     model = SequenceDecoderModel.build(config, vocab, scheme)
     enc = encode_dataset(train, vocab)
     seqs = [enc.ids(i) for i in range(len(enc))]
-    monitor = dev if dev is not None and len(dev) else train
-    monitor_name = "dev" if monitor is dev else "train"
     emb_dim = config.bucket_embedding_dim
 
     def make_batch(batch, rng):
@@ -636,13 +638,11 @@ def _train_sequence(train: Dataset, config: TrainingConfig, scheme: str,
 
 
 def _train_atomic(train: Dataset, config: TrainingConfig, scheme: str,
-                  dev: Dataset | None):
+                  monitor: Dataset, monitor_name: str):
     inventory = sorted({d.key() for d in train.descriptions})
     model = AtomicModel.build(config, inventory, scheme)
     targets_all = np.array([model.index[d.key()] for d in train.descriptions],
                            dtype=np.int64)
-    monitor = dev if dev is not None and len(dev) else train
-    monitor_name = "dev" if monitor is dev else "train"
     emb_dim = config.bucket_embedding_dim
 
     def make_batch(batch, rng):
@@ -667,17 +667,17 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
     config.validate()
     if len(train) == 0:
         raise ConfigError("training dataset is empty")
+    monitor = dev if dev is not None and len(dev) else train
+    monitor_name = "dev" if monitor is dev else "train"
     if family == "sequence":
-        return _train_sequence(train, config, scheme, dev)
+        return _train_sequence(train, config, scheme, monitor, monitor_name)
     if family == "atomic":
-        return _train_atomic(train, config, scheme, dev)
+        return _train_atomic(train, config, scheme, monitor, monitor_name)
     if family == "histogram":
         if scheme != "buckets":
             raise ConfigError("histogram family is defined over buckets only")
         model = HistogramModel.build(config, train)
-        monitor = dev if dev is not None and len(dev) else train
-        name = "dev" if monitor is dev else "train"
-        history = [{"epoch": 1.0, "split": name,
+        history = [{"epoch": 1.0, "split": monitor_name,
                     "perplexity": _monitor_perplexity(model, monitor)}]
         return model, history
     raise ConfigError(f"unknown model family {family!r}")
@@ -688,8 +688,11 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
 
 
 def _expected_shapes(header: dict) -> dict:
-    cfg = TrainingConfig.from_dict(header["config"])
+    """Tensor name -> shape; None stands for a dimension of any size."""
     family = header["family"]
+    if family == "histogram":
+        return {f"counts.{name}": (None, 3) for name in HISTOGRAM_LEVELS}
+    cfg = TrainingConfig.from_dict(header["config"])
     scheme = header.get("scheme")
     shapes = {}
     if family in ("sequence", "atomic"):
@@ -724,6 +727,28 @@ def _expected_shapes(header: dict) -> dict:
     return shapes
 
 
+def _check_histogram_counts(counts: list, C: int) -> None:
+    """Reject count rows the backoff cannot use: wrong dtype, ids out of
+    range, counts below 1, rows out of (bucket, class) order, or an
+    empty global level."""
+    for name, level, size in zip(HISTOGRAM_LEVELS, counts, BUCKET_SIZES):
+        what = f"tensor 'counts.{name}'"
+        if level.dtype != np.int32:
+            raise CheckpointError(f"{what} has dtype {level.dtype}, expected int32")
+        bucket, cls_id, n = level.T.astype(np.int64)
+        if ((bucket < 0) | (bucket >= size)).any():
+            raise CheckpointError(f"{what} has a bucket id outside [0, {size})")
+        if ((cls_id < 0) | (cls_id >= C)).any():
+            raise CheckpointError(f"{what} has a class id outside [0, {C})")
+        if (n < 1).any():
+            raise CheckpointError(f"{what} has a count below 1")
+        if (np.diff(bucket * C + cls_id) <= 0).any():
+            raise CheckpointError(
+                f"{what} rows are not strictly increasing by (bucket, class)")
+    if len(counts[-1]) == 0:
+        raise CheckpointError("histogram checkpoint has an empty global level")
+
+
 def save_checkpoint(model, path) -> None:
     header = {
         "family": model.family,
@@ -744,14 +769,8 @@ def save_checkpoint(model, path) -> None:
         tensors = model.params
     elif model.family == "histogram":
         header["inventory"] = [" ".join(k) for k in model.inventory]
-        tensors = {}
-        for r, name in enumerate(("fine", "mid", "global")):
-            triples = [
-                (b, cls_id, n)
-                for b in sorted(model.counts[r])
-                for cls_id, n in sorted(model.counts[r][b].items())
-            ]
-            tensors[f"counts.{name}"] = np.array(triples, dtype=np.int32).reshape(-1, 3)
+        tensors = {f"counts.{name}": level
+                   for name, level in zip(HISTOGRAM_LEVELS, model.counts)}
     else:
         raise CheckpointError(f"cannot serialize family {model.family!r}")
     write_checkpoint(path, header, tensors)
@@ -771,17 +790,6 @@ def load_checkpoint(path, expect_family: str | None = None):
     cfg = TrainingConfig.from_dict(header["config"])
     epochs = float(header.get("meta", {}).get("epochs_trained", 0.0))
 
-    if family == "histogram":
-        inventory = [tuple(s.split(" ")) for s in header["inventory"]]
-        counts = []
-        for name in ("fine", "mid", "global"):
-            arr = tensors[f"counts.{name}"]
-            level: dict = {}
-            for b, cls_id, n in arr:
-                level.setdefault(int(b), {})[int(cls_id)] = int(n)
-            counts.append(level)
-        return HistogramModel(cfg, inventory, counts, epochs_trained=epochs)
-
     expected = _expected_shapes(header)
     if set(expected) != set(tensors):
         missing = sorted(set(expected) - set(tensors))
@@ -789,10 +797,16 @@ def load_checkpoint(path, expect_family: str | None = None):
         raise CheckpointError(
             f"checkpoint tensor set mismatch (missing {missing}, extra {extra})")
     for name, shape in expected.items():
-        if tensors[name].shape != shape:
+        got = tensors[name].shape
+        if len(got) != len(shape) or any(w is not None and g != w
+                                         for g, w in zip(got, shape)):
             raise CheckpointError(
-                f"tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape}")
+                f"tensor {name!r} has shape {got}, expected {shape}")
+    if family == "histogram":
+        inventory = [tuple(s.split(" ")) for s in header["inventory"]]
+        counts = [tensors[f"counts.{name}"] for name in HISTOGRAM_LEVELS]
+        _check_histogram_counts(counts, len(inventory))
+        return HistogramModel(cfg, inventory, counts, epochs_trained=epochs)
     if family == "sequence":
         vocab = Vocabulary(header["vocab"])
         return SequenceDecoderModel(cfg, vocab, header["scheme"], tensors,

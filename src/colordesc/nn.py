@@ -101,27 +101,9 @@ def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
 
 
-def dense_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x W + b for x of shape (..., fan_in)."""
-    return x @ W + b
-
-
-def cross_entropy(p: np.ndarray, target_id: int) -> float:
-    """Negative log probability of the target under distribution p."""
-    return float(-np.log(p[target_id]))
-
-
-def dropout_apply(x, rate, rng=None, training=False, mask=None):
-    """Inverted dropout: zero units with probability ``rate`` and scale
-    survivors by 1/(1-rate) in training mode; identity at inference."""
-    if not training or rate == 0.0:
-        return x
-    if mask is None:
-        mask = dropout_mask(rng, x.shape, rate, x.dtype)
-    return x * mask
-
-
 def dropout_mask(rng, shape, rate, dtype):
+    """Inverted dropout: zeros with probability ``rate``, survivors scaled
+    by 1/(1-rate). Forward passes apply it in training mode only."""
     if rate == 0.0:
         return np.ones(shape, dtype=dtype)
     keep = (rng.random(shape) >= rate).astype(dtype)
@@ -159,12 +141,6 @@ def init_lstm_params(rng, input_dim: int, hidden: int, cfg: TrainingConfig) -> P
 
 # ---------------------------------------------------------------------------
 # LSTM step
-
-def lstm_step(params: Params, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One peephole LSTM step for a batch. Returns (h, c)."""
-    h, c, _ = _lstm_step_full(params, x, h_prev, c_prev)
-    return h, c
-
 
 def _lstm_step_full(params, x, h_prev, c_prev, a=None):
     """Step returning the intermediate values backprop needs.

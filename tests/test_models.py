@@ -343,8 +343,8 @@ def test_histogram_add_one_smoothing_arithmetic():
     ds = _one_bucket_dataset(["a", "a", "b"])
     model = HistogramModel.build(TrainingConfig(), ds)
     c = ds.color(0)
-    assert model.hm_probability(c, "a") == pytest.approx(3.0 / 5.0)
-    assert model.hm_probability(c, "b") == pytest.approx(2.0 / 5.0)
+    assert math.exp(model.score_description(c, "a")) == pytest.approx(3.0 / 5.0)
+    assert math.exp(model.score_description(c, "b")) == pytest.approx(2.0 / 5.0)
 
 
 def test_histogram_probabilities_sum_to_one_everywhere():
@@ -354,7 +354,8 @@ def test_histogram_probabilities_sum_to_one_everywhere():
     for _ in range(10):
         c = ColorHSV(float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
                      float(rng.uniform(0, 100)))
-        total = sum(model.hm_probability(c, list(key)) for key in model.inventory)
+        total = sum(math.exp(model.score_description(c, list(key)))
+                    for key in model.inventory)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -364,14 +365,15 @@ def test_histogram_backoff_reaches_global_unigram():
     ds = _one_bucket_dataset(["a", "a", "b"], color=(1.0, 99.0, 99.0))
     model = HistogramModel.build(TrainingConfig(), ds)
     far = ColorHSV(180.0, 1.0, 1.0)
-    assert model.hm_probability(far, "a") == pytest.approx(3.0 / 5.0)
-    assert model.hm_probability(far, "b") == pytest.approx(2.0 / 5.0)
+    assert math.exp(model.score_description(far, "a")) == pytest.approx(3.0 / 5.0)
+    assert math.exp(model.score_description(far, "b")) == pytest.approx(2.0 / 5.0)
 
 
 def test_histogram_out_of_inventory_gets_smoothed_floor():
     ds = _one_bucket_dataset(["a", "a", "b"])
     model = HistogramModel.build(TrainingConfig(), ds)
-    assert model.hm_probability(ds.color(0), "zzz") == pytest.approx(1.0 / 5.0)
+    p_oov = math.exp(model.score_description(ds.color(0), "zzz"))
+    assert p_oov == pytest.approx(1.0 / 5.0)
 
 
 def test_histogram_top1_is_bucket_majority():
@@ -383,9 +385,8 @@ def test_histogram_top1_is_bucket_majority():
 def test_histogram_param_count_formula():
     inventory = [(f"d{i}",) for i in range(100)]
     counts = [
-        {b: {0: 1} for b in range(5)},   # 5 nonempty fine buckets
-        {b: {0: 1} for b in range(4)},   # 4 nonempty mid buckets
-        {0: {0: 1}},                     # the global bucket
+        np.array([(b, 0, 1) for b in range(n)], dtype=np.int32).reshape(-1, 3)
+        for n in (5, 4, 1)  # nonempty fine, mid and global buckets
     ]
     model = HistogramModel(TrainingConfig(), inventory, counts)
     assert model.param_count == 99 * 10
