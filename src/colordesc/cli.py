@@ -10,8 +10,10 @@ divergence, undefined metrics, unwritable outputs).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from . import __version__
 from .colors import ColorHSL, ColorHSV, hsl_to_hsv
 from .corpus import Description, load_manifest, tokenize
 from .errors import ColordescError, ConfigError
-from .evaluation import EvalReport, evaluate, permutation_test
+from .evaluation import EvalReport, evaluate, hit_flags, permutation_test
 from .models import load_checkpoint, save_checkpoint, train_model
 from .nn import TrainingConfig
 from .viz import GridSpec, cross_sections, describe_slug, probability_field, render
@@ -41,13 +43,15 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_run_meta(outdir: Path, command: str, settings: dict) -> None:
+def _write_run_meta(outdir: Path, command: str, settings: dict,
+                    **extra) -> None:
     meta = {
         "command": command,
         "settings": settings,
         "prng": PRNG_ID,
         "version": __version__,
         "timestamp": _now(),
+        **extra,
     }
     with open(outdir / "run-meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -80,6 +84,16 @@ def _color_from_args(args) -> ColorHSV:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError("a color is required: --hsv h,s,v or --hsl h,s,l")
+
+
+def _check_generation_args(args) -> None:
+    """Reject out-of-range --beam, --max-len and --n before any file is
+    read; each command passes the flags it has."""
+    for flag, low in (("beam", 1), ("max_len", 0), ("n", 0)):
+        value = getattr(args, flag, low)
+        if value < low:
+            name = "--" + flag.replace("_", "-")
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 # -- config-file handling (train only): plain key=value lines, flags win
@@ -191,15 +205,26 @@ def cmd_train(args, parser_defaults: dict) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_generation_args(args)
+    start = time.perf_counter()
     model = load_checkpoint(args.ckpt)
     splits = load_manifest(args.data)
     if args.split not in splits:
         raise ConfigError(f"manifest {args.data} does not define split {args.split!r}")
     ds = splits[args.split]
-    beam = None if args.skip_accuracy else args.beam
-    report = evaluate(model, ds, split=args.split, beam_width=beam,
+    loaded = time.perf_counter()
+    # scoring and the beam-search accuracy pass are timed apart
+    report = evaluate(model, ds, split=args.split, beam_width=None,
                       on_zero="exclude" if args.allow_zero else "error",
                       timestamp=_now())
+    scored = time.perf_counter()
+    if not args.skip_accuracy:
+        hits = hit_flags(model, ds, args.beam)
+        report = dataclasses.replace(
+            report, accuracy=float(hits.mean() * 100.0), beam_width=args.beam,
+            hits=[int(x) for x in hits])
+    timings = {"load_s": loaded - start, "score_s": scored - loaded,
+               "beam_s": time.perf_counter() - scored}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / f"eval-{args.split}.json"
@@ -208,8 +233,9 @@ def cmd_eval(args) -> int:
         "ckpt": str(args.ckpt), "data": str(args.data), "split": args.split,
         "beam": args.beam, "skip_accuracy": args.skip_accuracy,
         "allow_zero": args.allow_zero, "out": str(outdir),
-    })
+    }, timings=timings)
     print(report.summary_line())
+    print("timings: " + " ".join(f"{k}={v:.3f}" for k, v in timings.items()))
     print(f"report: {report_path}")
     return 0
 
@@ -263,6 +289,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_generation_args(args)
     model = load_checkpoint(args.ckpt)
     color = _color_from_args(args)
     rng = np.random.default_rng(args.seed)
@@ -273,6 +300,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_top1(args) -> int:
+    _check_generation_args(args)
     model = load_checkpoint(args.ckpt)
     color = _color_from_args(args)
     desc = model.predict_top1(color, beam_width=args.beam, max_len=args.max_len)

@@ -264,12 +264,18 @@ class SequenceDecoderModel:
                      max_len: int = DEFAULT_MAX_LEN) -> Description:
         """Highest-probability complete description found by beam search.
 
-        A width-1 (greedy) pass runs alongside wider beams and the better
-        completion wins, so widening the beam never hurts the returned
-        score. Ties break toward the lexicographically smaller id tuple.
+        At each depth the beam keeps the ``beam_width`` best one-token
+        extensions of its live hypotheses by score, with ties going to the
+        lexicographically smaller id tuple; every (hypothesis, token) pair
+        is a candidate, with no cap. A width-1 (greedy) pass runs
+        alongside wider beams and the better completion wins, so widening
+        the beam never hurts the returned score. Ties between completions
+        also break toward the smaller id tuple.
         """
         if beam_width < 1:
             raise ValueError("beam_width must be >= 1")
+        if max_len < 0:
+            raise ValueError("max_len must be >= 0")
         best = self._beam(c, beam_width, max_len)
         if beam_width > 1:
             greedy = self._beam(c, 1, max_len)
@@ -279,58 +285,57 @@ class SequenceDecoderModel:
         return Description(raw=" ".join(tokens), tokens=tokens)
 
     def _beam(self, c, width: int, max_len: int):
-        """Returns (logp, content token ids) of the best completed
-        hypothesis; every score includes the </s> step."""
+        """Returns (logp, content token ids) of the completion minimizing
+        (-logp, ids); every score includes the </s> step. Each depth
+        records every live completion, then keeps the ``width`` best
+        finite extensions by (-score, ids), never <s>, <unk> or </s>. The
+        search stops when none is left or the best completion so far
+        scores strictly above the best extension."""
         feats1, _ = self.featurize(_as_color_array(c))
-        h, c0 = nn.sequence_initial_state(self.params, self.config, feats1)
+        h_arr, c_arr = nn.sequence_initial_state(self.params, self.config, feats1)
         V = len(self.vocab)
-        live_ids: list = [()]
+        live_ids = np.zeros((1, 0), dtype=np.int64)
+        # all live ids have one length, so a child's lexicographic order
+        # is (parent rank, token)
+        live_rank = np.zeros(1, dtype=np.int64)
         live_logp = np.zeros(1, dtype=np.float64)
         prev = np.array([START_ID], dtype=np.int64)
-        h_arr, c_arr = h, c0
-        completed: list = []  # (logp, ids)
+        best = None  # (-logp, ids) of the best completion so far
 
         for depth in range(max_len + 1):
-            n = len(live_ids)
-            feats_n = np.repeat(feats1, n, axis=0)
             probs, h_new, c_new = nn.sequence_step_probs(
-                self.params, self.config, feats_n, prev, h_arr, c_arr)
+                self.params, self.config, np.repeat(feats1, len(prev), axis=0),
+                prev, h_arr, c_arr)
             with np.errstate(divide="ignore"):
                 step_logp = np.log(probs)
-            for i in range(n):
-                completed.append((live_logp[i] + step_logp[i, END_ID], live_ids[i]))
+            completed = live_logp + step_logp[:, END_ID]
+            tied = np.flatnonzero(completed == completed.max())
+            i = tied[np.argmin(live_rank[tied])]
+            cand = (-completed[i], tuple(live_ids[i].tolist()))
+            if best is None or cand < best:
+                best = cand
             if depth == max_len:
                 break
             scores = live_logp[:, None] + step_logp
-            scores[:, START_ID] = -np.inf
-            scores[:, UNK_ID] = -np.inf
-            scores[:, END_ID] = -np.inf
+            scores[:, [START_ID, UNK_ID, END_ID]] = -np.inf
             flat = scores.ravel()
-            if flat.size > 4096:
-                k = min(width + 64, flat.size)
-                cand_pos = np.argpartition(-flat, k - 1)[:k]
-            else:
-                cand_pos = np.arange(flat.size)
-            cands = []
-            for j in cand_pos:
-                if not np.isfinite(flat[j]):
-                    continue
-                i, v = divmod(int(j), V)
-                cands.append((-flat[j], live_ids[i] + (v,), i, v))
-            cands.sort(key=lambda t: (t[0], t[1]))
-            cands = cands[:width]
-            if not cands:
+            keep = np.isfinite(flat)
+            if keep.sum() > width:
+                keep &= flat >= np.partition(flat[keep], -width)[-width]
+            pos = np.flatnonzero(keep)
+            if pos.size == 0:
                 break
-            best_completed = max(completed)[0]
-            if best_completed > -cands[0][0]:
+            parent, tok = np.divmod(pos, V)
+            sel = np.lexsort((tok, live_rank[parent], -flat[pos]))[:width]
+            pos, parent, tok = pos[sel], parent[sel], tok[sel]
+            if -best[0] > flat[pos[0]]:
                 break
-            sel = np.array([t[2] for t in cands])
-            live_ids = [t[1] for t in cands]
-            live_logp = np.array([-t[0] for t in cands])
-            prev = np.array([t[3] for t in cands], dtype=np.int64)
-            h_arr, c_arr = h_new[sel], c_new[sel]
+            live_rank = np.argsort(np.argsort(live_rank[parent] * V + tok))
+            live_ids = np.column_stack([live_ids[parent], tok])
+            live_logp, prev = flat[pos], tok
+            h_arr, c_arr = h_new[parent], c_new[parent]
 
-        return min(completed, key=lambda t: (-t[0], t[1]))
+        return -best[0], best[1]
 
     # -- persistence
 

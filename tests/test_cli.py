@@ -7,6 +7,8 @@ from colordesc import TrainingConfig, save_checkpoint
 from colordesc.cli import main
 from colordesc.models import AtomicModel
 
+from conftest import random_tiny_model
+
 
 def _write_mini_corpus(tmp_path, train_rows, dev_rows):
     (tmp_path / "train.csv").write_text(
@@ -35,6 +37,13 @@ def uniform_atomic_ckpt(tmp_path):
         model.params[name][...] = 0.0
     path = tmp_path / "uniform.ckpt"
     save_checkpoint(model, path)
+    return path
+
+
+@pytest.fixture
+def tiny_seq_ckpt(tmp_path):
+    path = tmp_path / "seq.ckpt"
+    save_checkpoint(random_tiny_model(0), path)
     return path
 
 
@@ -191,6 +200,43 @@ def test_eval_unknown_split(ab_corpus, uniform_atomic_ckpt, tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "test" in capsys.readouterr().err
+
+
+def test_eval_run_meta_records_phase_timings(ab_corpus, uniform_atomic_ckpt,
+                                             tmp_path, capsys):
+    out = tmp_path / "ev"
+    rc = main(["eval", "--ckpt", str(uniform_atomic_ckpt),
+               "--data", str(ab_corpus), "--split", "dev", "--out", str(out)])
+    assert rc == 0
+    timings = json.loads((out / "run-meta.json").read_text())["timings"]
+    assert set(timings) == {"load_s", "score_s", "beam_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert "timings: load_s=" in capsys.readouterr().out
+    assert "timings" not in json.loads((out / "eval-dev.json").read_text())
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--beam", "0"),
+    ("top1", "--beam", "0"),
+    ("top1", "--max-len", "-1"),
+    ("sample", "--max-len", "-1"),
+    ("sample", "--n", "-3"),
+])
+def test_bad_generation_args_are_usage_errors(command, flag, value, ab_corpus,
+                                              tiny_seq_ckpt, tmp_path, capsys):
+    out = tmp_path / "ev"
+    args = [command, "--ckpt", str(tiny_seq_ckpt), flag, value]
+    if command == "eval":
+        args += ["--data", str(ab_corpus), "--out", str(out)]
+    else:
+        args += ["--hsv", "10,50,50"]
+    rc = main(args)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be >=")
+    assert "Traceback" not in captured.err
+    assert not (out / "eval-dev.json").exists()
 
 
 # -- compare

@@ -216,6 +216,8 @@ def test_beam_width_validation():
     model = random_tiny_model(5)
     with pytest.raises(ValueError):
         model.predict_top1(GRAY, beam_width=0)
+    with pytest.raises(ValueError):
+        model.predict_top1(GRAY, max_len=-1)
 
 
 # -- training
