@@ -15,6 +15,7 @@ import logging
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +42,10 @@ def tokenize(raw: str) -> list[str]:
 
 @dataclass
 class Description:
-    """A color description: raw text, its tokens, and (optionally) the
-    id sequence produced by a vocabulary, including start/end sentinels."""
+    """A color description: raw text and its tokens."""
 
     raw: str
     tokens: list[str]
-    ids: list[int] | None = None
 
     @classmethod
     def from_text(cls, raw: str) -> "Description":
@@ -101,6 +100,24 @@ class Vocabulary:
         )
         unk = UNK_ID
         return [START_ID] + [self.token_to_id.get(t, unk) for t in tokens] + [END_ID]
+
+    def encode_batch(self, token_seqs) -> tuple[np.ndarray, np.ndarray]:
+        """(flat_ids, offsets) of many token lists, each encoded as
+        ``encode`` does: int32 ids of every sequence, sentinels included,
+        back to back; ``offsets[i]:offsets[i+1]`` delimits sequence i."""
+        n = len(token_seqs)
+        lengths = np.fromiter(map(len, token_seqs), dtype=np.int64, count=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths + 2, out=offsets[1:])
+        flat = np.full(offsets[-1], END_ID, dtype=np.int32)
+        content = np.ones(offsets[-1], dtype=bool)
+        content[offsets[:-1]] = False
+        content[offsets[1:] - 1] = False
+        flat[offsets[:-1]] = START_ID
+        flat[content] = np.fromiter(
+            map(self.token_to_id.get, chain.from_iterable(token_seqs), repeat(UNK_ID)),
+            dtype=np.int32, count=int(lengths.sum()))
+        return flat, offsets
 
     def decode(self, ids) -> list[str]:
         """Tokens for an id sequence, with sentinels stripped."""
@@ -283,7 +300,7 @@ def load_manifest(path) -> dict:
 
 @dataclass
 class EncodedDataset:
-    """A dataset encoded against a vocabulary for sequence training.
+    """Color rows and their encoded descriptions.
 
     ``flat_ids`` concatenates every encoded sequence (with sentinels);
     ``offsets[i]:offsets[i+1]`` delimits item i.
@@ -296,20 +313,26 @@ class EncodedDataset:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def ids(self, i: int) -> np.ndarray:
-        return self.flat_ids[self.offsets[i] : self.offsets[i + 1]]
-
     @property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def teacher_forcing(self, rows: np.ndarray):
+        """(in_ids, targets, mask) for items ``rows``: inputs ids[:-1] and
+        targets ids[1:], both int64 and padded with </s> to the longest
+        item's T steps, and a float64 mask that is 1.0 over real target
+        positions."""
+        start = self.offsets[rows]
+        steps = self.offsets[rows + 1] - start - 1
+        mask = np.arange(steps.max()) < steps[:, None]
+        src = (start[:, None] + np.arange(mask.shape[1]))[mask]
+        in_ids = np.full(mask.shape, END_ID, dtype=np.int64)
+        targets = in_ids.copy()
+        in_ids[mask] = self.flat_ids[src]
+        targets[mask] = self.flat_ids[src + 1]
+        return in_ids, targets, mask.astype(np.float64)
+
 
 def encode_dataset(ds: Dataset, vocab: Vocabulary) -> EncodedDataset:
-    offsets = np.zeros(len(ds) + 1, dtype=np.int64)
-    chunks = []
-    for i, desc in enumerate(ds.descriptions):
-        ids = vocab.encode(desc.tokens)
-        offsets[i + 1] = offsets[i] + len(ids)
-        chunks.append(np.asarray(ids, dtype=np.int32))
-    flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int32)
+    flat, offsets = vocab.encode_batch([d.tokens for d in ds.descriptions])
     return EncodedDataset(colors=ds.colors, flat_ids=flat, offsets=offsets)

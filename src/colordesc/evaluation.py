@@ -71,9 +71,15 @@ def aic(total_bits: float, k: int) -> float:
     return 2.0 * total_bits + 2.0 * k
 
 
+def _check_beam_width(beam_width: int) -> None:
+    if beam_width < 1:
+        raise ValueError("beam_width must be >= 1")
+
+
 def hit_flags(model, ds: Dataset, beam_width: int = 10) -> np.ndarray:
     """Per-item recall@1: does the model's most likely description
     exactly match the reference (token-normalized comparison)?"""
+    _check_beam_width(beam_width)
     hits = np.zeros(len(ds), dtype=np.int8)
     for i in range(len(ds)):
         pred = model.predict_top1(ds.color(i), beam_width=beam_width)
@@ -162,7 +168,10 @@ class EvalReport:
 def evaluate(model, ds: Dataset, split: str = "", beam_width: int | None = 10,
              on_zero: str = "error", timestamp: str = "") -> EvalReport:
     """Score a dataset and assemble the full report. ``beam_width=None``
-    skips the (expensive) accuracy pass."""
+    skips the (expensive) accuracy pass; a width below 1 is rejected
+    before anything is scored."""
+    if beam_width is not None:
+        _check_beam_width(beam_width)
     log2p = per_item_log2(model, ds)
     ppl, total_bits, _, n_zero = perplexity_from_log2(log2p, on_zero)
     k = count_params(model)

@@ -27,6 +27,7 @@ from .colors import ColorHSV
 from .corpus import (
     Dataset,
     Description,
+    EncodedDataset,
     END_ID,
     START_ID,
     UNK_ID,
@@ -110,6 +111,13 @@ def _score_color_array(self, colors: np.ndarray, tokens) -> np.ndarray:
                                   [list(tokens)] * len(colors))
 
 
+def _check_generation_args(beam_width: int, max_len: int) -> None:
+    if beam_width < 1:
+        raise ValueError("beam_width must be >= 1")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+
+
 def _featurize(params: dict, scheme: str, dtype, colors: np.ndarray):
     """(feats, bucket_ids) for an (N, 3) HSV array. bucket_ids is None
     for the continuous schemes."""
@@ -138,22 +146,6 @@ def _scatter_bucket_grads(grads: dict, params: dict, dfeats: np.ndarray,
         g = np.zeros_like(params[name])
         np.add.at(g, idx[:, r], dfeats[:, r * emb_dim : (r + 1) * emb_dim])
         grads[name] = g
-
-
-def _pad_batch(id_seqs: list, dtype_i=np.int64):
-    """Teacher-forcing tensors for encoded sequences (with sentinels):
-    inputs ids[:-1], targets ids[1:], mask over real target positions."""
-    B = len(id_seqs)
-    T = max(len(s) for s in id_seqs) - 1
-    in_ids = np.full((B, T), END_ID, dtype=dtype_i)
-    targets = np.full((B, T), END_ID, dtype=dtype_i)
-    mask = np.zeros((B, T), dtype=np.float64)
-    for b, seq in enumerate(id_seqs):
-        L = len(seq) - 1
-        in_ids[b, :L] = seq[:-1]
-        targets[b, :L] = seq[1:]
-        mask[b, :L] = 1.0
-    return in_ids, targets, mask
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +200,14 @@ class SequenceDecoderModel:
     def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
         """Log probability of each full description, </s> included, given
         its color row. OOV tokens score as <unk>."""
-        ids = [np.asarray(self.vocab.encode(t), dtype=np.int64) for t in token_seqs]
-        out = np.empty(len(ids), dtype=np.float64)
-        for lo in range(0, len(ids), _SCORE_BATCH):
-            hi = min(lo + _SCORE_BATCH, len(ids))
+        enc = EncodedDataset(colors, *self.vocab.encode_batch(token_seqs))
+        out = np.empty(len(enc), dtype=np.float64)
+        for lo in range(0, len(enc), _SCORE_BATCH):
+            hi = min(lo + _SCORE_BATCH, len(enc))
             feats, _ = self.featurize(colors[lo:hi])
-            in_ids, targets, mask = _pad_batch(ids[lo:hi])
             out[lo:hi] = nn.sequence_logprobs(
-                self.params, self.config, feats, in_ids, targets, mask)
+                self.params, self.config, feats,
+                *enc.teacher_forcing(np.arange(lo, hi)))
         return out
 
     score_description = _score_description
@@ -272,10 +264,7 @@ class SequenceDecoderModel:
         the beam never hurts the returned score. Ties between completions
         also break toward the smaller id tuple.
         """
-        if beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        if max_len < 0:
-            raise ValueError("max_len must be >= 0")
+        _check_generation_args(beam_width, max_len)
         best = self._beam(c, beam_width, max_len)
         if beam_width > 1:
             greedy = self._beam(c, 1, max_len)
@@ -423,6 +412,7 @@ class AtomicModel:
 
     def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
                      max_len: int = DEFAULT_MAX_LEN) -> Description:
+        _check_generation_args(beam_width, max_len)
         lp = self.class_logprobs(_as_color_array(c))[0]
         return self._description(int(np.argmax(lp)))
 
@@ -534,6 +524,7 @@ class HistogramModel:
 
     def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
                      max_len: int = DEFAULT_MAX_LEN) -> Description:
+        _check_generation_args(beam_width, max_len)
         # rows are sorted by class, so argmax ties go to the smaller key
         rows, _ = self._bucket_rows(c)
         best = rows.start + int(np.argmax(self._row_counts[rows]))
@@ -622,15 +613,14 @@ def _train_sequence(train: Dataset, config: TrainingConfig, scheme: str,
     vocab = Vocabulary.build(train)
     model = SequenceDecoderModel.build(config, vocab, scheme)
     enc = encode_dataset(train, vocab)
-    seqs = [enc.ids(i) for i in range(len(enc))]
     emb_dim = config.bucket_embedding_dim
 
     def make_batch(batch, rng):
         colors = train.colors[batch]
         feats, idx = model.featurize(colors)
-        in_ids, targets, mask = _pad_batch([seqs[i] for i in batch])
-        _, cache = nn.sequence_forward(model.params, config, feats, in_ids,
-                                       targets, mask, train=True, rng=rng)
+        _, cache = nn.sequence_forward(model.params, config, feats,
+                                       *enc.teacher_forcing(batch), train=True,
+                                       rng=rng)
         grads = nn.sequence_backward(cache)
         dfeats = grads.pop("feats")
         if scheme == "buckets":

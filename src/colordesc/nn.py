@@ -225,13 +225,11 @@ def sequence_initial_state(params: Params, cfg: TrainingConfig, feats: np.ndarra
     return np.zeros((B, H), dtype=dt), np.zeros((B, H), dtype=dt)
 
 
-def _sequence_inputs(params, cfg, feats, in_ids):
-    """Build the (B, T, D) step-input tensor."""
-    emb = params["emb"][in_ids]  # (B, T, E)
+def _step_inputs(params, cfg, feats, ids):
+    """(N, D) step inputs for N (color row, previous token) pairs."""
+    emb = params["emb"][ids]
     if cfg.conditioning == "every-step":
-        B, T = in_ids.shape
-        tiled = np.broadcast_to(feats[:, None, :], (B, T, feats.shape[1]))
-        return np.concatenate([tiled, emb], axis=2)
+        return np.concatenate([feats, emb], axis=1)
     return emb
 
 
@@ -248,11 +246,10 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     B, T = in_ids.shape
     H = cfg.hidden_size
     dt = cfg.np_dtype
-    X = _sequence_inputs(params, cfg, feats, in_ids)
-
-    # input contribution for all steps in one GEMM
-    AX = X.reshape(B * T, -1) @ params["lstm.W_x"] + params["lstm.b"]
-    AX = AX.reshape(B, T, 4 * H)
+    # inputs of every (row, step) pair, row-major, and their input
+    # contribution in one GEMM
+    X = _step_inputs(params, cfg, np.repeat(feats, T, axis=0), in_ids.ravel())
+    AX = (X @ params["lstm.W_x"] + params["lstm.b"]).reshape(B, T, 4 * H)
 
     h, c = sequence_initial_state(params, cfg, feats)
     h_prev = np.empty((B, T, H), dtype=dt)
@@ -362,8 +359,7 @@ def sequence_backward(cache) -> Params:
         dh_next = da[:, t] @ params["lstm.W_h"].T
 
     da_flat = da.reshape(B * T, 4 * H)
-    X = cache["X"]
-    grads["lstm.W_x"] = X.reshape(B * T, -1).T @ da_flat
+    grads["lstm.W_x"] = cache["X"].T @ da_flat
     grads["lstm.W_h"] = cache["h_prev"].reshape(B * T, H).T @ da_flat
     grads["lstm.b"] = da_flat.sum(axis=0)
     grads["lstm.w_ci"], grads["lstm.w_cf"], grads["lstm.w_co"] = dw_ci, dw_cf, dw_co
@@ -392,33 +388,56 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                       mask: np.ndarray) -> np.ndarray:
     """Per-item log probability (nats) of the target sequences, dropout off.
 
-    Summation over steps is per item, accumulated in float64.
+    A row's length is one past its last nonzero mask entry. Rows run
+    longest first (stable order), and step t advances only the prefix of
+    rows still live at t, never fewer than min(B, 2): numpy sends a
+    one-row product to gemv, whose sums can differ in the last bit from
+    the same row of a GEMM. The log-softmax is taken at the target only,
+    z[target] - log(sum(exp(z))) with z = logits - max in float64, the
+    same operations as a full log-softmax row. Scores come back in input
+    order, bit-identical to running every row for all T steps. Summation
+    over steps is per item, accumulated in float64.
     """
     B, T = in_ids.shape
-    H = cfg.hidden_size
-    X = _sequence_inputs(params, cfg, feats, in_ids)
-    AX = X.reshape(B * T, -1) @ params["lstm.W_x"] + params["lstm.b"]
-    AX = AX.reshape(B, T, 4 * H)
+    live = mask != 0
+    lengths = np.where(live.any(axis=1), T - np.argmax(live[:, ::-1], axis=1), 0)
+    order = np.argsort(-lengths, kind="stable")
+    n_live = np.maximum(np.count_nonzero(lengths[:, None] > np.arange(T), axis=0),
+                        min(B, 2))
     h, c = sequence_initial_state(params, cfg, feats)
+    h, c, feats = h[order], c[order], feats[order]
+    in_ids, targets, mask = in_ids[order], targets[order], mask[order]
+
+    # input contribution of every advanced (step, row) pair in one GEMM,
+    # step-major so each step's rows are one contiguous block; all T steps
+    # run, so a one-row block keeps the T-row product it had when padded
+    first = np.cumsum(n_live) - n_live
+    pair_rows = np.arange(n_live.sum()) - np.repeat(first, n_live)
+    pair_steps = np.repeat(np.arange(T), n_live)
+    X = _step_inputs(params, cfg, feats[pair_rows], in_ids[pair_rows, pair_steps])
+    AX = X @ params["lstm.W_x"] + params["lstm.b"]
+
     total = np.zeros(B, dtype=np.float64)
     rows = np.arange(B)
-    for t in range(T):
-        h, c, _ = _lstm_step_full(params, None, h, c, a=AX[:, t])
-        logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
-        logp = log_softmax(logits, axis=1)
-        total += logp[rows, targets[:, t]] * mask[:, t]
-    return total
+    lo = 0
+    for t, n in enumerate(n_live):
+        h, c, _ = _lstm_step_full(params, None, h[:n], c[:n], a=AX[lo : lo + n])
+        lo += n
+        logits = h @ params["out.W"] + params["out.b"]
+        z = logits.astype(np.float64)
+        z -= logits.max(axis=1, keepdims=True).astype(np.float64)
+        z_target = z[rows[:n], targets[:n, t]]
+        lse = np.log(np.sum(np.exp(z, out=z), axis=1))
+        total[:n] += (z_target - lse) * mask[:n, t]
+    out = np.empty(B, dtype=np.float64)
+    out[order] = total
+    return out
 
 
 def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                         prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray):
     """Incremental decode step: next-token distribution and new state."""
-    emb = params["emb"][prev_ids]
-    if cfg.conditioning == "every-step":
-        x = np.concatenate([feats, emb], axis=1)
-    else:
-        x = emb
-    h, c, _ = _lstm_step_full(params, x, h, c)
+    h, c, _ = _lstm_step_full(params, _step_inputs(params, cfg, feats, prev_ids), h, c)
     logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
     return softmax(logits, axis=1), h, c
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from colordesc import (
     ColorHSL,
@@ -88,3 +89,27 @@ def test_hue_is_preserved_by_conversion():
     for h in (0.0, 123.4, 359.9):
         assert hsl_to_hsv(ColorHSL(h, 60.0, 70.0)).h == pytest.approx(h)
         assert hsv_to_hsl(ColorHSV(h, 60.0, 70.0)).h == pytest.approx(h)
+
+
+def _percent(lo=0.0, hi=100.0):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+@given(h=st.floats(0.0, 360.0, exclude_max=True), s=_percent(), l=_percent())
+def test_scalar_and_array_conversions_agree_exactly(h, s, l):
+    hsv = hsl_to_hsv(ColorHSL(h, s, l))
+    hsv_arr = hsl_to_hsv_array(np.array([[h, s, l]]))[0]
+    assert hsv.as_tuple() == tuple(hsv_arr)
+    back = hsv_to_hsl(hsv)
+    back_arr = hsv_to_hsl_array(hsv_arr[None, :])[0]
+    assert back.as_tuple() == tuple(back_arr)
+
+
+@given(h=st.floats(0.0, 360.0, exclude_max=True), s=_percent(),
+       l=_percent(0.01, 99.99))
+def test_hsl_hsv_hsl_roundtrip(h, s, l):
+    # saturation is undefined at l in {0, 100}; away from there it returns
+    back = hsv_to_hsl(hsl_to_hsv(ColorHSL(h, s, l)))
+    assert back.h == h
+    assert back.s == pytest.approx(s, abs=1e-7)
+    assert back.l == pytest.approx(l, abs=1e-9)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colordesc import (
     CorpusError,
@@ -11,7 +12,13 @@ from colordesc import (
     load_manifest,
     tokenize,
 )
-from colordesc.corpus import END_ID, RESERVED_TOKENS, START_ID, UNK_ID
+from colordesc.corpus import (
+    EncodedDataset,
+    END_ID,
+    RESERVED_TOKENS,
+    START_ID,
+    UNK_ID,
+)
 
 
 def test_tokenize_lowercases_and_splits():
@@ -150,6 +157,57 @@ def test_encode_dataset_layout():
     vocab = Vocabulary(list(RESERVED_TOKENS) + ["a", "b", "c"])
     enc = encode_dataset(ds, vocab)
     assert len(enc) == 2
-    assert list(enc.ids(0)) == [START_ID, 3, 4, END_ID]
-    assert list(enc.ids(1)) == [START_ID, 5, END_ID]
+    assert list(enc.flat_ids) == [START_ID, 3, 4, END_ID, START_ID, 5, END_ID]
+    assert list(enc.offsets) == [0, 4, 7]
     assert list(enc.lengths) == [4, 3]
+
+
+def padded_batch(id_seqs):
+    """Per-item padding of encoded sequences (with sentinels): inputs
+    ids[:-1], targets ids[1:], mask over real target positions."""
+    B = len(id_seqs)
+    T = max(len(s) for s in id_seqs) - 1
+    in_ids = np.full((B, T), END_ID, dtype=np.int64)
+    targets = np.full((B, T), END_ID, dtype=np.int64)
+    mask = np.zeros((B, T), dtype=np.float64)
+    for b, seq in enumerate(id_seqs):
+        L = len(seq) - 1
+        in_ids[b, :L] = seq[:-1]
+        targets[b, :L] = seq[1:]
+        mask[b, :L] = 1.0
+    return in_ids, targets, mask
+
+
+WORDS = ["red", "blue", "light", "dark", "ish", "zzz", "qq"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seqs=st.lists(st.lists(st.sampled_from(WORDS), max_size=5), min_size=1,
+                     max_size=40),
+       known=st.sets(st.sampled_from(WORDS)),
+       data=st.data())
+def test_vectorized_encode_and_pad_equal_per_item(seqs, known, data):
+    # words outside ``known`` are out of vocabulary and encode as <unk>
+    vocab = Vocabulary(list(RESERVED_TOKENS) + sorted(known))
+    flat, offsets = vocab.encode_batch(seqs)
+    per_item = [vocab.encode(t) for t in seqs]
+    assert flat.dtype == np.int32 and offsets.dtype == np.int64
+    assert flat.tolist() == [i for ids in per_item for i in ids]
+    assert offsets.tolist() == np.cumsum([0] + [len(ids) for ids in per_item]).tolist()
+
+    enc = EncodedDataset(np.zeros((len(seqs), 3)), flat, offsets)
+    rows = np.array(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
+                                       max_size=20)))
+    got = enc.teacher_forcing(rows)
+    want = padded_batch([per_item[i] for i in rows])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def test_encode_batch_maps_oov_to_unk_and_keeps_empty_items():
+    vocab = Vocabulary(list(RESERVED_TOKENS) + ["a"])
+    flat, offsets = vocab.encode_batch([["a", "nope"], [], ["nope"]])
+    assert flat.tolist() == [START_ID, 3, UNK_ID, END_ID, START_ID, END_ID,
+                             START_ID, UNK_ID, END_ID]
+    assert offsets.tolist() == [0, 4, 6, 9]

@@ -132,6 +132,37 @@ def test_accuracy_constant_predictor_hits_majority_share():
     assert accuracy(AlwaysRed(), ds, beam_width=1) == pytest.approx(30.0)
 
 
+def test_bad_beam_width_is_rejected_before_scoring():
+    ds = disjoint_pairs(3, seed=24)
+
+    class Recording:
+        param_count = 1
+
+        def __init__(self):
+            self.calls = []
+
+        def score_dataset(self, d):
+            self.calls.append("score")
+            return np.zeros(len(d))
+
+        def predict_top1(self, color, beam_width=None, max_len=None):
+            self.calls.append("top1")
+            return ds.descriptions[0]
+
+    for width in (0, -2):
+        model = Recording()
+        with pytest.raises(ValueError, match="beam_width"):
+            hit_flags(model, ds, beam_width=width)
+        with pytest.raises(ValueError, match="beam_width"):
+            accuracy(model, ds, beam_width=width)
+        with pytest.raises(ValueError, match="beam_width"):
+            evaluate(model, ds, beam_width=width)
+        assert model.calls == []
+    model = Recording()
+    evaluate(model, ds, beam_width=1)
+    assert model.calls == ["score"] + ["top1"] * 3
+
+
 # -- permutation test
 
 

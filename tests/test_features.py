@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from colordesc import ColorHSV, bucket_index, feature_dim, fourier_features, raw_features
 from colordesc.errors import ConfigError
@@ -125,3 +126,33 @@ def test_dense_feature_array_dispatch():
     assert dense_feature_array(hsv, "fourier").shape == (1, 54)
     with pytest.raises(ConfigError):
         dense_feature_array(hsv, "buckets")
+
+
+def _hsv_rows():
+    """(N, 3) HSV arrays over the whole closed color space."""
+    row = st.tuples(st.floats(0.0, 360.0, exclude_max=True),
+                    st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+    return st.lists(row, min_size=1, max_size=30).map(np.array)
+
+
+@given(hsv=_hsv_rows())
+def test_fourier_identities(hsv):
+    f = fourier_feature_array(hsv)
+    np.testing.assert_allclose(f[:, :27] ** 2 + f[:, 27:] ** 2, 1.0, atol=1e-12)
+    # the zero-frequency column is exactly cos 0 = 1 and sin 0 = 0
+    assert (f[:, 0] == 1.0).all()
+    assert (f[:, 27] == 0.0).all()
+
+
+@given(hsv=_hsv_rows())
+def test_bucket_ids_in_range_and_mid_follows_fine(hsv):
+    idx = bucket_index_array(hsv)
+    for r, size in enumerate(BUCKET_SIZES):
+        assert ((idx[:, r] >= 0) & (idx[:, r] < size)).all()
+    (fh, fs, fv), (mh, ms, mv) = BUCKET_GRIDS[0], BUCKET_GRIDS[1]
+    ih, rest = np.divmod(idx[:, 0], fs * fv)
+    isat, iv = np.divmod(rest, fv)
+    # each fine cell lies inside one mid cell (the fine grid halves it)
+    mid = ((ih // (fh // mh)) * ms + isat // (fs // ms)) * mv + iv // (fv // mv)
+    np.testing.assert_array_equal(idx[:, 1], mid)
+    assert (idx[:, 2] == 0).all()

@@ -220,6 +220,19 @@ def test_beam_width_validation():
         model.predict_top1(GRAY, max_len=-1)
 
 
+@pytest.mark.parametrize("family", ["atomic", "histogram"])
+def test_baseline_top1_rejects_bad_generation_args(family):
+    ds = disjoint_pairs(4, seed=8)
+    cfg = TrainingConfig(max_epochs=1, seed=0)
+    model, _ = train_model(family, ds, cfg, scheme="buckets")
+    with pytest.raises(ValueError, match="beam_width"):
+        model.predict_top1(GRAY, beam_width=0)
+    with pytest.raises(ValueError, match="max_len"):
+        model.predict_top1(GRAY, max_len=-1)
+    # the widths and lengths the sequence family accepts still work
+    assert model.predict_top1(GRAY, beam_width=1, max_len=0).tokens
+
+
 # -- training
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colordesc import TrainingConfig, TrainingDivergence
+from colordesc.corpus import END_ID
 from colordesc.errors import ConfigError
 from colordesc import nn
 
@@ -287,3 +289,112 @@ def test_update_determinism_over_many_steps():
     b = run()
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
+
+
+# -- live-row scoring against the padded scorer
+
+
+def padded_sequence_logprobs(params, cfg, feats, in_ids, targets, mask):
+    """The padded scorer: every row runs all T steps, the full (B, V)
+    log-softmax is built at each step and the mask zeroes padding."""
+    B, T = in_ids.shape
+    H = cfg.hidden_size
+    X = params["emb"][in_ids]
+    if cfg.conditioning == "every-step":
+        tiled = np.broadcast_to(feats[:, None, :], (B, T, feats.shape[1]))
+        X = np.concatenate([tiled, X], axis=2)
+    AX = X.reshape(B * T, -1) @ params["lstm.W_x"] + params["lstm.b"]
+    AX = AX.reshape(B, T, 4 * H)
+    h, c = nn.sequence_initial_state(params, cfg, feats)
+    total = np.zeros(B, dtype=np.float64)
+    rows = np.arange(B)
+    for t in range(T):
+        h, c, _ = nn._lstm_step_full(params, None, h, c, a=AX[:, t])
+        logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
+        logp = nn.log_softmax(logits, axis=1)
+        total += logp[rows, targets[:, t]] * mask[:, t]
+    return total
+
+
+def _scoring_setup(seed, B, conditioning, dtype, dims, lengths, holes=False):
+    """A random model and teacher-forcing tensors for rows of the given
+    lengths, padded with </s> to the longest as the models pad them."""
+    H, E, V, F = dims
+    cfg = TrainingConfig(hidden_size=H, embedding_dim=E, dropout=0.0,
+                         conditioning=conditioning, dtype=dtype,
+                         seed=seed).validate()
+    rng = np.random.default_rng(seed)
+    params = nn.init_sequence_params(rng, cfg, V, F)
+    params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
+    feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
+    T = int(lengths.max())
+    mask = (np.arange(T) < lengths[:, None]).astype(np.float64)
+    if holes:
+        # interior zeros: a row's length is one past its last nonzero entry
+        mask *= rng.random(mask.shape) < 0.7
+    seqs = rng.integers(0, V, (B, T + 1))
+    in_ids = np.where(mask > 0, seqs[:, :-1], END_ID)
+    targets = np.where(mask > 0, seqs[:, 1:], END_ID)
+    return params, cfg, feats, in_ids, targets, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.sampled_from([1, 2, 3, 511, 512, 513]),
+       conditioning=st.sampled_from(["every-step", "init-state"]),
+       dtype=st.sampled_from(["float32", "float64"]),
+       dims=st.sampled_from([(4, 3, 7, 5), (20, 20, 400, 54)]),
+       layout=st.sampled_from(["random", "one-longest", "holes"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sequence_logprobs_equals_padded_scorer(B, conditioning, dtype, dims,
+                                                layout, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 7, B)
+    if layout == "one-longest":
+        # the last step has one live row, which must still run as a GEMM row
+        lengths = rng.integers(1, 6, B)
+        lengths[rng.integers(B)] = 6
+    setup = _scoring_setup(seed, B, conditioning, dtype, dims, lengths,
+                           holes=layout == "holes")
+    got = nn.sequence_logprobs(*setup)
+    want = padded_sequence_logprobs(*setup)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sequence_logprobs_advances_only_live_rows(monkeypatch):
+    lengths = np.array([3, 1, 2, 1, 2, 1])
+    setup = _scoring_setup(0, len(lengths), "every-step", "float32",
+                           (4, 3, 7, 5), lengths)
+    step_rows = []
+    real_step = nn._lstm_step_full
+
+    def counting_step(params, x, h, c, a=None):
+        step_rows.append(len(h))
+        return real_step(params, x, h, c, a=a)
+
+    monkeypatch.setattr(nn, "_lstm_step_full", counting_step)
+    got = nn.sequence_logprobs(*setup)
+    # 6 rows live at step 0, 3 at step 1, 1 at step 2 (run as 2 rows)
+    assert step_rows == [6, 3, 2]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got, padded_sequence_logprobs(*setup))
+
+
+def test_sequence_logprobs_single_row_and_all_masked():
+    for lengths in (np.array([4]), np.array([1, 1])):
+        setup = _scoring_setup(3, len(lengths), "init-state", "float32",
+                               (20, 20, 400, 54), lengths)
+        np.testing.assert_array_equal(nn.sequence_logprobs(*setup),
+                                      padded_sequence_logprobs(*setup))
+    # one row whose mask ends early: the padded scorer's input projection
+    # was a 4-row GEMM, and it must not become a one-row gemv
+    params, cfg, feats, in_ids, targets, mask = _scoring_setup(
+        5, 1, "every-step", "float32", (20, 20, 400, 54), np.array([4]))
+    mask[:, 1:] = 0.0
+    setup = (params, cfg, feats, in_ids, targets, mask)
+    np.testing.assert_array_equal(nn.sequence_logprobs(*setup),
+                                  padded_sequence_logprobs(*setup))
+    params, cfg, feats, in_ids, targets, mask = _scoring_setup(
+        4, 3, "every-step", "float64", (4, 3, 7, 5), np.array([2, 1, 2]))
+    got = nn.sequence_logprobs(params, cfg, feats, in_ids, targets, mask * 0.0)
+    np.testing.assert_array_equal(got, np.zeros(3))
