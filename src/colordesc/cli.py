@@ -96,6 +96,11 @@ def _check_generation_args(args) -> None:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
+def _load_counts(splits: dict) -> dict:
+    """run-meta ``counts``: records each loaded split skipped as unparseable."""
+    return {"skipped_records": {name: ds.skipped for name, ds in splits.items()}}
+
+
 # -- config-file handling (train only): plain key=value lines, flags win
 
 
@@ -199,7 +204,7 @@ def cmd_train(args, parser_defaults: dict) -> int:
         "out": str(outdir), "subsample_train": args.subsample_train,
         "config": config.to_dict(),
     }
-    _write_run_meta(outdir, "train", settings)
+    _write_run_meta(outdir, "train", settings, counts=_load_counts(splits))
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -233,8 +238,9 @@ def cmd_eval(args) -> int:
         "ckpt": str(args.ckpt), "data": str(args.data), "split": args.split,
         "beam": args.beam, "skip_accuracy": args.skip_accuracy,
         "allow_zero": args.allow_zero, "out": str(outdir),
-    }, timings=timings)
+    }, timings=timings, counts=_load_counts(splits))
     print(report.summary_line())
+    print(f"skipped_records: {ds.skipped}")
     print("timings: " + " ".join(f"{k}={v:.3f}" for k, v in timings.items()))
     print(f"report: {report_path}")
     return 0

@@ -31,6 +31,19 @@ def _check_percent(name: str, x: float) -> float:
     return float(x)
 
 
+def canonical_hue_array(h: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`canonical_hue` of finite hues, as a new array."""
+    h = np.mod(h, 360.0)
+    h[h >= 360.0] = 0.0
+    return h
+
+
+def percent_ok_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise test that :func:`_check_percent` accepts x (NaN fails
+    both comparisons, infinities fail one)."""
+    return (x >= 0.0) & (x <= 100.0)
+
+
 @dataclass(frozen=True)
 class ColorHSV:
     """A point in HSV space. Canonicalizes hue and validates ranges."""
@@ -89,8 +102,7 @@ def hsv_to_hsl(c: ColorHSV) -> ColorHSL:
 def hsl_to_hsv_array(hsl: np.ndarray) -> np.ndarray:
     """Vectorized hsl_to_hsv over an (N, 3) array of (h, s, l) rows."""
     hsl = np.asarray(hsl, dtype=np.float64)
-    h = np.mod(hsl[:, 0], 360.0)
-    h[h >= 360.0] = 0.0
+    h = canonical_hue_array(hsl[:, 0])
     sl = hsl[:, 1] / 100.0
     l = hsl[:, 2] / 100.0
     v = l + sl * np.minimum(l, 1.0 - l)
@@ -102,8 +114,7 @@ def hsl_to_hsv_array(hsl: np.ndarray) -> np.ndarray:
 def hsv_to_hsl_array(hsv: np.ndarray) -> np.ndarray:
     """Vectorized hsv_to_hsl over an (N, 3) array of (h, s, v) rows."""
     hsv = np.asarray(hsv, dtype=np.float64)
-    h = np.mod(hsv[:, 0], 360.0)
-    h[h >= 360.0] = 0.0
+    h = canonical_hue_array(hsv[:, 0])
     sv = hsv[:, 1] / 100.0
     v = hsv[:, 2] / 100.0
     l = v * (1.0 - sv / 2.0)

@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .colors import ColorHSL, ColorHSV, hsl_to_hsv
+from .colors import (
+    ColorHSV,
+    canonical_hue_array,
+    hsl_to_hsv,  # unused; perfbench/tracing.py counts calls at corpus.hsl_to_hsv
+    hsl_to_hsv_array,
+    percent_ok_array,
+)
 from .errors import CorpusError
 
 log = logging.getLogger(__name__)
@@ -40,9 +46,10 @@ def tokenize(raw: str) -> list[str]:
     return raw.lower().split()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Description:
-    """A color description: raw text and its tokens."""
+    """A color description: raw text and its tokens. Frozen, because a
+    loaded corpus shares one Description among the rows with equal text."""
 
     raw: str
     tokens: list[str]
@@ -187,7 +194,9 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     ``space`` is one of 'hsv', 'hsl', or 'auto'. 'auto' requires a header
     row; headerless files default to HSV unless ``space`` says otherwise.
     A header that contradicts an explicit ``space`` is an error. Records
-    with unparseable fields are skipped and counted.
+    with unparseable fields are skipped and counted. A leading byte order
+    mark is ignored. Rows with the same description field share one
+    (frozen) Description.
     """
     path = Path(path)
     if not path.is_file():
@@ -195,11 +204,11 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     if space not in ("auto", "hsv", "hsl"):
         raise CorpusError(f"unknown color space {space!r}")
 
-    hsv_rows: list[tuple[float, float, float]] = []
-    descriptions: list[Description] = []
+    numbers: list[tuple[float, float, float]] = []
+    texts: list[str] = []
     skipped = 0
 
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         first = f.readline()
         if first == "":
             raise CorpusError(f"corpus file is empty: {path}")
@@ -224,39 +233,61 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
                 space = "hsv"
             data_lines = _chain_first(first, f)
 
-        is_hsl = space == "hsl"
+        # per line only the split and the float() calls; Python's float
+        # syntax (whitespace, "1_0", "nan", "inf") is the accepted input
         for line in data_lines:
-            line = line.rstrip("\n")
             if not line.strip():
                 continue
-            parts = line.split(delim)
+            parts = line.rstrip("\n").split(delim)
             if len(parts) != 4:
                 skipped += 1
                 continue
             try:
-                a, b, c = (float(parts[0]), float(parts[1]), float(parts[2]))
-                if is_hsl:
-                    color = hsl_to_hsv(ColorHSL(a, b, c))
-                else:
-                    color = ColorHSV(a, b, c)
-            except (ValueError, OverflowError):
+                numbers.append((float(parts[0]), float(parts[1]), float(parts[2])))
+            except ValueError:
                 skipped += 1
                 continue
-            tokens = tokenize(parts[3])
-            if not tokens:
-                skipped += 1
-                continue
-            hsv_rows.append(color.as_tuple())
-            descriptions.append(
-                Description(raw=parts[3].strip(), tokens=[sys.intern(t) for t in tokens])
-            )
+            texts.append(parts[3])
+
+    valid, hsv = _checked_hsv(np.array(numbers, dtype=np.float64).reshape(-1, 3),
+                              space == "hsl")
+    # one Description per distinct text, shared by every row that has it
+    code_of = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    codes = np.fromiter(map(code_of.__getitem__, texts), dtype=np.int64,
+                        count=len(texts))[valid]
+    distinct = [_description(text) for text in code_of]
+    keep = np.array([d is not None for d in distinct], dtype=bool)[codes]
+    descriptions = list(map(distinct.__getitem__, codes[keep].tolist()))
+    skipped += len(texts) - len(descriptions)
 
     if not descriptions:
         raise CorpusError(f"no valid records in {path} ({skipped} skipped)")
     if skipped:
         log.info("load_corpus(%s): skipped %d unparseable records", path, skipped)
-    colors = np.array(hsv_rows, dtype=np.float64)
-    return Dataset(colors=colors, descriptions=descriptions, split=split, skipped=skipped)
+    return Dataset(colors=hsv[keep], descriptions=descriptions, split=split,
+                   skipped=skipped)
+
+
+def _checked_hsv(rows: np.ndarray, is_hsl: bool):
+    """Indices of the (h, s, v) or (h, s, l) rows that ``ColorHSV`` (after
+    ``hsl_to_hsv`` for HSL) accepts, and their canonical HSV colors."""
+    ok = np.isfinite(rows[:, 0]) & percent_ok_array(rows[:, 1]) & percent_ok_array(rows[:, 2])
+    idx = np.flatnonzero(ok)
+    if is_hsl:
+        hsv = hsl_to_hsv_array(rows[idx])
+        ok = percent_ok_array(hsv[:, 1]) & percent_ok_array(hsv[:, 2])
+        return idx[ok], hsv[ok]
+    hsv = rows[idx]
+    hsv[:, 0] = canonical_hue_array(hsv[:, 0])
+    return idx, hsv
+
+
+def _description(text: str) -> Description | None:
+    """The Description of a description field, None if it has no tokens."""
+    tokens = tokenize(text)
+    if not tokens:
+        return None
+    return Description(raw=text.strip(), tokens=[sys.intern(t) for t in tokens])
 
 
 def _chain_first(first_line: str, rest):

@@ -93,22 +93,27 @@ def _class_ids(index: dict, token_seqs) -> np.ndarray:
 # bound in every class body rather than inherited: perfbench's tracer
 # wraps the attributes each family class holds itself.
 
-def _score_description(self, c, d) -> float:
-    """Natural-log probability of description d given color c."""
+def _nonempty_tokens(d) -> list:
     tokens = _as_tokens(d)
     if not tokens:
         raise ValueError("cannot score an empty description")
-    return float(self.score_token_batch(_as_color_array(c), [tokens])[0])
+    return tokens
+
+
+def _score_description(self, c, d) -> float:
+    """Natural-log probability of description d given color c."""
+    return float(self.score_token_batch(_as_color_array(c), [_nonempty_tokens(d)])[0])
 
 
 def _score_dataset(self, ds: Dataset) -> np.ndarray:
     return self.score_token_batch(ds.colors, [d.tokens for d in ds.descriptions])
 
 
-def _score_color_array(self, colors: np.ndarray, tokens) -> np.ndarray:
-    """One description scored against many colors (grid queries)."""
+def _score_color_array(self, colors: np.ndarray, d) -> np.ndarray:
+    """One description (text, tokens or Description) scored against many
+    colors (grid queries)."""
     return self.score_token_batch(np.asarray(colors, dtype=np.float64),
-                                  [list(tokens)] * len(colors))
+                                  [_nonempty_tokens(d)] * len(colors))
 
 
 def _check_generation_args(beam_width: int, max_len: int) -> None:

@@ -215,6 +215,28 @@ def test_eval_run_meta_records_phase_timings(ab_corpus, uniform_atomic_ckpt,
     assert "timings" not in json.loads((out / "eval-dev.json").read_text())
 
 
+def test_train_and_eval_record_skipped_records(tmp_path, uniform_atomic_ckpt,
+                                               capsys):
+    manifest = _write_mini_corpus(
+        tmp_path,
+        ["1.0,50.0,50.0,a\n", "x,50.0,50.0,a\n", "2.0,50.0,50.0,b\n"],
+        ["5.0,50.0,50.0,a\n", "5.0,500.0,50.0,a\n", "5.0,50.0,a\n",
+         "5.0,50.0,50.0,   \n", "25.0,50.0,50.0,b\n"])
+    out = tmp_path / "tr"
+    assert main(["train", "--data", str(manifest), "--out", str(out),
+                 "--family", "hm", "--features", "buckets"]) == 0
+    meta = json.loads((out / "run-meta.json").read_text())
+    assert meta["counts"] == {"skipped_records": {"train": 1, "dev": 3}}
+
+    out = tmp_path / "ev"
+    assert main(["eval", "--ckpt", str(uniform_atomic_ckpt), "--data", str(manifest),
+                 "--split", "dev", "--out", str(out)]) == 0
+    meta = json.loads((out / "run-meta.json").read_text())
+    assert meta["counts"] == {"skipped_records": {"train": 1, "dev": 3}}
+    assert "skipped_records: 3" in capsys.readouterr().out
+    assert "counts" not in json.loads((out / "eval-dev.json").read_text())
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("eval", "--beam", "0"),
     ("top1", "--beam", "0"),

@@ -1,3 +1,8 @@
+import dataclasses
+import logging
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +17,16 @@ from colordesc import (
     load_manifest,
     tokenize,
 )
+from colordesc.colors import ColorHSL, ColorHSV, hsl_to_hsv
 from colordesc.corpus import (
+    _HEADER_SETS,
     EncodedDataset,
     END_ID,
     RESERVED_TOKENS,
     START_ID,
     UNK_ID,
+    _chain_first,
+    _detect_delimiter,
 )
 
 
@@ -111,6 +120,32 @@ def test_load_corpus_errors(tmp_path):
     ok = _write(tmp_path / "ok.csv", "1,2,3,fine\n")
     with pytest.raises(CorpusError):
         load_corpus(ok, space="rgb")
+
+
+def test_load_corpus_strips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes("\ufeffh,s,l,description\n120,100,50,green\n".encode("utf-8"))
+    ds = load_corpus(p)
+    assert ds.skipped == 0
+    np.testing.assert_array_equal(ds.colors, [[120.0, 100.0, 100.0]])
+    headerless = tmp_path / "bom-headerless.csv"
+    headerless.write_bytes("\ufeff10,20,30,teal\n".encode("utf-8"))
+    ds = load_corpus(headerless)
+    assert ds.skipped == 0
+    np.testing.assert_array_equal(ds.colors, [[10.0, 20.0, 30.0]])
+
+
+def test_loaded_rows_share_one_frozen_description_per_text(tmp_path):
+    p = _write(tmp_path / "c.csv",
+               "h,s,v,description\n1,2,3,red\n4,5,6, red\n7,8,9,red\n1,1,1,blue\n")
+    d = load_corpus(p).descriptions
+    assert d[0] is d[2]
+    # equal after stripping, but a different field: its own object
+    assert d[1] is not d[0] and d[1] == d[0]
+    for field, value in (("raw", "x"), ("tokens", ["x"])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d[0], field, value)
+    assert d[0].raw == "red" and d[2].tokens == ["red"]
 
 
 def test_load_manifest_resolves_relative_paths(tmp_path):
@@ -211,3 +246,144 @@ def test_encode_batch_maps_oov_to_unk_and_keeps_empty_items():
     assert flat.tolist() == [START_ID, 3, UNK_ID, END_ID, START_ID, END_ID,
                              START_ID, UNK_ID, END_ID]
     assert offsets.tolist() == [0, 4, 6, 9]
+
+
+def per_row_load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
+    """The per-row loader that the array loader replaced, kept as the
+    reference: one ColorHSL/ColorHSV and one Description per row."""
+    path = Path(path)
+    if not path.is_file():
+        raise CorpusError(f"corpus file not found: {path}")
+    if space not in ("auto", "hsv", "hsl"):
+        raise CorpusError(f"unknown color space {space!r}")
+
+    hsv_rows: list[tuple[float, float, float]] = []
+    descriptions: list[Description] = []
+    skipped = 0
+
+    with open(path, encoding="utf-8") as f:
+        first = f.readline()
+        if first == "":
+            raise CorpusError(f"corpus file is empty: {path}")
+        delim = _detect_delimiter(first)
+        header_cols = tuple(c.strip().lower() for c in first.rstrip("\n").split(delim))
+        header_space = _HEADER_SETS.get(header_cols)
+        if header_space is not None:
+            if space != "auto" and space != header_space:
+                raise CorpusError(
+                    f"header declares {header_space} but space={space!r} was requested"
+                )
+            space = header_space
+            data_lines = f
+        else:
+            # no header: first line is data; need an explicit or default space
+            if header_cols and header_cols[0] in ("h", "hue"):
+                raise CorpusError(
+                    f"unrecognized header columns {header_cols}; expected "
+                    "h,s,v,description or h,s,l,description"
+                )
+            if space == "auto":
+                space = "hsv"
+            data_lines = _chain_first(first, f)
+
+        is_hsl = space == "hsl"
+        for line in data_lines:
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split(delim)
+            if len(parts) != 4:
+                skipped += 1
+                continue
+            try:
+                a, b, c = (float(parts[0]), float(parts[1]), float(parts[2]))
+                if is_hsl:
+                    color = hsl_to_hsv(ColorHSL(a, b, c))
+                else:
+                    color = ColorHSV(a, b, c)
+            except (ValueError, OverflowError):
+                skipped += 1
+                continue
+            tokens = tokenize(parts[3])
+            if not tokens:
+                skipped += 1
+                continue
+            hsv_rows.append(color.as_tuple())
+            descriptions.append(
+                Description(raw=parts[3].strip(), tokens=[sys.intern(t) for t in tokens])
+            )
+
+    if not descriptions:
+        raise CorpusError(f"no valid records in {path} ({skipped} skipped)")
+    if skipped:
+        logging.getLogger(__name__).info(
+            "load_corpus(%s): skipped %d unparseable records", path, skipped)
+    colors = np.array(hsv_rows, dtype=np.float64)
+    return Dataset(colors=colors, descriptions=descriptions, split=split, skipped=skipped)
+
+
+NUMBER_FIELDS = [" 12 ", "1_0", "nan", "inf", "-inf", "1e400", "-0.0", "360", "-1e-20",
+                 "-1e-13", "720.5", "-30", "0", "50", "100", "100.0", "99.99",
+                 "100.00000000000001", "-0.001", "1e-320", "abc", "", "0x10", "1,5"]
+DESCRIPTION_FIELDS = ["red", "Red", " red", "red  ", "RED", "dark red", "Dark  Red",
+                      "  ", "", "\t", "blue\x85", "\x85", "green\u2028blue",
+                      "\u2028", "l\u00e9ger bleu", "a b c"]
+HEADERS = [None, None, ("h", "s", "v", "description"), ("h", "s", "l", "description"),
+           ("h", "s", "l", "description"), (" H", "S ", "L", "Description"),
+           ("h", "s", "x", "description"), ("hue", "s", "v", "description")]
+BLANK_LINES = ["", " ", "\t ", "\x85", "\u2028"]
+
+hue_field = st.one_of(st.sampled_from(NUMBER_FIELDS), st.floats(-400.0, 800.0).map(repr),
+                      st.floats(0.0, 360.0).map(lambda x: f"{x:.2f}"))
+percent_field = st.one_of(
+    st.sampled_from(NUMBER_FIELDS),
+    st.floats(-1.0, 101.0).map(repr),
+    st.floats(0.0, 100.0).map(repr),
+    st.floats(0.0, 100.0).map(lambda x: f"{x:.2f}"),
+)
+
+
+@st.composite
+def data_row(draw, delim):
+    fields = [draw(hue_field), draw(percent_field), draw(percent_field),
+              draw(st.sampled_from(DESCRIPTION_FIELDS))]
+    arity = draw(st.sampled_from([4] * 8 + [3, 5]))
+    if arity == 3:
+        del fields[1]
+    elif arity == 5:
+        fields.insert(1, draw(percent_field))
+    return delim.join(fields)
+
+
+@settings(max_examples=150, deadline=None)
+@given(delim=st.sampled_from([",", "\t"]),
+       header=st.sampled_from(HEADERS),
+       space=st.sampled_from(["auto", "auto", "hsv", "hsl"]),
+       data=st.data(),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=30))
+def test_array_loader_equals_per_row_loader(tmp_path_factory, delim, header, space,
+                                           data, ends):
+    lines = data.draw(st.lists(st.one_of(data_row(delim), data_row(delim),
+                                         st.sampled_from(BLANK_LINES)),
+                               min_size=1, max_size=40))
+    text_lines = ([] if header is None else [delim.join(header)]) + lines
+    text = "".join(ln + ends[i % len(ends)] for i, ln in enumerate(text_lines))
+    path = tmp_path_factory.mktemp("diff") / "c.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def load(fn):
+        try:
+            return fn(path, space=space, split="dev")
+        except CorpusError as exc:
+            return str(exc)
+
+    got, want = load(load_corpus), load(per_row_load_corpus)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.colors.dtype == want.colors.dtype == np.float64
+    assert got.colors.shape == want.colors.shape
+    assert got.colors.tobytes() == want.colors.tobytes()
+    assert [d.raw for d in got.descriptions] == [d.raw for d in want.descriptions]
+    assert [d.tokens for d in got.descriptions] == [d.tokens for d in want.descriptions]
+    assert (got.skipped, got.split) == (want.skipped, want.split)

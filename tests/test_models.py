@@ -60,6 +60,34 @@ def test_oov_tokens_score_as_unknown():
     assert s_unk == model.score_description(GRAY, [model.vocab.id_to_token[UNK_ID]])
 
 
+def _w_models():
+    """One model per family over the descriptions w0, w1, w2."""
+    ds = Dataset(colors=np.array([[0.0, 0.0, 50.0], [120.0, 80.0, 40.0],
+                                  [300.0, 20.0, 90.0], [125.0, 70.0, 45.0]]),
+                 descriptions=[Description.from_text(t)
+                               for t in ["w0", "w1", "w2", "w1"]])
+    atomic, _ = train_model("atomic", ds, TrainingConfig(max_epochs=1, seed=0),
+                            scheme="buckets")
+    return {"sequence": random_tiny_model(0), "atomic": atomic,
+            "histogram": HistogramModel.build(TrainingConfig(), ds)}
+
+
+@pytest.mark.parametrize("family", ["sequence", "atomic", "histogram"])
+def test_score_color_array_tokenizes_text_like_score_description(family):
+    model = _w_models()[family]
+    colors = np.array([[0.0, 0.0, 50.0], [118.0, 75.0, 42.0], [301.0, 25.0, 88.0]])
+    by_text = model.score_color_array(colors, "w1")
+    assert np.isfinite(by_text).all()
+    np.testing.assert_array_equal(by_text, model.score_color_array(colors, ["w1"]))
+    np.testing.assert_array_equal(
+        by_text, model.score_color_array(colors, Description.from_text(" W1 ")))
+    for c in colors:
+        assert model.score_color_array(c[None], "w1")[0] == model.score_description(c, "w1")
+    for empty in ("", "  ", []):
+        with pytest.raises(ValueError, match="empty description"):
+            model.score_color_array(colors, empty)
+
+
 def _full_vocab_mass(model, color, depth):
     """(completed, live) probability mass walking every token to depth."""
     V = len(model.vocab)
