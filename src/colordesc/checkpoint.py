@@ -22,6 +22,7 @@ is bit-identical because models already hold float32 parameters.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
@@ -71,7 +72,7 @@ def write_checkpoint(path, header: dict, tensors: dict) -> None:
     body += head
     for blob in blobs:
         body += blob
-    crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
+    crc = _crc(bytes(body))
     body += struct.pack("<I", crc)
     with open(path, "wb") as fh:
         fh.write(bytes(body))
@@ -109,27 +110,24 @@ def read_checkpoint(path):
     head_raw = need(pos, head_len, "header")
     pos += head_len
     try:
-        header = json.loads(head_raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+        header = _parse_header(head_raw)
+        entries = _manifest(header)
+    except CheckpointError as exc:
+        # a damaged file reports its checksum; a malformed header under a
+        # valid checksum reports itself
+        if len(raw) >= pos + 4 and _crc(raw[:-4]) == struct.unpack("<I", raw[-4:])[0]:
+            raise
+        raise CheckpointError("checksum mismatch: corrupt checkpoint header") from exc
 
-    manifest = header.get("tensors")
-    if not isinstance(manifest, list):
-        raise CheckpointError("checkpoint header missing tensor manifest")
-    tensors = {}
-    for entry in manifest:
-        name, code, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
-        if code not in _DTYPES:
-            raise CheckpointError(f"tensor {name!r} has unknown dtype {code!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 4
-        blob = need(pos, nbytes, f"tensor {name!r}")
+    # tensor extents first, so that a cut file names the offset it needs;
+    # nothing is interpreted before the checksum passes
+    blobs = []
+    for name, code, shape in entries:
+        nbytes = math.prod(shape) * _DTYPES[code].itemsize
+        blobs.append(need(pos, nbytes, f"tensor {name!r}"))
         pos += nbytes
-        tensors[name] = np.frombuffer(blob, dtype=_DTYPES[code]).reshape(shape).copy()
-
-    trailer = need(pos, 4, "checksum")
-    (stored_crc,) = struct.unpack("<I", trailer)
-    actual_crc = zlib.crc32(raw[:pos]) & 0xFFFFFFFF
+    (stored_crc,) = struct.unpack("<I", need(pos, 4, "checksum"))
+    actual_crc = _crc(raw[:pos])
     if stored_crc != actual_crc:
         raise CheckpointError(
             f"checksum mismatch: stored {stored_crc:#010x}, "
@@ -137,4 +135,45 @@ def read_checkpoint(path):
     if pos + 4 != len(raw):
         raise CheckpointError(
             f"{len(raw) - pos - 4} trailing bytes after checksum")
+    tensors = {name: np.frombuffer(blob, dtype=_DTYPES[code]).reshape(shape).copy()
+               for (name, code, shape), blob in zip(entries, blobs)}
     return header, tensors
+
+
+def _crc(data: bytes) -> int:
+    return zlib.crc32(data) & 0xFFFFFFFF
+
+
+def _parse_header(head_raw: bytes) -> dict:
+    try:
+        header = json.loads(head_raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8, int-digit limit
+        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    return header
+
+
+def _manifest(header: dict) -> list:
+    """(name, dtype code, shape) of each tensor-manifest entry, checked:
+    an object with a unique str name, a known dtype and a list of
+    non-negative ints for the shape."""
+    manifest = header.get("tensors")
+    if not isinstance(manifest, list):
+        raise CheckpointError("checkpoint header missing tensor manifest")
+    entries = []
+    for k, entry in enumerate(manifest):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"tensor manifest entry {k} is not an object")
+        name, code, shape = entry.get("name"), entry.get("dtype"), entry.get("shape")
+        if not isinstance(name, str):
+            raise CheckpointError(f"tensor manifest entry {k} has no str name")
+        if not isinstance(code, str) or code not in _DTYPES:
+            raise CheckpointError(f"tensor {name!r} has unknown dtype {code!r}")
+        if not isinstance(shape, list) or not all(
+                type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(f"tensor {name!r} has a malformed shape {shape!r}")
+        entries.append((name, code, tuple(shape)))
+    if len({name for name, _, _ in entries}) != len(entries):
+        raise CheckpointError("tensor manifest repeats a tensor name")
+    return entries

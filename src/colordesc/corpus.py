@@ -86,9 +86,7 @@ class Vocabulary:
         token, ordered by (count desc, token asc)."""
         if len(train) == 0:
             raise CorpusError("cannot build a vocabulary from an empty dataset")
-        counts: Counter[str] = Counter()
-        for desc in train.descriptions:
-            counts.update(desc.tokens)
+        counts = Counter(chain.from_iterable(d.tokens for d in train.descriptions))
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         return cls(list(RESERVED_TOKENS) + [tok for tok, _ in ordered])
 

@@ -35,7 +35,7 @@ from .corpus import (
     encode_dataset,
     tokenize,
 )
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, TrainingDivergence
 from .features import (
     BUCKET_GRIDS,
     BUCKET_SIZES,
@@ -398,8 +398,9 @@ class AtomicModel:
         known = np.flatnonzero(cls_ids >= 0)
         for lo in range(0, len(known), _SCORE_BATCH):
             rows = known[lo : lo + _SCORE_BATCH]
-            lp = self.class_logprobs(colors[rows])
-            out[rows] = lp[np.arange(len(rows)), cls_ids[rows]]
+            feats, _ = self.featurize(colors[rows])
+            out[rows] = nn.atomic_target_logprobs(self.params, self.config, feats,
+                                                  cls_ids[rows])
         return out
 
     score_description = _score_description
@@ -559,6 +560,13 @@ def _monitor_perplexity(model, ds: Dataset) -> float:
     return float(2.0 ** bits.mean())
 
 
+def _first_nonfinite(params: dict) -> str:
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            return f"first non-finite parameter: {name}"
+    return "every parameter is finite"
+
+
 def _neural_train_loop(model, config: TrainingConfig, make_batch, n_items: int,
                        monitor_ds: Dataset, monitor_name: str):
     """Shared minibatch/Adagrad/early-stopping driver.
@@ -586,7 +594,12 @@ def _neural_train_loop(model, config: TrainingConfig, make_batch, n_items: int,
         order = rng.permutation(n_items)
         for b in range(n_batches):
             batch = order[b * config.batch_size : (b + 1) * config.batch_size]
-            grads = make_batch(batch, rng)
+            try:
+                grads = make_batch(batch, rng)
+            except TrainingDivergence as exc:
+                raise TrainingDivergence(
+                    f"{exc} at epoch {epoch}, batch {b} of {n_batches}; "
+                    f"{_first_nonfinite(model.params)}") from exc
             opt.update(model.params, grads)
             if b in eval_points:
                 frac = epoch - 1 + (b + 1) / n_batches
@@ -787,6 +800,17 @@ def load_checkpoint(path, expect_family: str | None = None):
     if header.get("features") != FEATURE_CONSTANTS:
         raise CheckpointError(
             "checkpoint was written with different featurizer constants")
+    try:
+        return _model_from_checkpoint(family, header, tensors)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            ConfigError) as exc:
+        # a header field of the wrong type or value, under a valid checksum
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+
+
+def _model_from_checkpoint(family: str, header: dict, tensors: dict):
     cfg = TrainingConfig.from_dict(header["config"])
     epochs = float(header.get("meta", {}).get("epochs_trained", 0.0))
 

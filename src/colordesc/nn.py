@@ -164,10 +164,20 @@ def _lstm_step_full(params, x, h_prev, c_prev, a=None):
 # Adagrad
 
 def adagrad_update(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
-                   lr: float, eps: float = ADAGRAD_EPS) -> None:
-    """In place: accum += grad^2; param -= lr * grad / (sqrt(accum) + eps)."""
-    accum += grad * grad
-    param -= lr * grad / (np.sqrt(accum) + eps)
+                   lr: float, eps: float = ADAGRAD_EPS, scratch=None) -> None:
+    """In place: accum += grad^2; param -= lr * grad / (sqrt(accum) + eps).
+
+    ``scratch`` is a pair of arrays shaped and typed like ``param`` that
+    hold the intermediates (allocated when omitted); ``grad`` has the
+    dtype of ``param``."""
+    sq, step = scratch if scratch is not None else (np.empty_like(param),
+                                                    np.empty_like(param))
+    accum += np.multiply(grad, grad, out=sq)
+    denom = np.sqrt(accum, out=sq)
+    denom += eps
+    step = np.multiply(grad, lr, out=step)
+    step /= denom
+    param -= step
 
 
 class Adagrad:
@@ -177,10 +187,13 @@ class Adagrad:
         self.lr = lr
         self.eps = eps
         self.accum = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v))
+                         for k, v in params.items()}
 
     def update(self, params: Params, grads: Params) -> None:
         for name, g in grads.items():
-            adagrad_update(params[name], g, self.accum[name], self.lr, self.eps)
+            adagrad_update(params[name], g, self.accum[name], self.lr, self.eps,
+                           self._scratch[name])
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +246,24 @@ def _step_inputs(params, cfg, feats, ids):
     return emb
 
 
+def _sigmoid_of_negated(x: np.ndarray) -> np.ndarray:
+    """In place: x holds -a on entry and sigmoid(a) on return, by the
+    operations of ``sigmoid``. The caller silences exp overflow."""
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
+def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """log_softmax(logits)[row, targets[row]] of each row, in float64,
+    without building the (N, C) log-softmax: z[target] - log(sum(exp(z)))
+    with z = logits - max, the operations of a full log-softmax row."""
+    z = logits.astype(np.float64)
+    z -= logits.max(axis=1, keepdims=True)
+    z_target = z[np.arange(len(z)), targets]
+    return z_target - np.log(np.sum(np.exp(z, out=z), axis=1))
+
+
 def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                      in_ids: np.ndarray, targets: np.ndarray, mask: np.ndarray,
                      train: bool = False, rng=None, drop_masks=None):
@@ -242,6 +273,14 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     Returns (loss, cache); loss is the batch-mean summed cross-entropy.
     ``drop_masks`` (B, T, H) may be supplied to pin the dropout draw
     (used by the finite-difference tests).
+
+    Every (row, step) cell runs through the recurrence and the output
+    product. The log-softmax, the probabilities and the logit gradient
+    (p - onehot) * mask / B are taken on live cells (mask != 0) only, in
+    row-major order, so the loss and every gradient are bit-identical to
+    masking a padded (B, T, V) log-softmax. The recurrence keeps its
+    per-step values step-major, (T, ..., B, H), so that each step works
+    on contiguous (B, H) blocks.
     """
     B, T = in_ids.shape
     H = cfg.hidden_size
@@ -249,51 +288,76 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     # inputs of every (row, step) pair, row-major, and their input
     # contribution in one GEMM
     X = _step_inputs(params, cfg, np.repeat(feats, T, axis=0), in_ids.ravel())
-    AX = (X @ params["lstm.W_x"] + params["lstm.b"]).reshape(B, T, 4 * H)
+    AX = X @ params["lstm.W_x"] + params["lstm.b"]
+    AX = AX.reshape(B, T, 4 * H).transpose(1, 0, 2).copy()
 
-    h, c = sequence_initial_state(params, cfg, feats)
-    h_prev = np.empty((B, T, H), dtype=dt)
-    c_prev = np.empty((B, T, H), dtype=dt)
-    gates_i = np.empty((B, T, H), dtype=dt)
-    gates_f = np.empty((B, T, H), dtype=dt)
-    gates_g = np.empty((B, T, H), dtype=dt)
-    gates_o = np.empty((B, T, H), dtype=dt)
-    cells = np.empty((B, T, H), dtype=dt)
-    tanh_c = np.empty((B, T, H), dtype=dt)
-    hidden = np.empty((B, T, H), dtype=dt)
-    for t in range(T):
-        h_prev[:, t] = h
-        c_prev[:, t] = c
-        h, c, (i, f, g, o, tc) = _lstm_step_full(params, None, h, c, a=AX[:, t])
-        gates_i[:, t], gates_f[:, t] = i, f
-        gates_g[:, t], gates_o[:, t] = g, o
-        cells[:, t], tanh_c[:, t], hidden[:, t] = c, tc, h
+    h0, c0 = sequence_initial_state(params, cfg, feats)
+    W_h = params["lstm.W_h"]
+    # peepholes negated and tiled to (B, H): -(c w + a) == c (-w) - a
+    # exactly, so each sigmoid argument comes out negated, ready for exp
+    neg_w = np.empty((3, B, H), dtype=dt)
+    neg_w[:] = -np.stack([params["lstm.w_ci"], params["lstm.w_cf"],
+                          params["lstm.w_co"]])[:, None]
+    gates = np.empty((T, 4, B, H), dtype=dt)  # i, f, g, o
+    cells = np.empty((T, B, H), dtype=dt)
+    tanh_c = np.empty((T, B, H), dtype=dt)
+    hidden = np.empty((T, B, H), dtype=dt)
+    h, c = h0, c0
+    with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
+        for t in range(T):
+            a = h @ W_h
+            a += AX[t]
+            i, f, g, o = gates[t]
+            np.multiply(c, neg_w[0], out=i)
+            i -= a[:, :H]
+            np.multiply(c, neg_w[1], out=f)
+            f -= a[:, H : 2 * H]
+            _sigmoid_of_negated(gates[t, :2])
+            np.tanh(a[:, 2 * H : 3 * H], out=g)
+            c = np.multiply(f, c, out=cells[t])
+            c += i * g
+            np.multiply(c, neg_w[2], out=o)
+            o -= a[:, 3 * H :]
+            _sigmoid_of_negated(o)
+            h = np.multiply(o, np.tanh(c, out=tanh_c[t]), out=hidden[t])
 
+    dropped = np.empty((B, T, H), dtype=dt)
     if train and cfg.dropout > 0.0:
         if drop_masks is None:
             drop_masks = dropout_mask(rng, (B, T, H), cfg.dropout, dt)
-        dropped = hidden * drop_masks
+        np.multiply(hidden.transpose(1, 0, 2), drop_masks, out=dropped)
     else:
         drop_masks = None
-        dropped = hidden
+        dropped[:] = hidden.transpose(1, 0, 2)
 
-    logits = dropped.reshape(B * T, H) @ params["out.W"] + params["out.b"]
-    logits = logits.reshape(B, T, -1)
-    logp = log_softmax(logits, axis=2)
-    rows = np.arange(B)[:, None]
-    cols = np.arange(T)[None, :]
-    nll = -logp[rows, cols, targets] * mask
+    logits = dropped.reshape(B * T, H) @ params["out.W"]
+    logits += params["out.b"]
+    live = np.flatnonzero(mask)
+    weight = mask.ravel()[live]
+    rows = np.arange(live.size)
+    cols = targets.ravel()[live]
+    logp = logits[live]
+    logp -= logp.max(axis=1, keepdims=True)
+    probs = np.exp(logp)
+    logp -= np.log(probs.sum(axis=1, keepdims=True))
+    nll = np.zeros(B * T, dtype=np.float64)
+    nll[live] = -logp[rows, cols] * weight
     loss = float(nll.sum(dtype=np.float64) / B)
     if not np.isfinite(loss):
         raise TrainingDivergence("non-finite loss in sequence forward pass")
+    dlogits = np.exp(logp, out=probs)
+    dlogits[rows, cols] -= 1.0
+    dlogits *= (weight / B).astype(dt)[:, None]
+    # the logits buffer becomes the (B*T, V) logit gradient, zero on padding
+    dflat = logits
+    dflat[mask.ravel() == 0] = 0.0
+    dflat[live] = dlogits
 
     cache = {
         "cfg": cfg, "params": params, "feats": feats, "X": X,
-        "in_ids": in_ids, "targets": targets, "mask": mask,
-        "h_prev": h_prev, "c_prev": c_prev, "i": gates_i, "f": gates_f,
-        "g": gates_g, "o": gates_o, "c": cells, "tanh_c": tanh_c,
-        "hidden": hidden, "dropped": dropped, "drop_masks": drop_masks,
-        "probs": np.exp(logp),
+        "in_ids": in_ids, "h0": h0, "c0": c0, "gates": gates, "c": cells,
+        "tanh_c": tanh_c, "hidden": hidden, "dropped": dropped,
+        "drop_masks": drop_masks, "dlogits": dlogits, "dflat": dflat,
     }
     return loss, cache
 
@@ -304,65 +368,84 @@ def sequence_backward(cache) -> Params:
     Also returns key "feats": the gradient w.r.t. the featurized color
     input (used to train bucket embeddings and the init-state maps'
     upstream, zero cost for fixed featurizers).
+
+    Padded cells keep zero logit gradients in the (B*T, V) products, so
+    every GEMM and batch sum runs over the rows, and in the order, of the
+    padded computation.
     """
     cfg: TrainingConfig = cache["cfg"]
     params = cache["params"]
     B, T = cache["in_ids"].shape
     H = cfg.hidden_size
     dt = cfg.np_dtype
-    V = params["out.b"].shape[0]
 
-    # softmax cross-entropy gradient, masked and batch-averaged
-    dlogits = cache["probs"].copy()
-    rows = np.arange(B)[:, None]
-    cols = np.arange(T)[None, :]
-    dlogits[rows, cols, cache["targets"]] -= 1.0
-    dlogits *= (cache["mask"] / B)[:, :, None].astype(dt)
-
-    dropped = cache["dropped"]
+    dflat = cache["dflat"]
     grads: Params = {}
-    dflat = dlogits.reshape(B * T, V)
-    grads["out.W"] = dropped.reshape(B * T, H).T @ dflat
-    grads["out.b"] = dflat.sum(axis=0)
-    dH_out = (dflat @ params["out.W"].T).reshape(B, T, H)
+    grads["out.W"] = cache["dropped"].reshape(B * T, H).T @ dflat
+    grads["out.b"] = cache["dlogits"].sum(axis=0)
+    dH_out = dflat @ params["out.W"].T
     if cache["drop_masks"] is not None:
-        dH_out = dH_out * cache["drop_masks"]
+        dH_out *= cache["drop_masks"].reshape(B * T, H)
+    dH_out = dH_out.reshape(B, T, H).transpose(1, 0, 2).copy()
 
-    w_ci, w_cf, w_co = params["lstm.w_ci"], params["lstm.w_cf"], params["lstm.w_co"]
-    da = np.empty((B, T, 4 * H), dtype=dt)
-    dw_ci = np.zeros(H, dtype=dt)
-    dw_cf = np.zeros(H, dtype=dt)
-    dw_co = np.zeros(H, dtype=dt)
+    gates, cells, tc = cache["gates"], cache["c"], cache["tanh_c"]
+    # per-cell factors of every step, computed once: 1-i, 1-f, 1-g^2, 1-o
+    one_minus = 1.0 - gates
+    np.subtract(1.0, gates[:, 2] ** 2, out=one_minus[:, 2])
+    one_minus_tc2 = 1.0 - tc ** 2
+    # dc times [g, c_prev] starts [dai, daf]
+    g_cprev = np.empty((T, 2, B, H), dtype=dt)
+    g_cprev[:, 0] = gates[:, 2]
+    g_cprev[0, 1] = cache["c0"]
+    g_cprev[1:, 1] = cells[:-1]
+    w = np.empty((3, B, H), dtype=dt)
+    w[:] = np.stack([params["lstm.w_ci"], params["lstm.w_cf"],
+                     params["lstm.w_co"]])[:, None]
+    W_hT = params["lstm.W_h"].T
+    dgates = np.empty((T, 4, B, H), dtype=dt)  # dai, daf, dag, dao
+    da = np.empty((B, T, 4, H), dtype=dt)  # the same, row-major for the GEMMs
     dh_next = np.zeros((B, H), dtype=dt)
     dc_next = np.zeros((B, H), dtype=dt)
-    i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
-    c, tc, c_prev = cache["c"], cache["tanh_c"], cache["c_prev"]
     for t in range(T - 1, -1, -1):
-        dh = dH_out[:, t] + dh_next
-        do = dh * tc[:, t]
-        dao = do * o[:, t] * (1.0 - o[:, t])
-        dc = dh * o[:, t] * (1.0 - tc[:, t] ** 2) + dc_next + dao * w_co
-        dw_co += (dao * c[:, t]).sum(axis=0)
-        di = dc * g[:, t]
-        dai = di * i[:, t] * (1.0 - i[:, t])
-        df = dc * c_prev[:, t]
-        daf = df * f[:, t] * (1.0 - f[:, t])
-        dg = dc * i[:, t]
-        dag = dg * (1.0 - g[:, t] ** 2)
-        dw_ci += (dai * c_prev[:, t]).sum(axis=0)
-        dw_cf += (daf * c_prev[:, t]).sum(axis=0)
-        dc_next = dc * f[:, t] + dai * w_ci + daf * w_cf
-        da[:, t, :H] = dai
-        da[:, t, H : 2 * H] = daf
-        da[:, t, 2 * H : 3 * H] = dag
-        da[:, t, 3 * H :] = dao
-        dh_next = da[:, t] @ params["lstm.W_h"].T
+        i, f, g, o = gates[t]
+        dai_f, dag, dao = dgates[t, :2], dgates[t, 2], dgates[t, 3]
+        dh = dH_out[t]
+        dh += dh_next
+        np.multiply(dh, tc[t], out=dao)
+        dao *= o
+        dao *= one_minus[t, 3]
+        dc = np.multiply(dh, o, out=dh)
+        dc *= one_minus_tc2[t]
+        dc += dc_next
+        dc += dao * w[2]
+        np.multiply(dc, g_cprev[t], out=dai_f)
+        dai_f *= gates[t, :2]
+        dai_f *= one_minus[t, :2]
+        np.multiply(dc, i, out=dag)
+        dag *= one_minus[t, 2]
+        peep = dai_f * w[:2]
+        dc_next = np.multiply(dc, f, out=dc_next)
+        dc_next += peep[0]
+        dc_next += peep[1]
+        np.copyto(da[:, t], dgates[t].transpose(1, 0, 2))
+        dh_next = da[:, t].reshape(B, 4 * H) @ W_hT
 
     da_flat = da.reshape(B * T, 4 * H)
+    h_prev = np.concatenate(
+        [cache["h0"][:, None], cache["hidden"][:-1].transpose(1, 0, 2)], axis=1)
     grads["lstm.W_x"] = cache["X"].T @ da_flat
-    grads["lstm.W_h"] = cache["h_prev"].reshape(B * T, H).T @ da_flat
+    grads["lstm.W_h"] = h_prev.reshape(B * T, H).T @ da_flat
     grads["lstm.b"] = da_flat.sum(axis=0)
-    grads["lstm.w_ci"], grads["lstm.w_cf"], grads["lstm.w_co"] = dw_ci, dw_cf, dw_co
+    # peephole gradients: each step's batch sum, added in the loop's order
+    step_if = (dgates[:, :2] * g_cprev[:, 1:]).sum(axis=2)
+    step_o = (dgates[:, 3] * cells).sum(axis=1)
+    dw_if = np.zeros((2, H), dtype=dt)
+    dw_co = np.zeros(H, dtype=dt)
+    for t in range(T - 1, -1, -1):
+        dw_if += step_if[t]
+        dw_co += step_o[t]
+    grads["lstm.w_ci"], grads["lstm.w_cf"] = dw_if
+    grads["lstm.w_co"] = dw_co
 
     dX = (da_flat @ params["lstm.W_x"].T).reshape(B, T, -1)
     feats = cache["feats"]
@@ -418,17 +501,12 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     AX = X @ params["lstm.W_x"] + params["lstm.b"]
 
     total = np.zeros(B, dtype=np.float64)
-    rows = np.arange(B)
     lo = 0
     for t, n in enumerate(n_live):
         h, c, _ = _lstm_step_full(params, None, h[:n], c[:n], a=AX[lo : lo + n])
         lo += n
         logits = h @ params["out.W"] + params["out.b"]
-        z = logits.astype(np.float64)
-        z -= logits.max(axis=1, keepdims=True).astype(np.float64)
-        z_target = z[rows[:n], targets[:n, t]]
-        lse = np.log(np.sum(np.exp(z, out=z), axis=1))
-        total[:n] += (z_target - lse) * mask[:n, t]
+        total[:n] += _log_softmax_at(logits, targets[:n, t]) * mask[:n, t]
     out = np.empty(B, dtype=np.float64)
     out[order] = total
     return out
@@ -466,7 +544,9 @@ def init_atomic_params(rng, cfg: TrainingConfig, feature_width: int,
 def atomic_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                    targets: np.ndarray, train: bool = False, rng=None,
                    drop_masks=None):
-    """Returns (loss, cache); loss is mean cross-entropy over the batch."""
+    """Returns (loss, cache); loss is mean cross-entropy over the batch.
+    The log-softmax and the logit gradient (p - onehot) / B are computed
+    in place in one (B, C) buffer."""
     dt = cfg.np_dtype
     B = feats.shape[0]
     a1 = feats @ params["fc1.W"] + params["fc1.b"]
@@ -483,26 +563,30 @@ def atomic_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
         d1 = h1
     h2 = d1 @ params["fc2.W"] + params["fc2.b"]
     d2 = h2 * drop_masks[1] if drop_masks is not None else h2
-    logits = d2 @ params["out.W"] + params["out.b"]
-    logp = log_softmax(logits, axis=1)
-    nll = -logp[np.arange(B), targets]
+    logp = d2 @ params["out.W"]
+    logp += params["out.b"]
+    logp -= logp.max(axis=1, keepdims=True)
+    probs = np.exp(logp)
+    logp -= np.log(probs.sum(axis=1, keepdims=True))
+    rows = np.arange(B)
+    nll = -logp[rows, targets]
     loss = float(nll.sum(dtype=np.float64) / B)
     if not np.isfinite(loss):
         raise TrainingDivergence("non-finite loss in atomic forward pass")
+    dlogits = np.exp(logp, out=probs)
+    dlogits[rows, targets] -= 1.0
+    dlogits /= B
     cache = {
-        "cfg": cfg, "params": params, "feats": feats, "targets": targets,
+        "cfg": cfg, "params": params, "feats": feats,
         "a1": a1, "d1": d1, "d2": d2, "drop_masks": drop_masks,
-        "probs": np.exp(logp),
+        "dlogits": dlogits,
     }
     return loss, cache
 
 
 def atomic_backward(cache) -> Params:
     params = cache["params"]
-    B = cache["feats"].shape[0]
-    dlogits = cache["probs"].copy()
-    dlogits[np.arange(B), cache["targets"]] -= 1.0
-    dlogits /= B
+    dlogits = cache["dlogits"]
     grads: Params = {}
     grads["out.W"] = cache["d2"].T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
@@ -525,10 +609,21 @@ def atomic_backward(cache) -> Params:
     return grads
 
 
+def _atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
+    """(B, C) float64 class logits, dropout off."""
+    h1 = np.maximum(feats @ params["fc1.W"] + params["fc1.b"], 0.0)
+    h2 = h1 @ params["fc2.W"] + params["fc2.b"]
+    return (h2 @ params["out.W"] + params["out.b"]).astype(np.float64)
+
+
 def atomic_logprobs(params: Params, cfg: TrainingConfig,
                     feats: np.ndarray) -> np.ndarray:
     """(B, C) log class probabilities, dropout off, float64."""
-    h1 = np.maximum(feats @ params["fc1.W"] + params["fc1.b"], 0.0)
-    h2 = h1 @ params["fc2.W"] + params["fc2.b"]
-    logits = (h2 @ params["out.W"] + params["out.b"]).astype(np.float64)
-    return log_softmax(logits, axis=1)
+    return log_softmax(_atomic_logits(params, feats), axis=1)
+
+
+def atomic_target_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
+                           targets: np.ndarray) -> np.ndarray:
+    """log p(targets[b] | feats[b]) per row, float64, dropout off: the
+    entries of ``atomic_logprobs`` at the targets, bit for bit."""
+    return _log_softmax_at(_atomic_logits(params, feats), targets)

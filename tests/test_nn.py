@@ -210,26 +210,32 @@ def test_zero_weight_model_gradients_match_finite_differences():
 
 
 def test_padded_positions_get_exactly_zero_gradient():
-    cfg, params, feats, in_ids, targets, mask, _ = _random_sequence_setup(
-        4, "every-step", dropout=0.0)
+    cfg, params, feats, in_ids, targets, mask, drop = _random_sequence_setup(
+        4, "every-step")
     mask[:, -1] = 0.0
     mask[0, -2] = 0.0
-    _, cache = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask)
-    # perturbing a padded-step input token must not change the loss:
-    # compare against a run with those in_ids replaced
-    loss_a, _ = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask)
-    alt = in_ids.copy()
-    alt[0, -1] = (alt[0, -1] + 1) % 5
-    loss_b, _ = nn.sequence_forward(params, cfg, feats, alt, targets, mask)
-    assert loss_a == loss_b
+    mask[1, 1] = 0.0  # an interior zero: its input still feeds later steps
 
-    # and the analytic per-step logit gradient is exactly zero there
-    grads_probs = cache["probs"].copy()
-    rows = np.arange(in_ids.shape[0])[:, None]
-    cols = np.arange(in_ids.shape[1])[None, :]
-    grads_probs[rows, cols, targets] -= 1.0
-    dlogits = grads_probs * (mask / in_ids.shape[0])[:, :, None]
-    assert np.all(dlogits[mask == 0.0] == 0.0)
+    def run(in_ids, targets):
+        loss, cache = nn.sequence_forward(params, cfg, feats, in_ids, targets,
+                                          mask, train=True, drop_masks=drop)
+        return loss, cache, nn.sequence_backward(cache)
+
+    loss_a, cache, grads_a = run(in_ids, targets)
+    # the logit gradient is exactly zero at every padded cell
+    assert np.all(cache["dflat"][mask.ravel() == 0.0] == 0.0)
+    # perturbing a padded target, or an input after a row's last live
+    # cell, leaves the loss and every gradient bit-equal
+    alt_targets = targets.copy()
+    alt_targets[mask == 0.0] = (alt_targets[mask == 0.0] + 1) % 5
+    alt_in = in_ids.copy()
+    alt_in[0, -2] = (alt_in[0, -2] + 1) % 5
+    alt_in[:, -1] = (alt_in[:, -1] + 2) % 5
+    for ids, tgt in ((in_ids, alt_targets), (alt_in, targets), (alt_in, alt_targets)):
+        loss_b, _, grads_b = run(ids, tgt)
+        assert loss_a == loss_b
+        for k in grads_a:
+            assert grads_a[k].tobytes() == grads_b[k].tobytes(), k
 
 
 def test_sequence_forward_raises_on_divergence():
