@@ -35,7 +35,7 @@ from .corpus import (
     encode_dataset,
     tokenize,
 )
-from .errors import CheckpointError, ConfigError, TrainingDivergence
+from .errors import CheckpointError, ConfigError, CorpusError, TrainingDivergence
 from .features import (
     BUCKET_GRIDS,
     BUCKET_SIZES,
@@ -700,13 +700,12 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
 # checkpoint persistence
 
 
-def _expected_shapes(header: dict) -> dict:
-    """Tensor name -> shape; None stands for a dimension of any size."""
-    family = header["family"]
+def _expected_shapes(family: str, cfg: TrainingConfig, scheme: str,
+                     n_words: int) -> dict:
+    """Tensor name -> shape; None stands for a dimension of any size.
+    ``n_words`` is the vocabulary or inventory size."""
     if family == "histogram":
         return {f"counts.{name}": (None, 3) for name in HISTOGRAM_LEVELS}
-    cfg = TrainingConfig.from_dict(header["config"])
-    scheme = header.get("scheme")
     shapes = {}
     if family in ("sequence", "atomic"):
         F = feature_dim(scheme, cfg.bucket_embedding_dim)
@@ -714,7 +713,7 @@ def _expected_shapes(header: dict) -> dict:
             for name, size in zip(BUCKET_PARAM_NAMES, BUCKET_SIZES):
                 shapes[name] = (size, cfg.bucket_embedding_dim)
     if family == "sequence":
-        V = len(header["vocab"])
+        V = n_words
         H, E = cfg.hidden_size, cfg.embedding_dim
         D = F + E if cfg.conditioning == "every-step" else E
         shapes.update({
@@ -730,7 +729,7 @@ def _expected_shapes(header: dict) -> dict:
                 "cond.W_c0": (F, H), "cond.b_c0": (H,),
             })
     elif family == "atomic":
-        C = len(header["inventory"])
+        C = n_words
         Hd = cfg.atomic_hidden
         shapes.update({
             "fc1.W": (F, Hd), "fc1.b": (Hd,),
@@ -800,21 +799,9 @@ def load_checkpoint(path, expect_family: str | None = None):
     if header.get("features") != FEATURE_CONSTANTS:
         raise CheckpointError(
             "checkpoint was written with different featurizer constants")
-    try:
-        return _model_from_checkpoint(family, header, tensors)
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
-            ConfigError) as exc:
-        # a header field of the wrong type or value, under a valid checksum
-        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+    cfg, epochs, words = _header_fields(family, header)
 
-
-def _model_from_checkpoint(family: str, header: dict, tensors: dict):
-    cfg = TrainingConfig.from_dict(header["config"])
-    epochs = float(header.get("meta", {}).get("epochs_trained", 0.0))
-
-    expected = _expected_shapes(header)
+    expected = _expected_shapes(family, cfg, header.get("scheme"), len(words))
     if set(expected) != set(tensors):
         missing = sorted(set(expected) - set(tensors))
         extra = sorted(set(tensors) - set(expected))
@@ -827,14 +814,55 @@ def _model_from_checkpoint(family: str, header: dict, tensors: dict):
             raise CheckpointError(
                 f"tensor {name!r} has shape {got}, expected {shape}")
     if family == "histogram":
-        inventory = [tuple(s.split(" ")) for s in header["inventory"]]
+        inventory = [tuple(s.split(" ")) for s in words]
         counts = [tensors[f"counts.{name}"] for name in HISTOGRAM_LEVELS]
         _check_histogram_counts(counts, len(inventory))
         return HistogramModel(cfg, inventory, counts, epochs_trained=epochs)
     if family == "sequence":
-        vocab = Vocabulary(header["vocab"])
+        try:
+            vocab = Vocabulary(words)
+        except CorpusError as exc:
+            raise CheckpointError(f"checkpoint vocabulary is invalid: {exc}") from exc
         return SequenceDecoderModel(cfg, vocab, header["scheme"], tensors,
                                     epochs_trained=epochs)
+    inventory = [tuple(s.split(" ")) for s in words]
+    return AtomicModel(cfg, inventory, header["scheme"], tensors,
+                       epochs_trained=epochs)
+
+
+# JSON types a config field may hold, by the type of its default
+_CONFIG_KINDS = {float: (int, float), int: (int,), str: (str,)}
+
+
+def _header_fields(family: str, header: dict):
+    """(config, epochs trained, vocabulary or inventory strings) of a
+    checkpoint header, with the scheme, each checked for type and value;
+    a bad field is a CheckpointError."""
+    fields = header.get("config")
+    if not isinstance(fields, dict):
+        raise CheckpointError("checkpoint header has no config object")
+    for name in TrainingConfig.__dataclass_fields__:
+        kinds = _CONFIG_KINDS[type(getattr(TrainingConfig, name))]
+        if name in fields and type(fields[name]) not in kinds:
+            raise CheckpointError(
+                f"checkpoint config field {name!r} has a bad value {fields[name]!r}")
+    try:
+        cfg = TrainingConfig.from_dict(fields)
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
+    meta = header.get("meta", {})
+    epochs = meta.get("epochs_trained", 0.0) if isinstance(meta, dict) else None
+    # compared before float() so that a huge int cannot overflow
+    if type(epochs) not in (int, float) or not 0 <= epochs < 2**53:
+        raise CheckpointError(f"checkpoint has a bad epochs_trained {epochs!r}")
+    key = "vocab" if family == "sequence" else "inventory"
+    words = header.get(key)
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise CheckpointError(f"checkpoint {key} is not a list of strings")
+    if family != "histogram" and header.get("scheme") not in SCHEMES:
+        raise CheckpointError(
+            f"checkpoint has unknown feature scheme {header.get('scheme')!r}")
+    return cfg, float(epochs), words
     inventory = [tuple(s.split(" ")) for s in header["inventory"]]
     return AtomicModel(cfg, inventory, header["scheme"], tensors,
                        epochs_trained=epochs)

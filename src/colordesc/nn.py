@@ -164,20 +164,10 @@ def _lstm_step_full(params, x, h_prev, c_prev, a=None):
 # Adagrad
 
 def adagrad_update(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
-                   lr: float, eps: float = ADAGRAD_EPS, scratch=None) -> None:
-    """In place: accum += grad^2; param -= lr * grad / (sqrt(accum) + eps).
-
-    ``scratch`` is a pair of arrays shaped and typed like ``param`` that
-    hold the intermediates (allocated when omitted); ``grad`` has the
-    dtype of ``param``."""
-    sq, step = scratch if scratch is not None else (np.empty_like(param),
-                                                    np.empty_like(param))
-    accum += np.multiply(grad, grad, out=sq)
-    denom = np.sqrt(accum, out=sq)
-    denom += eps
-    step = np.multiply(grad, lr, out=step)
-    step /= denom
-    param -= step
+                   lr: float, eps: float = ADAGRAD_EPS) -> None:
+    """In place: accum += grad^2; param -= lr * grad / (sqrt(accum) + eps)."""
+    accum += grad * grad
+    param -= lr * grad / (np.sqrt(accum) + eps)
 
 
 class Adagrad:
@@ -187,13 +177,10 @@ class Adagrad:
         self.lr = lr
         self.eps = eps
         self.accum = {k: np.zeros_like(v) for k, v in params.items()}
-        self._scratch = {k: (np.empty_like(v), np.empty_like(v))
-                         for k, v in params.items()}
 
     def update(self, params: Params, grads: Params) -> None:
         for name, g in grads.items():
-            adagrad_update(params[name], g, self.accum[name], self.lr, self.eps,
-                           self._scratch[name])
+            adagrad_update(params[name], g, self.accum[name], self.lr, self.eps)
 
 
 # ---------------------------------------------------------------------------

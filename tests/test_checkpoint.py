@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colordesc import CheckpointError, Dataset, Description, TrainingConfig
+from colordesc import (CheckpointError, Dataset, Description, TrainingConfig,
+                       models)
 from colordesc.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint
 from colordesc.models import HistogramModel, load_checkpoint, save_checkpoint
 
@@ -132,3 +133,36 @@ def test_flipped_manifest_key_is_a_checkpoint_error(tmp_path):
 def test_repacked_base_files_still_load():
     for blob, header, payload in _base_files().values():
         assert _pack(header, payload) == blob
+
+
+@pytest.mark.parametrize("field,change,message", [
+    ("hidden_size", float, "config field 'hidden_size'"),
+    ("dropout", lambda _: 10**400, "dropout must be in"),
+    ("epochs_trained", lambda _: 10**400, "bad epochs_trained"),
+    ("vocab", lambda v: v[::-1], "vocabulary must start with"),
+    ("scheme", lambda v: [v], "unknown feature scheme"),
+])
+def test_bad_header_field_names_the_field(tmp_path, field, change, message):
+    _, header, payload = _base_files()["sequence"]
+    header = json.loads(json.dumps(header))
+    holder = (header["config"] if field in header["config"]
+              else header["meta"] if field in header["meta"] else header)
+    holder[field] = change(holder[field])
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_pack(header, payload))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_model_constructor_errors_are_not_reported_as_damage(tmp_path,
+                                                             monkeypatch):
+    blob, _, _ = _base_files()["sequence"]
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob)
+
+    def broken_init(self, *args, **kwargs):
+        raise ValueError("constructor bug")
+
+    monkeypatch.setattr(models.SequenceDecoderModel, "__init__", broken_init)
+    with pytest.raises(ValueError, match="constructor bug"):
+        load_checkpoint(path)
