@@ -112,8 +112,11 @@ def permutation_test(per_item_a, per_item_b, rounds: int = 10000,
     d = a - b
     stat = abs(float(d.mean()))
     rng = np.random.default_rng(seed)
-    # bound the flip matrix to ~4M entries per chunk
-    chunk = max(1, min(rounds, (1 << 22) // d.size))
+    # bound the flip matrix to 64K entries (512 KB of doubles) per chunk:
+    # the draws are sequential, so any chunking gives the same flips and
+    # p-value, and a small chunk keeps the transient memory (and peak RSS)
+    # small and cache-resident
+    chunk = max(1, min(rounds, (1 << 16) // d.size))
     count = 0
     done = 0
     while done < rounds:

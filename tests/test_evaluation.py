@@ -208,6 +208,20 @@ def test_permutation_seeded_reproducibility():
     assert p1 == p2
 
 
+@pytest.mark.parametrize("n,rounds", [(300, 1000), (70_000, 5)])
+def test_permutation_chunking_keeps_the_unchunked_stream(n, rounds):
+    """The chunked draws give the p-value of one (rounds, n) draw, both
+    for many rounds per chunk and for one round per chunk."""
+    rng = np.random.default_rng(9)
+    a = rng.normal(0.01, 1.0, size=n)
+    b = rng.normal(0.0, 1.0, size=n)
+    d = a - b
+    flips = np.random.default_rng(10).random((rounds, n)) < 0.5
+    stats = np.abs(np.where(flips, -d, d).mean(axis=1))
+    expected = (int((stats >= abs(float(d.mean()))).sum()) + 1) / (rounds + 1)
+    assert permutation_test(a, b, rounds=rounds, seed=10) == expected
+
+
 def test_permutation_rejects_bad_input():
     with pytest.raises(EvaluationError):
         permutation_test(np.zeros(0), np.zeros(0), rounds=10)
