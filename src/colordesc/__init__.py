@@ -50,10 +50,7 @@ from .features import (
     BUCKET_GRIDS,
     FOURIER_DIM,
     SCHEMES,
-    bucket_index,
     feature_dim,
-    fourier_features,
-    raw_features,
 )
 from .models import (
     AtomicModel,
@@ -101,14 +98,12 @@ __all__ = [
     "Vocabulary",
     "accuracy",
     "aic",
-    "bucket_index",
     "canonical_hue",
     "count_params",
     "cross_sections",
     "encode_dataset",
     "evaluate",
     "feature_dim",
-    "fourier_features",
     "hsl_to_hsv",
     "hsl_to_hsv_array",
     "hsv_to_hsl",
@@ -123,7 +118,6 @@ __all__ = [
     "perplexity",
     "perplexity_from_log2",
     "probability_field",
-    "raw_features",
     "render",
     "save_checkpoint",
     "tokenize",

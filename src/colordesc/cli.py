@@ -119,18 +119,9 @@ def _read_config_file(path: Path) -> dict:
     return values
 
 
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True,
-                 "false": False, "0": False, "no": False}
-
-
 def _coerce_like(key: str, text: str, default):
-    if isinstance(default, bool):
-        flag = _BOOL_STRINGS.get(text.lower())
-        if flag is None:
-            raise ConfigError(f"config key {key}: expected a boolean, got {text!r}")
-        return flag
     try:
-        if isinstance(default, int) and not isinstance(default, bool):
+        if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
             return float(text)

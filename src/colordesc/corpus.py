@@ -158,11 +158,6 @@ class Dataset:
         h, s, v = self.colors[i]
         return ColorHSV(float(h), float(s), float(v))
 
-    def items(self):
-        """Iterate (ColorHSV, Description) pairs."""
-        for i in range(len(self)):
-            yield self.color(i), self.descriptions[i]
-
     def subsample(self, n: int, seed: int) -> "Dataset":
         """A reproducible random subsample without replacement."""
         if n >= len(self):

@@ -153,7 +153,14 @@ class EvalReport:
                 f"k={self.param_count} accuracy={acc}")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: each non-finite float (a zero-probability item's
+        log2 probability, a saturated perplexity) is written as null."""
+        def strict(v):
+            if isinstance(v, list):
+                return [strict(x) for x in v]
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+        fields = {k: strict(v) for k, v in asdict(self).items()}
+        return json.dumps(fields, indent=2, sort_keys=True, allow_nan=False)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -165,7 +172,14 @@ class EvalReport:
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
         known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        d = {k: v for k, v in d.items() if k in known}
+        # null stands for a non-finite float; a report written with bare
+        # -Infinity / Infinity tokens still loads as it did
+        if d.get("perplexity", 0.0) is None:
+            d["perplexity"] = math.inf
+        if isinstance(d.get("log2_probs"), list):
+            d["log2_probs"] = [-math.inf if x is None else x for x in d["log2_probs"]]
+        return cls(**d)
 
 
 def evaluate(model, ds: Dataset, split: str = "", beam_width: int | None = 10,

@@ -15,11 +15,8 @@ Three schemes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .colors import ColorHSV
 from .errors import ConfigError
 
 RAW_DIM = 3
@@ -67,32 +64,6 @@ def bucket_index_array(hsv: np.ndarray) -> np.ndarray:
         iv = np.minimum(np.floor(hsv[:, 2] * nv / 100.0).astype(np.int64), nv - 1)
         out[:, r] = (ih * ns + isat) * nv + iv
     return out
-
-
-@dataclass(frozen=True)
-class BucketIndex:
-    """Flat cell ids at the fine (90x10x10), mid (45x5x5), and global
-    (1x1x1) resolutions."""
-
-    fine: int
-    mid: int
-    global_: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.fine, self.mid, self.global_)
-
-
-def raw_features(c: ColorHSV) -> np.ndarray:
-    return raw_feature_array(np.array([c.as_tuple()]))[0]
-
-
-def fourier_features(c: ColorHSV) -> np.ndarray:
-    return fourier_feature_array(np.array([c.as_tuple()]))[0]
-
-
-def bucket_index(c: ColorHSV) -> BucketIndex:
-    row = bucket_index_array(np.array([c.as_tuple()]))[0]
-    return BucketIndex(int(row[0]), int(row[1]), int(row[2]))
 
 
 def feature_dim(scheme: str, bucket_embedding_dim: int = 10) -> int:

@@ -7,8 +7,11 @@
 * ``histogram``: smoothed per-bucket description counts with strict
   finest-first backoff (90x10x10 -> 45x5x5 -> 1x1x1).
 
-All families expose score_description / sample / predict_top1 and a
-common checkpoint container. Each family has one scoring path,
+All families derive from ``_Model``, which holds the config, feature
+scheme, parameter tensors and epochs trained, featurizes colors and
+saves and loads checkpoints; atomic and histogram also share an
+inventory of descriptions. Every family exposes score_description /
+sample / predict_top1. Each family has one scoring path,
 ``score_token_batch(colors, token_seqs)``; score_description,
 score_dataset and score_color_array only adapt their arguments to it.
 Scores are natural-log probabilities; metric code converts to bits
@@ -89,10 +92,6 @@ def _class_ids(index: dict, token_seqs) -> np.ndarray:
     return np.array([index.get(tuple(t), -1) for t in token_seqs], dtype=np.int64)
 
 
-# Each family's score_description / score_dataset / score_color_array,
-# bound in every class body rather than inherited: perfbench's tracer
-# wraps the attributes each family class holds itself.
-
 def _nonempty_tokens(d) -> list:
     tokens = _as_tokens(d)
     if not tokens:
@@ -100,10 +99,14 @@ def _nonempty_tokens(d) -> list:
     return tokens
 
 
-def _score_description(self, c, d) -> float:
-    """Natural-log probability of description d given color c."""
-    return float(self.score_token_batch(_as_color_array(c), [_nonempty_tokens(d)])[0])
+def _description(tokens) -> Description:
+    tokens = list(tokens)
+    return Description(raw=" ".join(tokens), tokens=tokens)
 
+
+# score_dataset and score_color_array are bound in every family's class
+# body rather than inherited: perfbench's tracer wraps the attributes each
+# family class holds itself.
 
 def _score_dataset(self, ds: Dataset) -> np.ndarray:
     return self.score_token_batch(ds.colors, [d.tokens for d in ds.descriptions])
@@ -123,41 +126,81 @@ def _check_generation_args(beam_width: int, max_len: int) -> None:
         raise ValueError("max_len must be >= 0")
 
 
-def _featurize(params: dict, scheme: str, dtype, colors: np.ndarray):
-    """(feats, bucket_ids) for an (N, 3) HSV array. bucket_ids is None
-    for the continuous schemes."""
-    if scheme == "buckets":
-        idx = bucket_index_array(colors)
-        feats = np.concatenate(
-            [params[name][idx[:, r]] for r, name in enumerate(BUCKET_PARAM_NAMES)],
-            axis=1,
-        )
-        return feats, idx
-    return dense_feature_array(colors, scheme).astype(dtype), None
+class _Model:
+    """What the three families share. ``params`` holds the tensors a
+    checkpoint stores, by name: the neural weights, or the histogram's
+    counts."""
+
+    def __init__(self, config: TrainingConfig, scheme: str, params: dict,
+                 epochs_trained: float = 0.0):
+        if scheme not in SCHEMES:
+            raise ConfigError(f"unknown feature scheme {scheme!r}")
+        self.config = config
+        self.scheme = scheme
+        self.params = params
+        self.epochs_trained = epochs_trained
+
+    @staticmethod
+    def _init_params(config: TrainingConfig, scheme: str, rng, init) -> dict:
+        """A neural family's initial parameters: ``init(rng, feature
+        width)`` and, for buckets, the bucket embedding tables, drawn
+        from ``rng`` (default: seeded by the config) in that order."""
+        config.validate()
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
+        params = init(rng, feature_dim(scheme, config.bucket_embedding_dim))
+        if scheme == "buckets":
+            for name, size in zip(BUCKET_PARAM_NAMES, BUCKET_SIZES):
+                params[name] = nn.normal_init(rng, (size, config.bucket_embedding_dim),
+                                              config.embedding_sigma, config.np_dtype)
+        return params
+
+    @property
+    def param_count(self) -> int:
+        return int(sum(v.size for v in self.params.values()))
+
+    def featurize(self, colors: np.ndarray):
+        """(feats, bucket_ids) for an (N, 3) HSV array, as a neural
+        family's input. bucket_ids is None for the continuous schemes."""
+        if self.scheme == "buckets":
+            idx = bucket_index_array(colors)
+            feats = np.concatenate(
+                [self.params[name][idx[:, r]] for r, name in enumerate(BUCKET_PARAM_NAMES)],
+                axis=1,
+            )
+            return feats, idx
+        return dense_feature_array(colors, self.scheme).astype(self.config.np_dtype), None
+
+    def score_description(self, c, d) -> float:
+        """Natural-log probability of description d given color c."""
+        return float(self.score_token_batch(_as_color_array(c), [_nonempty_tokens(d)])[0])
+
+    def save(self, path) -> None:
+        save_checkpoint(self, path)
+
+    @classmethod
+    def load(cls, path):
+        return load_checkpoint(path, expect_family=cls.family)
 
 
-def _init_bucket_tables(rng, cfg: TrainingConfig) -> dict:
-    dt = cfg.np_dtype
-    return {
-        name: nn.normal_init(rng, (size, cfg.bucket_embedding_dim),
-                             cfg.embedding_sigma, dt)
-        for name, size in zip(BUCKET_PARAM_NAMES, BUCKET_SIZES)
-    }
+class _InventoryModel(_Model):
+    """A family whose outcomes are the distinct training descriptions."""
 
+    def __init__(self, config: TrainingConfig, inventory: list, scheme: str,
+                 params: dict, epochs_trained: float = 0.0):
+        super().__init__(config, scheme, params, epochs_trained)
+        self.inventory = [tuple(k) for k in inventory]
+        self.index = {k: i for i, k in enumerate(self.inventory)}
 
-def _scatter_bucket_grads(grads: dict, params: dict, dfeats: np.ndarray,
-                          idx: np.ndarray, emb_dim: int) -> None:
-    for r, name in enumerate(BUCKET_PARAM_NAMES):
-        g = np.zeros_like(params[name])
-        np.add.at(g, idx[:, r], dfeats[:, r * emb_dim : (r + 1) * emb_dim])
-        grads[name] = g
+    def _description(self, cls_id: int) -> Description:
+        return _description(self.inventory[cls_id])
 
 
 # ---------------------------------------------------------------------------
 # sequence decoder
 
 
-class SequenceDecoderModel:
+class SequenceDecoderModel(_Model):
     """Color-conditioned LSTM token decoder.
 
     Conditioning per ``config.conditioning``: the featurized color is
@@ -169,36 +212,15 @@ class SequenceDecoderModel:
 
     def __init__(self, config: TrainingConfig, vocab: Vocabulary, scheme: str,
                  params: dict, epochs_trained: float = 0.0):
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown feature scheme {scheme!r}")
-        self.config = config
+        super().__init__(config, scheme, params, epochs_trained)
         self.vocab = vocab
-        self.scheme = scheme
-        self.params = params
-        self.epochs_trained = epochs_trained
 
     @classmethod
     def build(cls, config: TrainingConfig, vocab: Vocabulary, scheme: str,
               rng=None) -> "SequenceDecoderModel":
-        config.validate()
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        width = feature_dim(scheme, config.bucket_embedding_dim)
-        params = nn.init_sequence_params(rng, config, len(vocab), width)
-        if scheme == "buckets":
-            params.update(_init_bucket_tables(rng, config))
+        params = cls._init_params(config, scheme, rng, lambda rng, width:
+                                  nn.init_sequence_params(rng, config, len(vocab), width))
         return cls(config, vocab, scheme, params)
-
-    @property
-    def feature_width(self) -> int:
-        return feature_dim(self.scheme, self.config.bucket_embedding_dim)
-
-    @property
-    def param_count(self) -> int:
-        return int(sum(v.size for v in self.params.values()))
-
-    def featurize(self, colors: np.ndarray):
-        return _featurize(self.params, self.scheme, self.config.np_dtype, colors)
 
     # -- scoring
 
@@ -215,7 +237,6 @@ class SequenceDecoderModel:
                 *enc.teacher_forcing(np.arange(lo, hi)))
         return out
 
-    score_description = _score_description
     score_dataset = _score_dataset
     score_color_array = _score_color_array
 
@@ -254,8 +275,7 @@ class SequenceDecoderModel:
                 break
             ids.append(tok)
             prev = tok
-        tokens = self.vocab.decode(ids)
-        return Description(raw=" ".join(tokens), tokens=tokens)
+        return _description(self.vocab.decode(ids))
 
     def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
                      max_len: int = DEFAULT_MAX_LEN) -> Description:
@@ -275,8 +295,7 @@ class SequenceDecoderModel:
             greedy = self._beam(c, 1, max_len)
             if (-greedy[0], greedy[1]) < (-best[0], best[1]):
                 best = greedy
-        tokens = self.vocab.decode(best[1])
-        return Description(raw=" ".join(tokens), tokens=tokens)
+        return _description(self.vocab.decode(best[1]))
 
     def _beam(self, c, width: int, max_len: int):
         """Returns (logp, content token ids) of the completion minimizing
@@ -331,21 +350,12 @@ class SequenceDecoderModel:
 
         return -best[0], best[1]
 
-    # -- persistence
-
-    def save(self, path) -> None:
-        save_checkpoint(self, path)
-
-    @classmethod
-    def load(cls, path) -> "SequenceDecoderModel":
-        return load_checkpoint(path, expect_family=cls.family)
-
 
 # ---------------------------------------------------------------------------
 # atomic classifier
 
 
-class AtomicModel:
+class AtomicModel(_InventoryModel):
     """Softmax over the inventory of distinct training descriptions.
 
     Descriptions outside the inventory have probability zero; metric
@@ -354,37 +364,14 @@ class AtomicModel:
 
     family = "atomic"
 
-    def __init__(self, config: TrainingConfig, inventory: list, scheme: str,
-                 params: dict, epochs_trained: float = 0.0):
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown feature scheme {scheme!r}")
-        self.config = config
-        self.inventory = [tuple(k) for k in inventory]
-        self.index = {k: i for i, k in enumerate(self.inventory)}
-        self.scheme = scheme
-        self.params = params
-        self.epochs_trained = epochs_trained
-
     @classmethod
     def build(cls, config: TrainingConfig, inventory: list, scheme: str,
               rng=None) -> "AtomicModel":
-        config.validate()
         if not inventory:
             raise ConfigError("atomic model needs a nonempty description inventory")
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        width = feature_dim(scheme, config.bucket_embedding_dim)
-        params = nn.init_atomic_params(rng, config, width, len(inventory))
-        if scheme == "buckets":
-            params.update(_init_bucket_tables(rng, config))
+        params = cls._init_params(config, scheme, rng, lambda rng, width:
+                                  nn.init_atomic_params(rng, config, width, len(inventory)))
         return cls(config, list(inventory), scheme, params)
-
-    @property
-    def param_count(self) -> int:
-        return int(sum(v.size for v in self.params.values()))
-
-    def featurize(self, colors: np.ndarray):
-        return _featurize(self.params, self.scheme, self.config.np_dtype, colors)
 
     def class_logprobs(self, colors: np.ndarray) -> np.ndarray:
         feats, _ = self.featurize(colors)
@@ -403,13 +390,8 @@ class AtomicModel:
                                                   cls_ids[rows])
         return out
 
-    score_description = _score_description
     score_dataset = _score_dataset
     score_color_array = _score_color_array
-
-    def _description(self, cls_id: int) -> Description:
-        tokens = list(self.inventory[cls_id])
-        return Description(raw=" ".join(tokens), tokens=tokens)
 
     def sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
         p = np.exp(self.class_logprobs(_as_color_array(c))[0])
@@ -422,19 +404,12 @@ class AtomicModel:
         lp = self.class_logprobs(_as_color_array(c))[0]
         return self._description(int(np.argmax(lp)))
 
-    def save(self, path) -> None:
-        save_checkpoint(self, path)
-
-    @classmethod
-    def load(cls, path) -> "AtomicModel":
-        return load_checkpoint(path, expect_family=cls.family)
-
 
 # ---------------------------------------------------------------------------
 # histogram baseline
 
 
-class HistogramModel:
+class HistogramModel(_InventoryModel):
     """Add-one-smoothed description counts per color bucket with strict
     backoff to the first resolution whose bucket is nonempty.
 
@@ -445,15 +420,14 @@ class HistogramModel:
     """
 
     family = "histogram"
-    scheme = "buckets"
 
     def __init__(self, config: TrainingConfig, inventory: list, counts: list,
                  epochs_trained: float = 1.0):
-        self.config = config
-        self.inventory = [tuple(k) for k in inventory]
-        self.index = {k: i for i, k in enumerate(self.inventory)}
         self.counts = list(counts)
-        self.epochs_trained = epochs_trained
+        super().__init__(config, inventory, "buckets",
+                         {f"counts.{name}": level
+                          for name, level in zip(HISTOGRAM_LEVELS, self.counts)},
+                         epochs_trained)
         # all levels in one cell space: cell = level offset + bucket id,
         # row key = cell * C + class, increasing across the joined rows
         rows = np.concatenate(self.counts).astype(np.int64)
@@ -506,7 +480,6 @@ class HistogramModel:
         count = np.where(hit, self._row_counts[pos], 0)
         return np.log((count + 1.0) / (total + C))
 
-    score_description = _score_description
     score_dataset = _score_dataset
     score_color_array = _score_color_array
 
@@ -516,10 +489,6 @@ class HistogramModel:
         C = len(self.inventory)
         lo, hi = np.searchsorted(self._keys, [cell[0] * C, (cell[0] + 1) * C])
         return slice(lo, hi), int(total[0])
-
-    def _description(self, cls_id: int) -> Description:
-        tokens = list(self.inventory[cls_id])
-        return Description(raw=" ".join(tokens), tokens=tokens)
 
     def sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
         rows, total = self._bucket_rows(c)
@@ -535,13 +504,6 @@ class HistogramModel:
         rows, _ = self._bucket_rows(c)
         best = rows.start + int(np.argmax(self._row_counts[rows]))
         return self._description(int(self._keys[best] % len(self.inventory)))
-
-    def save(self, path) -> None:
-        save_checkpoint(self, path)
-
-    @classmethod
-    def load(cls, path) -> "HistogramModel":
-        return load_checkpoint(path, expect_family=cls.family)
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +529,18 @@ def _first_nonfinite(params: dict) -> str:
     return "every parameter is finite"
 
 
-def _neural_train_loop(model, config: TrainingConfig, make_batch, n_items: int,
+def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grads,
                        monitor_ds: Dataset, monitor_name: str):
     """Shared minibatch/Adagrad/early-stopping driver.
 
-    ``make_batch(index_array, rng)`` runs forward+backward and returns
-    grads. Dev perplexity is checked ``evals_per_epoch`` times per epoch;
-    training stops after ``patience`` consecutive non-improving checks
-    and the best parameters are restored.
+    ``batch_grads(feats, batch, rng)`` runs the family's forward and
+    backward passes on the featurized batch (rows ``batch`` of train) and
+    returns the gradients, with the gradient of the featurized input
+    under "feats"; the driver scatters that one into the bucket
+    embedding tables. Dev perplexity is checked
+    ``evals_per_epoch`` times per epoch; training stops after
+    ``patience`` consecutive non-improving checks and the best parameters
+    are restored.
     """
     opt = nn.Adagrad(model.params, config.learning_rate, config.adagrad_eps)
     rng = np.random.default_rng([config.seed, 1])
@@ -583,6 +549,7 @@ def _neural_train_loop(model, config: TrainingConfig, make_batch, n_items: int,
     best_params = None
     best_epoch = 0.0
     stale = 0
+    n_items = len(train)
     n_batches = max(1, math.ceil(n_items / config.batch_size))
     eval_points = {
         math.ceil(n_batches * k / config.evals_per_epoch) - 1
@@ -594,12 +561,19 @@ def _neural_train_loop(model, config: TrainingConfig, make_batch, n_items: int,
         order = rng.permutation(n_items)
         for b in range(n_batches):
             batch = order[b * config.batch_size : (b + 1) * config.batch_size]
+            feats, idx = model.featurize(train.colors[batch])
             try:
-                grads = make_batch(batch, rng)
+                grads = batch_grads(feats, batch, rng)
             except TrainingDivergence as exc:
                 raise TrainingDivergence(
                     f"{exc} at epoch {epoch}, batch {b} of {n_batches}; "
                     f"{_first_nonfinite(model.params)}") from exc
+            dfeats = grads.pop("feats")
+            if idx is not None:
+                E = config.bucket_embedding_dim
+                for r, name in enumerate(BUCKET_PARAM_NAMES):
+                    grads[name] = np.zeros_like(model.params[name])
+                    np.add.at(grads[name], idx[:, r], dfeats[:, r * E : (r + 1) * E])
             opt.update(model.params, grads)
             if b in eval_points:
                 frac = epoch - 1 + (b + 1) / n_batches
@@ -631,23 +605,15 @@ def _train_sequence(train: Dataset, config: TrainingConfig, scheme: str,
     vocab = Vocabulary.build(train)
     model = SequenceDecoderModel.build(config, vocab, scheme)
     enc = encode_dataset(train, vocab)
-    emb_dim = config.bucket_embedding_dim
 
-    def make_batch(batch, rng):
-        colors = train.colors[batch]
-        feats, idx = model.featurize(colors)
+    def batch_grads(feats, batch, rng):
         _, cache = nn.sequence_forward(model.params, config, feats,
                                        *enc.teacher_forcing(batch), train=True,
                                        rng=rng)
-        grads = nn.sequence_backward(cache)
-        dfeats = grads.pop("feats")
-        if scheme == "buckets":
-            _scatter_bucket_grads(grads, model.params, dfeats, idx, emb_dim)
-        return grads
+        return nn.sequence_backward(cache)
 
-    history = _neural_train_loop(model, config, make_batch, len(train),
-                                 monitor, monitor_name)
-    return model, history
+    return model, _neural_train_loop(model, config, train, batch_grads,
+                                     monitor, monitor_name)
 
 
 def _train_atomic(train: Dataset, config: TrainingConfig, scheme: str,
@@ -656,21 +622,14 @@ def _train_atomic(train: Dataset, config: TrainingConfig, scheme: str,
     model = AtomicModel.build(config, inventory, scheme)
     targets_all = np.array([model.index[d.key()] for d in train.descriptions],
                            dtype=np.int64)
-    emb_dim = config.bucket_embedding_dim
 
-    def make_batch(batch, rng):
-        feats, idx = model.featurize(train.colors[batch])
+    def batch_grads(feats, batch, rng):
         _, cache = nn.atomic_forward(model.params, config, feats,
                                      targets_all[batch], train=True, rng=rng)
-        grads = nn.atomic_backward(cache)
-        dfeats = grads.pop("feats")
-        if scheme == "buckets":
-            _scatter_bucket_grads(grads, model.params, dfeats, idx, emb_dim)
-        return grads
+        return nn.atomic_backward(cache)
 
-    history = _neural_train_loop(model, config, make_batch, len(train),
-                                 monitor, monitor_name)
-    return model, history
+    return model, _neural_train_loop(model, config, train, batch_grads,
+                                     monitor, monitor_name)
 
 
 def train_model(family: str, train: Dataset, config: TrainingConfig,
@@ -775,17 +734,9 @@ def save_checkpoint(model, path) -> None:
     }
     if model.family == "sequence":
         header["vocab"] = model.vocab.id_to_token
-        tensors = model.params
-    elif model.family == "atomic":
-        header["inventory"] = [" ".join(k) for k in model.inventory]
-        tensors = model.params
-    elif model.family == "histogram":
-        header["inventory"] = [" ".join(k) for k in model.inventory]
-        tensors = {f"counts.{name}": level
-                   for name, level in zip(HISTOGRAM_LEVELS, model.counts)}
     else:
-        raise CheckpointError(f"cannot serialize family {model.family!r}")
-    write_checkpoint(path, header, tensors)
+        header["inventory"] = [" ".join(k) for k in model.inventory]
+    write_checkpoint(path, header, model.params)
 
 
 def load_checkpoint(path, expect_family: str | None = None):
@@ -813,11 +764,6 @@ def load_checkpoint(path, expect_family: str | None = None):
                                          for g, w in zip(got, shape)):
             raise CheckpointError(
                 f"tensor {name!r} has shape {got}, expected {shape}")
-    if family == "histogram":
-        inventory = [tuple(s.split(" ")) for s in words]
-        counts = [tensors[f"counts.{name}"] for name in HISTOGRAM_LEVELS]
-        _check_histogram_counts(counts, len(inventory))
-        return HistogramModel(cfg, inventory, counts, epochs_trained=epochs)
     if family == "sequence":
         try:
             vocab = Vocabulary(words)
@@ -825,7 +771,11 @@ def load_checkpoint(path, expect_family: str | None = None):
             raise CheckpointError(f"checkpoint vocabulary is invalid: {exc}") from exc
         return SequenceDecoderModel(cfg, vocab, header["scheme"], tensors,
                                     epochs_trained=epochs)
-    inventory = [tuple(s.split(" ")) for s in words]
+    inventory = [s.split(" ") for s in words]
+    if family == "histogram":
+        counts = [tensors[f"counts.{name}"] for name in HISTOGRAM_LEVELS]
+        _check_histogram_counts(counts, len(inventory))
+        return HistogramModel(cfg, inventory, counts, epochs_trained=epochs)
     return AtomicModel(cfg, inventory, header["scheme"], tensors,
                        epochs_trained=epochs)
 
@@ -863,6 +813,3 @@ def _header_fields(family: str, header: dict):
         raise CheckpointError(
             f"checkpoint has unknown feature scheme {header.get('scheme')!r}")
     return cfg, float(epochs), words
-    inventory = [tuple(s.split(" ")) for s in header["inventory"]]
-    return AtomicModel(cfg, inventory, header["scheme"], tensors,
-                       epochs_trained=epochs)

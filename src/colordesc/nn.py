@@ -84,12 +84,6 @@ class TrainingConfig:
 # ---------------------------------------------------------------------------
 # elementwise ops
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp overflow for very negative inputs saturates to the correct 0.0
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     z = z - np.max(z, axis=axis, keepdims=True)
     e = np.exp(z)
@@ -137,27 +131,6 @@ def init_lstm_params(rng, input_dim: int, hidden: int, cfg: TrainingConfig) -> P
         "lstm.w_co": normal_init(rng, (H,), cfg.lstm_sigma, dt),
         "lstm.b": b,
     }
-
-
-# ---------------------------------------------------------------------------
-# LSTM step
-
-def _lstm_step_full(params, x, h_prev, c_prev, a=None):
-    """Step returning the intermediate values backprop needs.
-
-    ``a`` may carry the precomputed x W_x contribution (plus bias)."""
-    H = h_prev.shape[-1]
-    if a is None:
-        a = x @ params["lstm.W_x"] + params["lstm.b"]
-    a = a + h_prev @ params["lstm.W_h"]
-    i = sigmoid(a[..., :H] + c_prev * params["lstm.w_ci"])
-    f = sigmoid(a[..., H : 2 * H] + c_prev * params["lstm.w_cf"])
-    g = np.tanh(a[..., 2 * H : 3 * H])
-    c = f * c_prev + i * g
-    o = sigmoid(a[..., 3 * H :] + c * params["lstm.w_co"])
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (i, f, g, o, tc)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +207,51 @@ def _step_inputs(params, cfg, feats, ids):
 
 
 def _sigmoid_of_negated(x: np.ndarray) -> np.ndarray:
-    """In place: x holds -a on entry and sigmoid(a) on return, by the
-    operations of ``sigmoid``. The caller silences exp overflow."""
+    """In place: x holds -a on entry and sigmoid(a) = 1 / (1 + exp(-a))
+    on return. The caller silences exp overflow."""
     np.exp(x, out=x)
     x += 1.0
     return np.divide(1.0, x, out=x)
+
+
+def _negated_peepholes(params: Params, rows: int) -> np.ndarray:
+    """(3, rows, H): -w_ci, -w_cf and -w_co, each tiled over the rows."""
+    w_ci = params["lstm.w_ci"]
+    neg_w = np.empty((3, rows, w_ci.size), dtype=w_ci.dtype)
+    for k, name in enumerate(("lstm.w_ci", "lstm.w_cf", "lstm.w_co")):
+        np.negative(params[name], out=neg_w[k])
+    return neg_w
+
+
+def _lstm_step(W_h, neg_w, ax, h, c, gates, c_out, tc_out, h_out):
+    """One step of the peephole LSTM over a block of rows, in place.
+
+    ``ax`` is the block's x W_x + b and ``neg_w`` its negated peepholes
+    (``_negated_peepholes``). i, f, g, o go to ``gates`` (4, rows, H),
+    the new cell to ``c_out``, its tanh to ``tc_out`` and the new hidden
+    state to ``h_out``; ``c_out`` may be ``c`` and ``h_out`` may be ``h``.
+    Returns (h, c). Each sigmoid argument is formed negated, ready for
+    exp: c (-w) - a equals -(c w + a) exactly. An exp that overflows
+    saturates its sigmoid to 0.
+    """
+    H = h.shape[1]
+    a = h @ W_h
+    a += ax
+    i, f, g, o = gates
+    with np.errstate(over="ignore"):
+        np.multiply(c, neg_w[0], out=i)
+        i -= a[:, :H]
+        np.multiply(c, neg_w[1], out=f)
+        f -= a[:, H : 2 * H]
+        _sigmoid_of_negated(gates[:2])
+        np.tanh(a[:, 2 * H : 3 * H], out=g)
+        c = np.multiply(f, c, out=c_out)
+        c += i * g
+        np.multiply(c, neg_w[2], out=o)
+        o -= a[:, 3 * H :]
+        _sigmoid_of_negated(o)
+        h = np.multiply(o, np.tanh(c, out=tc_out), out=h_out)
+    return h, c
 
 
 def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -279,34 +292,15 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     AX = AX.reshape(B, T, 4 * H).transpose(1, 0, 2).copy()
 
     h0, c0 = sequence_initial_state(params, cfg, feats)
-    W_h = params["lstm.W_h"]
-    # peepholes negated and tiled to (B, H): -(c w + a) == c (-w) - a
-    # exactly, so each sigmoid argument comes out negated, ready for exp
-    neg_w = np.empty((3, B, H), dtype=dt)
-    neg_w[:] = -np.stack([params["lstm.w_ci"], params["lstm.w_cf"],
-                          params["lstm.w_co"]])[:, None]
+    neg_w = _negated_peepholes(params, B)
     gates = np.empty((T, 4, B, H), dtype=dt)  # i, f, g, o
     cells = np.empty((T, B, H), dtype=dt)
     tanh_c = np.empty((T, B, H), dtype=dt)
     hidden = np.empty((T, B, H), dtype=dt)
     h, c = h0, c0
-    with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
-        for t in range(T):
-            a = h @ W_h
-            a += AX[t]
-            i, f, g, o = gates[t]
-            np.multiply(c, neg_w[0], out=i)
-            i -= a[:, :H]
-            np.multiply(c, neg_w[1], out=f)
-            f -= a[:, H : 2 * H]
-            _sigmoid_of_negated(gates[t, :2])
-            np.tanh(a[:, 2 * H : 3 * H], out=g)
-            c = np.multiply(f, c, out=cells[t])
-            c += i * g
-            np.multiply(c, neg_w[2], out=o)
-            o -= a[:, 3 * H :]
-            _sigmoid_of_negated(o)
-            h = np.multiply(o, np.tanh(c, out=tanh_c[t]), out=hidden[t])
+    for t in range(T):
+        h, c = _lstm_step(params["lstm.W_h"], neg_w, AX[t], h, c, gates[t],
+                          cells[t], tanh_c[t], hidden[t])
 
     dropped = np.empty((B, T, H), dtype=dt)
     if train and cfg.dropout > 0.0:
@@ -465,7 +459,10 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     the same row of a GEMM. The log-softmax is taken at the target only,
     z[target] - log(sum(exp(z))) with z = logits - max in float64, the
     same operations as a full log-softmax row. Scores come back in input
-    order, bit-identical to running every row for all T steps. Summation
+    order. They match running every row for all T steps only up to BLAS
+    rounding: a product's row can round differently with a different row
+    count. With numpy's OpenBLAS they are bit-identical at hidden sizes 4
+    and 20, and differ by up to ~7e-7 nats at hidden size 50. Summation
     over steps is per item, accumulated in float64.
     """
     B, T = in_ids.shape
@@ -487,12 +484,17 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     X = _step_inputs(params, cfg, feats[pair_rows], in_ids[pair_rows, pair_steps])
     AX = X @ params["lstm.W_x"] + params["lstm.b"]
 
+    # each step overwrites the live prefix of one (B, H) state in place
+    neg_w = _negated_peepholes(params, B)
+    gates = np.empty((4,) + h.shape, dtype=h.dtype)
+    tanh_c = np.empty_like(h)
     total = np.zeros(B, dtype=np.float64)
     lo = 0
     for t, n in enumerate(n_live):
-        h, c, _ = _lstm_step_full(params, None, h[:n], c[:n], a=AX[lo : lo + n])
+        _lstm_step(params["lstm.W_h"], neg_w[:, :n], AX[lo : lo + n], h[:n], c[:n],
+                   gates[:, :n], c[:n], tanh_c[:n], h[:n])
         lo += n
-        logits = h @ params["out.W"] + params["out.b"]
+        logits = h[:n] @ params["out.W"] + params["out.b"]
         total[:n] += _log_softmax_at(logits, targets[:n, t]) * mask[:n, t]
     out = np.empty(B, dtype=np.float64)
     out[order] = total
@@ -502,7 +504,10 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
 def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                         prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray):
     """Incremental decode step: next-token distribution and new state."""
-    h, c, _ = _lstm_step_full(params, _step_inputs(params, cfg, feats, prev_ids), h, c)
+    ax = _step_inputs(params, cfg, feats, prev_ids) @ params["lstm.W_x"] + params["lstm.b"]
+    h, c = _lstm_step(params["lstm.W_h"], _negated_peepholes(params, len(h)), ax, h, c,
+                      np.empty((4,) + h.shape, dtype=h.dtype), np.empty_like(c),
+                      np.empty_like(c), np.empty_like(h))
     logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
     return softmax(logits, axis=1), h, c
 

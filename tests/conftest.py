@@ -77,6 +77,34 @@ def enumerate_sequences(model, color, max_len: int):
     return results
 
 
+# The allocating peephole LSTM step that ``nn._lstm_step`` replaced, and
+# its sigmoid, verbatim apart from the step's name: the padded reference
+# kernels in test_nn.py and test_training.py run on it.
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp overflow for very negative inputs saturates to the correct 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm_step_full(params, x, h_prev, c_prev, a=None):
+    """Step returning the intermediate values backprop needs.
+
+    ``a`` may carry the precomputed x W_x contribution (plus bias)."""
+    H = h_prev.shape[-1]
+    if a is None:
+        a = x @ params["lstm.W_x"] + params["lstm.b"]
+    a = a + h_prev @ params["lstm.W_h"]
+    i = sigmoid(a[..., :H] + c_prev * params["lstm.w_ci"])
+    f = sigmoid(a[..., H : 2 * H] + c_prev * params["lstm.w_cf"])
+    g = np.tanh(a[..., 2 * H : 3 * H])
+    c = f * c_prev + i * g
+    o = sigmoid(a[..., 3 * H :] + c * params["lstm.w_co"])
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (i, f, g, o, tc)
+
+
 def fd_max_relative_error(params, loss_fn, grads, delta: float = 1e-4) -> float:
     """Max relative disagreement between analytic grads and central
     finite differences over every parameter component."""

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -284,6 +285,36 @@ def test_compare_report_with_itself(ab_corpus, uniform_atomic_ckpt, tmp_path,
     assert record["rounds"] == 10000
     saved = json.loads((tmp_path / "cmp" / "compare.json").read_text())
     assert saved == record
+
+
+def test_compare_reads_strict_and_old_reports_alike(tmp_path, uniform_atomic_ckpt,
+                                                   capsys):
+    # one dev item is outside the atomic inventory: probability 0
+    manifest = _write_mini_corpus(
+        tmp_path, ["1.0,50.0,50.0,a\n", "20.0,50.0,50.0,b\n"],
+        ["1.0,50.0,50.0,a\n", "9.0,50.0,50.0,zebra\n", "25.0,50.0,50.0,b\n"])
+    seeded = tmp_path / "seeded.ckpt"
+    save_checkpoint(AtomicModel.build(TrainingConfig(seed=3), [("a",), ("b",)], "raw"),
+                    seeded)
+    rp_a = _eval_to(tmp_path / "a", uniform_atomic_ckpt, manifest, "--allow-zero")
+    rp_b = _eval_to(tmp_path / "b", seeded, manifest, "--allow-zero")
+    # the same reports as json.dumps writes them by default: bare -Infinity
+    old_a, old_b = tmp_path / "old-a.json", tmp_path / "old-b.json"
+    for new, old in ((rp_a, old_a), (rp_b, old_b)):
+        fields = json.loads(new.read_text())
+        assert fields["log2_probs"][1] is None
+        fields["log2_probs"][1] = -math.inf
+        old.write_text(json.dumps(fields, indent=2, sort_keys=True))
+        assert "-Infinity" in old.read_text()
+    records = []
+    for a, b in ((rp_a, rp_b), (old_a, old_b)):
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b), "--rounds", "500"]) == 0
+        records.append(json.loads(capsys.readouterr().out))
+    new_rec, old_rec = records
+    assert new_rec["dropped_pairs"] == old_rec["dropped_pairs"] == 1
+    assert new_rec["p_value"] == old_rec["p_value"]
+    assert new_rec["mean_difference"] == old_rec["mean_difference"]
 
 
 def test_compare_mismatched_reports(ab_corpus, uniform_atomic_ckpt, tmp_path,

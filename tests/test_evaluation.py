@@ -282,6 +282,24 @@ def test_report_json_roundtrip(tmp_path):
     assert raw["n_items"] == 3
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_report_json_is_strict_and_roundtrips_zero_probability(tmp_path):
+    report = EvalReport(
+        split="dev", n_items=3, perplexity=math.inf, total_bits=3.0,
+        param_count=5, aic=16.0, accuracy=None, beam_width=None,
+        zero_prob_items=1, log2_probs=[-1.0, -math.inf, -2.0],
+        hits=None, timestamp="")
+    path = tmp_path / "r.json"
+    report.save(path)
+    raw = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert raw["log2_probs"] == [-1.0, None, -2.0]
+    assert raw["perplexity"] is None
+    assert EvalReport.load(path) == report
+
+
 def test_report_summary_line_mentions_key_numbers():
     report = EvalReport(
         split="test", n_items=10, perplexity=12.345, total_bits=36.4,

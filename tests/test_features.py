@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from colordesc import ColorHSV, bucket_index, feature_dim, fourier_features, raw_features
+from colordesc import feature_dim
 from colordesc.errors import ConfigError
 from colordesc.features import (
     BUCKET_GRIDS,
@@ -15,7 +17,7 @@ from colordesc.features import (
 
 
 def test_raw_features_scale_each_axis_to_unit_interval():
-    f = raw_features(ColorHSV(180.0, 50.0, 25.0))
+    f = raw_feature_array(np.array([[180.0, 50.0, 25.0]]))[0]
     np.testing.assert_allclose(f, [0.5, 0.5, 0.25])
     arr = raw_feature_array(np.array([[360.0 - 1e-9, 100.0, 0.0]]))
     assert arr.shape == (1, 3)
@@ -23,7 +25,7 @@ def test_raw_features_scale_each_axis_to_unit_interval():
 
 
 def test_fourier_origin_gives_ones_then_zeros():
-    f = fourier_features(ColorHSV(0.0, 0.0, 0.0))
+    f = fourier_feature_array(np.array([[0.0, 0.0, 0.0]]))[0]
     assert f.shape == (54,)
     np.testing.assert_allclose(f[:27], np.ones(27), atol=1e-12)
     np.testing.assert_allclose(f[27:], np.zeros(27), atol=1e-12)
@@ -65,7 +67,7 @@ def test_fourier_first_component_is_constant_one():
 def test_fourier_single_axis_phase():
     # with s=v=0, component for (j,k,l)=(1,0,0) is cos/sin of -2*pi*h/360
     h = 90.0
-    f = fourier_features(ColorHSV(h, 0.0, 0.0))
+    f = fourier_feature_array(np.array([[h, 0.0, 0.0]]))[0]
     idx = 9  # (1,0,0) in row-major (j outer, l inner) enumeration
     expect = -2.0 * np.pi * (h / 360.0)
     assert f[idx] == pytest.approx(np.cos(expect), abs=1e-12)
@@ -77,22 +79,35 @@ def test_bucket_grid_sizes():
     assert BUCKET_SIZES == (9000, 1125, 1)
 
 
+def _bucket_ids(h, s, v):
+    """(fine, mid, global) ids of one color: [0, 360) x [0, 100] x [0, 100]
+    cut into equal cells by floor, the closed top edge clamped into the
+    last cell, ids row-major (hue outer, value inner)."""
+    ids = []
+    for nh, ns, nv in BUCKET_GRIDS:
+        ih = min(math.floor(h * nh / 360.0), nh - 1)
+        isat = min(math.floor(s * ns / 100.0), ns - 1)
+        iv = min(math.floor(v * nv / 100.0), nv - 1)
+        ids.append((ih * ns + isat) * nv + iv)
+    return tuple(ids)
+
+
 def test_bucket_index_hand_cases():
     # origin lands in cell 0 at every resolution
-    assert bucket_index(ColorHSV(0.0, 0.0, 0.0)).as_tuple() == (0, 0, 0)
+    assert tuple(bucket_index_array(np.array([[0.0, 0.0, 0.0]]))[0]) == (0, 0, 0)
     # h=4 -> fine hue cell 1 (4-degree cells), mid hue cell 0 (8-degree cells)
-    b = bucket_index(ColorHSV(4.0, 0.0, 0.0))
-    assert b.fine == 100
-    assert b.mid == 0
-    assert b.global_ == 0
+    fine, mid, global_ = bucket_index_array(np.array([[4.0, 0.0, 0.0]]))[0]
+    assert fine == 100
+    assert mid == 0
+    assert global_ == 0
     # s=10 is the closed lower edge of fine cell 1 in saturation
-    b = bucket_index(ColorHSV(0.0, 10.0, 0.0))
-    assert b.fine == 10
+    fine, _, _ = bucket_index_array(np.array([[0.0, 10.0, 0.0]]))[0]
+    assert fine == 10
     # upper boundary s=v=100 clamps into the last cell, never overflows
-    b = bucket_index(ColorHSV(359.9999, 100.0, 100.0))
-    assert b.fine == BUCKET_SIZES[0] - 1
-    assert b.mid == BUCKET_SIZES[1] - 1
-    assert b.global_ == 0
+    fine, mid, global_ = bucket_index_array(np.array([[359.9999, 100.0, 100.0]]))[0]
+    assert fine == BUCKET_SIZES[0] - 1
+    assert mid == BUCKET_SIZES[1] - 1
+    assert global_ == 0
 
 
 def test_bucket_index_array_matches_scalar():
@@ -107,7 +122,7 @@ def test_bucket_index_array_matches_scalar():
     assert np.all(arr >= 0)
     assert np.all(arr < np.array(BUCKET_SIZES))
     for i in (0, 57, 199):
-        assert tuple(arr[i]) == bucket_index(ColorHSV(*hsv[i])).as_tuple()
+        assert tuple(arr[i]) == _bucket_ids(*hsv[i])
 
 
 def test_feature_dim():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import colordesc
 from colordesc import (
     AtomicModel,
     CheckpointError,
@@ -28,6 +29,10 @@ from conftest import (
 )
 
 GRAY = ColorHSV(0.0, 0.0, 50.0)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in colordesc.__all__ if not hasattr(colordesc, name)] == []
 
 
 # -- scoring

@@ -9,7 +9,7 @@ from colordesc.corpus import END_ID
 from colordesc.errors import ConfigError
 from colordesc import nn
 
-from conftest import fd_max_relative_error
+from conftest import fd_max_relative_error, lstm_step_full
 
 
 def test_config_validation():
@@ -56,10 +56,24 @@ def test_softmax_extreme_logits_stay_finite():
     assert np.isfinite(lp[1])
 
 
-def test_sigmoid_saturates_without_warnings():
+def test_lstm_step_saturates_gates_without_warnings():
+    # every gate pre-activation is -1e4, 0 or 1e4 (c = 0 and W_h = 0), so
+    # the sigmoids' exp(1e4) overflows and must saturate silently to 0
+    H = 3
+    params = {"lstm.w_ci": np.ones(H), "lstm.w_cf": np.ones(H),
+              "lstm.w_co": np.zeros(H)}
+    ax = np.tile([-1e4, 0.0, 1e4], 4)[None]
+    h, c = np.zeros((1, H)), np.zeros((1, H))
+    gates = np.empty((4, 1, H))
     with np.errstate(over="raise"):
-        out = nn.sigmoid(np.array([-1e4, 0.0, 1e4]))
-    np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
+        h2, c2 = nn._lstm_step(np.zeros((H, 4 * H)), nn._negated_peepholes(params, 1),
+                               ax, h, c, gates, np.empty((1, H)), np.empty((1, H)),
+                               np.empty((1, H)))
+    for gate in gates[[0, 1, 3], 0]:
+        np.testing.assert_allclose(gate, [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(gates[2, 0], [-1.0, 0.0, 1.0])
+    np.testing.assert_allclose(c2[0], [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(h2[0], [0.0, 0.0, np.tanh(1.0)])
 
 
 def test_dropout_identity_cases():
@@ -315,7 +329,7 @@ def padded_sequence_logprobs(params, cfg, feats, in_ids, targets, mask):
     total = np.zeros(B, dtype=np.float64)
     rows = np.arange(B)
     for t in range(T):
-        h, c, _ = nn._lstm_step_full(params, None, h, c, a=AX[:, t])
+        h, c, _ = lstm_step_full(params, None, h, c, a=AX[:, t])
         logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
         logp = nn.log_softmax(logits, axis=1)
         total += logp[rows, targets[:, t]] * mask[:, t]
@@ -344,11 +358,17 @@ def _scoring_setup(seed, B, conditioning, dtype, dims, lengths, holes=False):
     return params, cfg, feats, in_ids, targets, mask
 
 
-@settings(max_examples=60, deadline=None)
+# absolute tolerance (nats) at hidden size 50, where OpenBLAS rounds a row
+# of the (n, 50) x (50, V) output product differently for different n
+# (up to ~7e-7 nats measured); hidden sizes 4 and 20 stay bit-identical
+H50_SCORE_ATOL = 1e-5
+
+
+@settings(max_examples=90, deadline=None)
 @given(B=st.sampled_from([1, 2, 3, 511, 512, 513]),
        conditioning=st.sampled_from(["every-step", "init-state"]),
        dtype=st.sampled_from(["float32", "float64"]),
-       dims=st.sampled_from([(4, 3, 7, 5), (20, 20, 400, 54)]),
+       dims=st.sampled_from([(4, 3, 7, 5), (20, 20, 400, 54), (50, 20, 400, 54)]),
        layout=st.sampled_from(["random", "one-longest", "holes"]),
        seed=st.integers(0, 2**32 - 1))
 def test_sequence_logprobs_equals_padded_scorer(B, conditioning, dtype, dims,
@@ -364,7 +384,10 @@ def test_sequence_logprobs_equals_padded_scorer(B, conditioning, dtype, dims,
     got = nn.sequence_logprobs(*setup)
     want = padded_sequence_logprobs(*setup)
     assert got.dtype == np.float64
-    np.testing.assert_array_equal(got, want)
+    if dims[0] == 50:
+        np.testing.assert_allclose(got, want, rtol=0, atol=H50_SCORE_ATOL)
+    else:
+        np.testing.assert_array_equal(got, want)
 
 
 def test_sequence_logprobs_advances_only_live_rows(monkeypatch):
@@ -372,13 +395,13 @@ def test_sequence_logprobs_advances_only_live_rows(monkeypatch):
     setup = _scoring_setup(0, len(lengths), "every-step", "float32",
                            (4, 3, 7, 5), lengths)
     step_rows = []
-    real_step = nn._lstm_step_full
+    real_step = nn._lstm_step
 
-    def counting_step(params, x, h, c, a=None):
+    def counting_step(W_h, neg_w, ax, h, *rest):
         step_rows.append(len(h))
-        return real_step(params, x, h, c, a=a)
+        return real_step(W_h, neg_w, ax, h, *rest)
 
-    monkeypatch.setattr(nn, "_lstm_step_full", counting_step)
+    monkeypatch.setattr(nn, "_lstm_step", counting_step)
     got = nn.sequence_logprobs(*setup)
     # 6 rows live at step 0, 3 at step 1, 1 at step 2 (run as 2 rows)
     assert step_rows == [6, 3, 2]

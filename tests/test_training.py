@@ -20,6 +20,8 @@ from colordesc import (Dataset, Description, TrainingConfig, TrainingDivergence,
 from colordesc.corpus import END_ID
 from colordesc.models import save_checkpoint, train_model
 
+from conftest import lstm_step_full
+
 
 def padded_sequence_forward(params, cfg, feats, in_ids, targets, mask,
                             train=False, rng=None, drop_masks=None):
@@ -51,7 +53,7 @@ def padded_sequence_forward(params, cfg, feats, in_ids, targets, mask,
     for t in range(T):
         h_prev[:, t] = h
         c_prev[:, t] = c
-        h, c, (i, f, g, o, tc) = nn._lstm_step_full(params, None, h, c, a=AX[:, t])
+        h, c, (i, f, g, o, tc) = lstm_step_full(params, None, h, c, a=AX[:, t])
         gates_i[:, t], gates_f[:, t] = i, f
         gates_g[:, t], gates_o[:, t] = g, o
         cells[:, t], tanh_c[:, t], hidden[:, t] = c, tc, h
