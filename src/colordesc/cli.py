@@ -86,10 +86,11 @@ def _color_from_args(args) -> ColorHSV:
     raise ConfigError("a color is required: --hsv h,s,v or --hsl h,s,l")
 
 
-def _check_generation_args(args) -> None:
-    """Reject out-of-range --beam, --max-len and --n before any file is
-    read; each command passes the flags it has."""
-    for flag, low in (("beam", 1), ("max_len", 0), ("n", 0)):
+def _check_int_flags(args) -> None:
+    """Reject out-of-range --beam, --max-len, --n, --rounds and --seed
+    before any file is read; each command passes the flags it has."""
+    for flag, low in (("beam", 1), ("max_len", 0), ("n", 0), ("rounds", 1),
+                      ("seed", 0)):
         value = getattr(args, flag, low)
         if value < low:
             name = "--" + flag.replace("_", "-")
@@ -201,7 +202,7 @@ def cmd_train(args, parser_defaults: dict) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_generation_args(args)
+    _check_int_flags(args)
     start = time.perf_counter()
     model = load_checkpoint(args.ckpt)
     splits = load_manifest(args.data)
@@ -256,6 +257,7 @@ def _paired_vectors(ra: EvalReport, rb: EvalReport, metric: str):
 
 
 def cmd_compare(args) -> int:
+    _check_int_flags(args)
     ra = EvalReport.load(args.report_a)
     rb = EvalReport.load(args.report_b)
     a, b, dropped = _paired_vectors(ra, rb, args.metric)
@@ -286,7 +288,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_generation_args(args)
+    _check_int_flags(args)
     model = load_checkpoint(args.ckpt)
     color = _color_from_args(args)
     rng = np.random.default_rng(args.seed)
@@ -297,7 +299,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_top1(args) -> int:
-    _check_generation_args(args)
+    _check_int_flags(args)
     model = load_checkpoint(args.ckpt)
     color = _color_from_args(args)
     desc = model.predict_top1(color, beam_width=args.beam, max_len=args.max_len)

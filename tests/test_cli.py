@@ -244,6 +244,7 @@ def test_train_and_eval_record_skipped_records(tmp_path, uniform_atomic_ckpt,
     ("top1", "--max-len", "-1"),
     ("sample", "--max-len", "-1"),
     ("sample", "--n", "-3"),
+    ("sample", "--seed", "-1"),
 ])
 def test_bad_generation_args_are_usage_errors(command, flag, value, ab_corpus,
                                               tiny_seq_ckpt, tmp_path, capsys):
@@ -315,6 +316,20 @@ def test_compare_reads_strict_and_old_reports_alike(tmp_path, uniform_atomic_ckp
     assert new_rec["dropped_pairs"] == old_rec["dropped_pairs"] == 1
     assert new_rec["p_value"] == old_rec["p_value"]
     assert new_rec["mean_difference"] == old_rec["mean_difference"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rounds", "-2"), ("--rounds", "-1"), ("--rounds", "0"), ("--seed", "-1"),
+])
+def test_compare_bad_rounds_or_seed_is_usage_error(flag, value, tmp_path, capsys):
+    # the check comes before the reports are read: these do not exist
+    missing = str(tmp_path / "missing.json")
+    rc = main(["compare", missing, missing, flag, value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be >=")
+    assert "Traceback" not in captured.err
 
 
 def test_compare_mismatched_reports(ab_corpus, uniform_atomic_ckpt, tmp_path,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colordesc import (
     EvalReport,
@@ -208,17 +209,32 @@ def test_permutation_seeded_reproducibility():
     assert p1 == p2
 
 
-@pytest.mark.parametrize("n,rounds", [(300, 1000), (70_000, 5)])
+def flip_signs(seed: int, rounds: int, n: int) -> np.ndarray:
+    """(rounds, n) signs from one draw of rounds * ceil(n/64) raw words:
+    -1 where bit i % 64 of the round's word i // 64 is set."""
+    words = -(-n // 64)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(rounds * words)
+    bits = np.unpackbits(raw.astype("<u8").view(np.uint8).reshape(rounds, 8 * words),
+                         axis=1, bitorder="little")[:, :n]
+    return 1.0 - 2.0 * bits
+
+
+@pytest.mark.parametrize("n,rounds", [
+    (1, 20_000), (63, 20_000), (64, 20_000), (65, 10_000), (300, 1000),
+    (300, 5_000), (70_000, 5), (70_000, 40),
+])
 def test_permutation_chunking_keeps_the_unchunked_stream(n, rounds):
-    """The chunked draws give the p-value of one (rounds, n) draw, both
-    for many rounds per chunk and for one round per chunk."""
+    """The chunked lookups give the p-value of one unchunked draw of
+    rounds * ceil(n/64) words in which bit i % 64 of word i // 64 flips
+    pair i, in one chunk (300 x 1000, 70,000 x 5) or over several (the
+    rest). The differences are dyadic rationals, so every summation
+    order is exact."""
     rng = np.random.default_rng(9)
-    a = rng.normal(0.01, 1.0, size=n)
-    b = rng.normal(0.0, 1.0, size=n)
+    a = rng.integers(-40, 41, size=n) * 2.0 ** -3
+    b = rng.integers(-40, 41, size=n) * 2.0 ** -4
     d = a - b
-    flips = np.random.default_rng(10).random((rounds, n)) < 0.5
-    stats = np.abs(np.where(flips, -d, d).mean(axis=1))
-    expected = (int((stats >= abs(float(d.mean()))).sum()) + 1) / (rounds + 1)
+    stats = np.abs((flip_signs(10, rounds, n) * d).sum(axis=1))
+    expected = (int((stats >= abs(d.sum())).sum()) + 1) / (rounds + 1)
     assert permutation_test(a, b, rounds=rounds, seed=10) == expected
 
 
@@ -231,12 +247,126 @@ def test_permutation_rejects_bad_input():
         permutation_test(np.zeros(3), np.zeros(4), rounds=10)
 
 
+@pytest.mark.parametrize("rounds, seed", [(0, 0), (-1, 0), (-2, 0), (10, -1)])
+def test_permutation_rejects_bad_rounds_and_seed(rounds, seed):
+    with pytest.raises(EvaluationError, match="rounds|seed"):
+        permutation_test(np.ones(5), np.zeros(5), rounds=rounds, seed=seed)
+
+
 def test_permutation_sign_symmetry():
     rng = np.random.default_rng(6)
     a = rng.normal(0.4, 1.0, size=30)
     b = np.zeros(30)
     assert permutation_test(a, b, rounds=4000, seed=8) == \
         permutation_test(b, a, rounds=4000, seed=8)
+
+
+_values = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(_values, _values), min_size=1, max_size=200),
+       seed=st.integers(0, 2 ** 32))
+def test_permutation_is_exact_under_swap_and_scale(pairs, seed):
+    a, b = np.array(pairs).T
+    p = permutation_test(a, b, rounds=300, seed=seed)
+    assert 1 / 301 <= p <= 1.0
+    assert permutation_test(b, a, rounds=300, seed=seed) == p
+    assert permutation_test(2 * a, 2 * b, rounds=300, seed=seed) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.lists(_values, min_size=1, max_size=200), data=st.data(),
+       seed=st.integers(0, 2 ** 32))
+def test_permutation_ties_flips_of_zero_differences(b, data, seed):
+    """Identical systems, and systems that differ on one item only,
+    tie the observed statistic in every round: p is exactly 1."""
+    b = np.array(b)
+    assert permutation_test(b.copy(), b, rounds=300, seed=seed) == 1.0
+    a = b.copy()
+    i = data.draw(st.integers(0, b.size - 1))
+    a[i] += data.draw(_values)
+    assert permutation_test(a, b, rounds=300, seed=seed) == 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=4),
+       n=st.integers(4, 300), data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_permutation_ties_every_round_that_flips_all_nonzero_differences(
+        values, n, data, seed):
+    """With up to 4 positive differences in [1, 2] among zeros, a round
+    ties the observed statistic exactly when it flips all of them or
+    none, whatever it does to the zeros, and falls short otherwise."""
+    where = data.draw(st.lists(st.integers(0, n - 1), min_size=len(values),
+                               max_size=len(values), unique=True))
+    d = np.zeros(n)
+    d[where] = values
+    signs = flip_signs(seed, 300, n)[:, where]
+    ties = int((np.abs(signs.sum(axis=1)) == len(values)).sum())
+    assert permutation_test(d, np.zeros(n), rounds=300, seed=seed) == (ties + 1) / 301
+
+
+def reference_permutation_test(per_item_a, per_item_b, rounds: int = 10000,
+                               seed: int = 0) -> float:
+    """The earlier implementation, one uniform double per flip, kept
+    verbatim to check that the byte-table test agrees with it."""
+    a = np.asarray(per_item_a, dtype=np.float64)
+    b = np.asarray(per_item_b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise EvaluationError(
+            f"paired vectors must be equal-length 1-D, got {a.shape} and {b.shape}")
+    if a.size == 0:
+        raise EvaluationError("cannot test empty vectors")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise EvaluationError("paired vectors contain non-finite values")
+    d = a - b
+    stat = abs(float(d.mean()))
+    rng = np.random.default_rng(seed)
+    # bound the flip matrix to 64K entries (512 KB of doubles) per chunk:
+    # the draws are sequential, so any chunking gives the same flips and
+    # p-value, and a small chunk keeps the transient memory (and peak RSS)
+    # small and cache-resident
+    chunk = max(1, min(rounds, (1 << 16) // d.size))
+    count = 0
+    done = 0
+    while done < rounds:
+        r = min(chunk, rounds - done)
+        flips = rng.random((r, d.size)) < 0.5
+        stats = np.abs(np.where(flips, -d, d).mean(axis=1))
+        count += int((stats >= stat).sum())
+        done += r
+    return (count + 1) / (rounds + 1)
+
+
+AGREEMENT_ROUNDS = 2000
+AGREEMENT_SEEDS = range(10)
+
+
+def agreement_inputs(kind: str):
+    """Paired vectors for the agreement check, each with a p-value of
+    roughly 0.1-0.8, where Monte Carlo error is large: per-item log2
+    probabilities of two benchmark-sized models, accuracy hits that agree
+    on ~90% of the items, and a 10-item sample."""
+    rng = np.random.default_rng({"log2": 1, "hits": 2, "small": 3}[kind])
+    if kind == "log2":
+        base = -rng.gamma(2.0, 3.3, size=2341)
+        return (base + rng.normal(0.0, 1.0, 2341),
+                base + rng.normal(-0.02, 1.0, 2341))
+    if kind == "hits":
+        d = rng.choice([-1.0, 0.0, 1.0], size=2341, p=[0.048, 0.9, 0.052])
+        return (d == 1.0).astype(np.float64), (d == -1.0).astype(np.float64)
+    return rng.normal(0.3, 1.0, size=10), np.zeros(10)
+
+
+@pytest.mark.parametrize("kind", ["log2", "hits", "small"])
+def test_permutation_agrees_with_reference_within_monte_carlo_error(kind):
+    a, b = agreement_inputs(kind)
+    for seed in AGREEMENT_SEEDS:
+        p_new = permutation_test(a, b, rounds=AGREEMENT_ROUNDS, seed=seed)
+        p_old = reference_permutation_test(a, b, rounds=AGREEMENT_ROUNDS, seed=seed)
+        p = (p_new + p_old) / 2
+        bound = 4 * math.sqrt(2 * p * (1 - p) / AGREEMENT_ROUNDS) + 1 / AGREEMENT_ROUNDS
+        assert abs(p_new - p_old) <= bound, (seed, p_new, p_old)
 
 
 # -- reports
