@@ -87,10 +87,11 @@ def _color_from_args(args) -> ColorHSV:
 
 
 def _check_int_flags(args) -> None:
-    """Reject out-of-range --beam, --max-len, --n, --rounds and --seed
-    before any file is read; each command passes the flags it has."""
+    """Reject out-of-range --beam, --max-len, --n, --rounds, --seed and
+    --subsample-train before any file is read; each command passes the
+    flags it has."""
     for flag, low in (("beam", 1), ("max_len", 0), ("n", 0), ("rounds", 1),
-                      ("seed", 0)):
+                      ("seed", 0), ("subsample_train", 0)):
         value = getattr(args, flag, low)
         if value < low:
             name = "--" + flag.replace("_", "-")
@@ -102,7 +103,8 @@ def _load_counts(splits: dict) -> dict:
     return {"skipped_records": {name: ds.skipped for name, ds in splits.items()}}
 
 
-# -- config-file handling (train only): plain key=value lines, flags win
+# -- config-file handling (train only): plain key=value lines that become
+# the train parser's defaults, so explicit flags win
 
 
 def _read_config_file(path: Path) -> dict:
@@ -120,36 +122,11 @@ def _read_config_file(path: Path) -> dict:
     return values
 
 
-def _coerce_like(key: str, text: str, default):
-    try:
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: bad value {text!r}") from exc
-    return text
-
-
-def _apply_config_file(args, parser_defaults: dict) -> None:
-    """File values fill in any option still at its parser default."""
-    if not args.config:
-        return
-    values = _read_config_file(Path(args.config))
-    unknown = set(values) - set(parser_defaults)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, text in values.items():
-        default = parser_defaults[key]
-        if getattr(args, key) == default:
-            setattr(args, key, _coerce_like(key, text, default))
-
-
 # -- subcommands
 
 
-def cmd_train(args, parser_defaults: dict) -> int:
-    _apply_config_file(args, parser_defaults)
+def cmd_train(args) -> int:
+    _check_int_flags(args)
     if not args.data:
         raise ConfigError("missing required option: data (split manifest path)")
     if not args.out:
@@ -157,14 +134,6 @@ def cmd_train(args, parser_defaults: dict) -> int:
     family = FAMILY_ALIASES.get(args.family)
     if family is None:
         raise ConfigError(f"unknown family {args.family!r}")
-    splits = load_manifest(args.data)
-    if "train" not in splits:
-        raise ConfigError(f"manifest {args.data} does not define a train split")
-    train_ds = splits["train"]
-    dev_ds = splits.get("dev")
-    if args.subsample_train:
-        train_ds = train_ds.subsample(args.subsample_train, args.seed)
-
     config = TrainingConfig(
         learning_rate=args.lr,
         dropout=args.dropout,
@@ -177,6 +146,13 @@ def cmd_train(args, parser_defaults: dict) -> int:
         seed=args.seed,
         conditioning=args.conditioning,
     ).validate()
+    splits = load_manifest(args.data)
+    if "train" not in splits:
+        raise ConfigError(f"manifest {args.data} does not define a train split")
+    train_ds = splits["train"]
+    dev_ds = splits.get("dev")
+    if args.subsample_train:
+        train_ds = train_ds.subsample(args.subsample_train, args.seed)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -352,7 +328,10 @@ def cmd_denotation(args) -> int:
 # -- parser
 
 
-def build_parser():
+def build_parser(train_defaults: dict | None = None):
+    """The colordesc argument parser; ``train_defaults`` (a config file's
+    values, by option name) replace the train subcommand's defaults and
+    are converted by each option's type when no flag overrides them."""
     parser = argparse.ArgumentParser(
         prog="colordesc",
         description="Train, evaluate, and probe color-description models.")
@@ -423,16 +402,22 @@ def build_parser():
     p_den.add_argument("--grid", default="120x50x50")
     p_den.add_argument("--outdir", required=True)
 
-    return parser, {a.dest: a.default for a in p_train._actions
-                    if a.dest != "help"}
+    if train_defaults:
+        unknown = set(train_defaults) - {a.dest for a in p_train._actions}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        p_train.set_defaults(**train_defaults)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, train_defaults = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "train":
-            return cmd_train(args, train_defaults)
+            if args.config:
+                values = _read_config_file(Path(args.config))
+                args = build_parser(values).parse_args(argv)
+            return cmd_train(args)
         if args.command == "eval":
             return cmd_eval(args)
         if args.command == "compare":

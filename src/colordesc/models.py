@@ -126,6 +126,23 @@ def _check_generation_args(beam_width: int, max_len: int) -> None:
         raise ValueError("max_len must be >= 0")
 
 
+def _layout(family: str, cfg: TrainingConfig, scheme: str, n_words: int) -> list:
+    """(name, shape, init) of every tensor of a neural family, in draw
+    order: the family's own, then for ``buckets`` the bucket embedding
+    tables. Models are initialized and checkpoint shapes checked from it.
+    ``n_words`` is the vocabulary or inventory size."""
+    F = feature_dim(scheme, cfg.bucket_embedding_dim)
+    if family == "sequence":
+        layout = nn.sequence_layout(cfg, n_words, F)
+    else:
+        layout = nn.atomic_layout(cfg, F, n_words)
+    if scheme == "buckets":
+        E = cfg.bucket_embedding_dim
+        layout += [(name, (size, E), nn.normal(cfg.embedding_sigma))
+                   for name, size in zip(BUCKET_PARAM_NAMES, BUCKET_SIZES)]
+    return layout
+
+
 class _Model:
     """What the three families share. ``params`` holds the tensors a
     checkpoint stores, by name: the neural weights, or the histogram's
@@ -140,20 +157,16 @@ class _Model:
         self.params = params
         self.epochs_trained = epochs_trained
 
-    @staticmethod
-    def _init_params(config: TrainingConfig, scheme: str, rng, init) -> dict:
-        """A neural family's initial parameters: ``init(rng, feature
-        width)`` and, for buckets, the bucket embedding tables, drawn
-        from ``rng`` (default: seeded by the config) in that order."""
+    @classmethod
+    def _init_params(cls, config: TrainingConfig, scheme: str, n_words: int,
+                     rng) -> dict:
+        """A neural family's initial parameters, drawn in ``_layout``
+        order from ``rng`` (default: seeded by the config)."""
         config.validate()
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        params = init(rng, feature_dim(scheme, config.bucket_embedding_dim))
-        if scheme == "buckets":
-            for name, size in zip(BUCKET_PARAM_NAMES, BUCKET_SIZES):
-                params[name] = nn.normal_init(rng, (size, config.bucket_embedding_dim),
-                                              config.embedding_sigma, config.np_dtype)
-        return params
+        return nn.init_params(_layout(cls.family, config, scheme, n_words), rng,
+                              config.np_dtype)
 
     @property
     def param_count(self) -> int:
@@ -218,8 +231,7 @@ class SequenceDecoderModel(_Model):
     @classmethod
     def build(cls, config: TrainingConfig, vocab: Vocabulary, scheme: str,
               rng=None) -> "SequenceDecoderModel":
-        params = cls._init_params(config, scheme, rng, lambda rng, width:
-                                  nn.init_sequence_params(rng, config, len(vocab), width))
+        params = cls._init_params(config, scheme, len(vocab), rng)
         return cls(config, vocab, scheme, params)
 
     # -- scoring
@@ -369,8 +381,7 @@ class AtomicModel(_InventoryModel):
               rng=None) -> "AtomicModel":
         if not inventory:
             raise ConfigError("atomic model needs a nonempty description inventory")
-        params = cls._init_params(config, scheme, rng, lambda rng, width:
-                                  nn.init_atomic_params(rng, config, width, len(inventory)))
+        params = cls._init_params(config, scheme, len(inventory), rng)
         return cls(config, list(inventory), scheme, params)
 
     def class_logprobs(self, colors: np.ndarray) -> np.ndarray:
@@ -665,37 +676,7 @@ def _expected_shapes(family: str, cfg: TrainingConfig, scheme: str,
     ``n_words`` is the vocabulary or inventory size."""
     if family == "histogram":
         return {f"counts.{name}": (None, 3) for name in HISTOGRAM_LEVELS}
-    shapes = {}
-    if family in ("sequence", "atomic"):
-        F = feature_dim(scheme, cfg.bucket_embedding_dim)
-        if scheme == "buckets":
-            for name, size in zip(BUCKET_PARAM_NAMES, BUCKET_SIZES):
-                shapes[name] = (size, cfg.bucket_embedding_dim)
-    if family == "sequence":
-        V = n_words
-        H, E = cfg.hidden_size, cfg.embedding_dim
-        D = F + E if cfg.conditioning == "every-step" else E
-        shapes.update({
-            "emb": (V, E),
-            "lstm.W_x": (D, 4 * H), "lstm.W_h": (H, 4 * H),
-            "lstm.w_ci": (H,), "lstm.w_cf": (H,), "lstm.w_co": (H,),
-            "lstm.b": (4 * H,),
-            "out.W": (H, V), "out.b": (V,),
-        })
-        if cfg.conditioning == "init-state":
-            shapes.update({
-                "cond.W_h0": (F, H), "cond.b_h0": (H,),
-                "cond.W_c0": (F, H), "cond.b_c0": (H,),
-            })
-    elif family == "atomic":
-        C = n_words
-        Hd = cfg.atomic_hidden
-        shapes.update({
-            "fc1.W": (F, Hd), "fc1.b": (Hd,),
-            "fc2.W": (Hd, Hd), "fc2.b": (Hd,),
-            "out.W": (Hd, C), "out.b": (C,),
-        })
-    return shapes
+    return {name: shape for name, shape, _ in _layout(family, cfg, scheme, n_words)}
 
 
 def _check_histogram_counts(counts: list, C: int) -> None:

@@ -59,9 +59,12 @@ class TrainingConfig:
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must be in [0, 1)")
         for name in ("hidden_size", "embedding_dim", "bucket_embedding_dim",
-                     "atomic_hidden", "batch_size", "max_epochs"):
+                     "atomic_hidden", "batch_size", "max_epochs", "patience",
+                     "evals_per_epoch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.conditioning not in ("every-step", "init-state"):
             raise ConfigError(f"unknown conditioning mode {self.conditioning!r}")
         if self.dtype not in ("float32", "float64"):
@@ -113,24 +116,25 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def normal_init(rng, shape, sigma: float, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * sigma).astype(dtype)
+def normal(sigma: float):
+    """Initializer drawing N(0, sigma^2) entries."""
+    return lambda rng, shape, dtype: (rng.standard_normal(shape) * sigma).astype(dtype)
 
 
-def init_lstm_params(rng, input_dim: int, hidden: int, cfg: TrainingConfig) -> Params:
-    """LSTM weights ~ N(0, lstm_sigma^2), biases 0 except forget bias."""
-    dt = cfg.np_dtype
-    H = hidden
-    b = np.zeros(4 * H, dtype=dt)
-    b[H : 2 * H] = cfg.forget_bias
-    return {
-        "lstm.W_x": normal_init(rng, (input_dim, 4 * H), cfg.lstm_sigma, dt),
-        "lstm.W_h": normal_init(rng, (H, 4 * H), cfg.lstm_sigma, dt),
-        "lstm.w_ci": normal_init(rng, (H,), cfg.lstm_sigma, dt),
-        "lstm.w_cf": normal_init(rng, (H,), cfg.lstm_sigma, dt),
-        "lstm.w_co": normal_init(rng, (H,), cfg.lstm_sigma, dt),
-        "lstm.b": b,
-    }
+def glorot(rng, shape, dtype) -> np.ndarray:
+    """Initializer drawing a (fan_in, fan_out) Glorot-uniform matrix."""
+    return glorot_uniform(rng, *shape, dtype)
+
+
+def zeros(rng, shape, dtype) -> np.ndarray:
+    """Initializer of all-zero tensors; draws nothing."""
+    return np.zeros(shape, dtype=dtype)
+
+
+def init_params(layout, rng, dtype) -> Params:
+    """Draw every tensor of a layout, a list of (name, shape, init)
+    triples, from ``rng`` in list order: ``init(rng, shape, dtype)``."""
+    return {name: init(rng, shape, dtype) for name, shape, init in layout}
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +170,36 @@ class Adagrad:
 # description's tokens, averaged over descriptions in the batch, with
 # padded positions masked out.
 
-def init_sequence_params(rng, cfg: TrainingConfig, vocab_size: int,
-                         feature_width: int) -> Params:
-    dt = cfg.np_dtype
-    H = cfg.hidden_size
-    E = cfg.embedding_dim
-    input_dim = feature_width + E if cfg.conditioning == "every-step" else E
-    params: Params = {
-        "emb": normal_init(rng, (vocab_size, E), cfg.embedding_sigma, dt),
-    }
-    params.update(init_lstm_params(rng, input_dim, H, cfg))
-    params["out.W"] = glorot_uniform(rng, H, vocab_size, dt)
-    params["out.b"] = np.zeros(vocab_size, dtype=dt)
+def sequence_layout(cfg: TrainingConfig, vocab_size: int, feature_width: int) -> list:
+    """(name, shape, init) of every sequence-decoder tensor, in draw
+    order. LSTM weights ~ N(0, lstm_sigma^2); its biases are 0 except the
+    forget-gate block, which is ``forget_bias``."""
+    H, E, V, F = cfg.hidden_size, cfg.embedding_dim, vocab_size, feature_width
+    D = F + E if cfg.conditioning == "every-step" else E
+    lstm = normal(cfg.lstm_sigma)
+
+    def forget_bias(rng, shape, dtype):
+        b = zeros(rng, shape, dtype)
+        b[H : 2 * H] = cfg.forget_bias
+        return b
+
+    layout = [
+        ("emb", (V, E), normal(cfg.embedding_sigma)),
+        ("lstm.W_x", (D, 4 * H), lstm),
+        ("lstm.W_h", (H, 4 * H), lstm),
+        ("lstm.w_ci", (H,), lstm),
+        ("lstm.w_cf", (H,), lstm),
+        ("lstm.w_co", (H,), lstm),
+        ("lstm.b", (4 * H,), forget_bias),
+        ("out.W", (H, V), glorot),
+        ("out.b", (V,), zeros),
+    ]
     if cfg.conditioning == "init-state":
-        params["cond.W_h0"] = glorot_uniform(rng, feature_width, H, dt)
-        params["cond.b_h0"] = np.zeros(H, dtype=dt)
-        params["cond.W_c0"] = glorot_uniform(rng, feature_width, H, dt)
-        params["cond.b_c0"] = np.zeros(H, dtype=dt)
-    return params
+        layout += [
+            ("cond.W_h0", (F, H), glorot), ("cond.b_h0", (H,), zeros),
+            ("cond.W_c0", (F, H), glorot), ("cond.b_c0", (H,), zeros),
+        ]
+    return layout
 
 
 def sequence_initial_state(params: Params, cfg: TrainingConfig, feats: np.ndarray):
@@ -264,6 +280,19 @@ def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return z_target - np.log(np.sum(np.exp(z, out=z), axis=1))
 
 
+def _softmax_xent(logits: np.ndarray, targets: np.ndarray):
+    """(log p[row, targets[row]], p - onehot) of the (N, C) ``logits``,
+    which hold the log-softmax on return; one more (N, C) buffer holds
+    the probabilities and becomes the gradient. Callers scale it."""
+    rows = np.arange(len(logits))
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    logits -= np.log(probs.sum(axis=1, keepdims=True))
+    dlogits = np.exp(logits, out=probs)
+    dlogits[rows, targets] -= 1.0
+    return logits[rows, targets], dlogits
+
+
 def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                      in_ids: np.ndarray, targets: np.ndarray, mask: np.ndarray,
                      train: bool = False, rng=None, drop_masks=None):
@@ -315,19 +344,12 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     logits += params["out.b"]
     live = np.flatnonzero(mask)
     weight = mask.ravel()[live]
-    rows = np.arange(live.size)
-    cols = targets.ravel()[live]
-    logp = logits[live]
-    logp -= logp.max(axis=1, keepdims=True)
-    probs = np.exp(logp)
-    logp -= np.log(probs.sum(axis=1, keepdims=True))
+    logp, dlogits = _softmax_xent(logits[live], targets.ravel()[live])
     nll = np.zeros(B * T, dtype=np.float64)
-    nll[live] = -logp[rows, cols] * weight
+    nll[live] = -logp * weight
     loss = float(nll.sum(dtype=np.float64) / B)
     if not np.isfinite(loss):
         raise TrainingDivergence("non-finite loss in sequence forward pass")
-    dlogits = np.exp(logp, out=probs)
-    dlogits[rows, cols] -= 1.0
     dlogits *= (weight / B).astype(dt)[:, None]
     # the logits buffer becomes the (B*T, V) logit gradient, zero on padding
     dflat = logits
@@ -519,18 +541,14 @@ def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
 # inventory of distinct training descriptions. Dropout after each hidden
 # layer in training mode.
 
-def init_atomic_params(rng, cfg: TrainingConfig, feature_width: int,
-                       n_classes: int) -> Params:
-    dt = cfg.np_dtype
+def atomic_layout(cfg: TrainingConfig, feature_width: int, n_classes: int) -> list:
+    """(name, shape, init) of every atomic-classifier tensor, in draw order."""
     Hd = cfg.atomic_hidden
-    return {
-        "fc1.W": glorot_uniform(rng, feature_width, Hd, dt),
-        "fc1.b": np.zeros(Hd, dtype=dt),
-        "fc2.W": glorot_uniform(rng, Hd, Hd, dt),
-        "fc2.b": np.zeros(Hd, dtype=dt),
-        "out.W": glorot_uniform(rng, Hd, n_classes, dt),
-        "out.b": np.zeros(n_classes, dtype=dt),
-    }
+    return [
+        ("fc1.W", (feature_width, Hd), glorot), ("fc1.b", (Hd,), zeros),
+        ("fc2.W", (Hd, Hd), glorot), ("fc2.b", (Hd,), zeros),
+        ("out.W", (Hd, n_classes), glorot), ("out.b", (n_classes,), zeros),
+    ]
 
 
 def atomic_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
@@ -538,7 +556,8 @@ def atomic_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                    drop_masks=None):
     """Returns (loss, cache); loss is mean cross-entropy over the batch.
     The log-softmax and the logit gradient (p - onehot) / B are computed
-    in place in one (B, C) buffer."""
+    in place (``_softmax_xent``) in the (B, C) logits buffer and one
+    more."""
     dt = cfg.np_dtype
     B = feats.shape[0]
     a1 = feats @ params["fc1.W"] + params["fc1.b"]
@@ -555,18 +574,12 @@ def atomic_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
         d1 = h1
     h2 = d1 @ params["fc2.W"] + params["fc2.b"]
     d2 = h2 * drop_masks[1] if drop_masks is not None else h2
-    logp = d2 @ params["out.W"]
-    logp += params["out.b"]
-    logp -= logp.max(axis=1, keepdims=True)
-    probs = np.exp(logp)
-    logp -= np.log(probs.sum(axis=1, keepdims=True))
-    rows = np.arange(B)
-    nll = -logp[rows, targets]
-    loss = float(nll.sum(dtype=np.float64) / B)
+    logits = d2 @ params["out.W"]
+    logits += params["out.b"]
+    logp, dlogits = _softmax_xent(logits, targets)
+    loss = float((-logp).sum(dtype=np.float64) / B)
     if not np.isfinite(loss):
         raise TrainingDivergence("non-finite loss in atomic forward pass")
-    dlogits = np.exp(logp, out=probs)
-    dlogits[rows, targets] -= 1.0
     dlogits /= B
     cache = {
         "cfg": cfg, "params": params, "feats": feats,

@@ -141,6 +141,8 @@ def test_repacked_base_files_still_load():
     ("epochs_trained", lambda _: 10**400, "bad epochs_trained"),
     ("vocab", lambda v: v[::-1], "vocabulary must start with"),
     ("scheme", lambda v: [v], "unknown feature scheme"),
+    # shapes are checked without allocating tensors of the header's size
+    ("hidden_size", lambda _: 10**9, "tensor 'lstm.W_x'"),
 ])
 def test_bad_header_field_names_the_field(tmp_path, field, change, message):
     _, header, payload = _base_files()["sequence"]

@@ -120,6 +120,20 @@ def test_train_config_file_precedence(tmp_corpus, tmp_path):
     assert meta["settings"]["config"]["learning_rate"] == 0.05
 
 
+def test_train_explicit_flag_beats_config_file_at_default_value(tmp_corpus,
+                                                                  tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=2\n", encoding="utf-8")
+    out = tmp_path / "cfgd"
+    # --epochs 10 equals the parser default, and still wins over the file
+    rc = main(["train", "--config", str(cfg), "--data", str(tmp_corpus),
+               "--out", str(out), "--epochs", "10", "--batch-size", "4",
+               "--patience", "1", "--evals-per-epoch", "1"])
+    assert rc == 0
+    meta = json.loads((out / "run-meta.json").read_text())
+    assert meta["settings"]["config"]["max_epochs"] == 10
+
+
 def test_train_config_file_unknown_key(tmp_corpus, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("momentum=0.9\n", encoding="utf-8")
@@ -136,6 +150,27 @@ def test_train_subsample_smaller_run(tmp_corpus, tmp_path):
     assert rc == 0
     meta = json.loads((out / "run-meta.json").read_text())
     assert meta["settings"]["subsample_train"] == 4
+
+
+@pytest.mark.parametrize("family, flag, value, message", [
+    ("rnn", "--seed", "-1", "--seed must be >= 0"),
+    ("hm", "--seed", "-1", "--seed must be >= 0"),
+    ("rnn", "--subsample-train", "-3", "--subsample-train must be >= 0"),
+    ("rnn", "--patience", "0", "patience must be >= 1"),
+    ("atomic", "--evals-per-epoch", "0", "evals_per_epoch must be >= 1"),
+])
+def test_train_out_of_range_flags_are_usage_errors(family, flag, value, message,
+                                                   tmp_path, capsys):
+    out = tmp_path / "run"
+    # the manifest does not exist: the flag is rejected before any file is read
+    rc = main(["train", "--data", str(tmp_path / "missing.manifest"),
+               "--out", str(out), "--family", family, "--features", "buckets",
+               flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # -- eval

@@ -334,6 +334,13 @@ def test_train_rejects_bad_inputs():
     empty = Dataset(colors=np.zeros((0, 3)), descriptions=[])
     with pytest.raises(ConfigError):
         train_model("sequence", empty, cfg)
+    # out-of-range settings fail before training, for every family
+    for family, scheme in (("sequence", "raw"), ("atomic", "raw"),
+                           ("histogram", "buckets")):
+        for bad in ({"seed": -1}, {"patience": 0}, {"evals_per_epoch": 0}):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                train_model(family, ds, TrainingConfig(max_epochs=1, **bad),
+                            scheme=scheme)
 
 
 # -- atomic family

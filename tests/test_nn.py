@@ -24,6 +24,9 @@ def test_config_validation():
         TrainingConfig(dtype="float16").validate()
     with pytest.raises(ConfigError):
         TrainingConfig(batch_size=0).validate()
+    for bad in ({"seed": -1}, {"patience": 0}, {"evals_per_epoch": 0}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainingConfig(**bad).validate()
 
 
 def test_config_dict_roundtrip():
@@ -138,21 +141,27 @@ def test_glorot_bounds_and_determinism():
 
 
 def test_lstm_init_shapes_and_forget_bias():
-    cfg = TrainingConfig(hidden_size=2).validate()
-    params = nn.init_lstm_params(np.random.default_rng(0), 4, 2, cfg)
+    # every-step input width: 3 feature columns + 1 embedding column = 4
+    cfg = TrainingConfig(hidden_size=2, embedding_dim=1).validate()
+    layout = nn.sequence_layout(cfg, 5, 3)
+    params = nn.init_params(layout, np.random.default_rng(0), cfg.np_dtype)
+    assert {name: shape for name, shape, _ in layout} == {
+        name: p.shape for name, p in params.items()}
     assert params["lstm.W_x"].shape == (4, 8)
     assert params["lstm.W_h"].shape == (2, 8)
     np.testing.assert_array_equal(params["lstm.b"][2:4], [5.0, 5.0])
     np.testing.assert_array_equal(params["lstm.b"][:2], [0.0, 0.0])
     np.testing.assert_array_equal(params["lstm.b"][4:], np.zeros(4))
-    total = sum(v.size for v in params.values())
+    total = sum(v.size for k, v in params.items() if k.startswith("lstm."))
     assert total == 4 * 8 + 2 * 8 + 3 * 2 + 8  # == 62
 
 
 def test_sequence_init_determinism():
     cfg = TrainingConfig(seed=5).validate()
-    a = nn.init_sequence_params(np.random.default_rng(5), cfg, 11, 54)
-    b = nn.init_sequence_params(np.random.default_rng(5), cfg, 11, 54)
+    a = nn.init_params(nn.sequence_layout(cfg, 11, 54), np.random.default_rng(5),
+                       cfg.np_dtype)
+    b = nn.init_params(nn.sequence_layout(cfg, 11, 54), np.random.default_rng(5),
+                       cfg.np_dtype)
     assert set(a) == set(b)
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
@@ -163,7 +172,7 @@ def _random_sequence_setup(seed, conditioning, dropout=0.2, V=5, F=6, B=3, T=4):
                          conditioning=conditioning, dtype="float64",
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
-    params = nn.init_sequence_params(rng, cfg, V, F)
+    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng, cfg.np_dtype)
     feats = rng.standard_normal((B, F))
     in_ids = rng.integers(0, V, (B, T))
     targets = rng.integers(0, V, (B, T))
@@ -274,7 +283,7 @@ def test_atomic_gradients_match_finite_differences(seed):
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
     F, C, B = 6, 5, 3
-    params = nn.init_atomic_params(rng, cfg, F, C)
+    params = nn.init_params(nn.atomic_layout(cfg, F, C), rng, cfg.np_dtype)
     feats = rng.standard_normal((B, F))
     targets = rng.integers(0, C, B)
     drop = (nn.dropout_mask(rng, (B, 4), 0.2, np.float64),
@@ -344,7 +353,7 @@ def _scoring_setup(seed, B, conditioning, dtype, dims, lengths, holes=False):
                          conditioning=conditioning, dtype=dtype,
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
-    params = nn.init_sequence_params(rng, cfg, V, F)
+    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng, cfg.np_dtype)
     params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
     T = int(lengths.max())

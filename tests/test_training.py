@@ -254,7 +254,7 @@ def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes):
                          conditioning=conditioning, dtype=dtype,
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
-    params = nn.init_sequence_params(rng, cfg, V, F)
+    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng, cfg.np_dtype)
     params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
     lengths = rng.integers(1, T + 1, B)
@@ -316,7 +316,7 @@ def test_atomic_training_pass_equals_padded_reference(B, C, dtype, dropout, seed
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
     F = 54
-    params = nn.init_atomic_params(rng, cfg, F, C)
+    params = nn.init_params(nn.atomic_layout(cfg, F, C), rng, cfg.np_dtype)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
     targets = rng.integers(0, C, B)
     drop = (nn.dropout_mask(rng, (B, 20), 0.2, cfg.np_dtype),
@@ -338,7 +338,7 @@ def test_atomic_training_pass_equals_padded_reference(B, C, dtype, dropout, seed
 def test_atomic_target_logprobs_equal_full_log_softmax(B, C, dtype, seed):
     cfg = TrainingConfig(atomic_hidden=20, dtype=dtype, seed=seed).validate()
     rng = np.random.default_rng(seed)
-    params = nn.init_atomic_params(rng, cfg, 54, C)
+    params = nn.init_params(nn.atomic_layout(cfg, 54, C), rng, cfg.np_dtype)
     params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
     feats = rng.standard_normal((B, 54)).astype(cfg.np_dtype)
     targets = rng.integers(0, C, B)
