@@ -10,7 +10,6 @@ divergence, undefined metrics, unwritable outputs).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -21,12 +20,15 @@ import numpy as np
 
 from . import __version__
 from .colors import ColorHSL, ColorHSV, hsl_to_hsv
-from .corpus import Description, load_manifest, tokenize
+from .corpus import Description, load_manifest, read_key_values, tokenize
 from .errors import ColordescError, ConfigError
 from .evaluation import EvalReport, evaluate, hit_flags, permutation_test
-from .models import load_checkpoint, save_checkpoint, train_model
-from .nn import TrainingConfig
-from .viz import GridSpec, cross_sections, describe_slug, probability_field, render
+from .features import SCHEMES
+from .models import (DEFAULT_BEAM_WIDTH, DEFAULT_MAX_LEN, PRNG_ID, load_checkpoint,
+                     save_checkpoint, train_model)
+from .nn import CONDITIONING_MODES, TrainingConfig
+from .viz import (DEFAULT_GRID, GridSpec, cross_sections, describe_slug,
+                  probability_field, render)
 
 FAMILY_ALIASES = {
     "rnn": "sequence",
@@ -36,24 +38,25 @@ FAMILY_ALIASES = {
     "histogram": "histogram",
 }
 
-PRNG_ID = "numpy.PCG64"
+# train option dest -> TrainingConfig field; the option takes the
+# field's default and type, and --config keys are these dests
+TRAIN_FIELDS = {
+    "seed": "seed", "epochs": "max_epochs", "batch_size": "batch_size",
+    "lr": "learning_rate", "dropout": "dropout", "hidden": "hidden_size",
+    "embedding_dim": "embedding_dim", "patience": "patience",
+    "evals_per_epoch": "evals_per_epoch", "conditioning": "conditioning",
+}
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_run_meta(outdir: Path, command: str, settings: dict,
-                    **extra) -> None:
-    meta = {
-        "command": command,
-        "settings": settings,
-        "prng": PRNG_ID,
-        "version": __version__,
-        "timestamp": _now(),
-        **extra,
-    }
-    with open(outdir / "run-meta.json", "w", encoding="utf-8") as fh:
+def _write_run_meta(path: Path, **fields) -> None:
+    """Write ``fields`` with the PRNG, version and timestamp as JSON."""
+    meta = {**fields, "prng": PRNG_ID, "version": __version__,
+            "timestamp": _now()}
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -103,25 +106,6 @@ def _load_counts(splits: dict) -> dict:
     return {"skipped_records": {name: ds.skipped for name, ds in splits.items()}}
 
 
-# -- config-file handling (train only): plain key=value lines that become
-# the train parser's defaults, so explicit flags win
-
-
-def _read_config_file(path: Path) -> dict:
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    values = {}
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 # -- subcommands
 
 
@@ -134,18 +118,8 @@ def cmd_train(args) -> int:
     family = FAMILY_ALIASES.get(args.family)
     if family is None:
         raise ConfigError(f"unknown family {args.family!r}")
-    config = TrainingConfig(
-        learning_rate=args.lr,
-        dropout=args.dropout,
-        hidden_size=args.hidden,
-        embedding_dim=args.embedding_dim,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        evals_per_epoch=args.evals_per_epoch,
-        seed=args.seed,
-        conditioning=args.conditioning,
-    ).validate()
+    config = TrainingConfig(**{field: getattr(args, dest)
+                               for dest, field in TRAIN_FIELDS.items()}).validate()
     splits = load_manifest(args.data)
     if "train" not in splits:
         raise ConfigError(f"manifest {args.data} does not define a train split")
@@ -172,7 +146,8 @@ def cmd_train(args) -> int:
         "out": str(outdir), "subsample_train": args.subsample_train,
         "config": config.to_dict(),
     }
-    _write_run_meta(outdir, "train", settings, counts=_load_counts(splits))
+    _write_run_meta(outdir / "run-meta.json", command="train", settings=settings,
+                    counts=_load_counts(splits))
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -192,17 +167,14 @@ def cmd_eval(args) -> int:
                       timestamp=_now())
     scored = time.perf_counter()
     if not args.skip_accuracy:
-        hits = hit_flags(model, ds, args.beam)
-        report = dataclasses.replace(
-            report, accuracy=float(hits.mean() * 100.0), beam_width=args.beam,
-            hits=[int(x) for x in hits])
+        report = report.with_hits(hit_flags(model, ds, args.beam), args.beam)
     timings = {"load_s": loaded - start, "score_s": scored - loaded,
                "beam_s": time.perf_counter() - scored}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / f"eval-{args.split}.json"
     report.save(report_path)
-    _write_run_meta(outdir, "eval", {
+    _write_run_meta(outdir / "run-meta.json", command="eval", settings={
         "ckpt": str(args.ckpt), "data": str(args.data), "split": args.split,
         "beam": args.beam, "skip_accuracy": args.skip_accuracy,
         "allow_zero": args.allow_zero, "out": str(outdir),
@@ -257,9 +229,9 @@ def cmd_compare(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "compare.json").write_text(text + "\n", encoding="utf-8")
-        _write_run_meta(outdir, "compare", {k: record[k] for k in
-                                            ("metric", "rounds", "seed",
-                                             "report_a", "report_b")})
+        _write_run_meta(outdir / "run-meta.json", command="compare",
+                        settings={k: record[k] for k in ("metric", "rounds", "seed",
+                                                         "report_a", "report_b")})
     return 0
 
 
@@ -308,19 +280,9 @@ def cmd_denotation(args) -> int:
     path_r = outdir / f"{slug}-R.pgm"
     render(sec_l, path_l)
     render(sec_r, path_r)
-    meta = {
-        "description": args.desc,
-        "tokens": tokens,
-        "grid": list(grid.dims),
-        "checkpoint": str(args.ckpt),
-        "files": {"L": path_l.name, "R": path_r.name},
-        "prng": PRNG_ID,
-        "version": __version__,
-        "timestamp": _now(),
-    }
-    with open(outdir / f"{slug}-meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_run_meta(outdir / f"{slug}-meta.json", description=args.desc,
+                    tokens=tokens, grid=list(grid.dims), checkpoint=str(args.ckpt),
+                    files={"L": path_l.name, "R": path_r.name})
     print(f"wrote {path_l} and {path_r}")
     return 0
 
@@ -342,21 +304,15 @@ def build_parser(train_defaults: dict | None = None):
     p_train.add_argument("--config", default="", help="key=value defaults file")
     p_train.add_argument("--family", default="rnn",
                          choices=sorted(FAMILY_ALIASES))
-    p_train.add_argument("--features", default="fourier",
-                         choices=("raw", "fourier", "buckets"))
+    p_train.add_argument("--features", default="fourier", choices=SCHEMES)
     p_train.add_argument("--data", default="", help="split manifest path")
     p_train.add_argument("--out", default="", help="output directory")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--epochs", type=int, default=10)
-    p_train.add_argument("--batch-size", type=int, default=128)
-    p_train.add_argument("--lr", type=float, default=0.1)
-    p_train.add_argument("--dropout", type=float, default=0.2)
-    p_train.add_argument("--hidden", type=int, default=20)
-    p_train.add_argument("--embedding-dim", type=int, default=20)
-    p_train.add_argument("--patience", type=int, default=2)
-    p_train.add_argument("--evals-per-epoch", type=int, default=2)
-    p_train.add_argument("--conditioning", default="every-step",
-                         choices=("every-step", "init-state"))
+    config = TrainingConfig()
+    choices = {"conditioning": CONDITIONING_MODES}
+    for dest, field in TRAIN_FIELDS.items():
+        default = getattr(config, field)
+        p_train.add_argument("--" + dest.replace("_", "-"), type=type(default),
+                             default=default, choices=choices.get(dest))
     p_train.add_argument("--subsample-train", type=int, default=0,
                          help="train on a seeded random subsample of this size")
 
@@ -365,7 +321,7 @@ def build_parser(train_defaults: dict | None = None):
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--split", default="dev",
                         choices=("train", "dev", "test"))
-    p_eval.add_argument("--beam", type=int, default=10)
+    p_eval.add_argument("--beam", type=int, default=DEFAULT_BEAM_WIDTH)
     p_eval.add_argument("--skip-accuracy", action="store_true")
     p_eval.add_argument("--allow-zero", action="store_true",
                         help="exclude zero-probability items instead of failing")
@@ -386,20 +342,20 @@ def build_parser(train_defaults: dict | None = None):
     p_sample.add_argument("--hsl", default="")
     p_sample.add_argument("--n", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--max-len", type=int, default=20)
+    p_sample.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
 
     p_top1 = sub.add_parser("top1", help="most likely description for a color")
     p_top1.add_argument("--ckpt", required=True)
     p_top1.add_argument("--hsv", default="")
     p_top1.add_argument("--hsl", default="")
-    p_top1.add_argument("--beam", type=int, default=10)
-    p_top1.add_argument("--max-len", type=int, default=20)
+    p_top1.add_argument("--beam", type=int, default=DEFAULT_BEAM_WIDTH)
+    p_top1.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
 
     p_den = sub.add_parser("denotation",
                            help="render cross-section images for a description")
     p_den.add_argument("--ckpt", required=True)
     p_den.add_argument("--desc", required=True)
-    p_den.add_argument("--grid", default="120x50x50")
+    p_den.add_argument("--grid", default="x".join(map(str, DEFAULT_GRID)))
     p_den.add_argument("--outdir", required=True)
 
     if train_defaults:
@@ -415,8 +371,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "train":
             if args.config:
-                values = _read_config_file(Path(args.config))
-                args = build_parser(values).parse_args(argv)
+                # the file's key=value lines become the train parser's
+                # defaults, so explicit flags win
+                values = read_key_values(args.config, "config file")
+                defaults = {k.replace("-", "_"): v for k, v in values.items()}
+                args = build_parser(defaults).parse_args(argv)
             return cmd_train(args)
         if args.command == "eval":
             return cmd_eval(args)

@@ -288,17 +288,15 @@ def _chain_first(first_line: str, rest):
     yield from rest
 
 
-def load_manifest(path) -> dict:
-    """Read a split manifest (key=value lines, keys train/dev/test plus an
-    optional space=hsv|hsl) and load each listed split.
-
-    Relative paths are resolved against the manifest's directory.
-    """
+def read_key_values(path, what: str = "manifest") -> dict:
+    """The key=value lines of a manifest or config file (``what`` names
+    it in errors), keys and values stripped; blank lines and lines
+    starting with # are skipped and a byte order mark is ignored."""
     path = Path(path)
     if not path.is_file():
-        raise CorpusError(f"manifest not found: {path}")
+        raise CorpusError(f"{what} not found: {path}")
     entries: dict[str, str] = {}
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -306,6 +304,17 @@ def load_manifest(path) -> dict:
             raise CorpusError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
+    return entries
+
+
+def load_manifest(path) -> dict:
+    """Read a split manifest (key=value lines, keys train/dev/test plus an
+    optional space=hsv|hsl) and load each listed split.
+
+    Relative paths are resolved against the manifest's directory.
+    """
+    path = Path(path)
+    entries = read_key_values(path)
     space = entries.pop("space", "auto")
     splits = {}
     for name in ("train", "dev", "test"):

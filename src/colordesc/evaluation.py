@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .corpus import Dataset
-from .errors import EvaluationError
+from .errors import ConfigError, EvaluationError
 
 LN2 = math.log(2.0)
 
@@ -162,6 +162,12 @@ def permutation_test(per_item_a, per_item_b, rounds: int = 10000,
     return (count + 1) / (rounds + 1)
 
 
+def _numbers(v, n) -> bool:
+    """Is ``v`` a list of ``n`` ints or floats, with ``n`` an int?"""
+    return (type(n) is int and isinstance(v, list) and len(v) == n
+            and all(type(x) in (int, float) for x in v))
+
+
 @dataclass
 class EvalReport:
     """Everything Table-style comparisons need, including the per-item
@@ -186,6 +192,12 @@ class EvalReport:
                 f"perplexity={self.perplexity:.4f} aic={self.aic:.6g} "
                 f"k={self.param_count} accuracy={acc}")
 
+    def with_hits(self, hits: np.ndarray, beam_width: int) -> "EvalReport":
+        """This report with the per-item hits of a beam search of
+        ``beam_width`` and their accuracy."""
+        return replace(self, accuracy=float(hits.mean() * 100.0),
+                       beam_width=beam_width, hits=[int(x) for x in hits])
+
     def to_json(self) -> str:
         """Strict JSON: each non-finite float (a zero-probability item's
         log2 probability, a saturated perplexity) is written as null."""
@@ -203,8 +215,16 @@ class EvalReport:
 
     @classmethod
     def load(cls, path) -> "EvalReport":
+        """Read a report ``save`` wrote; a file that is not one, or whose
+        per-item vectors are not numbers for each of its items, is a
+        ConfigError naming the file."""
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+            try:
+                d = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path} is not an eval report: not a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         d = {k: v for k, v in d.items() if k in known}
         # null stands for a non-finite float; a report written with bare
@@ -213,6 +233,13 @@ class EvalReport:
             d["perplexity"] = math.inf
         if isinstance(d.get("log2_probs"), list):
             d["log2_probs"] = [-math.inf if x is None else x for x in d["log2_probs"]]
+        missing = sorted(known - set(d) - {"timestamp"})
+        if missing:
+            raise ConfigError(f"{path} is not an eval report: missing {missing}")
+        if not _numbers(d["log2_probs"], d["n_items"]) or not (
+                d["hits"] is None or _numbers(d["hits"], d["n_items"])):
+            raise ConfigError(f"{path} is not an eval report: log2_probs and "
+                              "hits must each hold n_items numbers")
         return cls(**d)
 
 
@@ -226,24 +253,20 @@ def evaluate(model, ds: Dataset, split: str = "", beam_width: int | None = 10,
     log2p = per_item_log2(model, ds)
     ppl, total_bits, _, n_zero = perplexity_from_log2(log2p, on_zero)
     k = count_params(model)
-    if beam_width is None:
-        hits = None
-        acc = None
-    else:
-        hits = hit_flags(model, ds, beam_width)
-        acc = float(hits.mean() * 100.0)
-        hits = [int(x) for x in hits]
-    return EvalReport(
+    report = EvalReport(
         split=split,
         n_items=len(ds),
         perplexity=ppl,
         total_bits=total_bits,
         param_count=k,
         aic=aic(total_bits, k),
-        accuracy=acc,
-        beam_width=beam_width,
+        accuracy=None,
+        beam_width=None,
         zero_prob_items=n_zero,
         log2_probs=[float(x) for x in log2p],
-        hits=hits,
+        hits=None,
         timestamp=timestamp,
     )
+    if beam_width is None:
+        return report
+    return report.with_hits(hit_flags(model, ds, beam_width), beam_width)

@@ -26,7 +26,7 @@ FOURIER_DIM = 54
 BUCKET_GRIDS = ((90, 10, 10), (45, 5, 5), (1, 1, 1))
 BUCKET_SIZES = tuple(nh * ns * nv for nh, ns, nv in BUCKET_GRIDS)
 
-SCHEMES = ("raw", "buckets", "fourier")
+SCHEMES = ("raw", "fourier", "buckets")
 
 # frequency triples (j, k, l), j outer / l inner
 _FREQS = np.array(

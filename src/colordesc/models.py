@@ -39,6 +39,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import CheckpointError, ConfigError, CorpusError, TrainingDivergence
+from .evaluation import per_item_log2, perplexity_from_log2
 from .features import (
     BUCKET_GRIDS,
     BUCKET_SIZES,
@@ -54,6 +55,9 @@ FAMILIES = ("sequence", "atomic", "histogram")
 
 DEFAULT_BEAM_WIDTH = 10
 DEFAULT_MAX_LEN = 20
+
+# the bit generator of every seeded draw; checkpoints and run-meta record it
+PRNG_ID = "numpy.PCG64"
 
 BUCKET_PARAM_NAMES = ("buckets.fine", "buckets.mid", "buckets.global")
 HISTOGRAM_LEVELS = ("fine", "mid", "global")
@@ -90,6 +94,14 @@ def _as_tokens(d) -> list:
 def _class_ids(index: dict, token_seqs) -> np.ndarray:
     """Inventory class id of each token sequence, -1 outside the inventory."""
     return np.array([index.get(tuple(t), -1) for t in token_seqs], dtype=np.int64)
+
+
+def _inventory(train: Dataset):
+    """The sorted distinct descriptions of ``train`` and the class id of
+    each of its rows."""
+    inventory = sorted({d.key() for d in train.descriptions})
+    index = {k: i for i, k in enumerate(inventory)}
+    return inventory, _class_ids(index, [d.tokens for d in train.descriptions])
 
 
 def _nonempty_tokens(d) -> list:
@@ -453,10 +465,8 @@ class HistogramModel(_InventoryModel):
     def build(cls, config: TrainingConfig, train: Dataset) -> "HistogramModel":
         if len(train) == 0:
             raise ConfigError("histogram model needs a nonempty dataset")
-        inventory = sorted({d.key() for d in train.descriptions})
+        inventory, cls_ids = _inventory(train)
         C = len(inventory)
-        cls_ids = _class_ids({k: i for i, k in enumerate(inventory)},
-                             [d.tokens for d in train.descriptions])
         idx = bucket_index_array(train.colors)
         counts = []
         for r in range(len(BUCKET_GRIDS)):
@@ -522,15 +532,13 @@ class HistogramModel(_InventoryModel):
 
 
 def _monitor_perplexity(model, ds: Dataset) -> float:
-    """Per-description perplexity for the training monitor. Items the
-    model cannot represent (atomic dev OOV) are excluded here; the
-    evaluation module handles them by policy instead."""
-    logs = model.score_dataset(ds)
-    finite = logs[np.isfinite(logs)]
-    if finite.size == 0:
+    """Per-description perplexity for the training monitor, as ``eval
+    --allow-zero`` computes it: items the model cannot represent (atomic
+    dev OOV) are excluded, and inf is returned when none is left."""
+    log2p = per_item_log2(model, ds)
+    if not np.isfinite(log2p).any():
         return math.inf
-    bits = -finite / math.log(2.0)
-    return float(2.0 ** bits.mean())
+    return perplexity_from_log2(log2p, on_zero="exclude")[0]
 
 
 def _first_nonfinite(params: dict) -> str:
@@ -629,10 +637,8 @@ def _train_sequence(train: Dataset, config: TrainingConfig, scheme: str,
 
 def _train_atomic(train: Dataset, config: TrainingConfig, scheme: str,
                   monitor: Dataset, monitor_name: str):
-    inventory = sorted({d.key() for d in train.descriptions})
+    inventory, targets_all = _inventory(train)
     model = AtomicModel.build(config, inventory, scheme)
-    targets_all = np.array([model.index[d.key()] for d in train.descriptions],
-                           dtype=np.int64)
 
     def batch_grads(feats, batch, rng):
         _, cache = nn.atomic_forward(model.params, config, feats,
@@ -709,7 +715,7 @@ def save_checkpoint(model, path) -> None:
         "features": FEATURE_CONSTANTS,
         "meta": {
             "seed": model.config.seed,
-            "prng": "numpy.PCG64",
+            "prng": PRNG_ID,
             "epochs_trained": model.epochs_trained,
         },
     }

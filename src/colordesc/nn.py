@@ -30,6 +30,8 @@ ADAGRAD_EPS = 1e-8
 
 Params = dict  # str -> np.ndarray
 
+CONDITIONING_MODES = ("every-step", "init-state")
+
 
 @dataclass
 class TrainingConfig:
@@ -49,7 +51,7 @@ class TrainingConfig:
     patience: int = 2
     evals_per_epoch: int = 2
     seed: int = 0
-    conditioning: str = "every-step"  # or "init-state"
+    conditioning: str = "every-step"  # one of CONDITIONING_MODES
     dtype: str = "float32"
     adagrad_eps: float = ADAGRAD_EPS
 
@@ -65,7 +67,7 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.conditioning not in ("every-step", "init-state"):
+        if self.conditioning not in CONDITIONING_MODES:
             raise ConfigError(f"unknown conditioning mode {self.conditioning!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from colordesc import TrainingConfig, save_checkpoint
-from colordesc.cli import main
+from colordesc import TrainingConfig, nn, save_checkpoint
+from colordesc.cli import build_parser, main
 from colordesc.models import AtomicModel
 
 from conftest import random_tiny_model
@@ -141,6 +141,47 @@ def test_train_config_file_unknown_key(tmp_corpus, tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "momentum" in capsys.readouterr().err
+
+
+def test_train_config_file_may_start_with_a_byte_order_mark(tmp_corpus, tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("\ufeffepochs=1\nbatch-size=4\n", encoding="utf-8")
+    out = tmp_path / "bom"
+    rc = main(["train", "--config", str(cfg), "--data", str(tmp_corpus),
+               "--out", str(out)])
+    assert rc == 0
+    config = json.loads((out / "run-meta.json").read_text())["settings"]["config"]
+    assert config["max_epochs"] == 1
+    assert config["batch_size"] == 4
+
+
+def _train_actions():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a for a in sub.choices["train"]._actions}
+
+
+def test_train_options_take_default_and_type_from_training_config():
+    actions = _train_actions()
+    defaults = TrainingConfig()
+    for dest, field in {
+            "seed": "seed", "epochs": "max_epochs", "batch_size": "batch_size",
+            "lr": "learning_rate", "dropout": "dropout", "hidden": "hidden_size",
+            "embedding_dim": "embedding_dim", "patience": "patience",
+            "evals_per_epoch": "evals_per_epoch",
+            "conditioning": "conditioning"}.items():
+        value = getattr(defaults, field)
+        assert actions[dest].default == value, dest
+        assert actions[dest].type is type(value), dest
+    assert tuple(actions["conditioning"].choices) == nn.CONDITIONING_MODES
+
+
+def test_train_dests_are_the_config_file_keys():
+    # every dest is a --config key: adding or renaming one changes what
+    # config files may hold
+    assert set(_train_actions()) == {
+        "help", "config", "family", "features", "data", "out", "seed",
+        "epochs", "batch_size", "lr", "dropout", "hidden", "embedding_dim",
+        "patience", "evals_per_epoch", "conditioning", "subsample_train"}
 
 
 def test_train_subsample_smaller_run(tmp_corpus, tmp_path):
@@ -351,6 +392,32 @@ def test_compare_reads_strict_and_old_reports_alike(tmp_path, uniform_atomic_ckp
     assert new_rec["dropped_pairs"] == old_rec["dropped_pairs"] == 1
     assert new_rec["p_value"] == old_rec["p_value"]
     assert new_rec["mean_difference"] == old_rec["mean_difference"]
+
+
+def _string_log2_probs(fields):
+    fields["log2_probs"] = "-1.0 -1.0"
+    return json.dumps(fields)
+
+
+@pytest.mark.parametrize("make_text", [
+    lambda fields: "not json {",
+    lambda fields: "[1, 2]",
+    lambda fields: '{"split": "dev"}',
+    _string_log2_probs,
+], ids=["not-json", "json-list", "missing-fields", "string-log2-probs"])
+def test_compare_malformed_report_is_usage_error(make_text, ab_corpus,
+                                                 uniform_atomic_ckpt, tmp_path,
+                                                 capsys):
+    good = _eval_to(tmp_path / "e", uniform_atomic_ckpt, ab_corpus)
+    bad = tmp_path / "bad.json"
+    bad.write_text(make_text(json.loads(good.read_text())), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["compare", str(good), str(bad)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("flag, value", [

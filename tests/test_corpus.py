@@ -159,6 +159,13 @@ def test_load_manifest_resolves_relative_paths(tmp_path):
     assert splits["train"].split == "train"
 
 
+def test_load_manifest_may_start_with_a_byte_order_mark(tmp_path):
+    _write(tmp_path / "train.csv", "1,2,3,red\n")
+    m = tmp_path / "bom.manifest"
+    m.write_text("\ufefftrain=train.csv\nspace=hsv\n", encoding="utf-8")
+    assert len(load_manifest(m)["train"]) == 1
+
+
 def test_load_manifest_rejects_unknown_keys(tmp_path):
     _write(tmp_path / "train.csv", "1,2,3,red\n")
     m = _write(tmp_path / "m.manifest", "train=train.csv\nbogus=x\n")

@@ -19,6 +19,8 @@ from colordesc import (
     train_model,
 )
 from colordesc.corpus import END_ID, START_ID, UNK_ID
+from colordesc.evaluation import per_item_log2, perplexity_from_log2
+from colordesc.models import _monitor_perplexity
 
 from conftest import (
     constant_step_model,
@@ -322,6 +324,38 @@ def test_training_uses_dev_split_for_monitoring():
     cfg = TrainingConfig(max_epochs=2, batch_size=5, seed=0)
     _, history = train_model("sequence", train, cfg, scheme="raw", dev=dev)
     assert all(rec["split"] == "dev" for rec in history)
+
+
+def test_monitor_perplexity_is_eval_perplexity_bit_for_bit():
+    # the train log's best dev perplexity reads as eval --allow-zero's
+    rng = np.random.default_rng(11)
+    words = ["w0", "w1", "w2", "zz"]
+    pool = Dataset(
+        colors=np.column_stack([rng.uniform(0, 360, 300), rng.uniform(0, 100, 300),
+                                rng.uniform(0, 100, 300)]),
+        descriptions=[Description.from_text(" ".join(rng.choice(words, n)))
+                      for n in rng.integers(1, 4, 300)])
+    atomic = AtomicModel.build(TrainingConfig(seed=2),
+                               [("w0",), ("w1",), ("w0", "w2")], "fourier")
+    for model in (random_tiny_model(2), atomic):
+        for seed in range(150):
+            sub = np.random.default_rng(seed).choice(300, 2 + seed % 50,
+                                                     replace=False)
+            ds = Dataset(pool.colors[sub], [pool.descriptions[i] for i in sub])
+            log2p = per_item_log2(model, ds)
+            expected = (perplexity_from_log2(log2p, "exclude")[0]
+                        if np.isfinite(log2p).any() else math.inf)
+            assert _monitor_perplexity(model, ds) == expected
+
+
+def test_atomic_monitor_outside_the_inventory_records_inf():
+    train = disjoint_pairs(6, seed=10)
+    dev = Dataset(train.colors[:3], [Description.from_text("never seen")] * 3)
+    cfg = TrainingConfig(max_epochs=2, batch_size=3, seed=0)
+    model, history = train_model("atomic", train, cfg, scheme="raw", dev=dev)
+    assert history
+    assert all(rec["perplexity"] == math.inf for rec in history)
+    assert model.epochs_trained >= 1.0
 
 
 def test_train_rejects_bad_inputs():
