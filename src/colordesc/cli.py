@@ -22,10 +22,11 @@ from . import __version__
 from .colors import ColorHSL, ColorHSV, hsl_to_hsv
 from .corpus import Description, load_manifest, read_key_values, tokenize
 from .errors import ColordescError, ConfigError
-from .evaluation import EvalReport, evaluate, hit_flags, permutation_test
+from .evaluation import (DEFAULT_BEAM_WIDTH, EvalReport, evaluate, hit_flags,
+                         permutation_test)
 from .features import SCHEMES
-from .models import (DEFAULT_BEAM_WIDTH, DEFAULT_MAX_LEN, PRNG_ID, load_checkpoint,
-                     save_checkpoint, train_model)
+from .models import (DEFAULT_MAX_LEN, PRNG_ID, load_checkpoint, save_checkpoint,
+                     train_model)
 from .nn import CONDITIONING_MODES, TrainingConfig
 from .viz import (DEFAULT_GRID, GridSpec, cross_sections, describe_slug,
                   probability_field, render)
@@ -359,9 +360,17 @@ def build_parser(train_defaults: dict | None = None):
     p_den.add_argument("--outdir", required=True)
 
     if train_defaults:
-        unknown = set(train_defaults) - {a.dest for a in p_train._actions}
+        actions = {a.dest: a for a in p_train._actions}
+        unknown = set(train_defaults) - set(actions)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # argparse checks choices only for values given as flags
+        for key, value in train_defaults.items():
+            choices = actions[key].choices
+            if choices is not None and value not in choices:
+                raise ConfigError(
+                    f"config key {key}: invalid choice {value!r} "
+                    f"(choose from {', '.join(map(repr, choices))})")
         p_train.set_defaults(**train_defaults)
     return parser
 

@@ -20,6 +20,9 @@ from .errors import ConfigError, EvaluationError
 
 LN2 = math.log(2.0)
 
+# beam width of the accuracy pass and of ``predict_top1``
+DEFAULT_BEAM_WIDTH = 10
+
 
 def per_item_log2(model, ds: Dataset) -> np.ndarray:
     """log2 probability of each (color, description) item. Items the
@@ -76,7 +79,7 @@ def _check_beam_width(beam_width: int) -> None:
         raise ValueError("beam_width must be >= 1")
 
 
-def hit_flags(model, ds: Dataset, beam_width: int = 10) -> np.ndarray:
+def hit_flags(model, ds: Dataset, beam_width: int = DEFAULT_BEAM_WIDTH) -> np.ndarray:
     """Per-item recall@1: does the model's most likely description
     exactly match the reference (token-normalized comparison)?"""
     _check_beam_width(beam_width)
@@ -87,7 +90,7 @@ def hit_flags(model, ds: Dataset, beam_width: int = 10) -> np.ndarray:
     return hits
 
 
-def accuracy(model, ds: Dataset, beam_width: int = 10) -> float:
+def accuracy(model, ds: Dataset, beam_width: int = DEFAULT_BEAM_WIDTH) -> float:
     """Recall@1 as a percentage in [0, 100]."""
     return float(hit_flags(model, ds, beam_width).mean() * 100.0)
 
@@ -243,8 +246,9 @@ class EvalReport:
         return cls(**d)
 
 
-def evaluate(model, ds: Dataset, split: str = "", beam_width: int | None = 10,
-             on_zero: str = "error", timestamp: str = "") -> EvalReport:
+def evaluate(model, ds: Dataset, split: str = "",
+             beam_width: int | None = DEFAULT_BEAM_WIDTH, on_zero: str = "error",
+             timestamp: str = "") -> EvalReport:
     """Score a dataset and assemble the full report. ``beam_width=None``
     skips the (expensive) accuracy pass; a width below 1 is rejected
     before anything is scored."""

@@ -21,6 +21,9 @@ where needed.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import CheckpointError, ConfigError, CorpusError, TrainingDivergence
-from .evaluation import per_item_log2, perplexity_from_log2
+from .evaluation import DEFAULT_BEAM_WIDTH, per_item_log2, perplexity_from_log2
 from .features import (
     BUCKET_GRIDS,
     BUCKET_SIZES,
@@ -53,7 +56,6 @@ from .nn import TrainingConfig
 
 FAMILIES = ("sequence", "atomic", "histogram")
 
-DEFAULT_BEAM_WIDTH = 10
 DEFAULT_MAX_LEN = 20
 
 # the bit generator of every seeded draw; checkpoints and run-meta record it
@@ -71,6 +73,84 @@ FEATURE_CONSTANTS = {
 }
 
 _SCORE_BATCH = 512
+
+# Scoring runs its chunks on the calling thread and on pool threads, at
+# most one for each other usable CPU; numpy releases the interpreter lock
+# inside its kernels. The pool is made by the first call that wakes a
+# thread. A forked child has none of the pool's threads, so it drops the
+# pool and makes its own.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _score_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="colordesc-score")
+        return _pool
+
+
+def _map_chunks(n: int, score_chunk) -> None:
+    """``score_chunk(lo, hi)`` for every ``_SCORE_BATCH``-row chunk
+    [lo, hi) of n rows, on up to one thread per usable CPU. Each chunk is
+    computed as it would be alone and writes only its own rows, so
+    results do not depend on the number of threads. An error is raised
+    once every worker has stopped; no worker starts a chunk after it."""
+    todo = iter(range(0, n, _SCORE_BATCH))
+    # a thread is woken only if it can take two chunks: with fewer, it saves
+    # little of a short call, and its wake-up and the two threads' handoffs
+    # of the interpreter lock cost more on a busy machine
+    workers = min(-(-n // _SCORE_BATCH) // 2, _usable_cpus())
+    lock = threading.Lock()
+
+    def drain():
+        try:
+            while True:
+                with lock:
+                    lo = next(todo, None)
+                if lo is None:
+                    return
+                score_chunk(lo, min(lo + _SCORE_BATCH, n))
+        except BaseException:
+            with lock:
+                for _ in todo:
+                    pass
+            raise
+
+    if workers <= 1:
+        drain()
+        return
+    pool = _score_pool()
+    futures = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        # a worker that has not started would find no chunk left: waiting
+        # for it would only wait for its thread to be scheduled
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    for future in futures:
+        if not future.cancelled():
+            future.result()
 
 # first cell of each resolution when the three are numbered as one space
 _LEVEL_OFFSETS = np.cumsum((0,) + BUCKET_SIZES[:-1])
@@ -253,12 +333,14 @@ class SequenceDecoderModel(_Model):
         its color row. OOV tokens score as <unk>."""
         enc = EncodedDataset(colors, *self.vocab.encode_batch(token_seqs))
         out = np.empty(len(enc), dtype=np.float64)
-        for lo in range(0, len(enc), _SCORE_BATCH):
-            hi = min(lo + _SCORE_BATCH, len(enc))
+
+        def score_chunk(lo, hi):
             feats, _ = self.featurize(colors[lo:hi])
             out[lo:hi] = nn.sequence_logprobs(
                 self.params, self.config, feats,
                 *enc.teacher_forcing(np.arange(lo, hi)))
+
+        _map_chunks(len(enc), score_chunk)
         return out
 
     score_dataset = _score_dataset
@@ -406,11 +488,14 @@ class AtomicModel(_InventoryModel):
         cls_ids = _class_ids(self.index, token_seqs)
         out = np.full(len(cls_ids), -np.inf, dtype=np.float64)
         known = np.flatnonzero(cls_ids >= 0)
-        for lo in range(0, len(known), _SCORE_BATCH):
-            rows = known[lo : lo + _SCORE_BATCH]
+
+        def score_chunk(lo, hi):
+            rows = known[lo:hi]
             feats, _ = self.featurize(colors[rows])
             out[rows] = nn.atomic_target_logprobs(self.params, self.config, feats,
                                                   cls_ids[rows])
+
+        _map_chunks(len(known), score_chunk)
         return out
 
     score_dataset = _score_dataset

@@ -272,14 +272,28 @@ def _lstm_step(W_h, neg_w, ax, h, c, gates, c_out, tc_out, h_out):
     return h, c
 
 
+_LOG_SOFTMAX_BUFFER = 1 << 18  # float64 entries (2 MiB) of _log_softmax_at's buffer
+
+
 def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """log_softmax(logits)[row, targets[row]] of each row, in float64,
     without building the (N, C) log-softmax: z[target] - log(sum(exp(z)))
-    with z = logits - max, the operations of a full log-softmax row."""
-    z = logits.astype(np.float64)
-    z -= logits.max(axis=1, keepdims=True)
-    z_target = z[np.arange(len(z)), targets]
-    return z_target - np.log(np.sum(np.exp(z, out=z), axis=1))
+    with z = logits - max, the operations of a full log-softmax row.
+    Blocks of rows go through one reused float64 buffer of at most
+    ``_LOG_SOFTMAX_BUFFER`` entries (at least one row), so the logits are
+    never converted whole; a row's value does not depend on its block."""
+    N, C = logits.shape
+    step = max(1, _LOG_SOFTMAX_BUFFER // C)
+    out = np.empty(N, dtype=np.float64)
+    buf = np.empty((min(N, step), C), dtype=np.float64)
+    for lo in range(0, N, step):
+        block = logits[lo : lo + step]
+        z = buf[: len(block)]
+        np.subtract(block, block.max(axis=1, keepdims=True), out=z, dtype=np.float64)
+        z_target = z[np.arange(len(z)), targets[lo : lo + len(z)]]
+        log_sum = np.log(np.sum(np.exp(z, out=z), axis=1))
+        np.subtract(z_target, log_sum, out=out[lo : lo + len(z)])
+    return out
 
 
 def _softmax_xent(logits: np.ndarray, targets: np.ndarray):
@@ -512,14 +526,16 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     neg_w = _negated_peepholes(params, B)
     gates = np.empty((4,) + h.shape, dtype=h.dtype)
     tanh_c = np.empty_like(h)
+    logits = np.empty((B, params["out.b"].size), dtype=h.dtype)
     total = np.zeros(B, dtype=np.float64)
     lo = 0
     for t, n in enumerate(n_live):
         _lstm_step(params["lstm.W_h"], neg_w[:, :n], AX[lo : lo + n], h[:n], c[:n],
                    gates[:, :n], c[:n], tanh_c[:n], h[:n])
         lo += n
-        logits = h[:n] @ params["out.W"] + params["out.b"]
-        total[:n] += _log_softmax_at(logits, targets[:n, t]) * mask[:n, t]
+        step_logits = np.matmul(h[:n], params["out.W"], out=logits[:n])
+        step_logits += params["out.b"]
+        total[:n] += _log_softmax_at(step_logits, targets[:n, t]) * mask[:n, t]
     out = np.empty(B, dtype=np.float64)
     out[order] = total
     return out
@@ -617,16 +633,18 @@ def atomic_backward(cache) -> Params:
 
 
 def _atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
-    """(B, C) float64 class logits, dropout off."""
+    """(B, C) class logits in the working precision, dropout off."""
     h1 = np.maximum(feats @ params["fc1.W"] + params["fc1.b"], 0.0)
     h2 = h1 @ params["fc2.W"] + params["fc2.b"]
-    return (h2 @ params["out.W"] + params["out.b"]).astype(np.float64)
+    logits = h2 @ params["out.W"]
+    logits += params["out.b"]
+    return logits
 
 
 def atomic_logprobs(params: Params, cfg: TrainingConfig,
                     feats: np.ndarray) -> np.ndarray:
     """(B, C) log class probabilities, dropout off, float64."""
-    return log_softmax(_atomic_logits(params, feats), axis=1)
+    return log_softmax(_atomic_logits(params, feats).astype(np.float64), axis=1)
 
 
 def atomic_target_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,

@@ -4,7 +4,7 @@ and the finite-difference gradient oracle."""
 import numpy as np
 import pytest
 
-from colordesc import Dataset, Description, TrainingConfig, Vocabulary
+from colordesc import Dataset, Description, TrainingConfig, Vocabulary, nn
 from colordesc.corpus import RESERVED_TOKENS
 from colordesc.models import SequenceDecoderModel
 
@@ -79,7 +79,7 @@ def enumerate_sequences(model, color, max_len: int):
 
 # The allocating peephole LSTM step that ``nn._lstm_step`` replaced, and
 # its sigmoid, verbatim apart from the step's name: the padded reference
-# kernels in test_nn.py and test_training.py run on it.
+# kernels below and in test_training.py run on it.
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp overflow for very negative inputs saturates to the correct 0.0
@@ -103,6 +103,28 @@ def lstm_step_full(params, x, h_prev, c_prev, a=None):
     tc = np.tanh(c)
     h = o * tc
     return h, c, (i, f, g, o, tc)
+
+
+def padded_sequence_logprobs(params, cfg, feats, in_ids, targets, mask):
+    """The padded scorer: every row runs all T steps, the full (B, V)
+    log-softmax is built at each step and the mask zeroes padding."""
+    B, T = in_ids.shape
+    H = cfg.hidden_size
+    X = params["emb"][in_ids]
+    if cfg.conditioning == "every-step":
+        tiled = np.broadcast_to(feats[:, None, :], (B, T, feats.shape[1]))
+        X = np.concatenate([tiled, X], axis=2)
+    AX = X.reshape(B * T, -1) @ params["lstm.W_x"] + params["lstm.b"]
+    AX = AX.reshape(B, T, 4 * H)
+    h, c = nn.sequence_initial_state(params, cfg, feats)
+    total = np.zeros(B, dtype=np.float64)
+    rows = np.arange(B)
+    for t in range(T):
+        h, c, _ = lstm_step_full(params, None, h, c, a=AX[:, t])
+        logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
+        logp = nn.log_softmax(logits, axis=1)
+        total += logp[rows, targets[:, t]] * mask[:, t]
+    return total
 
 
 def fd_max_relative_error(params, loss_fn, grads, delta: float = 1e-4) -> float:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from colordesc import TrainingConfig, nn, save_checkpoint
+from colordesc import TrainingConfig, cli, nn, save_checkpoint
 from colordesc.cli import build_parser, main
 from colordesc.models import AtomicModel
 
@@ -153,6 +153,25 @@ def test_train_config_file_may_start_with_a_byte_order_mark(tmp_corpus, tmp_path
     config = json.loads((out / "run-meta.json").read_text())["settings"]["config"]
     assert config["max_epochs"] == 1
     assert config["batch_size"] == 4
+
+
+@pytest.mark.parametrize("key", ["features", "family", "conditioning"])
+def test_train_config_file_bad_choice_fails_before_reading_data(
+        key, tmp_corpus, tmp_path, capsys, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"manifest {path} was read")
+
+    monkeypatch.setattr(cli, "load_manifest", no_read)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}=bogus\n", encoding="utf-8")
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--data", str(tmp_corpus),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith(f"error: config key {key}: invalid choice 'bogus'")
+    assert not out.exists()
 
 
 def _train_actions():

@@ -1,4 +1,11 @@
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +22,11 @@ from colordesc import (
     SequenceDecoderModel,
     TrainingConfig,
     load_checkpoint,
+    nn,
     save_checkpoint,
     train_model,
 )
-from colordesc.corpus import END_ID, START_ID, UNK_ID
+from colordesc.corpus import END_ID, START_ID, UNK_ID, EncodedDataset
 from colordesc.evaluation import per_item_log2, perplexity_from_log2
 from colordesc.models import _monitor_perplexity
 
@@ -27,6 +35,7 @@ from conftest import (
     disjoint_pairs,
     enumerate_sequences,
     make_vocab,
+    padded_sequence_logprobs,
     random_tiny_model,
 )
 
@@ -513,6 +522,177 @@ def test_atomic_param_count_breakdown():
     cfg = TrainingConfig()
     model = AtomicModel.build(cfg, [("a",), ("b",), ("c",)], "raw")
     assert model.param_count == 3 * 20 + 20 + 20 * 20 + 20 + 20 * 3 + 3
+
+
+# -- scoring chunks on every usable CPU
+
+PHRASE_WORDS = ["w0", "w1", "w2", "zz"]
+
+
+def _phrases(n: int, seed: int) -> Dataset:
+    """n random colors with 1-3 token phrases over PHRASE_WORDS."""
+    rng = np.random.default_rng(seed)
+    colors = np.column_stack([rng.uniform(0, 360, n), rng.uniform(0, 100, n),
+                              rng.uniform(0, 100, n)])
+    return Dataset(colors, [Description.from_text(" ".join(rng.choice(PHRASE_WORDS, k)))
+                            for k in rng.integers(1, 4, n)])
+
+
+def _scoring_models():
+    """An untrained H = 20 sequence model and an atomic model whose
+    inventory holds some of the phrases, both with sharpened outputs."""
+    cfg = TrainingConfig(hidden_size=20, seed=4)
+    seq = SequenceDecoderModel.build(cfg, make_vocab(PHRASE_WORDS[:3]), "fourier")
+    atomic = AtomicModel.build(cfg, [(w,) for w in PHRASE_WORDS]
+                               + [("w0", "w1"), ("w2", "zz", "w1")], "fourier")
+    for model in (seq, atomic):
+        model.params["out.W"] *= np.float32(4.0)
+    return seq, atomic
+
+
+def _serial_reference_scores(model, ds: Dataset) -> np.ndarray:
+    """The serial loop over 512-row chunks that scoring ran before it
+    used every CPU, on the reference kernels: the padded scorer with a
+    full (B, V) log-softmax, and the atomic full log-softmax."""
+    tokens = [d.tokens for d in ds.descriptions]
+    if model.family == "sequence":
+        enc = EncodedDataset(ds.colors, *model.vocab.encode_batch(tokens))
+        out = np.empty(len(ds))
+        for lo in range(0, len(ds), 512):
+            rows = np.arange(lo, min(lo + 512, len(ds)))
+            feats, _ = model.featurize(ds.colors[rows])
+            out[rows] = padded_sequence_logprobs(model.params, model.config, feats,
+                                                 *enc.teacher_forcing(rows))
+        return out
+    cls_ids = np.array([model.index.get(tuple(t), -1) for t in tokens])
+    out = np.full(len(ds), -np.inf)
+    known = np.flatnonzero(cls_ids >= 0)
+    for lo in range(0, len(known), 512):
+        rows = known[lo : lo + 512]
+        feats, _ = model.featurize(ds.colors[rows])
+        logp = nn.atomic_logprobs(model.params, model.config, feats)
+        out[rows] = logp[np.arange(len(rows)), cls_ids[rows]]
+    return out
+
+
+def test_chunked_scores_equal_the_serial_reference_loop():
+    ds = _phrases(3000, 3)
+    for model in _scoring_models():
+        want = _serial_reference_scores(model, ds)
+        assert np.isfinite(want).sum() > 1024, model.family  # several chunks
+        assert model.score_dataset(ds).tobytes() == want.tobytes(), model.family
+
+
+def test_concurrent_callers_share_the_pool_and_score_bit_identically():
+    # more callers than CPUs, switching threads as often as they can
+    seq, atomic = _scoring_models()
+    ds = _phrases(2000, 7)
+    want = {m.family: m.score_dataset(ds).tobytes() for m in (seq, atomic)}
+    got = []
+
+    def caller(model):
+        for _ in range(3):
+            got.append((model.family, model.score_dataset(ds).tobytes()))
+
+    callers = [threading.Thread(target=caller, args=(m,))
+               for m in (seq, atomic) * (os.cpu_count() or 1) * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(got) == 3 * len(callers)
+    assert all(scores == want[family] for family, scores in got)
+
+
+# Run in a fresh interpreter, pinned to one CPU or with all of them: it
+# trains and scores with both neural families and prints what it got,
+# with the number of threads that ran a scoring kernel.
+CPU_CHILD = r"""
+import hashlib, json, os, sys, threading
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from colordesc import TrainingConfig, nn, train_model
+from test_models import _phrases
+
+threads = set()
+
+def recording(kernel):
+    def run(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return kernel(*args, **kwargs)
+    return run
+
+nn.sequence_logprobs = recording(nn.sequence_logprobs)
+nn.atomic_target_logprobs = recording(nn.atomic_target_logprobs)
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+train, dev = _phrases(600, 1), _phrases(3000, 2)
+grid = _phrases(3000, 3).colors
+out = {"cpus": len(os.sched_getaffinity(0))}
+for family in ("sequence", "atomic"):
+    model, history = train_model(family, train, TrainingConfig(max_epochs=1, batch_size=64, seed=5),
+                                 scheme="fourier", dev=dev)
+    out[family] = {
+        "history": [repr(rec["perplexity"]) for rec in history],
+        "params": digest(np.concatenate([v.ravel() for v in model.params.values()])),
+        "scores": digest(model.score_dataset(dev)),
+        "grid": digest(model.score_color_array(grid, train.descriptions[0].tokens)),
+    }
+out["threads"] = len(threads)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_scores_and_monitor_are_bit_identical_on_one_cpu_and_on_all():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(colordesc.__file__).parents[1]),
+                                          str(Path(__file__).parent),
+                                          os.environ.get("PYTHONPATH", "")])}
+    runs = {}
+    for mode in ("pinned", "all"):
+        proc = subprocess.run([sys.executable, "-c", CPU_CHILD, mode], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout.splitlines()[-1])
+    pinned, every = runs["pinned"], runs["all"]
+    assert pinned["cpus"] == 1 and pinned["threads"] == 1
+    if every["cpus"] > 1:
+        assert every["threads"] > 1
+    for family in ("sequence", "atomic"):
+        assert len(pinned[family]["history"]) == 2
+        assert pinned[family] == every[family], family
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+# forking a process that has threads is what this test checks
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_child_forked_after_scoring_scores_like_its_parent():
+    seq, _ = _scoring_models()
+    ds = _phrases(3000, 6)
+    want = seq.score_dataset(ds).tobytes()  # the parent's pool is running
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=lambda: results.put(seq.score_dataset(ds).tobytes()))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert got == want
 
 
 # -- checkpoints

@@ -9,7 +9,7 @@ from colordesc.corpus import END_ID
 from colordesc.errors import ConfigError
 from colordesc import nn
 
-from conftest import fd_max_relative_error, lstm_step_full
+from conftest import fd_max_relative_error, padded_sequence_logprobs
 
 
 def test_config_validation():
@@ -321,28 +321,6 @@ def test_update_determinism_over_many_steps():
 
 
 # -- live-row scoring against the padded scorer
-
-
-def padded_sequence_logprobs(params, cfg, feats, in_ids, targets, mask):
-    """The padded scorer: every row runs all T steps, the full (B, V)
-    log-softmax is built at each step and the mask zeroes padding."""
-    B, T = in_ids.shape
-    H = cfg.hidden_size
-    X = params["emb"][in_ids]
-    if cfg.conditioning == "every-step":
-        tiled = np.broadcast_to(feats[:, None, :], (B, T, feats.shape[1]))
-        X = np.concatenate([tiled, X], axis=2)
-    AX = X.reshape(B * T, -1) @ params["lstm.W_x"] + params["lstm.b"]
-    AX = AX.reshape(B, T, 4 * H)
-    h, c = nn.sequence_initial_state(params, cfg, feats)
-    total = np.zeros(B, dtype=np.float64)
-    rows = np.arange(B)
-    for t in range(T):
-        h, c, _ = lstm_step_full(params, None, h, c, a=AX[:, t])
-        logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
-        logp = nn.log_softmax(logits, axis=1)
-        total += logp[rows, targets[:, t]] * mask[:, t]
-    return total
 
 
 def _scoring_setup(seed, B, conditioning, dtype, dims, lengths, holes=False):
