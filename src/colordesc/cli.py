@@ -25,8 +25,8 @@ from .errors import ColordescError, ConfigError
 from .evaluation import (DEFAULT_BEAM_WIDTH, EvalReport, evaluate, hit_flags,
                          permutation_test)
 from .features import SCHEMES
-from .models import (DEFAULT_MAX_LEN, PRNG_ID, load_checkpoint, save_checkpoint,
-                     train_model)
+from .models import (DEFAULT_MAX_LEN, PRNG_ID, check_family_scheme, load_checkpoint,
+                     save_checkpoint, train_model)
 from .nn import CONDITIONING_MODES, TrainingConfig
 from .viz import (DEFAULT_GRID, GridSpec, cross_sections, describe_slug,
                   probability_field, render)
@@ -119,6 +119,7 @@ def cmd_train(args) -> int:
     family = FAMILY_ALIASES.get(args.family)
     if family is None:
         raise ConfigError(f"unknown family {args.family!r}")
+    check_family_scheme(family, args.features)
     config = TrainingConfig(**{field: getattr(args, dest)
                                for dest, field in TRAIN_FIELDS.items()}).validate()
     splits = load_manifest(args.data)
@@ -239,11 +240,10 @@ def cmd_compare(args) -> int:
 def cmd_sample(args) -> int:
     _check_int_flags(args)
     model = load_checkpoint(args.ckpt)
-    color = _color_from_args(args)
+    colors = np.tile(_color_from_args(args).as_tuple(), (args.n, 1))
     rng = np.random.default_rng(args.seed)
-    for _ in range(args.n):
-        desc = model.sample(color, rng, max_len=args.max_len)
-        print(" ".join(desc.tokens))
+    for tokens in model.sample_batch(colors, rng, max_len=args.max_len):
+        print(" ".join(tokens))
     return 0
 
 

@@ -81,13 +81,12 @@ def _check_beam_width(beam_width: int) -> None:
 
 def hit_flags(model, ds: Dataset, beam_width: int = DEFAULT_BEAM_WIDTH) -> np.ndarray:
     """Per-item recall@1: does the model's most likely description
-    exactly match the reference (token-normalized comparison)?"""
+    exactly match the reference (token-normalized comparison)? Every
+    item is decoded in one ``predict_top1_batch`` call."""
     _check_beam_width(beam_width)
-    hits = np.zeros(len(ds), dtype=np.int8)
-    for i in range(len(ds)):
-        pred = model.predict_top1(ds.color(i), beam_width=beam_width)
-        hits[i] = 1 if pred.key() == ds.descriptions[i].key() else 0
-    return hits
+    preds = model.predict_top1_batch(ds.colors, beam_width=beam_width)
+    return np.array([p == d.key() for p, d in zip(preds, ds.descriptions)],
+                    dtype=np.int8)
 
 
 def accuracy(model, ds: Dataset, beam_width: int = DEFAULT_BEAM_WIDTH) -> float:

@@ -10,12 +10,13 @@
 All families derive from ``_Model``, which holds the config, feature
 scheme, parameter tensors and epochs trained, featurizes colors and
 saves and loads checkpoints; atomic and histogram also share an
-inventory of descriptions. Every family exposes score_description /
-sample / predict_top1. Each family has one scoring path,
+inventory of descriptions. Each family has one scoring path,
 ``score_token_batch(colors, token_seqs)``; score_description,
 score_dataset and score_color_array only adapt their arguments to it.
-Scores are natural-log probabilities; metric code converts to bits
-where needed.
+Likewise each family decodes and samples many colors per call,
+``predict_top1_batch`` and ``sample_batch``; predict_top1 and sample
+are their one-row calls. Scores are natural-log probabilities; metric
+code converts to bits where needed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .corpus import (
     Description,
     EncodedDataset,
     END_ID,
+    RESERVED_TOKENS,
     START_ID,
     UNK_ID,
     Vocabulary,
@@ -114,6 +117,10 @@ def _map_chunks(n: int, score_chunk) -> None:
     computed as it would be alone and writes only its own rows, so
     results do not depend on the number of threads. An error is raised
     once every worker has stopped; no worker starts a chunk after it."""
+    if n <= _SCORE_BATCH:
+        if n:
+            score_chunk(0, n)
+        return
     todo = iter(range(0, n, _SCORE_BATCH))
     # a thread is woken only if it can take two chunks: with fewer, it saves
     # little of a short call, and its wake-up and the two threads' handoffs
@@ -151,6 +158,9 @@ def _map_chunks(n: int, score_chunk) -> None:
     for future in futures:
         if not future.cancelled():
             future.result()
+
+# the lowest finite float64: a floor that keeps every finite score
+_LOWEST = np.finfo(np.float64).min
 
 # first cell of each resolution when the three are numbered as one space
 _LEVEL_OFFSETS = np.cumsum((0,) + BUCKET_SIZES[:-1])
@@ -218,6 +228,57 @@ def _check_generation_args(beam_width: int, max_len: int) -> None:
         raise ValueError("max_len must be >= 0")
 
 
+# predict_top1 and sample are bound in every family's class body for the
+# same reason as score_dataset.
+
+def _predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
+                  max_len: int = DEFAULT_MAX_LEN) -> Description:
+    """The most likely description of color c: ``predict_top1_batch`` on
+    one row."""
+    _check_generation_args(beam_width, max_len)
+    return _description(self._top1_batch(_as_color_array(c), beam_width, max_len)[0])
+
+
+def _sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
+    """One draw for color c: ``sample_batch`` on one row."""
+    return _description(self.sample_batch(_as_color_array(c), rng, max_len)[0])
+
+
+def _one_row_as_two(fn, *rows):
+    """``fn(*rows)`` for arrays with one row per item; a one-item call runs
+    on its row twice and keeps the first. numpy sends a one-row product to
+    gemv, whose sums can differ in the last bit from the same row of a
+    GEMM, and a color must decode alike alone and in a batch."""
+    if len(rows[0]) != 1:
+        return fn(*rows)
+    out = fn(*(r.repeat(2, axis=0) for r in rows))
+    return tuple(o[:1] for o in out) if isinstance(out, tuple) else out[:1]
+
+
+def _draw(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index that each row of probabilities ``p`` yields for its
+    uniform ``u``, as ``rng.choice(len(row), p=row)`` computes it from the
+    same uniform: the number of entries of the row's cumulative sum,
+    divided by its last entry, that are <= u."""
+    cdf = np.cumsum(p, axis=1)
+    total = cdf[:, -1:]
+    if not (total > 0).all():  # rng.choice raises on such a row too
+        raise ValueError("a row to draw from has no probability mass")
+    cdf /= total
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a < b between id tuples stored as rows padded with -1, so
+    that a tuple sorts before every longer tuple it starts."""
+    if a.shape[1] == 0:
+        return np.zeros(len(a), dtype=bool)
+    diff = a != b
+    j = np.argmax(diff, axis=1)
+    rows = np.arange(len(a))
+    return diff[rows, j] & (a[rows, j] < b[rows, j])
+
+
 def _layout(family: str, cfg: TrainingConfig, scheme: str, n_words: int) -> list:
     """(name, shape, init) of every tensor of a neural family, in draw
     order: the family's own, then for ``buckets`` the bucket embedding
@@ -280,6 +341,20 @@ class _Model:
         """Natural-log probability of description d given color c."""
         return float(self.score_token_batch(_as_color_array(c), [_nonempty_tokens(d)])[0])
 
+    def predict_top1_batch(self, colors, beam_width: int = DEFAULT_BEAM_WIDTH,
+                           max_len: int = DEFAULT_MAX_LEN) -> list:
+        """The most likely description of each (N, 3) color row, as a
+        token tuple; row i equals ``predict_top1(colors[i]).key()``. A
+        class whose ``predict_top1`` is not the family's one-row call of
+        this method (a subclass's own, or a wrapper set on the class, as
+        perfbench's tracer sets) is decoded one color at a time through
+        it, so that the two never disagree."""
+        _check_generation_args(beam_width, max_len)
+        colors = _as_color_array(colors)
+        if type(self).predict_top1 is not _predict_top1:
+            return [self.predict_top1(c, beam_width, max_len).key() for c in colors]
+        return self._top1_batch(colors, beam_width, max_len)
+
     def save(self, path) -> None:
         save_checkpoint(self, path)
 
@@ -296,9 +371,6 @@ class _InventoryModel(_Model):
         super().__init__(config, scheme, params, epochs_trained)
         self.inventory = [tuple(k) for k in inventory]
         self.index = {k: i for i, k in enumerate(self.inventory)}
-
-    def _description(self, cls_id: int) -> Description:
-        return _description(self.inventory[cls_id])
 
 
 # ---------------------------------------------------------------------------
@@ -348,113 +420,195 @@ class SequenceDecoderModel(_Model):
 
     # -- incremental decoding (also the enumeration probe used in tests)
 
+    def _start(self, colors: np.ndarray):
+        """(feats, h0, c0) of each color row."""
+        def start(x):
+            feats, _ = self.featurize(x)
+            return (feats,) + nn.sequence_initial_state(self.params, self.config, feats)
+        return _one_row_as_two(start, colors)
+
+    def _advance(self, feats, prev, h, c):
+        """``nn.sequence_step_probs`` for rows of (feats, previous token, h,
+        c); one row runs as two, as in ``_one_row_as_two``."""
+        if len(prev) != 1:
+            return nn.sequence_step_probs(self.params, self.config, feats, prev, h, c)
+        probs, h, c = nn.sequence_step_probs(
+            self.params, self.config, feats.repeat(2, axis=0), prev.repeat(2),
+            h.repeat(2, axis=0), c.repeat(2, axis=0))
+        return probs[:1], h[:1], c[:1]
+
     def initial_state(self, c):
-        feats, _ = self.featurize(_as_color_array(c))
-        h, c0 = nn.sequence_initial_state(self.params, self.config, feats)
-        return (feats, h, c0)
+        return self._start(_as_color_array(c))
 
     def step(self, state, prev_id: int):
         """Next-token distribution (float64, sums to 1) after feeding
         prev_id, plus the advanced state."""
         feats, h, c = state
-        probs, h2, c2 = nn.sequence_step_probs(
-            self.params, self.config, feats,
-            np.array([prev_id], dtype=np.int64), h, c)
+        probs, h2, c2 = self._advance(feats, np.array([prev_id], dtype=np.int64), h, c)
         return probs[0], (feats, h2, c2)
 
     # -- generation
 
-    def sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
-        """Ancestral sampling; <s> and <unk> are never emitted (their
-        mass is renormalized away). Stops at </s> or max_len tokens."""
-        state = self.initial_state(c)
-        prev = START_ID
-        ids: list = []
-        for _ in range(max_len):
-            probs, state = self.step(state, prev)
-            p = probs.copy()
-            p[START_ID] = 0.0
-            p[UNK_ID] = 0.0
-            p /= p.sum()
-            tok = int(rng.choice(len(p), p=p))
-            if tok == END_ID:
-                break
-            ids.append(tok)
-            prev = tok
-        return _description(self.vocab.decode(ids))
+    def sample_batch(self, colors, rng, max_len: int = DEFAULT_MAX_LEN) -> list:
+        """One ancestral sample per color row, as a token tuple; <s> and
+        <unk> are never emitted (their mass is renormalized away). A row
+        stops at </s> or after max_len tokens. Row i draws its t-th token
+        with uniform ``u[i, t]`` of ``u = rng.random((N, max_len))``, so
+        the draws do not depend on how rows are chunked."""
+        colors = _as_color_array(colors)
+        n = len(colors)
+        u = rng.random((n, max_len))
+        ids = np.zeros((n, max_len), dtype=np.int64)
+        lengths = np.full(n, max_len)
 
-    def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
-                     max_len: int = DEFAULT_MAX_LEN) -> Description:
-        """Highest-probability complete description found by beam search.
+        def sample_chunk(lo, hi):
+            feats, _ = self.featurize(colors[lo:hi])
+            h, c = nn.sequence_initial_state(self.params, self.config, feats)
+            rows = np.arange(lo, hi)  # rows still sampling
+            tok = np.full(hi - lo, START_ID, dtype=np.int64)
+            for t in range(max_len):
+                p, h, c = nn.sequence_step_probs(self.params, self.config, feats, tok, h, c)
+                p[:, START_ID] = 0.0
+                p[:, UNK_ID] = 0.0
+                p /= p.sum(axis=1, keepdims=True)
+                tok = _draw(p, u[rows, t])
+                go = tok != END_ID
+                if not go.all():
+                    lengths[rows[~go]] = t
+                    rows, feats, tok, h, c = rows[go], feats[go], tok[go], h[go], c[go]
+                    if not rows.size:
+                        break
+                ids[rows, t] = tok
 
-        At each depth the beam keeps the ``beam_width`` best one-token
-        extensions of its live hypotheses by score, with ties going to the
-        lexicographically smaller id tuple; every (hypothesis, token) pair
-        is a candidate, with no cap. A width-1 (greedy) pass runs
-        alongside wider beams and the better completion wins, so widening
-        the beam never hurts the returned score. Ties between completions
-        also break toward the smaller id tuple.
+        _map_chunks(n, sample_chunk)
+        return [tuple(self.vocab.decode(row[:k]))
+                for row, k in zip(ids.tolist(), lengths.tolist())]
+
+    def _top1_batch(self, colors: np.ndarray, width: int, max_len: int) -> list:
+        out = [None] * len(colors)
+
+        def decode_chunk(lo, hi):
+            out[lo:hi] = [tuple(self.vocab.decode(ids))
+                          for ids in self._top1_ids(colors[lo:hi], width, max_len)[1]]
+
+        _map_chunks(len(colors), decode_chunk)
+        return out
+
+    def _top1_ids(self, colors: np.ndarray, width: int, max_len: int):
+        """(log probability, content token ids) of the completion that
+        ``predict_top1`` returns for each color row. Beside a beam wider
+        than 1 a greedy beam runs, and its completion wins if it is better,
+        so widening the beam never hurts the returned score."""
+        feats, h, c = self._start(colors)
+        with np.errstate(divide="ignore"):  # a zero probability's log is -inf
+            logp, ids = self._beam(feats, h, c, width, max_len)
+            if width > 1:
+                greedy_logp, greedy = self._beam(feats, h, c, 1, max_len)
+                wins = (greedy_logp > logp) | (
+                    (greedy_logp == logp) & _lex_less(greedy, ids))
+                ids = np.where(wins[:, None], greedy, ids)
+                logp = np.where(wins, greedy_logp, logp)
+        lengths = (ids >= 0).sum(axis=1).tolist()
+        return logp, [tuple(row[:k]) for row, k in zip(ids.tolist(), lengths)]
+
+    def _beam(self, feats, h, c, width: int, max_len: int):
+        """Beam search from the initial states (h, c) of colors with
+        features ``feats``: the log probability of each color's best
+        completion, and its content token ids padded with -1 to max_len.
+
+        One decode step per depth advances the live hypotheses of every
+        color. A color's search records the best completion of its
+        hypotheses (every score includes the </s> step), then keeps the
+        ``width`` best finite one-token extensions, never <s>, <unk> or
+        </s>; every (hypothesis, token) pair is a candidate, with no cap.
+        The search stops when none is left or when its best completion so
+        far scores strictly above its best extension; its rows then drop
+        out. Completions and extensions are ranked by (-score, ids), ties
+        going to the lexicographically smaller id tuple. A search keeps
+        its hypotheses in id order, so an extension's rank is (hypothesis
+        row, token).
         """
-        _check_generation_args(beam_width, max_len)
-        best = self._beam(c, beam_width, max_len)
-        if beam_width > 1:
-            greedy = self._beam(c, 1, max_len)
-            if (-greedy[0], greedy[1]) < (-best[0], best[1]):
-                best = greedy
-        return _description(self.vocab.decode(best[1]))
-
-    def _beam(self, c, width: int, max_len: int):
-        """Returns (logp, content token ids) of the completion minimizing
-        (-logp, ids); every score includes the </s> step. Each depth
-        records every live completion, then keeps the ``width`` best
-        finite extensions by (-score, ids), never <s>, <unk> or </s>. The
-        search stops when none is left or the best completion so far
-        scores strictly above the best extension."""
-        feats1, _ = self.featurize(_as_color_array(c))
-        h_arr, c_arr = nn.sequence_initial_state(self.params, self.config, feats1)
-        V = len(self.vocab)
-        live_ids = np.zeros((1, 0), dtype=np.int64)
-        # all live ids have one length, so a child's lexicographic order
-        # is (parent rank, token)
-        live_rank = np.zeros(1, dtype=np.int64)
-        live_logp = np.zeros(1, dtype=np.float64)
-        prev = np.array([START_ID], dtype=np.int64)
-        best = None  # (-logp, ids) of the best completion so far
+        n, V = len(feats), len(self.vocab)
+        search = np.arange(n)  # color of each live hypothesis, ascending
+        starts = group = search  # first row of each searching color; row's group
+        # ids, padded with -1: a tuple sorts before the longer ones it starts
+        ids = np.full((n, max_len), -1, dtype=np.int64)
+        logp = np.zeros(n)
+        prev = np.full(n, START_ID, dtype=np.int64)
+        # before depth 0 every best is the empty completion at -inf, so a
+        # depth-0 completion at -inf ties it and changes nothing
+        best_logp = np.full(n, -np.inf)
+        best_ids = ids.copy()
 
         for depth in range(max_len + 1):
-            probs, h_new, c_new = nn.sequence_step_probs(
-                self.params, self.config, np.repeat(feats1, len(prev), axis=0),
-                prev, h_arr, c_arr)
-            with np.errstate(divide="ignore"):
-                step_logp = np.log(probs)
-            completed = live_logp + step_logp[:, END_ID]
-            tied = np.flatnonzero(completed == completed.max())
-            i = tied[np.argmin(live_rank[tied])]
-            cand = (-completed[i], tuple(live_ids[i].tolist()))
-            if best is None or cand < best:
-                best = cand
+            probs, h_new, c_new = self._advance(feats[search], prev, h, c)
+            scores = np.log(probs, out=probs)
+
+            # each search's best completion: stable, so ties keep id order
+            done = logp + scores[:, END_ID]
+            if len(starts) == len(search):
+                act, pick = search, starts
+            else:
+                act, pick = search[starts], np.lexsort((-done, search))[starts]
+            cand_logp = done[pick]
+            old_logp = best_logp[act]
+            better = cand_logp > old_logp
+            tied = cand_logp == old_logp
+            if tied.any():
+                better |= tied & _lex_less(ids[pick], best_ids[act])
+            if better.any():
+                won = act[better]
+                best_logp[won] = cand_logp[better]
+                best_ids[won] = ids[pick[better]]
             if depth == max_len:
                 break
-            scores = live_logp[:, None] + step_logp
-            scores[:, [START_ID, UNK_ID, END_ID]] = -np.inf
-            flat = scores.ravel()
-            keep = np.isfinite(flat)
-            if keep.sum() > width:
-                keep &= flat >= np.partition(flat[keep], -width)[-width]
-            pos = np.flatnonzero(keep)
-            if pos.size == 0:
-                break
-            parent, tok = np.divmod(pos, V)
-            sel = np.lexsort((tok, live_rank[parent], -flat[pos]))[:width]
-            pos, parent, tok = pos[sel], parent[sel], tok[sel]
-            if -best[0] > flat[pos[0]]:
-                break
-            live_rank = np.argsort(np.argsort(live_rank[parent] * V + tok))
-            live_ids = np.column_stack([live_ids[parent], tok])
-            live_logp, prev = flat[pos], tok
-            h_arr, c_arr = h_new[parent], c_new[parent]
 
-        return -best[0], best[1]
+            scores += logp[:, None]
+            scores[:, :len(RESERVED_TOKENS)] = -np.inf  # <s>, </s>, <unk>
+            if width == 1:
+                # one row per search: its first best finite extension
+                row = np.arange(len(search))
+                tok = scores.argmax(axis=1)
+                val = scores[row, tok]
+                chosen = ((val > -np.inf) & ~(best_logp[search] > val)).nonzero()[0]
+                starts = row[:len(chosen)]
+            else:
+                # a search's width best finite extensions score at least the
+                # width-th best of any one of its rows: take the row with
+                # its best extension
+                if width > V:
+                    floor = np.full(len(search), _LOWEST)
+                else:
+                    top = np.lexsort((-scores.max(axis=1), search))[starts]
+                    floor = np.partition(scores[top], V - width, axis=1)[:, V - width]
+                    np.maximum(floor, _LOWEST, out=floor)
+                    floor = floor[group]
+                row, tok = np.divmod((scores >= floor[:, None]).ravel().nonzero()[0], V)
+                val = scores[row, tok]
+                # stable: equal scores stay in (row, token) order
+                order = np.lexsort((-val, search[row]))
+                s, ranked = search[row[order]], val[order]
+                first = s.searchsorted(s)
+                take = (np.arange(len(s)) - first < width) & ~(best_logp[s] > ranked[first])
+                chosen = order[take]
+                chosen.sort()
+            if not len(chosen):
+                break
+            parent = row[chosen]
+            search = search[parent]
+            if width > 1:
+                new = np.empty(len(search), dtype=bool)
+                new[0] = True
+                np.not_equal(search[1:], search[:-1], out=new[1:])
+                starts, group = new.nonzero()[0], new.cumsum() - 1
+            ids = ids[parent]
+            ids[:, depth] = tok[chosen]
+            logp, prev = val[chosen], tok[chosen]
+            h, c = h_new[parent], c_new[parent]
+        return best_logp, best_ids
+
+    predict_top1 = _predict_top1
+    sample = _sample
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +655,37 @@ class AtomicModel(_InventoryModel):
     score_dataset = _score_dataset
     score_color_array = _score_color_array
 
-    def sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
-        p = np.exp(self.class_logprobs(_as_color_array(c))[0])
-        p /= p.sum()
-        return self._description(int(rng.choice(len(p), p=p)))
+    def sample_batch(self, colors, rng, max_len: int = DEFAULT_MAX_LEN) -> list:
+        """One inventory description per color row, drawn from its class
+        distribution with uniform ``rng.random(N)[i]``."""
+        colors = _as_color_array(colors)
+        u = rng.random(len(colors))
+        drawn = np.empty(len(colors), dtype=np.int64)
 
-    def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
-                     max_len: int = DEFAULT_MAX_LEN) -> Description:
-        _check_generation_args(beam_width, max_len)
-        lp = self.class_logprobs(_as_color_array(c))[0]
-        return self._description(int(np.argmax(lp)))
+        def sample_chunk(lo, hi):
+            p = np.exp(self.class_logprobs(colors[lo:hi]))
+            p /= p.sum(axis=1, keepdims=True)
+            drawn[lo:hi] = _draw(p, u[lo:hi])
+
+        _map_chunks(len(colors), sample_chunk)
+        return [self.inventory[k] for k in drawn.tolist()]
+
+    def _top1_batch(self, colors: np.ndarray, width: int, max_len: int) -> list:
+        """The argmax class of each row, ties to the smaller id, taken on
+        the working-precision logits: the log-softmax only shifts a row."""
+        best = np.empty(len(colors), dtype=np.int64)
+
+        def logits(x):
+            return nn.atomic_logits(self.params, self.featurize(x)[0])
+
+        def decode_chunk(lo, hi):
+            best[lo:hi] = np.argmax(_one_row_as_two(logits, colors[lo:hi]), axis=1)
+
+        _map_chunks(len(colors), decode_chunk)
+        return [self.inventory[k] for k in best.tolist()]
+
+    predict_top1 = _predict_top1
+    sample = _sample
 
 
 # ---------------------------------------------------------------------------
@@ -589,27 +764,52 @@ class HistogramModel(_InventoryModel):
     score_dataset = _score_dataset
     score_color_array = _score_color_array
 
-    def _bucket_rows(self, c):
-        """Row slice of c's backed-off bucket, and its total."""
-        cell, total = self._backoff(_as_color_array(c))
+    def sample_batch(self, colors, rng, max_len: int = DEFAULT_MAX_LEN) -> list:
+        """One inventory description per color row, drawn from its
+        backed-off bucket's smoothed distribution with uniform
+        ``rng.random(N)[i]``."""
+        colors = _as_color_array(colors)
+        u = rng.random(len(colors))
+        cell, total = self._backoff(colors)
         C = len(self.inventory)
-        lo, hi = np.searchsorted(self._keys, [cell[0] * C, (cell[0] + 1) * C])
-        return slice(lo, hi), int(total[0])
+        drawn = np.empty(len(colors), dtype=np.int64)
 
-    def sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
-        rows, total = self._bucket_rows(c)
+        def sample_chunk(lo, hi):
+            # the count rows of each color's cell, one run per color
+            first, last = (np.searchsorted(self._keys, (cell[lo:hi] + k) * C)
+                           for k in (0, 1))
+            sizes = last - first
+            at = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes,
+                                                    sizes)
+            p = np.ones((hi - lo, C))
+            p[np.repeat(np.arange(hi - lo), sizes), self._keys[at] % C] += \
+                self._row_counts[at]
+            p /= (total[lo:hi] + C)[:, None]
+            drawn[lo:hi] = _draw(p, u[lo:hi])
+
+        _map_chunks(len(colors), sample_chunk)
+        return [self.inventory[k] for k in drawn.tolist()]
+
+    @cached_property
+    def _best(self) -> np.ndarray:
+        """The class of each nonempty cell's largest count, ties to the
+        smaller class: the cell's largest count * C + (C - 1 - class).
+        Made by the first top-1 call, as a model built only to be scored
+        (each training of a histogram) never reads it."""
         C = len(self.inventory)
-        p = np.ones(C, dtype=np.float64)
-        p[self._keys[rows] % C] += self._row_counts[rows]
-        return self._description(int(rng.choice(C, p=p / (total + C))))
+        cells, classes = np.divmod(self._keys, C)
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        top = np.maximum.reduceat(self._row_counts * C + (C - 1 - classes), starts)
+        best = np.full(len(self._totals), -1, dtype=np.int64)
+        best[cells[starts]] = C - 1 - top % C
+        return best
 
-    def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
-                     max_len: int = DEFAULT_MAX_LEN) -> Description:
-        _check_generation_args(beam_width, max_len)
-        # rows are sorted by class, so argmax ties go to the smaller key
-        rows, _ = self._bucket_rows(c)
-        best = rows.start + int(np.argmax(self._row_counts[rows]))
-        return self._description(int(self._keys[best] % len(self.inventory)))
+    def _top1_batch(self, colors: np.ndarray, width: int, max_len: int) -> list:
+        cell, _ = self._backoff(colors)
+        return [self.inventory[k] for k in self._best[cell].tolist()]
+
+    predict_top1 = _predict_top1
+    sample = _sample
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +934,20 @@ def _train_atomic(train: Dataset, config: TrainingConfig, scheme: str,
                                      monitor, monitor_name)
 
 
+def check_family_scheme(family: str, scheme: str) -> None:
+    """Reject an unknown family, or a scheme the family is not defined
+    over, before any data is read."""
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown model family {family!r}")
+    if family == "histogram" and scheme != "buckets":
+        raise ConfigError("histogram family is defined over buckets only")
+
+
 def train_model(family: str, train: Dataset, config: TrainingConfig,
                 scheme: str = "fourier", dev: Dataset | None = None):
     """Train a model of the given family; returns (model, history) where
     history is a list of {epoch, split, perplexity} records."""
+    check_family_scheme(family, scheme)
     config.validate()
     if len(train) == 0:
         raise ConfigError("training dataset is empty")
@@ -747,14 +957,10 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
         return _train_sequence(train, config, scheme, monitor, monitor_name)
     if family == "atomic":
         return _train_atomic(train, config, scheme, monitor, monitor_name)
-    if family == "histogram":
-        if scheme != "buckets":
-            raise ConfigError("histogram family is defined over buckets only")
-        model = HistogramModel.build(config, train)
-        history = [{"epoch": 1.0, "split": monitor_name,
-                    "perplexity": _monitor_perplexity(model, monitor)}]
-        return model, history
-    raise ConfigError(f"unknown model family {family!r}")
+    model = HistogramModel.build(config, train)
+    history = [{"epoch": 1.0, "split": monitor_name,
+                "perplexity": _monitor_perplexity(model, monitor)}]
+    return model, history
 
 
 # ---------------------------------------------------------------------------

@@ -90,9 +90,12 @@ class TrainingConfig:
 # elementwise ops
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """exp(z - max) / sum, in float64 whatever z's precision, computed in
+    place in one float64 buffer."""
+    p = np.subtract(z, z.max(axis=axis, keepdims=True), dtype=np.float64)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    return p
 
 
 def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -234,11 +237,8 @@ def _sigmoid_of_negated(x: np.ndarray) -> np.ndarray:
 
 def _negated_peepholes(params: Params, rows: int) -> np.ndarray:
     """(3, rows, H): -w_ci, -w_cf and -w_co, each tiled over the rows."""
-    w_ci = params["lstm.w_ci"]
-    neg_w = np.empty((3, rows, w_ci.size), dtype=w_ci.dtype)
-    for k, name in enumerate(("lstm.w_ci", "lstm.w_cf", "lstm.w_co")):
-        np.negative(params[name], out=neg_w[k])
-    return neg_w
+    neg_w = -np.array([params["lstm.w_ci"], params["lstm.w_cf"], params["lstm.w_co"]])
+    return np.repeat(neg_w[:, None], rows, axis=1)
 
 
 def _lstm_step(W_h, neg_w, ax, h, c, gates, c_out, tc_out, h_out):
@@ -543,12 +543,14 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
 
 def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                         prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """Incremental decode step: next-token distribution and new state."""
+    """Incremental decode step: next-token distribution (float64) and new
+    state."""
     ax = _step_inputs(params, cfg, feats, prev_ids) @ params["lstm.W_x"] + params["lstm.b"]
-    h, c = _lstm_step(params["lstm.W_h"], _negated_peepholes(params, len(h)), ax, h, c,
+    h, c = _lstm_step(params["lstm.W_h"], _negated_peepholes(params, 1), ax, h, c,
                       np.empty((4,) + h.shape, dtype=h.dtype), np.empty_like(c),
                       np.empty_like(c), np.empty_like(h))
-    logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
+    logits = h @ params["out.W"]
+    logits += params["out.b"]
     return softmax(logits, axis=1), h, c
 
 
@@ -632,7 +634,7 @@ def atomic_backward(cache) -> Params:
     return grads
 
 
-def _atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
+def atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
     """(B, C) class logits in the working precision, dropout off."""
     h1 = np.maximum(feats @ params["fc1.W"] + params["fc1.b"], 0.0)
     h2 = h1 @ params["fc2.W"] + params["fc2.b"]
@@ -644,11 +646,11 @@ def _atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
 def atomic_logprobs(params: Params, cfg: TrainingConfig,
                     feats: np.ndarray) -> np.ndarray:
     """(B, C) log class probabilities, dropout off, float64."""
-    return log_softmax(_atomic_logits(params, feats).astype(np.float64), axis=1)
+    return log_softmax(atomic_logits(params, feats).astype(np.float64), axis=1)
 
 
 def atomic_target_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                            targets: np.ndarray) -> np.ndarray:
     """log p(targets[b] | feats[b]) per row, float64, dropout off: the
     entries of ``atomic_logprobs`` at the targets, bit for bit."""
-    return _log_softmax_at(_atomic_logits(params, feats), targets)
+    return _log_softmax_at(atomic_logits(params, feats), targets)

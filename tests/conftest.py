@@ -40,12 +40,13 @@ def constant_step_model(content_tokens, logits, hidden: int = 4) -> SequenceDeco
 
 
 def random_tiny_model(seed: int, n_content: int = 3, scheme: str = "fourier",
-                      conditioning: str = "every-step") -> SequenceDecoderModel:
+                      conditioning: str = "every-step",
+                      hidden: int = 6) -> SequenceDecoderModel:
     """A small untrained model with random weights, for enumeration and
     search tests. Weights are scaled up so step distributions are not
     near-uniform."""
     vocab = make_vocab([f"w{i}" for i in range(n_content)])
-    cfg = TrainingConfig(hidden_size=6, embedding_dim=4, dropout=0.0,
+    cfg = TrainingConfig(hidden_size=hidden, embedding_dim=4, dropout=0.0,
                          seed=seed, conditioning=conditioning).validate()
     model = SequenceDecoderModel.build(cfg, vocab, scheme)
     rng = np.random.default_rng(seed + 1000)

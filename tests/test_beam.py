@@ -1,6 +1,9 @@
-"""Beam search: a differential test of ``SequenceDecoderModel._beam``
-against a reference beam that sorts every candidate as one Python tuple,
-and a tie-rule regression test on models where every content token ties."""
+"""Beam search: a differential test of the batched beam behind
+``SequenceDecoderModel.predict_top1_batch`` against a reference beam that
+decodes one color at a time and sorts every candidate as one Python tuple,
+and a tie-rule regression test on models where every content token ties.
+Both beams take their decode steps from the model's ``initial_state`` and
+``_advance``, so they differ only in the search."""
 
 import numpy as np
 import pytest
@@ -10,17 +13,21 @@ from colordesc import ColorHSV, nn
 from colordesc.corpus import END_ID, RESERVED_TOKENS, START_ID, UNK_ID
 from colordesc.models import _as_color_array
 
-from conftest import random_tiny_model
+from conftest import constant_step_model, random_tiny_model
 
 FIRST_CONTENT = len(RESERVED_TOKENS)
+
+# at hidden size 50 a product's row can round differently with a different
+# row count (see nn.sequence_logprobs), and the batch mixes the rows of
+# many searches in each step
+H50_LOGP_ATOL = 1e-5
 
 
 def reference_beam(model, c, width: int, max_len: int):
     """(logp, ids) of the best completion: every (row, token) candidate
     becomes a (-score, ids) tuple and the first ``width`` in sorted order
     are kept."""
-    feats1, _ = model.featurize(_as_color_array(c))
-    h_arr, c_arr = nn.sequence_initial_state(model.params, model.config, feats1)
+    feats1, h_arr, c_arr = model.initial_state(c)
     V = len(model.vocab)
     live_ids = [()]
     live_logp = np.zeros(1, dtype=np.float64)
@@ -28,9 +35,8 @@ def reference_beam(model, c, width: int, max_len: int):
     completed = []
     for depth in range(max_len + 1):
         n = len(live_ids)
-        probs, h_new, c_new = nn.sequence_step_probs(
-            model.params, model.config, np.repeat(feats1, n, axis=0), prev,
-            h_arr, c_arr)
+        probs, h_new, c_new = model._advance(np.repeat(feats1, n, axis=0), prev,
+                                             h_arr, c_arr)
         with np.errstate(divide="ignore"):
             step_logp = np.log(probs)
         for i in range(n):
@@ -63,45 +69,71 @@ def reference_beam(model, c, width: int, max_len: int):
 
 
 def reference_top1(model, c, width: int, max_len: int):
-    best = reference_beam(model, c, width, max_len)
+    """((logp, ids) of the better of the beam and the greedy beam, decode
+    steps of the beam, decode steps of the greedy beam, hypotheses the two
+    advanced)."""
+    best, calls, rows = counted(model, lambda: reference_beam(model, c, width, max_len))
+    greedy_calls = 0
     if width > 1:
-        greedy = reference_beam(model, c, 1, max_len)
+        greedy, greedy_calls, greedy_rows = counted(
+            model, lambda: reference_beam(model, c, 1, max_len))
+        rows += greedy_rows
         if (-greedy[0], greedy[1]) < (-best[0], best[1]):
             best = greedy
-    return best
+    return best, calls, greedy_calls, rows
 
 
-def counted(fn):
-    """(result, number of nn.sequence_step_probs calls fn made)."""
-    calls = []
-    real = nn.sequence_step_probs
+def counted(model, fn):
+    """(result, number of nn.sequence_step_probs calls fn made, number of
+    hypotheses it advanced through the model's decode step)."""
+    calls, rows = [], []
+    real, advance = nn.sequence_step_probs, model._advance
 
-    def wrapper(*args, **kwargs):
+    def step(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    nn.sequence_step_probs = wrapper
+    def counting_advance(feats, prev, h, c):
+        rows.append(len(prev))
+        return advance(feats, prev, h, c)
+
+    nn.sequence_step_probs, model._advance = step, counting_advance
     try:
-        return fn(), len(calls)
+        return fn(), len(calls), sum(rows)
     finally:
         nn.sequence_step_probs = real
+        del model._advance
 
 
-def assert_matches_reference(model, color, width: int, max_len: int):
-    """Same result, bit-identical logp and the same step calls as the
-    reference, for the beam alone and for predict_top1."""
-    got, got_calls = counted(lambda: model._beam(color, width, max_len))
-    want, want_calls = counted(lambda: reference_beam(model, color, width, max_len))
-    assert got[1] == want[1]
-    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-    assert got_calls == want_calls
+def assert_matches_reference(model, colors, width: int, max_len: int,
+                             atol: float = 0.0):
+    """The batch finds each color's reference ids, with a logp that is
+    bit-identical (``atol`` 0) or within ``atol``, in one decode step per
+    depth of the longest beam and one per depth of the longest greedy
+    beam, advancing the hypotheses the references advance;
+    predict_top1_batch and predict_top1 give the same descriptions.
+    Returns the reference results."""
+    arr = np.array([_as_color_array(c)[0] for c in colors])
+    (logp, ids), calls, rows = counted(model, lambda: model._top1_ids(arr, width, max_len))
+    want = [reference_top1(model, c, width, max_len) for c in colors]
+    assert ids == [w[0][1] for w in want]
+    got_logp = np.asarray(logp, dtype=np.float64)
+    want_logp = np.array([w[0][0] for w in want], dtype=np.float64)
+    if atol == 0.0:
+        assert got_logp.tobytes() == want_logp.tobytes()
+    else:
+        np.testing.assert_allclose(got_logp, want_logp, rtol=0, atol=atol)
+    assert calls == max(w[1] for w in want) + max(w[2] for w in want)
+    assert rows == sum(w[3] for w in want)
 
-    pred, pred_calls = counted(
-        lambda: model.predict_top1(color, beam_width=width, max_len=max_len))
-    best, best_calls = counted(lambda: reference_top1(model, color, width, max_len))
-    assert pred.tokens == model.vocab.decode(best[1])
-    assert pred_calls == best_calls
-    return best
+    texts = [tuple(model.vocab.decode(w[0][1])) for w in want]
+    assert model.predict_top1_batch(arr, beam_width=width, max_len=max_len) == texts
+    assert [model.predict_top1(c, beam_width=width, max_len=max_len).key()
+            for c in colors] == texts
+    return [w[0] for w in want]
+
+
+hsv = st.tuples(st.floats(0.0, 360.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
 
 
 # V = n_content + 3: at width 10, 400 and 420 content tokens put width x V
@@ -110,13 +142,35 @@ def assert_matches_reference(model, color, width: int, max_len: int):
 @given(seed=st.integers(0, 2**16),
        n_content=st.sampled_from([2, 5, 400, 420]),
        conditioning=st.sampled_from(["every-step", "init-state"]),
+       hidden=st.sampled_from([4, 20]),
        width=st.integers(1, 12),
        max_len=st.integers(0, 5),
-       hsv=st.tuples(st.floats(0.0, 360.0), st.floats(0.0, 100.0),
-                     st.floats(0.0, 100.0)))
-def test_beam_matches_reference(seed, n_content, conditioning, width, max_len, hsv):
-    model = random_tiny_model(seed, n_content=n_content, conditioning=conditioning)
-    assert_matches_reference(model, ColorHSV(*hsv), width, max_len)
+       colors=st.lists(hsv, min_size=1, max_size=4))
+def test_beam_matches_reference(seed, n_content, conditioning, hidden, width,
+                                max_len, colors):
+    model = random_tiny_model(seed, n_content=n_content, conditioning=conditioning,
+                              hidden=hidden)
+    assert_matches_reference(model, [ColorHSV(*c) for c in colors], width, max_len)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("conditioning", ["every-step", "init-state"])
+def test_beam_at_hidden_size_50_matches_reference_within_rounding(seed, conditioning):
+    model = random_tiny_model(seed, n_content=400, conditioning=conditioning,
+                              hidden=50)
+    rng = np.random.default_rng(seed)
+    colors = [ColorHSV(float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
+                       float(rng.uniform(0, 100))) for _ in range(6)]
+    assert_matches_reference(model, colors, 10, 4, atol=H50_LOGP_ATOL)
+
+
+def test_a_completion_tied_with_the_best_extension_does_not_stop_the_search():
+    # every step: </s> and "a" each 0.5, so the empty completion ties the
+    # best extension at depth 0 and only the depth-1 step shows it lost
+    model = constant_step_model(["a", "b"], np.log([1e-12, 0.4, 1e-12, 0.4, 0.2]))
+    for width in (1, 3):
+        (_, ids), = assert_matches_reference(model, [ColorHSV(0.0, 0.0, 50.0)], width, 4)
+        assert ids == ()
 
 
 def all_content_tied_model(seed: int, n_content: int):
@@ -146,11 +200,12 @@ def all_content_tied_model(seed: int, n_content: int):
 def test_ties_go_to_the_smaller_id_tuple(n_content):
     model = all_content_tied_model(0, n_content)
     first = FIRST_CONTENT
-    for color in (ColorHSV(0.0, 0.0, 50.0), ColorHSV(200.0, 70.0, 30.0),
-                  ColorHSV(90.0, 40.0, 80.0)):
+    colors = [ColorHSV(0.0, 0.0, 50.0), ColorHSV(200.0, 70.0, 30.0),
+              ColorHSV(90.0, 40.0, 80.0)]
+    for color in colors:
         probs, _ = model.step(model.initial_state(color), START_ID)
         assert len(set(probs[first:].tolist())) == 1
-        _, ids = assert_matches_reference(model, color, 10, 6)
+    for _, ids in assert_matches_reference(model, colors, 10, 6):
         assert len(ids) >= 2
         # each depth keeps the 10 smallest tokens of its best parent
         assert all(first <= t < first + 10 for t in ids)

@@ -107,6 +107,21 @@ def test_train_histogram_alias(ab_corpus, tmp_path):
     assert meta["settings"]["family"] == "histogram"
 
 
+@pytest.mark.parametrize("family", ["histogram", "hm"])
+def test_train_histogram_without_buckets_fails_before_reading_data(
+        family, ab_corpus, tmp_path, capsys, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"manifest {path} was read")
+
+    monkeypatch.setattr(cli, "load_manifest", no_read)
+    out = tmp_path / "hm"
+    rc = main(["train", "--family", family, "--data", str(ab_corpus),
+               "--out", str(out)])
+    assert rc == 2
+    assert "histogram family is defined over buckets only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_config_file_precedence(tmp_corpus, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs=3\nlr=0.05\n# comment\n\n", encoding="utf-8")

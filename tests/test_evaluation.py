@@ -111,12 +111,25 @@ def test_accuracy_is_exact_match_percent():
     ds = disjoint_pairs(4, seed=21)
     # predictor that always answers with item 0's description
     class Fixed:
-        def predict_top1(self, color, beam_width=None, max_len=None):
-            return ds.descriptions[0]
+        def predict_top1_batch(self, colors, beam_width=None, max_len=None):
+            return [ds.descriptions[0].key()] * len(colors)
 
     flags = hit_flags(Fixed(), ds, beam_width=1)
     assert flags.tolist() == [1, 0, 0, 0]
     assert accuracy(Fixed(), ds, beam_width=1) == pytest.approx(25.0)
+
+
+def test_hit_flags_match_each_items_own_top1():
+    from colordesc import Dataset, HistogramModel
+
+    ds = disjoint_pairs(12, seed=25)
+    # trained on the first eight items only: the last four cannot hit
+    model = HistogramModel.build(TrainingConfig(), Dataset(ds.colors[:8],
+                                                           ds.descriptions[:8]))
+    want = [int(model.predict_top1(ds.color(i)).key() == ds.descriptions[i].key())
+            for i in range(len(ds))]
+    assert 0 < sum(want) < len(ds)
+    assert hit_flags(model, ds, beam_width=1).tolist() == want
 
 
 def test_accuracy_constant_predictor_hits_majority_share():
@@ -127,8 +140,8 @@ def test_accuracy_constant_predictor_hits_majority_share():
         Description.from_text(t) for t in descs])
 
     class AlwaysRed:
-        def predict_top1(self, color, beam_width=None, max_len=None):
-            return Description.from_text("red")
+        def predict_top1_batch(self, colors, beam_width=None, max_len=None):
+            return [Description.from_text("red").key()] * len(colors)
 
     assert accuracy(AlwaysRed(), ds, beam_width=1) == pytest.approx(30.0)
 
@@ -146,9 +159,9 @@ def test_bad_beam_width_is_rejected_before_scoring():
             self.calls.append("score")
             return np.zeros(len(d))
 
-        def predict_top1(self, color, beam_width=None, max_len=None):
-            self.calls.append("top1")
-            return ds.descriptions[0]
+        def predict_top1_batch(self, colors, beam_width=None, max_len=None):
+            self.calls.append(("top1", len(colors)))
+            return [ds.descriptions[0].key()] * len(colors)
 
     for width in (0, -2):
         model = Recording()
@@ -161,7 +174,7 @@ def test_bad_beam_width_is_rejected_before_scoring():
         assert model.calls == []
     model = Recording()
     evaluate(model, ds, beam_width=1)
-    assert model.calls == ["score"] + ["top1"] * 3
+    assert model.calls == ["score", ("top1", 3)]
 
 
 # -- permutation test

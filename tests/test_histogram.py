@@ -199,3 +199,4 @@ def test_histogram_matches_brute_force_oracle(rows, extra):
             np.testing.assert_allclose(m.score_color_array(colors, list(k)),
                                        want[:, j], rtol=0, atol=1e-12)
         assert [m.predict_top1(c).key() for c in queries] == want_top1
+        assert m.predict_top1_batch(colors) == want_top1

@@ -183,15 +183,106 @@ def test_sampling_follows_step_distribution():
     rng = np.random.default_rng(11)
     counts = {"end": 0, "a": 0, "b": 0}
     n = 100_000
-    for _ in range(n):
-        d = model.sample(GRAY, rng, max_len=1)
-        if not d.tokens:
+    for tokens in model.sample_batch(np.tile(GRAY.as_tuple(), (n, 1)), rng, max_len=1):
+        if not tokens:
             counts["end"] += 1
         else:
-            counts[d.tokens[0]] += 1
+            counts[tokens[0]] += 1
     assert abs(counts["end"] / n - 0.5) < 0.01
     assert abs(counts["a"] / n - 0.3) < 0.01
     assert abs(counts["b"] / n - 0.2) < 0.01
+
+
+class FixedUniforms:
+    """A generator stand-in whose ``random`` hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shape):
+        assert self.u.shape == np.empty(shape).shape
+        return self.u
+
+
+def reference_sample(model, color, rng, max_len):
+    """The one-color samplers ``sample_batch`` replaced: one ``rng.choice``
+    per step (sequence) or per draw (atomic, histogram)."""
+    row = np.array([color.as_tuple()])
+    C = len(getattr(model, "inventory", ()))
+    if model.family == "atomic":
+        p = np.exp(model.class_logprobs(row)[0])
+        p /= p.sum()
+        return model.inventory[int(rng.choice(C, p=p))]
+    if model.family == "histogram":
+        cell, total = model._backoff(row)
+        lo, hi = np.searchsorted(model._keys, [cell[0] * C, (cell[0] + 1) * C])
+        p = np.ones(C)
+        p[model._keys[lo:hi] % C] += model._row_counts[lo:hi]
+        return model.inventory[int(rng.choice(C, p=p / (total[0] + C)))]
+    state = model.initial_state(color)
+    prev, ids = START_ID, []
+    for _ in range(max_len):
+        probs, state = model.step(state, prev)
+        p = probs.copy()
+        p[START_ID] = 0.0
+        p[UNK_ID] = 0.0
+        p /= p.sum()
+        tok = int(rng.choice(len(p), p=p))
+        if tok == END_ID:
+            break
+        ids.append(tok)
+        prev = tok
+    return tuple(model.vocab.decode(ids))
+
+
+def _models_of_each_family():
+    ds = disjoint_pairs(30, seed=16)
+    cfg = TrainingConfig(max_epochs=2, batch_size=8, seed=0)
+    return [random_tiny_model(0, n_content=20),
+            train_model("atomic", ds, cfg, scheme="fourier")[0],
+            train_model("histogram", ds, cfg, scheme="buckets")[0]]
+
+
+def _random_colors(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(0, 360, n), rng.uniform(0, 100, n),
+                            rng.uniform(0, 100, n)])
+
+
+def test_draw_is_rng_choice_inverse_cdf_on_every_row():
+    from colordesc.models import _draw
+
+    rng = np.random.default_rng(23)
+    p = rng.dirichlet(np.ones(6), size=200)
+    p[::7, 2] = 0.0  # rows with an impossible outcome
+    cdfs = [np.cumsum(row) / np.cumsum(row)[-1] for row in p]  # as rng.choice
+    u = rng.random(200)
+    u[::5] = [cdf[3] for cdf in cdfs[::5]]  # exactly on a cumulative probability
+    want = [np.searchsorted(cdf, x, side="right") for cdf, x in zip(cdfs, u)]
+    assert _draw(p, u).tolist() == want
+
+
+def test_a_single_draw_follows_the_one_color_sampler_it_replaced():
+    for model in _models_of_each_family():
+        for i, c in enumerate(_random_colors(40, 17)):
+            color = ColorHSV(*c)
+            got = model.sample(color, np.random.default_rng([3, i]), max_len=6)
+            want = reference_sample(model, color, np.random.default_rng([3, i]), 6)
+            assert got.key() == want, (model.family, i)
+
+
+def test_sample_batch_rows_depend_only_on_their_own_uniforms():
+    # 1,100 rows span three scoring chunks
+    colors = _random_colors(1100, 18)
+    rng = np.random.default_rng(19)
+    for model in _models_of_each_family():
+        shape = (len(colors), 5) if model.family == "sequence" else (len(colors),)
+        u = rng.random(shape)
+        batch = model.sample_batch(colors, FixedUniforms(u), max_len=5)
+        assert len(batch) == len(colors)
+        for i in (0, 1, 511, 512, 513, 1023, 1024, 1099):
+            one = model.sample_batch(colors[i:i + 1], FixedUniforms(u[i:i + 1]), max_len=5)
+            assert one == [batch[i]], (model.family, i)
 
 
 def test_sampling_never_emits_reserved_tokens():
@@ -202,6 +293,13 @@ def test_sampling_never_emits_reserved_tokens():
         d = model.sample(GRAY, rng, max_len=3)
         assert "<unk>" not in d.tokens
         assert "<s>" not in d.tokens
+
+
+def test_sampling_with_all_mass_on_reserved_tokens_raises():
+    # </s> and the content token underflow to probability 0
+    model = constant_step_model(["a"], [1e3, -1e3, 1e3, -1e3])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        model.sample(GRAY, np.random.default_rng(0))
 
 
 def test_degenerate_distribution_always_samples_same_description():
@@ -418,6 +516,33 @@ def test_atomic_class_distribution_sums_to_one():
     np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("scheme", ["raw", "fourier", "buckets"])
+def test_atomic_batch_top1_is_the_per_row_log_softmax_argmax(scheme):
+    ds = disjoint_pairs(40, seed=20)
+    cfg = TrainingConfig(max_epochs=2, batch_size=8, seed=0)
+    model, _ = train_model("atomic", ds, cfg, scheme=scheme)
+    colors = _random_colors(1100, 21)  # three scoring chunks
+    want = [model.inventory[int(np.argmax(model.class_logprobs(colors[i:i + 1])[0]))]
+            for i in range(len(colors))]
+    assert model.predict_top1_batch(colors) == want
+    assert [model.predict_top1(c).key() for c in colors[:50]] == want[:50]
+
+
+def test_atomic_top1_ties_go_to_the_smaller_class():
+    inventory = [("a",), ("b",), ("c",), ("d",)]
+    model = AtomicModel.build(TrainingConfig(seed=0), inventory, "raw")
+    # classes 1 and 3 share their output column and bias; 0 and 2 score lower
+    W, b = model.params["out.W"], model.params["out.b"]
+    W[:, 3] = W[:, 1]
+    b[:] = (-5.0, 1.0, -5.0, 1.0)
+    W[:, [0, 2]] = 0.0
+    colors = _random_colors(30, 22)
+    logits = nn.atomic_logits(model.params, model.featurize(colors)[0])
+    assert (logits[:, 1] == logits[:, 3]).all()
+    assert (logits[:, 1] > logits[:, [0, 2]].max(axis=1)).all()
+    assert model.predict_top1_batch(colors) == [("b",)] * len(colors)
+
+
 def test_atomic_memorizes_small_set():
     ds = disjoint_pairs(8, seed=11)
     cfg = TrainingConfig(max_epochs=200, batch_size=4, dropout=0.0, seed=0,
@@ -478,6 +603,14 @@ def test_histogram_top1_is_bucket_majority():
     ds = _one_bucket_dataset(["a", "a", "b"])
     model = HistogramModel.build(TrainingConfig(), ds)
     assert model.predict_top1(ds.color(0)).tokens == ["a"]
+
+
+def test_histogram_top1_ties_go_to_the_smaller_class_at_every_level():
+    ds = _one_bucket_dataset(["b", "c", "a", "c", "a", "b"])
+    model = HistogramModel.build(TrainingConfig(), ds)
+    near, far = ds.colors[0], (180.0, 1.0, 1.0)  # fine cell, global fallback
+    assert model.predict_top1_batch(np.array([near, far])) == [("a",), ("a",)]
+    assert model.predict_top1(ColorHSV(*far)).tokens == ["a"]
 
 
 def test_histogram_param_count_formula():
