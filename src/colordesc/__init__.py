@@ -14,8 +14,6 @@ from .colors import (
     canonical_hue,
     hsl_to_hsv,
     hsl_to_hsv_array,
-    hsv_to_hsl,
-    hsv_to_hsl_array,
 )
 from .corpus import (
     Dataset,
@@ -37,13 +35,10 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
-    accuracy,
     aic,
-    count_params,
     evaluate,
     per_item_log2,
     permutation_test,
-    perplexity,
     perplexity_from_log2,
 )
 from .features import (
@@ -96,18 +91,14 @@ __all__ = [
     "TrainingConfig",
     "TrainingDivergence",
     "Vocabulary",
-    "accuracy",
     "aic",
     "canonical_hue",
-    "count_params",
     "cross_sections",
     "encode_dataset",
     "evaluate",
     "feature_dim",
     "hsl_to_hsv",
     "hsl_to_hsv_array",
-    "hsv_to_hsl",
-    "hsv_to_hsl_array",
     "hue_profile",
     "load_checkpoint",
     "load_corpus",
@@ -115,7 +106,6 @@ __all__ = [
     "per_item_log2",
     "periodic_local_maxima",
     "permutation_test",
-    "perplexity",
     "perplexity_from_log2",
     "probability_field",
     "render",

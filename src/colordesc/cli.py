@@ -22,8 +22,8 @@ from . import __version__
 from .colors import ColorHSL, ColorHSV, hsl_to_hsv
 from .corpus import Description, load_manifest, read_key_values, tokenize
 from .errors import ColordescError, ConfigError
-from .evaluation import (DEFAULT_BEAM_WIDTH, EvalReport, evaluate, hit_flags,
-                         permutation_test)
+from .evaluation import (DEFAULT_BEAM_WIDTH, DEFAULT_PERMUTATION_SEED, DEFAULT_ROUNDS,
+                         EvalReport, evaluate, hit_flags, permutation_test)
 from .features import SCHEMES
 from .models import (DEFAULT_MAX_LEN, PRNG_ID, check_family_scheme, load_checkpoint,
                      save_checkpoint, train_model)
@@ -333,8 +333,8 @@ def build_parser(train_defaults: dict | None = None):
     p_cmp.add_argument("report_b")
     p_cmp.add_argument("--metric", default="perplexity",
                        choices=("perplexity", "accuracy"))
-    p_cmp.add_argument("--rounds", type=int, default=10000)
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
+    p_cmp.add_argument("--seed", type=int, default=DEFAULT_PERMUTATION_SEED)
     p_cmp.add_argument("--out", default="")
 
     p_sample = sub.add_parser("sample", help="sample descriptions for a color")

@@ -87,18 +87,6 @@ def hsl_to_hsv(c: ColorHSL) -> ColorHSV:
     return ColorHSV(c.h, 100.0 * sv, 100.0 * v)
 
 
-def hsv_to_hsl(c: ColorHSV) -> ColorHSL:
-    """Inverse of :func:`hsl_to_hsv`; hue is unchanged."""
-    sv = c.s / 100.0
-    v = c.v / 100.0
-    l = v * (1.0 - sv / 2.0)
-    if l == 0.0 or l == 1.0:
-        sl = 0.0
-    else:
-        sl = (v - l) / min(l, 1.0 - l)
-    return ColorHSL(c.h, 100.0 * min(sl, 1.0), 100.0 * l)
-
-
 def hsl_to_hsv_array(hsl: np.ndarray) -> np.ndarray:
     """Vectorized hsl_to_hsv over an (N, 3) array of (h, s, l) rows."""
     hsl = np.asarray(hsl, dtype=np.float64)
@@ -110,17 +98,3 @@ def hsl_to_hsv_array(hsl: np.ndarray) -> np.ndarray:
         sv = np.where(v == 0.0, 0.0, 2.0 * (1.0 - l / np.where(v == 0.0, 1.0, v)))
     return np.stack([h, 100.0 * sv, 100.0 * v], axis=1)
 
-
-def hsv_to_hsl_array(hsv: np.ndarray) -> np.ndarray:
-    """Vectorized hsv_to_hsl over an (N, 3) array of (h, s, v) rows."""
-    hsv = np.asarray(hsv, dtype=np.float64)
-    h = canonical_hue_array(hsv[:, 0])
-    sv = hsv[:, 1] / 100.0
-    v = hsv[:, 2] / 100.0
-    l = v * (1.0 - sv / 2.0)
-    denom = np.minimum(l, 1.0 - l)
-    safe = (l > 0.0) & (l < 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sl = np.where(safe, (v - l) / np.where(safe, denom, 1.0), 0.0)
-    sl = np.minimum(sl, 1.0)
-    return np.stack([h, 100.0 * sl, 100.0 * l], axis=1)

@@ -224,7 +224,7 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
                 )
             if space == "auto":
                 space = "hsv"
-            data_lines = _chain_first(first, f)
+            data_lines = chain([first], f)
 
         # per line only the split and the float() calls; Python's float
         # syntax (whitespace, "1_0", "nan", "inf") is the accepted input
@@ -281,11 +281,6 @@ def _description(text: str) -> Description | None:
     if not tokens:
         return None
     return Description(raw=text.strip(), tokens=[sys.intern(t) for t in tokens])
-
-
-def _chain_first(first_line: str, rest):
-    yield first_line
-    yield from rest
 
 
 def read_key_values(path, what: str = "manifest") -> dict:
@@ -345,10 +340,6 @@ class EncodedDataset:
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
     def teacher_forcing(self, rows: np.ndarray):
         """(in_ids, targets, mask) for items ``rows``: inputs ids[:-1] and

@@ -23,6 +23,19 @@ LN2 = math.log(2.0)
 # beam width of the accuracy pass and of ``predict_top1``
 DEFAULT_BEAM_WIDTH = 10
 
+# rounds and seed of ``permutation_test`` and of ``colordesc compare``
+DEFAULT_ROUNDS = 10000
+DEFAULT_PERMUTATION_SEED = 0
+
+
+def check_generation_args(beam_width: int = 1, max_len: int = 0) -> None:
+    """Reject a beam width below 1 or a max_len below 0, the rules of
+    every decode and sample call."""
+    if beam_width < 1:
+        raise ValueError("beam_width must be >= 1")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+
 
 def per_item_log2(model, ds: Dataset) -> np.ndarray:
     """log2 probability of each (color, description) item. Items the
@@ -56,15 +69,6 @@ def perplexity_from_log2(log2p: np.ndarray, on_zero: str = "error"):
     return ppl, total_bits, int(used.size), n_zero
 
 
-def perplexity(model, ds: Dataset, on_zero: str = "error") -> float:
-    """Per-description perplexity of the model on a dataset."""
-    return perplexity_from_log2(per_item_log2(model, ds), on_zero)[0]
-
-
-def count_params(model) -> int:
-    return model.param_count
-
-
 def aic(total_bits: float, k: int) -> float:
     """2*l + 2*k, with l the total negative log2 likelihood in bits."""
     if total_bits < 0:
@@ -74,28 +78,18 @@ def aic(total_bits: float, k: int) -> float:
     return 2.0 * total_bits + 2.0 * k
 
 
-def _check_beam_width(beam_width: int) -> None:
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
-
-
 def hit_flags(model, ds: Dataset, beam_width: int = DEFAULT_BEAM_WIDTH) -> np.ndarray:
     """Per-item recall@1: does the model's most likely description
     exactly match the reference (token-normalized comparison)? Every
     item is decoded in one ``predict_top1_batch`` call."""
-    _check_beam_width(beam_width)
+    check_generation_args(beam_width)
     preds = model.predict_top1_batch(ds.colors, beam_width=beam_width)
     return np.array([p == d.key() for p, d in zip(preds, ds.descriptions)],
                     dtype=np.int8)
 
 
-def accuracy(model, ds: Dataset, beam_width: int = DEFAULT_BEAM_WIDTH) -> float:
-    """Recall@1 as a percentage in [0, 100]."""
-    return float(hit_flags(model, ds, beam_width).mean() * 100.0)
-
-
-def permutation_test(per_item_a, per_item_b, rounds: int = 10000,
-                     seed: int = 0) -> float:
+def permutation_test(per_item_a, per_item_b, rounds: int = DEFAULT_ROUNDS,
+                     seed: int = DEFAULT_PERMUTATION_SEED) -> float:
     """Two-sided paired approximate randomization test.
 
     Each of ``rounds`` resamples flips the sign of every paired
@@ -252,10 +246,10 @@ def evaluate(model, ds: Dataset, split: str = "",
     skips the (expensive) accuracy pass; a width below 1 is rejected
     before anything is scored."""
     if beam_width is not None:
-        _check_beam_width(beam_width)
+        check_generation_args(beam_width)
     log2p = per_item_log2(model, ds)
     ppl, total_bits, _, n_zero = perplexity_from_log2(log2p, on_zero)
-    k = count_params(model)
+    k = model.param_count
     report = EvalReport(
         split=split,
         n_items=len(ds),

@@ -8,9 +8,9 @@
   finest-first backoff (90x10x10 -> 45x5x5 -> 1x1x1).
 
 All families derive from ``_Model``, which holds the config, feature
-scheme, parameter tensors and epochs trained, featurizes colors and
-saves and loads checkpoints; atomic and histogram also share an
-inventory of descriptions. Each family has one scoring path,
+scheme, parameter tensors and epochs trained and featurizes colors;
+atomic and histogram also share an inventory of descriptions and one
+sampler over it. Each family has one scoring path,
 ``score_token_batch(colors, token_seqs)``; score_description,
 score_dataset and score_color_array only adapt their arguments to it.
 Likewise each family decodes and samples many colors per call,
@@ -45,7 +45,8 @@ from .corpus import (
     tokenize,
 )
 from .errors import CheckpointError, ConfigError, CorpusError, TrainingDivergence
-from .evaluation import DEFAULT_BEAM_WIDTH, per_item_log2, perplexity_from_log2
+from .evaluation import (DEFAULT_BEAM_WIDTH, check_generation_args, per_item_log2,
+                         perplexity_from_log2)
 from .features import (
     BUCKET_GRIDS,
     BUCKET_SIZES,
@@ -221,13 +222,6 @@ def _score_color_array(self, colors: np.ndarray, d) -> np.ndarray:
                                   [_nonempty_tokens(d)] * len(colors))
 
 
-def _check_generation_args(beam_width: int, max_len: int) -> None:
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-
-
 # predict_top1 and sample are bound in every family's class body for the
 # same reason as score_dataset.
 
@@ -235,7 +229,7 @@ def _predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
                   max_len: int = DEFAULT_MAX_LEN) -> Description:
     """The most likely description of color c: ``predict_top1_batch`` on
     one row."""
-    _check_generation_args(beam_width, max_len)
+    check_generation_args(beam_width, max_len)
     return _description(self._top1_batch(_as_color_array(c), beam_width, max_len)[0])
 
 
@@ -349,28 +343,38 @@ class _Model:
         this method (a subclass's own, or a wrapper set on the class, as
         perfbench's tracer sets) is decoded one color at a time through
         it, so that the two never disagree."""
-        _check_generation_args(beam_width, max_len)
+        check_generation_args(beam_width, max_len)
         colors = _as_color_array(colors)
         if type(self).predict_top1 is not _predict_top1:
             return [self.predict_top1(c, beam_width, max_len).key() for c in colors]
         return self._top1_batch(colors, beam_width, max_len)
 
-    def save(self, path) -> None:
-        save_checkpoint(self, path)
-
-    @classmethod
-    def load(cls, path):
-        return load_checkpoint(path, expect_family=cls.family)
-
 
 class _InventoryModel(_Model):
-    """A family whose outcomes are the distinct training descriptions."""
+    """A family whose outcomes are the distinct training descriptions.
+    It supplies ``_class_probs(colors)``, the (n, C) float64 distribution
+    over the inventory of each color row, which ``sample_batch`` draws
+    from."""
 
     def __init__(self, config: TrainingConfig, inventory: list, scheme: str,
                  params: dict, epochs_trained: float = 0.0):
         super().__init__(config, scheme, params, epochs_trained)
         self.inventory = [tuple(k) for k in inventory]
         self.index = {k: i for i, k in enumerate(self.inventory)}
+
+    def sample_batch(self, colors, rng, max_len: int = DEFAULT_MAX_LEN) -> list:
+        """One inventory description per color row, drawn from the row's
+        ``_class_probs`` with uniform ``rng.random(N)[i]``."""
+        check_generation_args(max_len=max_len)
+        colors = _as_color_array(colors)
+        u = rng.random(len(colors))
+        drawn = np.empty(len(colors), dtype=np.int64)
+
+        def sample_chunk(lo, hi):
+            drawn[lo:hi] = _draw(self._class_probs(colors[lo:hi]), u[lo:hi])
+
+        _map_chunks(len(colors), sample_chunk)
+        return [self.inventory[k] for k in drawn.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +433,10 @@ class SequenceDecoderModel(_Model):
 
     def _advance(self, feats, prev, h, c):
         """``nn.sequence_step_probs`` for rows of (feats, previous token, h,
-        c); one row runs as two, as in ``_one_row_as_two``."""
-        if len(prev) != 1:
-            return nn.sequence_step_probs(self.params, self.config, feats, prev, h, c)
-        probs, h, c = nn.sequence_step_probs(
-            self.params, self.config, feats.repeat(2, axis=0), prev.repeat(2),
-            h.repeat(2, axis=0), c.repeat(2, axis=0))
-        return probs[:1], h[:1], c[:1]
+        c); one row runs as two."""
+        return _one_row_as_two(
+            lambda *rows: nn.sequence_step_probs(self.params, self.config, *rows),
+            feats, prev, h, c)
 
     def initial_state(self, c):
         return self._start(_as_color_array(c))
@@ -455,6 +456,7 @@ class SequenceDecoderModel(_Model):
         stops at </s> or after max_len tokens. Row i draws its t-th token
         with uniform ``u[i, t]`` of ``u = rng.random((N, max_len))``, so
         the draws do not depend on how rows are chunked."""
+        check_generation_args(max_len=max_len)
         colors = _as_color_array(colors)
         n = len(colors)
         u = rng.random((n, max_len))
@@ -632,9 +634,10 @@ class AtomicModel(_InventoryModel):
         params = cls._init_params(config, scheme, len(inventory), rng)
         return cls(config, list(inventory), scheme, params)
 
-    def class_logprobs(self, colors: np.ndarray) -> np.ndarray:
-        feats, _ = self.featurize(colors)
-        return nn.atomic_logprobs(self.params, self.config, feats)
+    def _class_probs(self, colors: np.ndarray) -> np.ndarray:
+        """(n, C) class distribution of each color row, in float64."""
+        return nn.softmax(nn.atomic_logits(self.params, self.featurize(colors)[0]),
+                          axis=1)
 
     def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
         """Log probability of each description given its color row;
@@ -654,21 +657,6 @@ class AtomicModel(_InventoryModel):
 
     score_dataset = _score_dataset
     score_color_array = _score_color_array
-
-    def sample_batch(self, colors, rng, max_len: int = DEFAULT_MAX_LEN) -> list:
-        """One inventory description per color row, drawn from its class
-        distribution with uniform ``rng.random(N)[i]``."""
-        colors = _as_color_array(colors)
-        u = rng.random(len(colors))
-        drawn = np.empty(len(colors), dtype=np.int64)
-
-        def sample_chunk(lo, hi):
-            p = np.exp(self.class_logprobs(colors[lo:hi]))
-            p /= p.sum(axis=1, keepdims=True)
-            drawn[lo:hi] = _draw(p, u[lo:hi])
-
-        _map_chunks(len(colors), sample_chunk)
-        return [self.inventory[k] for k in drawn.tolist()]
 
     def _top1_batch(self, colors: np.ndarray, width: int, max_len: int) -> list:
         """The argmax class of each row, ties to the smaller id, taken on
@@ -764,31 +752,20 @@ class HistogramModel(_InventoryModel):
     score_dataset = _score_dataset
     score_color_array = _score_color_array
 
-    def sample_batch(self, colors, rng, max_len: int = DEFAULT_MAX_LEN) -> list:
-        """One inventory description per color row, drawn from its
-        backed-off bucket's smoothed distribution with uniform
-        ``rng.random(N)[i]``."""
-        colors = _as_color_array(colors)
-        u = rng.random(len(colors))
-        cell, total = self._backoff(colors)
+    def _class_probs(self, colors: np.ndarray) -> np.ndarray:
+        """(n, C) add-one-smoothed distribution of each color row's
+        backed-off bucket."""
         C = len(self.inventory)
-        drawn = np.empty(len(colors), dtype=np.int64)
-
-        def sample_chunk(lo, hi):
-            # the count rows of each color's cell, one run per color
-            first, last = (np.searchsorted(self._keys, (cell[lo:hi] + k) * C)
-                           for k in (0, 1))
-            sizes = last - first
-            at = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes,
-                                                    sizes)
-            p = np.ones((hi - lo, C))
-            p[np.repeat(np.arange(hi - lo), sizes), self._keys[at] % C] += \
-                self._row_counts[at]
-            p /= (total[lo:hi] + C)[:, None]
-            drawn[lo:hi] = _draw(p, u[lo:hi])
-
-        _map_chunks(len(colors), sample_chunk)
-        return [self.inventory[k] for k in drawn.tolist()]
+        cell, total = self._backoff(colors)
+        # the count rows of each color's cell, one run per color
+        first, last = (np.searchsorted(self._keys, (cell + k) * C) for k in (0, 1))
+        sizes = last - first
+        at = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+        p = np.ones((len(cell), C))
+        rows = np.repeat(np.arange(len(cell)), sizes)
+        p[rows, self._keys[at] % C] += self._row_counts[at]
+        p /= (total + C)[:, None]
+        return p
 
     @cached_property
     def _best(self) -> np.ndarray:
@@ -904,36 +881,6 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
     return history
 
 
-def _train_sequence(train: Dataset, config: TrainingConfig, scheme: str,
-                    monitor: Dataset, monitor_name: str):
-    vocab = Vocabulary.build(train)
-    model = SequenceDecoderModel.build(config, vocab, scheme)
-    enc = encode_dataset(train, vocab)
-
-    def batch_grads(feats, batch, rng):
-        _, cache = nn.sequence_forward(model.params, config, feats,
-                                       *enc.teacher_forcing(batch), train=True,
-                                       rng=rng)
-        return nn.sequence_backward(cache)
-
-    return model, _neural_train_loop(model, config, train, batch_grads,
-                                     monitor, monitor_name)
-
-
-def _train_atomic(train: Dataset, config: TrainingConfig, scheme: str,
-                  monitor: Dataset, monitor_name: str):
-    inventory, targets_all = _inventory(train)
-    model = AtomicModel.build(config, inventory, scheme)
-
-    def batch_grads(feats, batch, rng):
-        _, cache = nn.atomic_forward(model.params, config, feats,
-                                     targets_all[batch], train=True, rng=rng)
-        return nn.atomic_backward(cache)
-
-    return model, _neural_train_loop(model, config, train, batch_grads,
-                                     monitor, monitor_name)
-
-
 def check_family_scheme(family: str, scheme: str) -> None:
     """Reject an unknown family, or a scheme the family is not defined
     over, before any data is read."""
@@ -953,14 +900,29 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
         raise ConfigError("training dataset is empty")
     monitor = dev if dev is not None and len(dev) else train
     monitor_name = "dev" if monitor is dev else "train"
+    if family == "histogram":
+        model = HistogramModel.build(config, train)
+        return model, [{"epoch": 1.0, "split": monitor_name,
+                        "perplexity": _monitor_perplexity(model, monitor)}]
     if family == "sequence":
-        return _train_sequence(train, config, scheme, monitor, monitor_name)
-    if family == "atomic":
-        return _train_atomic(train, config, scheme, monitor, monitor_name)
-    model = HistogramModel.build(config, train)
-    history = [{"epoch": 1.0, "split": monitor_name,
-                "perplexity": _monitor_perplexity(model, monitor)}]
-    return model, history
+        model = SequenceDecoderModel.build(config, Vocabulary.build(train), scheme)
+        enc = encode_dataset(train, model.vocab)
+
+        def batch_grads(feats, batch, rng):
+            _, cache = nn.sequence_forward(model.params, config, feats,
+                                           *enc.teacher_forcing(batch), train=True,
+                                           rng=rng)
+            return nn.sequence_backward(cache)
+    else:
+        inventory, targets_all = _inventory(train)
+        model = AtomicModel.build(config, inventory, scheme)
+
+        def batch_grads(feats, batch, rng):
+            _, cache = nn.atomic_forward(model.params, config, feats,
+                                         targets_all[batch], train=True, rng=rng)
+            return nn.atomic_backward(cache)
+    return model, _neural_train_loop(model, config, train, batch_grads,
+                                     monitor, monitor_name)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,14 +979,11 @@ def save_checkpoint(model, path) -> None:
     write_checkpoint(path, header, model.params)
 
 
-def load_checkpoint(path, expect_family: str | None = None):
+def load_checkpoint(path):
     header, tensors = read_checkpoint(path)
     family = header.get("family")
     if family not in FAMILIES:
         raise CheckpointError(f"checkpoint has unknown family tag {family!r}")
-    if expect_family is not None and family != expect_family:
-        raise CheckpointError(
-            f"checkpoint holds a {family} model, expected {expect_family}")
     if header.get("features") != FEATURE_CONSTANTS:
         raise CheckpointError(
             "checkpoint was written with different featurizer constants")

@@ -15,12 +15,9 @@ from colordesc import (
     train_model,
 )
 from colordesc.evaluation import (
-    accuracy,
-    count_params,
     hit_flags,
     permutation_test,
     per_item_log2,
-    perplexity,
     perplexity_from_log2,
 )
 
@@ -74,7 +71,7 @@ def test_perplexity_on_model(tmp_corpus):
         ["red", "green", "blue", "dark"],
         [-1e9, 0.0, -1e9, 0.0, 0.0, 0.0, 0.0])
     logs = per_item_log2(model, dev)
-    ppl = perplexity(model, dev)
+    ppl = perplexity_from_log2(per_item_log2(model, dev))[0]
     assert ppl == pytest.approx(2.0 ** (-logs.mean()))
     # dev is three one-word items and one two-word item: 2+2+2+3 steps at 1/5
     assert logs.sum() == pytest.approx(-9.0 * math.log2(5.0), rel=1e-6)
@@ -95,13 +92,12 @@ def test_aic_rejects_negative_inputs():
         aic(10.0, -1)
 
 
-def test_count_params_matches_model_attribute():
+def test_param_count_is_the_total_tensor_size():
     ds = disjoint_pairs(5, seed=20)
     cfg = TrainingConfig(max_epochs=1, batch_size=5, seed=0)
     model, _ = train_model("sequence", ds, cfg, scheme="raw")
-    assert count_params(model) == model.param_count
     total = sum(int(np.prod(p.shape)) for p in model.params.values())
-    assert count_params(model) == total
+    assert model.param_count == total
 
 
 # -- accuracy
@@ -116,7 +112,7 @@ def test_accuracy_is_exact_match_percent():
 
     flags = hit_flags(Fixed(), ds, beam_width=1)
     assert flags.tolist() == [1, 0, 0, 0]
-    assert accuracy(Fixed(), ds, beam_width=1) == pytest.approx(25.0)
+    assert flags.mean() * 100 == pytest.approx(25.0)
 
 
 def test_hit_flags_match_each_items_own_top1():
@@ -143,7 +139,7 @@ def test_accuracy_constant_predictor_hits_majority_share():
         def predict_top1_batch(self, colors, beam_width=None, max_len=None):
             return [Description.from_text("red").key()] * len(colors)
 
-    assert accuracy(AlwaysRed(), ds, beam_width=1) == pytest.approx(30.0)
+    assert hit_flags(AlwaysRed(), ds, beam_width=1).mean() * 100 == pytest.approx(30.0)
 
 
 def test_bad_beam_width_is_rejected_before_scoring():
@@ -167,8 +163,6 @@ def test_bad_beam_width_is_rejected_before_scoring():
         model = Recording()
         with pytest.raises(ValueError, match="beam_width"):
             hit_flags(model, ds, beam_width=width)
-        with pytest.raises(ValueError, match="beam_width"):
-            accuracy(model, ds, beam_width=width)
         with pytest.raises(ValueError, match="beam_width"):
             evaluate(model, ds, beam_width=width)
         assert model.calls == []

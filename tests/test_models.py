@@ -210,7 +210,8 @@ def reference_sample(model, color, rng, max_len):
     row = np.array([color.as_tuple()])
     C = len(getattr(model, "inventory", ()))
     if model.family == "atomic":
-        p = np.exp(model.class_logprobs(row)[0])
+        feats, _ = model.featurize(row)
+        p = np.exp(nn.atomic_logprobs(model.params, model.config, feats)[0])
         p /= p.sum()
         return model.inventory[int(rng.choice(C, p=p))]
     if model.family == "histogram":
@@ -263,12 +264,21 @@ def test_draw_is_rng_choice_inverse_cdf_on_every_row():
 
 
 def test_a_single_draw_follows_the_one_color_sampler_it_replaced():
-    for model in _models_of_each_family():
+    models = _models_of_each_family()
+    for model in models:
         for i, c in enumerate(_random_colors(40, 17)):
             color = ColorHSV(*c)
             got = model.sample(color, np.random.default_rng([3, i]), max_len=6)
             want = reference_sample(model, color, np.random.default_rng([3, i]), 6)
             assert got.key() == want, (model.family, i)
+    # an inventory draw takes one uniform, as one rng.choice does: a batch
+    # of 1,100 rows (three chunks) is 1,100 successive one-color draws
+    colors = _random_colors(1100, 24)
+    for model in models[1:]:
+        batch = model.sample_batch(colors, np.random.default_rng(25))
+        rng = np.random.default_rng(25)
+        want = [reference_sample(model, ColorHSV(*c), rng, 20) for c in colors]
+        assert batch == want, model.family
 
 
 def test_sample_batch_rows_depend_only_on_their_own_uniforms():
@@ -360,6 +370,13 @@ def test_beam_width_validation():
         model.predict_top1(GRAY, beam_width=0)
     with pytest.raises(ValueError):
         model.predict_top1(GRAY, max_len=-1)
+    # every family's sampler keeps the decoder's max_len rule
+    colors = np.tile(GRAY.as_tuple(), (3, 1))
+    for model in _models_of_each_family():
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            model.sample_batch(colors, np.random.default_rng(0), max_len=-1)
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            model.sample(GRAY, np.random.default_rng(0), max_len=-1)
 
 
 @pytest.mark.parametrize("family", ["atomic", "histogram"])
@@ -509,11 +526,14 @@ def test_atomic_scores_out_of_inventory_as_zero_probability():
 
 
 def test_atomic_class_distribution_sums_to_one():
+    # and the histogram's: the distributions the inventory sampler draws from
     ds = disjoint_pairs(6, seed=10)
     cfg = TrainingConfig(max_epochs=2, batch_size=3, seed=0)
-    model, _ = train_model("atomic", ds, cfg, scheme="fourier")
-    lp = model.class_logprobs(ds.colors)
-    np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-6)
+    for family, scheme in (("atomic", "fourier"), ("histogram", "buckets")):
+        model, _ = train_model(family, ds, cfg, scheme=scheme)
+        p = model._class_probs(ds.colors)
+        assert p.shape == (len(ds), len(model.inventory)), family
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("scheme", ["raw", "fourier", "buckets"])
@@ -522,7 +542,8 @@ def test_atomic_batch_top1_is_the_per_row_log_softmax_argmax(scheme):
     cfg = TrainingConfig(max_epochs=2, batch_size=8, seed=0)
     model, _ = train_model("atomic", ds, cfg, scheme=scheme)
     colors = _random_colors(1100, 21)  # three scoring chunks
-    want = [model.inventory[int(np.argmax(model.class_logprobs(colors[i:i + 1])[0]))]
+    want = [model.inventory[int(np.argmax(nn.atomic_logprobs(
+                model.params, model.config, model.featurize(colors[i:i + 1])[0])[0]))]
             for i in range(len(colors))]
     assert model.predict_top1_batch(colors) == want
     assert [model.predict_top1(c).key() for c in colors[:50]] == want[:50]
@@ -909,17 +930,6 @@ def test_checkpoint_rejects_future_version(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad)
-
-
-def test_cross_family_load_rejected(tmp_path):
-    ds = disjoint_pairs(5, seed=15)
-    cfg = TrainingConfig(max_epochs=1, batch_size=5, seed=0)
-    model, _ = train_model("atomic", ds, cfg, scheme="raw")
-    path = tmp_path / "atomic.ckpt"
-    save_checkpoint(model, path)
-    with pytest.raises(CheckpointError, match="family|expected"):
-        SequenceDecoderModel.load(path)
-    assert isinstance(AtomicModel.load(path), AtomicModel)
 
 
 def test_checkpoint_shape_mismatch_detected(tmp_path):
