@@ -313,6 +313,22 @@ def test_eval_unknown_split(ab_corpus, uniform_atomic_ckpt, tmp_path, capsys):
     assert "test" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_utf8_split_is_usage_error(command, ab_corpus, uniform_atomic_ckpt,
+                                       tmp_path, capsys):
+    dev = tmp_path / "dev.csv"
+    dev.write_bytes(b"h,s,v,description\n5.0,50.0,50.0,\xff\n")
+    out = tmp_path / "run"
+    args = (["train", "--family", "histogram", "--features", "buckets"]
+            if command == "train" else ["eval", "--ckpt", str(uniform_atomic_ckpt)])
+    rc = main(args + ["--data", str(ab_corpus), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: corpus file is not valid UTF-8: {dev}")
+    assert not out.exists()
+
+
 def test_eval_run_meta_records_phase_timings(ab_corpus, uniform_atomic_ckpt,
                                              tmp_path, capsys):
     out = tmp_path / "ev"

@@ -1,8 +1,14 @@
 import dataclasses
+import hashlib
+import json
 import logging
+import os
+import re
+import subprocess
 import sys
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from colordesc import (
     load_manifest,
     tokenize,
 )
+from colordesc import corpus
 from colordesc.colors import ColorHSL, ColorHSV, hsl_to_hsv
 from colordesc.corpus import (
     _HEADER_SETS,
@@ -27,6 +34,7 @@ from colordesc.corpus import (
     START_ID,
     UNK_ID,
     _detect_delimiter,
+    read_key_values,
 )
 
 
@@ -174,6 +182,28 @@ def test_load_manifest_rejects_unknown_keys(tmp_path):
     m2 = _write(tmp_path / "m2.manifest", "space=hsv\n")
     with pytest.raises(CorpusError):
         load_manifest(m2)
+
+
+def test_load_manifest_checks_keys_before_reading_any_split(tmp_path):
+    (tmp_path / "dev.csv").write_bytes(b"1,2,3,red\xff\n")
+    m = _write(tmp_path / "m.manifest", "dev=dev.csv\ntset=train.csv\n")
+    with pytest.raises(CorpusError, match="unknown manifest keys"):
+        load_manifest(m)
+
+
+def test_non_utf8_files_are_corpus_errors_naming_the_file(tmp_path):
+    bad = tmp_path / "bad.csv"
+    # the bad byte lies beyond the first block
+    bad.write_bytes(b"1,2,3,red\n" * 20 + b"4,5,6,bl\xffue\n")
+    with mock.patch.object(corpus, "BLOCK_CHARS", 16):
+        with pytest.raises(CorpusError, match=re.escape(f"not valid UTF-8: {bad}")):
+            load_corpus(bad)
+    m = tmp_path / "m.manifest"
+    m.write_bytes(b"train=\xff.csv\n")
+    with pytest.raises(CorpusError, match=re.escape(f"manifest is not valid UTF-8: {m}")):
+        load_manifest(m)
+    with pytest.raises(CorpusError, match=re.escape(f"config file is not valid UTF-8: {m}")):
+        read_key_values(m, "config file")
 
 
 def test_dataset_subsample_reproducible():
@@ -367,9 +397,10 @@ def data_row(draw, delim):
        header=st.sampled_from(HEADERS),
        space=st.sampled_from(["auto", "auto", "hsv", "hsl"]),
        data=st.data(),
-       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=30))
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=30),
+       block_chars=st.one_of(st.none(), st.integers(1, 60)))
 def test_array_loader_equals_per_row_loader(tmp_path_factory, delim, header, space,
-                                           data, ends):
+                                           data, ends, block_chars):
     lines = data.draw(st.lists(st.one_of(data_row(delim), data_row(delim),
                                          st.sampled_from(BLANK_LINES)),
                                min_size=1, max_size=40))
@@ -384,7 +415,10 @@ def test_array_loader_equals_per_row_loader(tmp_path_factory, delim, header, spa
         except CorpusError as exc:
             return str(exc)
 
-    got, want = load(load_corpus), load(per_row_load_corpus)
+    # small blocks (one to three lines) put every kind of line on a block edge
+    with mock.patch.object(corpus, "BLOCK_CHARS", block_chars or corpus.BLOCK_CHARS):
+        got = load(load_corpus)
+    want = load(per_row_load_corpus)
     if isinstance(want, str):
         assert got == want
         return
@@ -394,3 +428,44 @@ def test_array_loader_equals_per_row_loader(tmp_path_factory, delim, header, spa
     assert [d.raw for d in got.descriptions] == [d.raw for d in want.descriptions]
     assert [d.tokens for d in got.descriptions] == [d.tokens for d in want.descriptions]
     assert (got.skipped, got.split) == (want.skipped, want.split)
+
+
+REPO = Path(__file__).resolve().parents[1]
+# VmHWM is the peak RSS of this process's own address space; ru_maxrss
+# would also count the pytest process that spawned it, as Linux carries
+# the old peak across exec
+LOAD_AND_DIGEST = """
+import hashlib, json, re, sys
+from pathlib import Path
+from colordesc import load_manifest
+train = load_manifest(sys.argv[1])["train"]
+status = Path("/proc/self/status").read_text()
+print(json.dumps({
+    "peak_mb": int(re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1)) / 1024,
+    "rows": len(train), "skipped": train.skipped,
+    "colors": hashlib.sha256(train.colors.tobytes()).hexdigest(),
+    "raw": hashlib.sha256("\\n".join(d.raw for d in train.descriptions).encode()).hexdigest(),
+}))
+"""
+
+
+@pytest.mark.skipif(os.environ.get("COLORDESC_FULL") != "1"
+                    or not Path("/proc/self/status").is_file(),
+                    reason="paper-scale loader run; set COLORDESC_FULL=1 (Linux)")
+def test_paper_scale_split_loads_in_bounded_memory(tmp_path):
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import synth
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    synth.generate(7, tmp_path, n_train=1_500_000)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", LOAD_AND_DIGEST, str(tmp_path / "manifest.txt")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    got = json.loads(out)
+    assert got["peak_mb"] < 250
+    assert (got["rows"], got["skipped"]) == (1_500_000, 0)
+    want = per_row_load_corpus(tmp_path / "train.csv", space="hsl")
+    assert got["colors"] == hashlib.sha256(want.colors.tobytes()).hexdigest()
+    assert got["raw"] == hashlib.sha256(
+        "\n".join(d.raw for d in want.descriptions).encode()).hexdigest()
