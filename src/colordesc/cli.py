@@ -73,27 +73,22 @@ def _parse_triple(text: str, what: str):
 
 
 def _color_from_args(args) -> ColorHSV:
-    if getattr(args, "hsv", None) and getattr(args, "hsl", None):
+    if args.hsv and args.hsl:
         raise ConfigError("give either --hsv or --hsl, not both")
-    if getattr(args, "hsv", None):
-        h, s, v = _parse_triple(args.hsv, "hsv")
-        try:
-            return ColorHSV(h, s, v)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if getattr(args, "hsl", None):
-        h, s, l = _parse_triple(args.hsl, "hsl")
-        try:
-            return hsl_to_hsv(ColorHSL(h, s, l))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError("a color is required: --hsv h,s,v or --hsl h,s,l")
+    if not (args.hsv or args.hsl):
+        raise ConfigError("a color is required: --hsv h,s,v or --hsl h,s,l")
+    space = "hsv" if args.hsv else "hsl"
+    triple = _parse_triple(getattr(args, space), space)
+    try:
+        return ColorHSV(*triple) if space == "hsv" else hsl_to_hsv(ColorHSL(*triple))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_int_flags(args) -> None:
     """Reject out-of-range --beam, --max-len, --n, --rounds, --seed and
-    --subsample-train before any file is read; each command passes the
-    flags it has."""
+    --subsample-train before any file is read; a command is checked for
+    the flags it has."""
     for flag, low in (("beam", 1), ("max_len", 0), ("n", 0), ("rounds", 1),
                       ("seed", 0), ("subsample_train", 0)):
         value = getattr(args, flag, low)
@@ -111,7 +106,6 @@ def _load_counts(splits: dict) -> dict:
 
 
 def cmd_train(args) -> int:
-    _check_int_flags(args)
     if not args.data:
         raise ConfigError("missing required option: data (split manifest path)")
     if not args.out:
@@ -155,7 +149,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_int_flags(args)
     start = time.perf_counter()
     model = load_checkpoint(args.ckpt)
     splits = load_manifest(args.data)
@@ -207,7 +200,6 @@ def _paired_vectors(ra: EvalReport, rb: EvalReport, metric: str):
 
 
 def cmd_compare(args) -> int:
-    _check_int_flags(args)
     ra = EvalReport.load(args.report_a)
     rb = EvalReport.load(args.report_b)
     a, b, dropped = _paired_vectors(ra, rb, args.metric)
@@ -238,7 +230,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_int_flags(args)
     model = load_checkpoint(args.ckpt)
     colors = np.tile(_color_from_args(args).as_tuple(), (args.n, 1))
     rng = np.random.default_rng(args.seed)
@@ -248,7 +239,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_top1(args) -> int:
-    _check_int_flags(args)
     model = load_checkpoint(args.ckpt)
     color = _color_from_args(args)
     desc = model.predict_top1(color, beam_width=args.beam, max_len=args.max_len)
@@ -337,20 +327,19 @@ def build_parser(train_defaults: dict | None = None):
     p_cmp.add_argument("--seed", type=int, default=DEFAULT_PERMUTATION_SEED)
     p_cmp.add_argument("--out", default="")
 
-    p_sample = sub.add_parser("sample", help="sample descriptions for a color")
-    p_sample.add_argument("--ckpt", required=True)
-    p_sample.add_argument("--hsv", default="")
-    p_sample.add_argument("--hsl", default="")
-    p_sample.add_argument("--n", type=int, default=1)
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-
-    p_top1 = sub.add_parser("top1", help="most likely description for a color")
-    p_top1.add_argument("--ckpt", required=True)
-    p_top1.add_argument("--hsv", default="")
-    p_top1.add_argument("--hsl", default="")
-    p_top1.add_argument("--beam", type=int, default=DEFAULT_BEAM_WIDTH)
-    p_top1.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+    # the two commands that decode one color share their options, declared
+    # here in the order their usage lines list them
+    for name, help_text, own in (
+            ("sample", "sample descriptions for a color", (("--n", 1), ("--seed", 0))),
+            ("top1", "most likely description for a color",
+             (("--beam", DEFAULT_BEAM_WIDTH),))):
+        p_color = sub.add_parser(name, help=help_text)
+        p_color.add_argument("--ckpt", required=True)
+        p_color.add_argument("--hsv", default="")
+        p_color.add_argument("--hsl", default="")
+        for flag, default in own:
+            p_color.add_argument(flag, type=int, default=default)
+        p_color.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
 
     p_den = sub.add_parser("denotation",
                            help="render cross-section images for a description")
@@ -375,37 +364,25 @@ def build_parser(train_defaults: dict | None = None):
     return parser
 
 
+COMMANDS = {"train": cmd_train, "eval": cmd_eval, "compare": cmd_compare,
+            "sample": cmd_sample, "top1": cmd_top1, "denotation": cmd_denotation}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            if args.config:
-                # the file's key=value lines become the train parser's
-                # defaults, so explicit flags win
-                values = read_key_values(args.config, "config file")
-                defaults = {k.replace("-", "_"): v for k, v in values.items()}
-                args = build_parser(defaults).parse_args(argv)
-            return cmd_train(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "sample":
-            return cmd_sample(args)
-        if args.command == "top1":
-            return cmd_top1(args)
-        if args.command == "denotation":
-            return cmd_denotation(args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        if args.command == "train" and args.config:
+            # the file's key=value lines become the train parser's
+            # defaults, so explicit flags win
+            values = read_key_values(args.config, "config file")
+            defaults = {k.replace("-", "_"): v for k, v in values.items()}
+            args = build_parser(defaults).parse_args(argv)
+        # after the re-parse, so that a config file's values are checked too
+        _check_int_flags(args)
+        return COMMANDS[args.command](args)
+    except (ColordescError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ColordescError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

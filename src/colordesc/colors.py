@@ -79,16 +79,13 @@ class ColorHSL:
 
 
 def hsl_to_hsv(c: ColorHSL) -> ColorHSV:
-    """Standard cylindrical-space conversion; hue is unchanged."""
-    sl = c.s / 100.0
-    l = c.l / 100.0
-    v = l + sl * min(l, 1.0 - l)
-    sv = 0.0 if v == 0.0 else 2.0 * (1.0 - l / v)
-    return ColorHSV(c.h, 100.0 * sv, 100.0 * v)
+    """``hsl_to_hsv_array`` of one color."""
+    return ColorHSV(*hsl_to_hsv_array(np.array([c.as_tuple()]))[0])
 
 
 def hsl_to_hsv_array(hsl: np.ndarray) -> np.ndarray:
-    """Vectorized hsl_to_hsv over an (N, 3) array of (h, s, l) rows."""
+    """Standard cylindrical-space conversion of an (N, 3) array of
+    (h, s, l) rows to (h, s, v); hue is only wrapped into [0, 360)."""
     hsl = np.asarray(hsl, dtype=np.float64)
     h = canonical_hue_array(hsl[:, 0])
     sl = hsl[:, 1] / 100.0

@@ -63,6 +63,15 @@ class Description:
         return tuple(self.tokens)
 
 
+def tokens_of(d) -> list[str]:
+    """The tokens of a Description, of a text, or of a token sequence."""
+    if isinstance(d, Description):
+        return list(d.tokens)
+    if isinstance(d, str):
+        return tokenize(d)
+    return list(d)
+
+
 class Vocabulary:
     """Bijective token/id mapping with reserved sentinel ids.
 
@@ -98,13 +107,8 @@ class Vocabulary:
 
     def encode(self, text_or_tokens) -> list[int]:
         """Token ids with start/end sentinels; OOV tokens map to <unk>."""
-        tokens = (
-            tokenize(text_or_tokens)
-            if isinstance(text_or_tokens, str)
-            else list(text_or_tokens)
-        )
-        unk = UNK_ID
-        return [START_ID] + [self.token_to_id.get(t, unk) for t in tokens] + [END_ID]
+        ids = [self.token_to_id.get(t, UNK_ID) for t in tokens_of(text_or_tokens)]
+        return [START_ID] + ids + [END_ID]
 
     def encode_batch(self, token_seqs) -> tuple[np.ndarray, np.ndarray]:
         """(flat_ids, offsets) of many token lists, each encoded as
@@ -391,13 +395,12 @@ def load_manifest(path) -> dict:
 
 @dataclass
 class EncodedDataset:
-    """Color rows and their encoded descriptions.
+    """Encoded descriptions.
 
     ``flat_ids`` concatenates every encoded sequence (with sentinels);
     ``offsets[i]:offsets[i+1]`` delimits item i.
     """
 
-    colors: np.ndarray
     flat_ids: np.ndarray
     offsets: np.ndarray
 
@@ -422,4 +425,4 @@ class EncodedDataset:
 
 def encode_dataset(ds: Dataset, vocab: Vocabulary) -> EncodedDataset:
     flat, offsets = vocab.encode_batch([d.tokens for d in ds.descriptions])
-    return EncodedDataset(colors=ds.colors, flat_ids=flat, offsets=offsets)
+    return EncodedDataset(flat_ids=flat, offsets=offsets)

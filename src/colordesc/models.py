@@ -42,7 +42,7 @@ from .corpus import (
     UNK_ID,
     Vocabulary,
     encode_dataset,
-    tokenize,
+    tokens_of,
 )
 from .errors import CheckpointError, ConfigError, CorpusError, TrainingDivergence
 from .evaluation import (DEFAULT_BEAM_WIDTH, check_generation_args, per_item_log2,
@@ -174,14 +174,6 @@ def _as_color_array(c) -> np.ndarray:
     return arr.reshape(1, 3) if arr.ndim == 1 else arr
 
 
-def _as_tokens(d) -> list:
-    if isinstance(d, Description):
-        return list(d.tokens)
-    if isinstance(d, str):
-        return tokenize(d)
-    return list(d)
-
-
 def _class_ids(index: dict, token_seqs) -> np.ndarray:
     """Inventory class id of each token sequence, -1 outside the inventory."""
     return np.array([index.get(tuple(t), -1) for t in token_seqs], dtype=np.int64)
@@ -196,7 +188,7 @@ def _inventory(train: Dataset):
 
 
 def _nonempty_tokens(d) -> list:
-    tokens = _as_tokens(d)
+    tokens = tokens_of(d)
     if not tokens:
         raise ValueError("cannot score an empty description")
     return tokens
@@ -205,37 +197,6 @@ def _nonempty_tokens(d) -> list:
 def _description(tokens) -> Description:
     tokens = list(tokens)
     return Description(raw=" ".join(tokens), tokens=tokens)
-
-
-# score_dataset and score_color_array are bound in every family's class
-# body rather than inherited: perfbench's tracer wraps the attributes each
-# family class holds itself.
-
-def _score_dataset(self, ds: Dataset) -> np.ndarray:
-    return self.score_token_batch(ds.colors, [d.tokens for d in ds.descriptions])
-
-
-def _score_color_array(self, colors: np.ndarray, d) -> np.ndarray:
-    """One description (text, tokens or Description) scored against many
-    colors (grid queries)."""
-    return self.score_token_batch(np.asarray(colors, dtype=np.float64),
-                                  [_nonempty_tokens(d)] * len(colors))
-
-
-# predict_top1 and sample are bound in every family's class body for the
-# same reason as score_dataset.
-
-def _predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
-                  max_len: int = DEFAULT_MAX_LEN) -> Description:
-    """The most likely description of color c: ``predict_top1_batch`` on
-    one row."""
-    check_generation_args(beam_width, max_len)
-    return _description(self._top1_batch(_as_color_array(c), beam_width, max_len)[0])
-
-
-def _sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
-    """One draw for color c: ``sample_batch`` on one row."""
-    return _description(self.sample_batch(_as_color_array(c), rng, max_len)[0])
 
 
 def _one_row_as_two(fn, *rows):
@@ -304,16 +265,20 @@ class _Model:
         self.params = params
         self.epochs_trained = epochs_trained
 
+    def __init_subclass__(cls, **kwargs):
+        # perfbench's tracer wraps the attributes a family class holds
+        # itself, so each class gets the shared adapters in its own dict
+        super().__init_subclass__(**kwargs)
+        for name in ("score_dataset", "score_color_array", "predict_top1", "sample"):
+            setattr(cls, name, getattr(cls, name))
+
     @classmethod
-    def _init_params(cls, config: TrainingConfig, scheme: str, n_words: int,
-                     rng) -> dict:
+    def _init_params(cls, config: TrainingConfig, scheme: str, n_words: int) -> dict:
         """A neural family's initial parameters, drawn in ``_layout``
-        order from ``rng`` (default: seeded by the config)."""
+        order from a generator seeded by the config."""
         config.validate()
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        return nn.init_params(_layout(cls.family, config, scheme, n_words), rng,
-                              config.np_dtype)
+        return nn.init_params(_layout(cls.family, config, scheme, n_words),
+                              np.random.default_rng(config.seed), config.np_dtype)
 
     @property
     def param_count(self) -> int:
@@ -335,6 +300,26 @@ class _Model:
         """Natural-log probability of description d given color c."""
         return float(self.score_token_batch(_as_color_array(c), [_nonempty_tokens(d)])[0])
 
+    def score_dataset(self, ds: Dataset) -> np.ndarray:
+        return self.score_token_batch(ds.colors, [d.tokens for d in ds.descriptions])
+
+    def score_color_array(self, colors: np.ndarray, d) -> np.ndarray:
+        """One description (text, tokens or Description) scored against many
+        colors (grid queries)."""
+        return self.score_token_batch(np.asarray(colors, dtype=np.float64),
+                                      [_nonempty_tokens(d)] * len(colors))
+
+    def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
+                     max_len: int = DEFAULT_MAX_LEN) -> Description:
+        """The most likely description of color c: ``predict_top1_batch`` on
+        one row."""
+        check_generation_args(beam_width, max_len)
+        return _description(self._top1_batch(_as_color_array(c), beam_width, max_len)[0])
+
+    def sample(self, c, rng, max_len: int = DEFAULT_MAX_LEN) -> Description:
+        """One draw for color c: ``sample_batch`` on one row."""
+        return _description(self.sample_batch(_as_color_array(c), rng, max_len)[0])
+
     def predict_top1_batch(self, colors, beam_width: int = DEFAULT_BEAM_WIDTH,
                            max_len: int = DEFAULT_MAX_LEN) -> list:
         """The most likely description of each (N, 3) color row, as a
@@ -345,7 +330,7 @@ class _Model:
         it, so that the two never disagree."""
         check_generation_args(beam_width, max_len)
         colors = _as_color_array(colors)
-        if type(self).predict_top1 is not _predict_top1:
+        if type(self).predict_top1 is not _Model.predict_top1:
             return [self.predict_top1(c, beam_width, max_len).key() for c in colors]
         return self._top1_batch(colors, beam_width, max_len)
 
@@ -397,9 +382,9 @@ class SequenceDecoderModel(_Model):
         self.vocab = vocab
 
     @classmethod
-    def build(cls, config: TrainingConfig, vocab: Vocabulary, scheme: str,
-              rng=None) -> "SequenceDecoderModel":
-        params = cls._init_params(config, scheme, len(vocab), rng)
+    def build(cls, config: TrainingConfig, vocab: Vocabulary,
+              scheme: str) -> "SequenceDecoderModel":
+        params = cls._init_params(config, scheme, len(vocab))
         return cls(config, vocab, scheme, params)
 
     # -- scoring
@@ -407,7 +392,7 @@ class SequenceDecoderModel(_Model):
     def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
         """Log probability of each full description, </s> included, given
         its color row. OOV tokens score as <unk>."""
-        enc = EncodedDataset(colors, *self.vocab.encode_batch(token_seqs))
+        enc = EncodedDataset(*self.vocab.encode_batch(token_seqs))
         out = np.empty(len(enc), dtype=np.float64)
 
         def score_chunk(lo, hi):
@@ -418,9 +403,6 @@ class SequenceDecoderModel(_Model):
 
         _map_chunks(len(enc), score_chunk)
         return out
-
-    score_dataset = _score_dataset
-    score_color_array = _score_color_array
 
     # -- incremental decoding (also the enumeration probe used in tests)
 
@@ -609,9 +591,6 @@ class SequenceDecoderModel(_Model):
             h, c = h_new[parent], c_new[parent]
         return best_logp, best_ids
 
-    predict_top1 = _predict_top1
-    sample = _sample
-
 
 # ---------------------------------------------------------------------------
 # atomic classifier
@@ -627,11 +606,10 @@ class AtomicModel(_InventoryModel):
     family = "atomic"
 
     @classmethod
-    def build(cls, config: TrainingConfig, inventory: list, scheme: str,
-              rng=None) -> "AtomicModel":
+    def build(cls, config: TrainingConfig, inventory: list, scheme: str) -> "AtomicModel":
         if not inventory:
             raise ConfigError("atomic model needs a nonempty description inventory")
-        params = cls._init_params(config, scheme, len(inventory), rng)
+        params = cls._init_params(config, scheme, len(inventory))
         return cls(config, list(inventory), scheme, params)
 
     def _class_probs(self, colors: np.ndarray) -> np.ndarray:
@@ -655,9 +633,6 @@ class AtomicModel(_InventoryModel):
         _map_chunks(len(known), score_chunk)
         return out
 
-    score_dataset = _score_dataset
-    score_color_array = _score_color_array
-
     def _top1_batch(self, colors: np.ndarray, width: int, max_len: int) -> list:
         """The argmax class of each row, ties to the smaller id, taken on
         the working-precision logits: the log-softmax only shifts a row."""
@@ -671,9 +646,6 @@ class AtomicModel(_InventoryModel):
 
         _map_chunks(len(colors), decode_chunk)
         return [self.inventory[k] for k in best.tolist()]
-
-    predict_top1 = _predict_top1
-    sample = _sample
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +721,6 @@ class HistogramModel(_InventoryModel):
         count = np.where(hit, self._row_counts[pos], 0)
         return np.log((count + 1.0) / (total + C))
 
-    score_dataset = _score_dataset
-    score_color_array = _score_color_array
-
     def _class_probs(self, colors: np.ndarray) -> np.ndarray:
         """(n, C) add-one-smoothed distribution of each color row's
         backed-off bucket."""
@@ -784,9 +753,6 @@ class HistogramModel(_InventoryModel):
     def _top1_batch(self, colors: np.ndarray, width: int, max_len: int) -> list:
         cell, _ = self._backoff(colors)
         return [self.inventory[k] for k in self._best[cell].tolist()]
-
-    predict_top1 = _predict_top1
-    sample = _sample
 
 
 # ---------------------------------------------------------------------------

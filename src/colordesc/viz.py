@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colors import hsl_to_hsv_array
-from .corpus import Description, tokenize
+from .corpus import Description, tokenize, tokens_of
 from .errors import ConfigError, EvaluationError
 
 # zero-probability cells are floored here so empty regions render black
@@ -88,8 +88,7 @@ def probability_field(model, d, grid: GridSpec | None = None) -> ProbField:
     converting HSL grid coordinates to the model's HSV input."""
     if grid is None:
         grid = GridSpec()
-    tokens = d.tokens if isinstance(d, Description) else (
-        tokenize(d) if isinstance(d, str) else list(d))
+    tokens = tokens_of(d)
     if not tokens:
         raise ConfigError("cannot visualize an empty description")
     colors = hsl_to_hsv_array(grid.hsl_points())

@@ -218,6 +218,33 @@ def test_train_dests_are_the_config_file_keys():
         "patience", "evals_per_epoch", "conditioning", "subsample_train"}
 
 
+# dest -> (default, required, type) of every option but --help
+@pytest.mark.parametrize("command, options", [
+    ("eval", {"ckpt": (None, True, None), "data": (None, True, None),
+              "split": ("dev", False, None), "beam": (10, False, int),
+              "skip_accuracy": (False, False, None),
+              "allow_zero": (False, False, None), "out": (None, True, None)}),
+    ("compare", {"report_a": (None, True, None), "report_b": (None, True, None),
+                 "metric": ("perplexity", False, None),
+                 "rounds": (10000, False, int), "seed": (0, False, int),
+                 "out": ("", False, None)}),
+    ("sample", {"ckpt": (None, True, None), "hsv": ("", False, None),
+                "hsl": ("", False, None), "n": (1, False, int),
+                "seed": (0, False, int), "max_len": (20, False, int)}),
+    ("top1", {"ckpt": (None, True, None), "hsv": ("", False, None),
+              "hsl": ("", False, None), "beam": (10, False, int),
+              "max_len": (20, False, int)}),
+    ("denotation", {"ckpt": (None, True, None), "desc": (None, True, None),
+                    "grid": ("120x50x50", False, None),
+                    "outdir": (None, True, None)}),
+])
+def test_subcommand_options_are_pinned(command, options):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    got = {a.dest: (a.default, a.required, a.type)
+           for a in sub.choices[command]._actions if a.dest != "help"}
+    assert got == options
+
+
 def test_train_subsample_smaller_run(tmp_corpus, tmp_path):
     out = tmp_path / "sub"
     rc = main(["train", "--data", str(tmp_corpus), "--out", str(out),
@@ -227,20 +254,32 @@ def test_train_subsample_smaller_run(tmp_corpus, tmp_path):
     assert meta["settings"]["subsample_train"] == 4
 
 
-@pytest.mark.parametrize("family, flag, value, message", [
+_OUT_OF_RANGE_TRAIN_FLAGS = [
     ("rnn", "--seed", "-1", "--seed must be >= 0"),
     ("hm", "--seed", "-1", "--seed must be >= 0"),
     ("rnn", "--subsample-train", "-3", "--subsample-train must be >= 0"),
     ("rnn", "--patience", "0", "patience must be >= 1"),
     ("atomic", "--evals-per-epoch", "0", "evals_per_epoch must be >= 1"),
-])
-def test_train_out_of_range_flags_are_usage_errors(family, flag, value, message,
+]
+
+
+# a row given as a flag keeps the id it had before the config-file rows
+@pytest.mark.parametrize("family, flag, value, message, via", [
+    pytest.param(*row, via, id="-".join(row) + ("" if via == "flag" else "-config-file"))
+    for via in ("flag", "config file") for row in _OUT_OF_RANGE_TRAIN_FLAGS])
+def test_train_out_of_range_flags_are_usage_errors(family, flag, value, message, via,
                                                    tmp_path, capsys):
     out = tmp_path / "run"
-    # the manifest does not exist: the flag is rejected before any file is read
+    if via == "flag":
+        given = [flag, value]
+    else:
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
+        given = ["--config", str(cfg)]
+    # the manifest does not exist: the value is rejected before any file is read
     rc = main(["train", "--data", str(tmp_path / "missing.manifest"),
                "--out", str(out), "--family", family, "--features", "buckets",
-               flag, value])
+               *given])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")

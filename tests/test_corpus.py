@@ -267,7 +267,7 @@ def test_vectorized_encode_and_pad_equal_per_item(seqs, known, data):
     assert flat.tolist() == [i for ids in per_item for i in ids]
     assert offsets.tolist() == np.cumsum([0] + [len(ids) for ids in per_item]).tolist()
 
-    enc = EncodedDataset(np.zeros((len(seqs), 3)), flat, offsets)
+    enc = EncodedDataset(flat, offsets)
     rows = np.array(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
                                        max_size=20)))
     got = enc.teacher_forcing(rows)

@@ -710,7 +710,7 @@ def _serial_reference_scores(model, ds: Dataset) -> np.ndarray:
     full (B, V) log-softmax, and the atomic full log-softmax."""
     tokens = [d.tokens for d in ds.descriptions]
     if model.family == "sequence":
-        enc = EncodedDataset(ds.colors, *model.vocab.encode_batch(tokens))
+        enc = EncodedDataset(*model.vocab.encode_batch(tokens))
         out = np.empty(len(ds))
         for lo in range(0, len(ds), 512):
             rows = np.arange(lo, min(lo + 512, len(ds)))
