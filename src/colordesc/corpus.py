@@ -95,7 +95,10 @@ class Vocabulary:
         token, ordered by (count desc, token asc)."""
         if len(train) == 0:
             raise CorpusError("cannot build a vocabulary from an empty dataset")
-        counts = Counter(chain.from_iterable(d.tokens for d in train.descriptions))
+        counts = Counter()
+        for d, n in zip(train.table, np.bincount(train.codes).tolist()):
+            for t in d.tokens:
+                counts[t] += n
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         return cls(list(RESERVED_TOKENS) + [tok for tok, _ in ordered])
 
@@ -105,15 +108,10 @@ class Vocabulary:
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self.id_to_token == other.id_to_token
 
-    def encode(self, text_or_tokens) -> list[int]:
-        """Token ids with start/end sentinels; OOV tokens map to <unk>."""
-        ids = [self.token_to_id.get(t, UNK_ID) for t in tokens_of(text_or_tokens)]
-        return [START_ID] + ids + [END_ID]
-
     def encode_batch(self, token_seqs) -> tuple[np.ndarray, np.ndarray]:
-        """(flat_ids, offsets) of many token lists, each encoded as
-        ``encode`` does: int32 ids of every sequence, sentinels included,
-        back to back; ``offsets[i]:offsets[i+1]`` delimits sequence i."""
+        """(flat_ids, offsets) of many token lists: the int32 ids of every
+        sequence between <s> and </s>, OOV tokens as <unk>, back to back;
+        ``offsets[i]:offsets[i+1]`` delimits sequence i."""
         n = len(token_seqs)
         lengths = np.fromiter(map(len, token_seqs), dtype=np.int64, count=n)
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -135,12 +133,21 @@ class Vocabulary:
         ]
 
 
+class _Codes(dict):
+    """Codes of distinct keys: a key new to the dict gets the next code."""
+
+    def __missing__(self, key) -> int:
+        self[key] = code = len(self)
+        return code
+
+
 @dataclass
 class Dataset:
     """A split of (color, description) pairs.
 
     Colors are stored as an (N, 3) float64 HSV array; descriptions as a
-    parallel list. ``skipped`` counts records dropped at load time.
+    parallel list and as ``codes`` into ``table``, each distinct object once
+    in order of first use. ``skipped`` counts records dropped at load time.
     """
 
     colors: np.ndarray
@@ -151,9 +158,14 @@ class Dataset:
     def __post_init__(self):
         if len(self.colors) != len(self.descriptions):
             raise CorpusError("colors and descriptions length mismatch")
-        for d in self.descriptions:
-            if not d.tokens:
-                raise CorpusError("dataset contains an empty description")
+        code_of = _Codes()  # id of a distinct Description -> code
+        self.codes = np.fromiter(map(code_of.__getitem__, map(id, self.descriptions)),
+                                 dtype=np.int32, count=len(self.descriptions))
+        # the running maximum of the codes steps up at each code's first row
+        first = np.flatnonzero(np.diff(np.maximum.accumulate(self.codes), prepend=-1))
+        self.table = [self.descriptions[i] for i in first.tolist()]
+        if not all(d.tokens for d in self.table):
+            raise CorpusError("dataset contains an empty description")
 
     def __len__(self) -> int:
         return len(self.descriptions)
@@ -307,14 +319,6 @@ def _parse_block(lines: list[str], delim: str, is_hsl: bool, code_of: _Codes):
     return hsv, codes, len(records) - len(valid)
 
 
-class _Codes(dict):
-    """Codes of distinct texts: a text new to the dict gets the next code."""
-
-    def __missing__(self, text: str) -> int:
-        self[text] = code = len(self)
-        return code
-
-
 def _is_number(field: str) -> bool:
     try:
         float(field)
@@ -397,23 +401,25 @@ def load_manifest(path) -> dict:
 class EncodedDataset:
     """Encoded descriptions.
 
-    ``flat_ids`` concatenates every encoded sequence (with sentinels);
-    ``offsets[i]:offsets[i+1]`` delimits item i.
+    ``flat_ids`` concatenates a table's encoded entries (with sentinels);
+    ``offsets[k]:offsets[k+1]`` delimits entry k, the one of each row with code k.
     """
 
     flat_ids: np.ndarray
     offsets: np.ndarray
+    codes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.codes)
 
     def teacher_forcing(self, rows: np.ndarray):
-        """(in_ids, targets, mask) for items ``rows``: inputs ids[:-1] and
+        """(in_ids, targets, mask) for rows ``rows``: inputs ids[:-1] and
         targets ids[1:], both int64 and padded with </s> to the longest
-        item's T steps, and a float64 mask that is 1.0 over real target
+        row's T steps, and a float64 mask that is 1.0 over real target
         positions."""
-        start = self.offsets[rows]
-        steps = self.offsets[rows + 1] - start - 1
+        entries = self.codes[rows]
+        start = self.offsets[entries]
+        steps = self.offsets[entries + 1] - start - 1
         mask = np.arange(steps.max()) < steps[:, None]
         src = (start[:, None] + np.arange(mask.shape[1]))[mask]
         in_ids = np.full(mask.shape, END_ID, dtype=np.int64)
@@ -424,5 +430,4 @@ class EncodedDataset:
 
 
 def encode_dataset(ds: Dataset, vocab: Vocabulary) -> EncodedDataset:
-    flat, offsets = vocab.encode_batch([d.tokens for d in ds.descriptions])
-    return EncodedDataset(flat_ids=flat, offsets=offsets)
+    return EncodedDataset(*vocab.encode_batch([d.tokens for d in ds.table]), ds.codes)

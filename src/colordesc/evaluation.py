@@ -84,8 +84,8 @@ def hit_flags(model, ds: Dataset, beam_width: int = DEFAULT_BEAM_WIDTH) -> np.nd
     item is decoded in one ``predict_top1_batch`` call."""
     check_generation_args(beam_width)
     preds = model.predict_top1_batch(ds.colors, beam_width=beam_width)
-    return np.array([p == d.key() for p, d in zip(preds, ds.descriptions)],
-                    dtype=np.int8)
+    keys = [d.key() for d in ds.table]
+    return np.array([p == keys[k] for p, k in zip(preds, ds.codes.tolist())], dtype=np.int8)
 
 
 def permutation_test(per_item_a, per_item_b, rounds: int = DEFAULT_ROUNDS,

@@ -11,7 +11,7 @@ All families derive from ``_Model``, which holds the config, feature
 scheme, parameter tensors and epochs trained and featurizes colors;
 atomic and histogram also share an inventory of descriptions and one
 sampler over it. Each family has one scoring path,
-``score_token_batch(colors, token_seqs)``; score_description,
+``score_token_batch(colors, token_seqs, codes)``; score_description,
 score_dataset and score_color_array only adapt their arguments to it.
 Likewise each family decodes and samples many colors per call,
 ``predict_top1_batch`` and ``sample_batch``; predict_top1 and sample
@@ -174,24 +174,16 @@ def _as_color_array(c) -> np.ndarray:
     return arr.reshape(1, 3) if arr.ndim == 1 else arr
 
 
-def _class_ids(index: dict, token_seqs) -> np.ndarray:
-    """Inventory class id of each token sequence, -1 outside the inventory."""
-    return np.array([index.get(tuple(t), -1) for t in token_seqs], dtype=np.int64)
+def _class_ids(index: dict, token_seqs, codes) -> np.ndarray:
+    """Class id of each row's token list, -1 outside the inventory."""
+    return np.array([index.get(tuple(t), -1) for t in token_seqs], dtype=np.int64)[codes]
 
 
 def _inventory(train: Dataset):
-    """The sorted distinct descriptions of ``train`` and the class id of
-    each of its rows."""
-    inventory = sorted({d.key() for d in train.descriptions})
-    index = {k: i for i, k in enumerate(inventory)}
-    return inventory, _class_ids(index, [d.tokens for d in train.descriptions])
-
-
-def _nonempty_tokens(d) -> list:
-    tokens = tokens_of(d)
-    if not tokens:
-        raise ValueError("cannot score an empty description")
-    return tokens
+    """The sorted distinct keys of ``train`` and each row's class id."""
+    keys = [d.key() for d in train.table]
+    inventory = sorted(set(keys))
+    return inventory, _class_ids({k: i for i, k in enumerate(inventory)}, keys, train.codes)
 
 
 def _description(tokens) -> Description:
@@ -298,16 +290,19 @@ class _Model:
 
     def score_description(self, c, d) -> float:
         """Natural-log probability of description d given color c."""
-        return float(self.score_token_batch(_as_color_array(c), [_nonempty_tokens(d)])[0])
+        return float(self.score_color_array(_as_color_array(c), d)[0])
 
     def score_dataset(self, ds: Dataset) -> np.ndarray:
-        return self.score_token_batch(ds.colors, [d.tokens for d in ds.descriptions])
+        return self.score_token_batch(ds.colors, [d.tokens for d in ds.table], ds.codes)
 
     def score_color_array(self, colors: np.ndarray, d) -> np.ndarray:
         """One description (text, tokens or Description) scored against many
         colors (grid queries)."""
-        return self.score_token_batch(np.asarray(colors, dtype=np.float64),
-                                      [_nonempty_tokens(d)] * len(colors))
+        tokens = tokens_of(d)
+        if not tokens:
+            raise ValueError("cannot score an empty description")
+        return self.score_token_batch(np.asarray(colors, dtype=np.float64), [tokens],
+                                      np.zeros(len(colors), dtype=np.intp))
 
     def predict_top1(self, c, beam_width: int = DEFAULT_BEAM_WIDTH,
                      max_len: int = DEFAULT_MAX_LEN) -> Description:
@@ -389,10 +384,10 @@ class SequenceDecoderModel(_Model):
 
     # -- scoring
 
-    def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
-        """Log probability of each full description, </s> included, given
-        its color row. OOV tokens score as <unk>."""
-        enc = EncodedDataset(*self.vocab.encode_batch(token_seqs))
+    def score_token_batch(self, colors: np.ndarray, token_seqs: list, codes) -> np.ndarray:
+        """Log probability of row i's full description ``token_seqs[codes[i]]``,
+        </s> included, given its color row. OOV tokens score as <unk>."""
+        enc = EncodedDataset(*self.vocab.encode_batch(token_seqs), codes)
         out = np.empty(len(enc), dtype=np.float64)
 
         def score_chunk(lo, hi):
@@ -617,10 +612,10 @@ class AtomicModel(_InventoryModel):
         return nn.softmax(nn.atomic_logits(self.params, self.featurize(colors)[0]),
                           axis=1)
 
-    def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
-        """Log probability of each description given its color row;
-        -inf outside the inventory."""
-        cls_ids = _class_ids(self.index, token_seqs)
+    def score_token_batch(self, colors: np.ndarray, token_seqs: list, codes) -> np.ndarray:
+        """Log probability of row i's description ``token_seqs[codes[i]]``
+        given its color row; -inf outside the inventory."""
+        cls_ids = _class_ids(self.index, token_seqs, codes)
         out = np.full(len(cls_ids), -np.inf, dtype=np.float64)
         known = np.flatnonzero(cls_ids >= 0)
 
@@ -708,11 +703,11 @@ class HistogramModel(_InventoryModel):
         rows = np.arange(len(cells))
         return cells[rows, level], totals[rows, level]
 
-    def score_token_batch(self, colors: np.ndarray, token_seqs: list) -> np.ndarray:
-        """Log of (count + 1) / (total + C) in each row's backed-off bucket;
-        a description outside the inventory has count 0."""
+    def score_token_batch(self, colors: np.ndarray, token_seqs: list, codes) -> np.ndarray:
+        """Log of (count + 1) / (total + C) for ``token_seqs[codes[i]]`` in
+        row i's backed-off bucket; outside the inventory the count is 0."""
         C = len(self.inventory)
-        cls_ids = _class_ids(self.index, token_seqs)
+        cls_ids = _class_ids(self.index, token_seqs, codes)
         cell, total = self._backoff(colors)
         query = cell * C + cls_ids
         pos = np.minimum(np.searchsorted(self._keys, query), len(self._keys) - 1)

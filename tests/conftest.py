@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from colordesc import Dataset, Description, TrainingConfig, Vocabulary, nn
-from colordesc.corpus import RESERVED_TOKENS
+from colordesc.corpus import END_ID, RESERVED_TOKENS, START_ID, UNK_ID, tokens_of
 from colordesc.models import SequenceDecoderModel
 
 
@@ -23,6 +23,14 @@ def disjoint_pairs(n: int, seed: int = 0) -> Dataset:
 
 def make_vocab(content_tokens) -> Vocabulary:
     return Vocabulary(list(RESERVED_TOKENS) + list(content_tokens))
+
+
+def encode_one(vocab: Vocabulary, text_or_tokens) -> list:
+    """The ids of one description (a text, token list or Description)
+    between <s> and </s>, OOV tokens as <unk>: the per-item oracle of
+    ``Vocabulary.encode_batch``."""
+    ids = [vocab.token_to_id.get(t, UNK_ID) for t in tokens_of(text_or_tokens)]
+    return [START_ID] + ids + [END_ID]
 
 
 def constant_step_model(content_tokens, logits, hidden: int = 4) -> SequenceDecoderModel:

@@ -35,7 +35,10 @@ from colordesc.corpus import (
     UNK_ID,
     _detect_delimiter,
     read_key_values,
+    tokens_of,
 )
+
+from conftest import encode_one
 
 
 def test_tokenize_lowercases_and_splits():
@@ -66,12 +69,17 @@ def test_vocabulary_rejects_bad_construction():
 
 def test_encode_decode_roundtrip_and_unk():
     vocab = Vocabulary(list(RESERVED_TOKENS) + ["deep", "teal"])
-    ids = vocab.encode("deep teal")
+    ids = encode_one(vocab, "deep teal")
     assert ids[0] == START_ID and ids[-1] == END_ID
     assert vocab.decode(ids) == ["deep", "teal"]
-    ids2 = vocab.encode("deep magenta")
+    ids2 = encode_one(vocab, "deep magenta")
     assert ids2[2] == UNK_ID
-    assert vocab.encode("teal") == [START_ID, vocab.token_to_id["teal"], END_ID]
+    assert encode_one(vocab, "teal") == [START_ID, vocab.token_to_id["teal"], END_ID]
+    # the batch encoder agrees with the oracle on text, tokens and Descriptions
+    for d in ("Deep  TEAL", ["deep", "magenta"], Description.from_text("teal deep")):
+        flat, offsets = vocab.encode_batch([tokens_of(d)])
+        assert flat.tolist() == encode_one(vocab, d)
+        assert offsets.tolist() == [0, len(flat)]
 
 
 def _write(path, text):
@@ -262,12 +270,12 @@ def test_vectorized_encode_and_pad_equal_per_item(seqs, known, data):
     # words outside ``known`` are out of vocabulary and encode as <unk>
     vocab = Vocabulary(list(RESERVED_TOKENS) + sorted(known))
     flat, offsets = vocab.encode_batch(seqs)
-    per_item = [vocab.encode(t) for t in seqs]
+    per_item = [encode_one(vocab, t) for t in seqs]
     assert flat.dtype == np.int32 and offsets.dtype == np.int64
     assert flat.tolist() == [i for ids in per_item for i in ids]
     assert offsets.tolist() == np.cumsum([0] + [len(ids) for ids in per_item]).tolist()
 
-    enc = EncodedDataset(flat, offsets)
+    enc = EncodedDataset(flat, offsets, np.arange(len(seqs)))
     rows = np.array(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
                                        max_size=20)))
     got = enc.teacher_forcing(rows)

@@ -33,6 +33,7 @@ from colordesc.models import _monitor_perplexity
 from conftest import (
     constant_step_model,
     disjoint_pairs,
+    encode_one,
     enumerate_sequences,
     make_vocab,
     padded_sequence_logprobs,
@@ -70,8 +71,9 @@ def test_score_rejects_empty_description():
 def test_oov_tokens_score_as_unknown():
     model = random_tiny_model(1)
     s_unk = model.score_description(GRAY, ["zzz"])
-    ids_direct = model.vocab.encode(["zzz"])
+    ids_direct = encode_one(model.vocab, ["zzz"])
     assert ids_direct[1] == UNK_ID
+    assert model.vocab.encode_batch([["zzz"]])[0].tolist() == ids_direct
     # scoring the literal unknown token gives the same value
     assert s_unk == model.score_description(GRAY, [model.vocab.id_to_token[UNK_ID]])
 
@@ -710,7 +712,7 @@ def _serial_reference_scores(model, ds: Dataset) -> np.ndarray:
     full (B, V) log-softmax, and the atomic full log-softmax."""
     tokens = [d.tokens for d in ds.descriptions]
     if model.family == "sequence":
-        enc = EncodedDataset(*model.vocab.encode_batch(tokens))
+        enc = EncodedDataset(*model.vocab.encode_batch(tokens), np.arange(len(tokens)))
         out = np.empty(len(ds))
         for lo in range(0, len(ds), 512):
             rows = np.arange(lo, min(lo + 512, len(ds)))
