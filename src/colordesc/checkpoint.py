@@ -41,10 +41,6 @@ def _storage_dtype(arr: np.ndarray) -> str:
         return "f4"
     if arr.dtype == np.int32:
         return "i4"
-    if np.issubdtype(arr.dtype, np.integer):
-        if arr.size and (arr.max() > np.iinfo(np.int32).max or arr.min() < np.iinfo(np.int32).min):
-            raise CheckpointError("integer tensor exceeds 32-bit range")
-        return "i4"
     if np.issubdtype(arr.dtype, np.floating):
         raise CheckpointError(
             f"refusing to narrow {arr.dtype} tensor to float32 implicitly")

@@ -105,9 +105,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.id_to_token == other.id_to_token
-
     def encode_batch(self, token_seqs) -> tuple[np.ndarray, np.ndarray]:
         """(flat_ids, offsets) of many token lists: the int32 ids of every
         sequence between <s> and </s>, OOV tokens as <unk>, back to back;

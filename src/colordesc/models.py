@@ -195,7 +195,7 @@ def _one_row_as_two(fn, *rows):
     """``fn(*rows)`` for arrays with one row per item; a one-item call runs
     on its row twice and keeps the first. numpy sends a one-row product to
     gemv, whose sums can differ in the last bit from the same row of a
-    GEMM, and a color must decode alike alone and in a batch."""
+    GEMM, and a color must decode and sample alike alone and in a batch."""
     if len(rows[0]) != 1:
         return fn(*rows)
     out = fn(*(r.repeat(2, axis=0) for r in rows))
@@ -351,7 +351,8 @@ class _InventoryModel(_Model):
         drawn = np.empty(len(colors), dtype=np.int64)
 
         def sample_chunk(lo, hi):
-            drawn[lo:hi] = _draw(self._class_probs(colors[lo:hi]), u[lo:hi])
+            drawn[lo:hi] = _draw(_one_row_as_two(self._class_probs, colors[lo:hi]),
+                                 u[lo:hi])
 
         _map_chunks(len(colors), sample_chunk)
         return [self.inventory[k] for k in drawn.tolist()]
@@ -441,12 +442,11 @@ class SequenceDecoderModel(_Model):
         lengths = np.full(n, max_len)
 
         def sample_chunk(lo, hi):
-            feats, _ = self.featurize(colors[lo:hi])
-            h, c = nn.sequence_initial_state(self.params, self.config, feats)
+            feats, h, c = self._start(colors[lo:hi])
             rows = np.arange(lo, hi)  # rows still sampling
             tok = np.full(hi - lo, START_ID, dtype=np.int64)
             for t in range(max_len):
-                p, h, c = nn.sequence_step_probs(self.params, self.config, feats, tok, h, c)
+                p, h, c = self._advance(feats, tok, h, c)
                 p[:, START_ID] = 0.0
                 p[:, UNK_ID] = 0.0
                 p /= p.sum(axis=1, keepdims=True)
@@ -554,14 +554,12 @@ class SequenceDecoderModel(_Model):
             else:
                 # a search's width best finite extensions score at least the
                 # width-th best of any one of its rows: take the row with
-                # its best extension
-                if width > V:
-                    floor = np.full(len(search), _LOWEST)
-                else:
-                    top = np.lexsort((-scores.max(axis=1), search))[starts]
-                    floor = np.partition(scores[top], V - width, axis=1)[:, V - width]
-                    np.maximum(floor, _LOWEST, out=floor)
-                    floor = floor[group]
+                # its best extension. A width of V or more takes the row's
+                # minimum, -inf on <s>, which floors at the lowest finite.
+                top = np.lexsort((-scores.max(axis=1), search))[starts]
+                k = max(V - width, 0)
+                floor = np.partition(scores[top], k, axis=1)[:, k]
+                floor = np.maximum(floor, _LOWEST)[group]
                 row, tok = np.divmod((scores >= floor[:, None]).ravel().nonzero()[0], V)
                 val = scores[row, tok]
                 # stable: equal scores stay in (row, token) order
@@ -871,8 +869,7 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
 
         def batch_grads(feats, batch, rng):
             _, cache = nn.sequence_forward(model.params, config, feats,
-                                           *enc.teacher_forcing(batch), train=True,
-                                           rng=rng)
+                                           *enc.teacher_forcing(batch), rng=rng)
             return nn.sequence_backward(cache)
     else:
         inventory, targets_all = _inventory(train)
@@ -880,7 +877,7 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
 
         def batch_grads(feats, batch, rng):
             _, cache = nn.atomic_forward(model.params, config, feats,
-                                         targets_all[batch], train=True, rng=rng)
+                                         targets_all[batch], rng=rng)
             return nn.atomic_backward(cache)
     return model, _neural_train_loop(model, config, train, batch_grads,
                                      monitor, monitor_name)

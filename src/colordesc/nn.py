@@ -105,7 +105,8 @@ def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def dropout_mask(rng, shape, rate, dtype):
     """Inverted dropout: zeros with probability ``rate``, survivors scaled
-    by 1/(1-rate). Forward passes apply it in training mode only."""
+    by 1/(1-rate). At rate 0 it is all ones and draws nothing from
+    ``rng``, which may then be None."""
     if rate == 0.0:
         return np.ones(shape, dtype=dtype)
     keep = (rng.random(shape) >= rate).astype(dtype)
@@ -116,11 +117,6 @@ def dropout_mask(rng, shape, rate, dtype):
 # ---------------------------------------------------------------------------
 # initializers
 
-def glorot_uniform(rng, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-
 def normal(sigma: float):
     """Initializer drawing N(0, sigma^2) entries."""
     return lambda rng, shape, dtype: (rng.standard_normal(shape) * sigma).astype(dtype)
@@ -128,7 +124,8 @@ def normal(sigma: float):
 
 def glorot(rng, shape, dtype) -> np.ndarray:
     """Initializer drawing a (fan_in, fan_out) Glorot-uniform matrix."""
-    return glorot_uniform(rng, *shape, dtype)
+    limit = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def zeros(rng, shape, dtype) -> np.ndarray:
@@ -311,13 +308,15 @@ def _softmax_xent(logits: np.ndarray, targets: np.ndarray):
 
 def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                      in_ids: np.ndarray, targets: np.ndarray, mask: np.ndarray,
-                     train: bool = False, rng=None, drop_masks=None):
-    """Teacher-forced forward pass.
+                     rng=None):
+    """Teacher-forced training pass.
 
     feats: (B, F) featurized colors; in_ids/targets/mask: (B, T).
     Returns (loss, cache); loss is the batch-mean summed cross-entropy.
-    ``drop_masks`` (B, T, H) may be supplied to pin the dropout draw
-    (used by the finite-difference tests).
+    The hidden states always pass through one (B, T, H) dropout mask
+    drawn from ``rng`` (``dropout_mask``). At dropout 0 the mask is all
+    ones, nothing is drawn and ``rng`` may be None; multiplying by 1 is
+    exact. A fresh generator of a fixed seed pins the mask.
 
     Every (row, step) cell runs through the recurrence and the output
     product. The log-softmax, the probabilities and the logit gradient
@@ -347,14 +346,10 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
         h, c = _lstm_step(params["lstm.W_h"], neg_w, AX[t], h, c, gates[t],
                           cells[t], tanh_c[t], hidden[t])
 
-    dropped = np.empty((B, T, H), dtype=dt)
-    if train and cfg.dropout > 0.0:
-        if drop_masks is None:
-            drop_masks = dropout_mask(rng, (B, T, H), cfg.dropout, dt)
-        np.multiply(hidden.transpose(1, 0, 2), drop_masks, out=dropped)
-    else:
-        drop_masks = None
-        dropped[:] = hidden.transpose(1, 0, 2)
+    drop_mask = dropout_mask(rng, (B, T, H), cfg.dropout, dt)
+    # row-major (B, T, H), as the logit product and its gradients read it
+    dropped = np.multiply(hidden.transpose(1, 0, 2), drop_mask,
+                          out=np.empty_like(drop_mask))
 
     logits = dropped.reshape(B * T, H) @ params["out.W"]
     logits += params["out.b"]
@@ -376,7 +371,7 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
         "cfg": cfg, "params": params, "feats": feats, "X": X,
         "in_ids": in_ids, "h0": h0, "c0": c0, "gates": gates, "c": cells,
         "tanh_c": tanh_c, "hidden": hidden, "dropped": dropped,
-        "drop_masks": drop_masks, "dlogits": dlogits, "dflat": dflat,
+        "drop_mask": drop_mask, "dlogits": dlogits, "dflat": dflat,
     }
     return loss, cache
 
@@ -403,8 +398,7 @@ def sequence_backward(cache) -> Params:
     grads["out.W"] = cache["dropped"].reshape(B * T, H).T @ dflat
     grads["out.b"] = cache["dlogits"].sum(axis=0)
     dH_out = dflat @ params["out.W"].T
-    if cache["drop_masks"] is not None:
-        dH_out *= cache["drop_masks"].reshape(B * T, H)
+    dH_out *= cache["drop_mask"].reshape(B * T, H)
     dH_out = dH_out.reshape(B, T, H).transpose(1, 0, 2).copy()
 
     gates, cells, tc = cache["gates"], cache["c"], cache["tanh_c"]
@@ -558,8 +552,8 @@ def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
 # atomic (whole-description classifier) graph
 #
 # Two hidden layers with a ReLU after the first, softmax over the
-# inventory of distinct training descriptions. Dropout after each hidden
-# layer in training mode.
+# inventory of distinct training descriptions. Training passes apply
+# dropout after each hidden layer.
 
 def atomic_layout(cfg: TrainingConfig, feature_width: int, n_classes: int) -> list:
     """(name, shape, init) of every atomic-classifier tensor, in draw order."""
@@ -572,28 +566,20 @@ def atomic_layout(cfg: TrainingConfig, feature_width: int, n_classes: int) -> li
 
 
 def atomic_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
-                   targets: np.ndarray, train: bool = False, rng=None,
-                   drop_masks=None):
-    """Returns (loss, cache); loss is mean cross-entropy over the batch.
-    The log-softmax and the logit gradient (p - onehot) / B are computed
-    in place (``_softmax_xent``) in the (B, C) logits buffer and one
-    more."""
+                   targets: np.ndarray, rng=None):
+    """Training pass; returns (loss, cache), loss the mean cross-entropy
+    over the batch. Each hidden layer is multiplied by its own (B, H)
+    dropout mask, both drawn from ``rng`` first; at dropout 0 they are
+    all ones (see ``sequence_forward``). The log-softmax and the logit
+    gradient (p - onehot) / B are computed in place (``_softmax_xent``)
+    in the (B, C) logits buffer and one more."""
     dt = cfg.np_dtype
     B = feats.shape[0]
+    drop_masks = [dropout_mask(rng, (B, cfg.atomic_hidden), cfg.dropout, dt)
+                  for _ in range(2)]
     a1 = feats @ params["fc1.W"] + params["fc1.b"]
-    h1 = np.maximum(a1, 0.0)
-    if train and cfg.dropout > 0.0:
-        if drop_masks is None:
-            drop_masks = (
-                dropout_mask(rng, h1.shape, cfg.dropout, dt),
-                dropout_mask(rng, (B, cfg.atomic_hidden), cfg.dropout, dt),
-            )
-        d1 = h1 * drop_masks[0]
-    else:
-        drop_masks = None
-        d1 = h1
-    h2 = d1 @ params["fc2.W"] + params["fc2.b"]
-    d2 = h2 * drop_masks[1] if drop_masks is not None else h2
+    d1 = np.maximum(a1, 0.0) * drop_masks[0]
+    d2 = (d1 @ params["fc2.W"] + params["fc2.b"]) * drop_masks[1]
     logits = d2 @ params["out.W"]
     logits += params["out.b"]
     logp, dlogits = _softmax_xent(logits, targets)
@@ -615,19 +601,10 @@ def atomic_backward(cache) -> Params:
     grads: Params = {}
     grads["out.W"] = cache["d2"].T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
-    dd2 = dlogits @ params["out.W"].T
-    if cache["drop_masks"] is not None:
-        dh2 = dd2 * cache["drop_masks"][1]
-    else:
-        dh2 = dd2
+    dh2 = (dlogits @ params["out.W"].T) * cache["drop_masks"][1]
     grads["fc2.W"] = cache["d1"].T @ dh2
     grads["fc2.b"] = dh2.sum(axis=0)
-    dd1 = dh2 @ params["fc2.W"].T
-    if cache["drop_masks"] is not None:
-        dh1 = dd1 * cache["drop_masks"][0]
-    else:
-        dh1 = dd1
-    da1 = dh1 * (cache["a1"] > 0)
+    da1 = (dh2 @ params["fc2.W"].T) * cache["drop_masks"][0] * (cache["a1"] > 0)
     grads["fc1.W"] = cache["feats"].T @ da1
     grads["fc1.b"] = da1.sum(axis=0)
     grads["feats"] = da1 @ params["fc1.W"].T

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from colordesc import (CheckpointError, Dataset, Description, TrainingConfig,
                        models)
-from colordesc.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint
+from colordesc.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint, write_checkpoint
 from colordesc.models import HistogramModel, load_checkpoint, save_checkpoint
 
 from conftest import random_tiny_model
@@ -168,3 +168,12 @@ def test_model_constructor_errors_are_not_reported_as_damage(tmp_path,
     monkeypatch.setattr(models.SequenceDecoderModel, "__init__", broken_init)
     with pytest.raises(ValueError, match="constructor bug"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", ["int64", "float64"])
+def test_a_tensor_of_another_dtype_is_refused_by_name(tmp_path, dtype):
+    # tensors are stored as float32 or int32 only; nothing is narrowed
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(CheckpointError, match=dtype):
+        write_checkpoint(path, {}, {"t": np.arange(3, dtype=dtype)})
+    assert not path.exists()

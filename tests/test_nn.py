@@ -133,8 +133,8 @@ def test_adagrad_first_step_magnitude_bounded_by_lr():
 
 def test_glorot_bounds_and_determinism():
     limit = math.sqrt(6.0 / (30 + 40))
-    w1 = nn.glorot_uniform(np.random.default_rng(7), 30, 40, np.float32)
-    w2 = nn.glorot_uniform(np.random.default_rng(7), 30, 40, np.float32)
+    w1 = nn.glorot(np.random.default_rng(7), (30, 40), np.float32)
+    w2 = nn.glorot(np.random.default_rng(7), (30, 40), np.float32)
     assert w1.shape == (30, 40)
     assert np.abs(w1).max() <= limit
     np.testing.assert_array_equal(w1, w2)
@@ -178,23 +178,28 @@ def _random_sequence_setup(seed, conditioning, dropout=0.2, V=5, F=6, B=3, T=4):
     targets = rng.integers(0, V, (B, T))
     mask = (rng.random((B, T)) < 0.8).astype(np.float64)
     mask[:, 0] = 1.0
-    drop = nn.dropout_mask(rng, (B, T, cfg.hidden_size), cfg.dropout, np.float64)
-    return cfg, params, feats, in_ids, targets, mask, drop
+    return cfg, params, feats, in_ids, targets, mask
+
+
+def _mask_rng(seed):
+    """A fresh generator: each training pass given one of the same seed
+    draws the same dropout masks."""
+    return np.random.default_rng([seed, 1])
 
 
 @pytest.mark.parametrize("conditioning", ["every-step", "init-state"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sequence_gradients_match_finite_differences(conditioning, seed):
-    cfg, params, feats, in_ids, targets, mask, drop = _random_sequence_setup(
+    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
         seed, conditioning)
 
     def loss_fn():
         loss, _ = nn.sequence_forward(params, cfg, feats, in_ids, targets,
-                                      mask, train=True, drop_masks=drop)
+                                      mask, rng=_mask_rng(seed))
         return loss
 
     _, cache = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask,
-                                   train=True, drop_masks=drop)
+                                   rng=_mask_rng(seed))
     grads = nn.sequence_backward(cache)
     dfeats = grads.pop("feats")
     assert fd_max_relative_error(params, loss_fn, grads) <= 1e-4
@@ -217,7 +222,7 @@ def test_sequence_gradients_match_finite_differences(conditioning, seed):
 
 
 def test_zero_weight_model_gradients_match_finite_differences():
-    cfg, params, feats, in_ids, targets, mask, drop = _random_sequence_setup(
+    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
         3, "every-step", dropout=0.0)
     for v in params.values():
         v[...] = 0.0
@@ -233,7 +238,7 @@ def test_zero_weight_model_gradients_match_finite_differences():
 
 
 def test_padded_positions_get_exactly_zero_gradient():
-    cfg, params, feats, in_ids, targets, mask, drop = _random_sequence_setup(
+    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
         4, "every-step")
     mask[:, -1] = 0.0
     mask[0, -2] = 0.0
@@ -241,7 +246,7 @@ def test_padded_positions_get_exactly_zero_gradient():
 
     def run(in_ids, targets):
         loss, cache = nn.sequence_forward(params, cfg, feats, in_ids, targets,
-                                          mask, train=True, drop_masks=drop)
+                                          mask, rng=_mask_rng(4))
         return loss, cache, nn.sequence_backward(cache)
 
     loss_a, cache, grads_a = run(in_ids, targets)
@@ -262,7 +267,7 @@ def test_padded_positions_get_exactly_zero_gradient():
 
 
 def test_sequence_forward_raises_on_divergence():
-    cfg, params, feats, in_ids, targets, mask, _ = _random_sequence_setup(
+    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
         5, "every-step", dropout=0.0)
     params["out.b"][...] = np.nan
     with pytest.raises(TrainingDivergence):
@@ -270,7 +275,7 @@ def test_sequence_forward_raises_on_divergence():
 
 
 def test_sequence_logprobs_agrees_with_loss():
-    cfg, params, feats, in_ids, targets, mask, _ = _random_sequence_setup(
+    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
         6, "every-step", dropout=0.0)
     loss, _ = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask)
     logs = nn.sequence_logprobs(params, cfg, feats, in_ids, targets, mask)
@@ -286,16 +291,12 @@ def test_atomic_gradients_match_finite_differences(seed):
     params = nn.init_params(nn.atomic_layout(cfg, F, C), rng, cfg.np_dtype)
     feats = rng.standard_normal((B, F))
     targets = rng.integers(0, C, B)
-    drop = (nn.dropout_mask(rng, (B, 4), 0.2, np.float64),
-            nn.dropout_mask(rng, (B, 4), 0.2, np.float64))
 
     def loss_fn():
-        loss, _ = nn.atomic_forward(params, cfg, feats, targets, train=True,
-                                    drop_masks=drop)
+        loss, _ = nn.atomic_forward(params, cfg, feats, targets, rng=_mask_rng(seed))
         return loss
 
-    _, cache = nn.atomic_forward(params, cfg, feats, targets, train=True,
-                                 drop_masks=drop)
+    _, cache = nn.atomic_forward(params, cfg, feats, targets, rng=_mask_rng(seed))
     grads = nn.atomic_backward(cache)
     grads.pop("feats")
     assert fd_max_relative_error(params, loss_fn, grads) <= 1e-4
@@ -303,7 +304,7 @@ def test_atomic_gradients_match_finite_differences(seed):
 
 def test_update_determinism_over_many_steps():
     def run():
-        cfg, params, feats, in_ids, targets, mask, _ = _random_sequence_setup(
+        cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
             8, "every-step", dropout=0.0)
         opt = nn.Adagrad(params, 0.1)
         for _ in range(25):

@@ -2,11 +2,13 @@
 
 ``padded_sequence_forward``/``padded_sequence_backward`` and
 ``padded_atomic_forward``/``padded_atomic_backward`` are the earlier
-kernels, kept verbatim apart from their names and annotations: the
-sequence pair builds the full (B, T, V) log-softmax and masks padding,
-and both keep a ``probs`` copy for the backward pass. The kernels in
-``colordesc.nn`` must match them bit for bit: the same loss and the same
-bytes in every gradient. Golden digests pin whole seeded trainings.
+kernels, kept verbatim apart from their names and annotations and from
+taking the current signature, under which dropout is always a mask (all
+ones at dropout 0): the sequence pair builds the full (B, T, V)
+log-softmax and masks padding, and both keep a ``probs`` copy for the
+backward pass. The kernels in ``colordesc.nn`` must match them bit for
+bit: the same loss and the same bytes in every gradient. Golden digests
+pin whole seeded trainings.
 """
 
 import hashlib
@@ -23,14 +25,11 @@ from colordesc.models import save_checkpoint, train_model
 from conftest import lstm_step_full
 
 
-def padded_sequence_forward(params, cfg, feats, in_ids, targets, mask,
-                            train=False, rng=None, drop_masks=None):
+def padded_sequence_forward(params, cfg, feats, in_ids, targets, mask, rng=None):
     """Teacher-forced forward pass.
 
     feats: (B, F) featurized colors; in_ids/targets/mask: (B, T).
     Returns (loss, cache); loss is the batch-mean summed cross-entropy.
-    ``drop_masks`` (B, T, H) may be supplied to pin the dropout draw
-    (used by the finite-difference tests).
     """
     B, T = in_ids.shape
     H = cfg.hidden_size
@@ -58,13 +57,8 @@ def padded_sequence_forward(params, cfg, feats, in_ids, targets, mask,
         gates_g[:, t], gates_o[:, t] = g, o
         cells[:, t], tanh_c[:, t], hidden[:, t] = c, tc, h
 
-    if train and cfg.dropout > 0.0:
-        if drop_masks is None:
-            drop_masks = nn.dropout_mask(rng, (B, T, H), cfg.dropout, dt)
-        dropped = hidden * drop_masks
-    else:
-        drop_masks = None
-        dropped = hidden
+    drop_mask = nn.dropout_mask(rng, (B, T, H), cfg.dropout, dt)
+    dropped = hidden * drop_mask
 
     logits = dropped.reshape(B * T, H) @ params["out.W"] + params["out.b"]
     logits = logits.reshape(B, T, -1)
@@ -81,7 +75,7 @@ def padded_sequence_forward(params, cfg, feats, in_ids, targets, mask,
         "in_ids": in_ids, "targets": targets, "mask": mask,
         "h_prev": h_prev, "c_prev": c_prev, "i": gates_i, "f": gates_f,
         "g": gates_g, "o": gates_o, "c": cells, "tanh_c": tanh_c,
-        "hidden": hidden, "dropped": dropped, "drop_masks": drop_masks,
+        "hidden": hidden, "dropped": dropped, "drop_mask": drop_mask,
         "probs": np.exp(logp),
     }
     return loss, cache
@@ -113,9 +107,7 @@ def padded_sequence_backward(cache):
     dflat = dlogits.reshape(B * T, V)
     grads["out.W"] = dropped.reshape(B * T, H).T @ dflat
     grads["out.b"] = dflat.sum(axis=0)
-    dH_out = (dflat @ params["out.W"].T).reshape(B, T, H)
-    if cache["drop_masks"] is not None:
-        dH_out = dH_out * cache["drop_masks"]
+    dH_out = (dflat @ params["out.W"].T).reshape(B, T, H) * cache["drop_mask"]
 
     w_ci, w_cf, w_co = params["lstm.w_ci"], params["lstm.w_cf"], params["lstm.w_co"]
     da = np.empty((B, T, 4 * H), dtype=dt)
@@ -172,25 +164,19 @@ def padded_sequence_backward(cache):
     return grads
 
 
-def padded_atomic_forward(params, cfg, feats, targets, train=False, rng=None,
-                          drop_masks=None):
+def padded_atomic_forward(params, cfg, feats, targets, rng=None):
     """Returns (loss, cache); loss is mean cross-entropy over the batch."""
     dt = cfg.np_dtype
     B = feats.shape[0]
     a1 = feats @ params["fc1.W"] + params["fc1.b"]
     h1 = np.maximum(a1, 0.0)
-    if train and cfg.dropout > 0.0:
-        if drop_masks is None:
-            drop_masks = (
-                nn.dropout_mask(rng, h1.shape, cfg.dropout, dt),
-                nn.dropout_mask(rng, (B, cfg.atomic_hidden), cfg.dropout, dt),
-            )
-        d1 = h1 * drop_masks[0]
-    else:
-        drop_masks = None
-        d1 = h1
+    drop_masks = (
+        nn.dropout_mask(rng, h1.shape, cfg.dropout, dt),
+        nn.dropout_mask(rng, (B, cfg.atomic_hidden), cfg.dropout, dt),
+    )
+    d1 = h1 * drop_masks[0]
     h2 = d1 @ params["fc2.W"] + params["fc2.b"]
-    d2 = h2 * drop_masks[1] if drop_masks is not None else h2
+    d2 = h2 * drop_masks[1]
     logits = d2 @ params["out.W"] + params["out.b"]
     logp = nn.log_softmax(logits, axis=1)
     nll = -logp[np.arange(B), targets]
@@ -215,17 +201,11 @@ def padded_atomic_backward(cache):
     grads["out.W"] = cache["d2"].T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
     dd2 = dlogits @ params["out.W"].T
-    if cache["drop_masks"] is not None:
-        dh2 = dd2 * cache["drop_masks"][1]
-    else:
-        dh2 = dd2
+    dh2 = dd2 * cache["drop_masks"][1]
     grads["fc2.W"] = cache["d1"].T @ dh2
     grads["fc2.b"] = dh2.sum(axis=0)
     dd1 = dh2 @ params["fc2.W"].T
-    if cache["drop_masks"] is not None:
-        dh1 = dd1 * cache["drop_masks"][0]
-    else:
-        dh1 = dd1
+    dh1 = dd1 * cache["drop_masks"][0]
     da1 = dh1 * (cache["a1"] > 0)
     grads["fc1.W"] = cache["feats"].T @ da1
     grads["fc1.b"] = da1.sum(axis=0)
@@ -245,12 +225,12 @@ def _assert_same_grads(got: dict, want: dict):
         assert _same_bits(got[name], want[name]), name
 
 
-def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes):
+def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes, dropout=0.2):
     """A random model and teacher-forcing tensors padded with </s> the
     way ``EncodedDataset.teacher_forcing`` pads them; one row has all T
     steps. ``holes`` also zeroes interior mask cells."""
     H, E, V, F = dims
-    cfg = TrainingConfig(hidden_size=H, embedding_dim=E, dropout=0.2,
+    cfg = TrainingConfig(hidden_size=H, embedding_dim=E, dropout=dropout,
                          conditioning=conditioning, dtype=dtype,
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
@@ -266,8 +246,7 @@ def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes):
     padded = np.arange(T) >= lengths[:, None]
     in_ids = np.where(padded, END_ID, seqs[:, :-1])
     targets = np.where(padded, END_ID, seqs[:, 1:])
-    drop = nn.dropout_mask(rng, (B, T, H), cfg.dropout, cfg.np_dtype)
-    return cfg, params, feats, in_ids, targets, mask, drop
+    return cfg, params, feats, in_ids, targets, mask
 
 
 @settings(max_examples=80, deadline=None)
@@ -281,24 +260,24 @@ def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes):
        seed=st.integers(0, 2**32 - 1))
 def test_sequence_training_pass_equals_padded_reference(B, T, conditioning, dtype,
                                                        dims, dropout, holes, seed):
-    cfg, params, feats, in_ids, targets, mask, drop = _sequence_setup(
-        seed, B, T, conditioning, dtype, dims, holes)
+    cfg, params, feats, in_ids, targets, mask = _sequence_setup(
+        seed, B, T, conditioning, dtype, dims, holes, dropout=0.2 if dropout else 0.0)
     args = (params, cfg, feats, in_ids, targets, mask)
-    want_loss, want_cache = padded_sequence_forward(*args, train=dropout,
-                                                    drop_masks=drop)
-    got_loss, got_cache = nn.sequence_forward(*args, train=dropout, drop_masks=drop)
+    want_loss, want_cache = padded_sequence_forward(
+        *args, rng=np.random.default_rng([seed, 1]))
+    got_loss, got_cache = nn.sequence_forward(*args, rng=np.random.default_rng([seed, 1]))
     assert _same_bits(got_loss, want_loss)
     _assert_same_grads(nn.sequence_backward(got_cache),
                        padded_sequence_backward(want_cache))
 
 
 def test_sequence_dropout_draws_the_same_stream():
-    cfg, params, feats, in_ids, targets, mask, _ = _sequence_setup(
+    cfg, params, feats, in_ids, targets, mask = _sequence_setup(
         11, 128, 4, "every-step", "float32", (20, 20, 400, 54), holes=False)
     args = (params, cfg, feats, in_ids, targets, mask)
     rng_want, rng_got = np.random.default_rng(3), np.random.default_rng(3)
-    want_loss, want_cache = padded_sequence_forward(*args, train=True, rng=rng_want)
-    got_loss, got_cache = nn.sequence_forward(*args, train=True, rng=rng_got)
+    want_loss, want_cache = padded_sequence_forward(*args, rng=rng_want)
+    got_loss, got_cache = nn.sequence_forward(*args, rng=rng_got)
     assert _same_bits(got_loss, want_loss)
     _assert_same_grads(nn.sequence_backward(got_cache),
                        padded_sequence_backward(want_cache))
@@ -312,19 +291,17 @@ def test_sequence_dropout_draws_the_same_stream():
        dropout=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_atomic_training_pass_equals_padded_reference(B, C, dtype, dropout, seed):
-    cfg = TrainingConfig(atomic_hidden=20, dropout=0.2, dtype=dtype,
-                         seed=seed).validate()
+    cfg = TrainingConfig(atomic_hidden=20, dropout=0.2 if dropout else 0.0,
+                         dtype=dtype, seed=seed).validate()
     rng = np.random.default_rng(seed)
     F = 54
     params = nn.init_params(nn.atomic_layout(cfg, F, C), rng, cfg.np_dtype)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
     targets = rng.integers(0, C, B)
-    drop = (nn.dropout_mask(rng, (B, 20), 0.2, cfg.np_dtype),
-            nn.dropout_mask(rng, (B, 20), 0.2, cfg.np_dtype))
-    want_loss, want_cache = padded_atomic_forward(params, cfg, feats, targets,
-                                                  train=dropout, drop_masks=drop)
+    want_loss, want_cache = padded_atomic_forward(
+        params, cfg, feats, targets, rng=np.random.default_rng([seed, 1]))
     got_loss, got_cache = nn.atomic_forward(params, cfg, feats, targets,
-                                            train=dropout, drop_masks=drop)
+                                            rng=np.random.default_rng([seed, 1]))
     assert _same_bits(got_loss, want_loss)
     _assert_same_grads(nn.atomic_backward(got_cache),
                        padded_atomic_backward(want_cache))
@@ -432,38 +409,49 @@ REFERENCE_KERNELS = {
     "adagrad_update": _adagrad_reference,
 }
 
-# sha256 of the three checkpoints with numpy 2.4.6 and its bundled
+# sha256 of the six checkpoints with numpy 2.4.6 and its bundled
 # OpenBLAS 0.3.31 on an AVX-512 (Sapphire Rapids) Xeon, taken with the
-# padded kernels; another BLAS build or CPU may round a GEMM differently,
-# so the test compares against the reference run, not these.
+# padded kernels (the dropout-0 rows with the kernels that skipped the
+# mask at dropout 0); another BLAS build or CPU may round a GEMM
+# differently, so the test compares against the reference run, not these.
 RECORDED_DIGESTS = {
-    ("sequence", "fourier", "every-step"):
+    ("sequence", "fourier", "every-step", 0.2):
         "e11ba65562d60a1771ef8486ef28eeed02867623ca1345aca97975e467586312",
-    ("sequence", "buckets", "init-state"):
+    ("sequence", "fourier", "every-step", 0.0):
+        "a3fe108d5d26b6e886d9f75afa5907ec55f8ed4eaf3f01675e456efddaf0216f",
+    ("sequence", "buckets", "init-state", 0.2):
         "62b65d0cbdccba89e1b46795bd264eb799fe3af5c97ca5d3bbfb9e04b54f72cf",
-    ("atomic", "buckets", "every-step"):
+    ("sequence", "raw", "init-state", 0.0):
+        "fce9b95cf61b617756009ec74a016900c53b4ebf4bbdf37b98f0f855c91fc12d",
+    ("atomic", "buckets", "every-step", 0.2):
         "968b8fc1b57a68f0973136a9de4e62040d3b57c61f8dbbf7f89b714e26113f90",
+    ("atomic", "fourier", "every-step", 0.0):
+        "899369985d291796564feacdcc01bdb6f48b7909f325f19807bb511a3b4b6f3f",
 }
 
 
-def _seeded_checkpoint(path, family, scheme, conditioning) -> bytes:
+def _seeded_checkpoint(path, family, scheme, conditioning, dropout) -> bytes:
     train = _golden_corpus(300, seed=21)
     dev = _golden_corpus(60, seed=22)
     cfg = TrainingConfig(batch_size=32, max_epochs=2, seed=13,
-                         conditioning=conditioning)
+                         conditioning=conditioning, dropout=dropout)
     model, _ = train_model(family, train, cfg, scheme=scheme, dev=dev)
     save_checkpoint(model, path)
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("family,scheme,conditioning", sorted(RECORDED_DIGESTS))
+@pytest.mark.parametrize(
+    "family,scheme,conditioning,dropout", sorted(RECORDED_DIGESTS),
+    ids=["-".join(case[:3]) + ("" if case[3] else "-no-dropout")
+         for case in sorted(RECORDED_DIGESTS)])
 def test_seeded_training_checkpoint_equals_reference_kernels(
-        tmp_path, monkeypatch, family, scheme, conditioning):
-    got = _seeded_checkpoint(tmp_path / "got.ckpt", family, scheme, conditioning)
+        tmp_path, monkeypatch, family, scheme, conditioning, dropout):
+    got = _seeded_checkpoint(tmp_path / "got.ckpt", family, scheme, conditioning,
+                             dropout)
     with monkeypatch.context() as patch:
         for name, reference in REFERENCE_KERNELS.items():
             assert hasattr(nn, name), name
             patch.setattr(nn, name, reference)
         want = _seeded_checkpoint(tmp_path / "want.ckpt", family, scheme,
-                                  conditioning)
+                                  conditioning, dropout)
     assert hashlib.sha256(got).hexdigest() == hashlib.sha256(want).hexdigest()
