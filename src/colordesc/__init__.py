@@ -8,13 +8,7 @@ tests), and visualize description denotations over color space.
 
 __version__ = "0.1.0"
 
-from .colors import (
-    ColorHSL,
-    ColorHSV,
-    canonical_hue,
-    hsl_to_hsv,
-    hsl_to_hsv_array,
-)
+from .colors import hsl_to_hsv, hsl_to_hsv_array
 from .corpus import (
     Dataset,
     Description,
@@ -72,8 +66,6 @@ __all__ = [
     "BUCKET_GRIDS",
     "CheckpointError",
     "ColordescError",
-    "ColorHSL",
-    "ColorHSV",
     "ConfigError",
     "CorpusError",
     "CrossSection",
@@ -92,7 +84,6 @@ __all__ = [
     "TrainingDivergence",
     "Vocabulary",
     "aic",
-    "canonical_hue",
     "cross_sections",
     "encode_dataset",
     "evaluate",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .colors import ColorHSL, ColorHSV, hsl_to_hsv
+from .colors import checked_hsv
 from .corpus import Description, load_manifest, read_key_values, tokenize
 from .errors import ColordescError, ConfigError
 from .evaluation import (DEFAULT_BEAM_WIDTH, DEFAULT_PERMUTATION_SEED, DEFAULT_ROUNDS,
@@ -72,17 +72,19 @@ def _parse_triple(text: str, what: str):
         raise ConfigError(f"--{what} expects numbers, got {text!r}") from exc
 
 
-def _color_from_args(args) -> ColorHSV:
+def _color_from_args(args) -> np.ndarray:
+    """The canonical HSV row of --hsv or --hsl, by the corpus loader's rule."""
     if args.hsv and args.hsl:
         raise ConfigError("give either --hsv or --hsl, not both")
     if not (args.hsv or args.hsl):
         raise ConfigError("a color is required: --hsv h,s,v or --hsl h,s,l")
     space = "hsv" if args.hsv else "hsl"
-    triple = _parse_triple(getattr(args, space), space)
-    try:
-        return ColorHSV(*triple) if space == "hsv" else hsl_to_hsv(ColorHSL(*triple))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    text = getattr(args, space)
+    valid, hsv = checked_hsv(np.array([_parse_triple(text, space)]), space == "hsl")
+    if not len(valid):
+        raise ConfigError(f"--{space} {text!r} is not a color: h must be finite and "
+                          f"{space[1]}, {space[2]} in [0, 100]")
+    return hsv[0]
 
 
 def _check_int_flags(args) -> None:
@@ -110,9 +112,7 @@ def cmd_train(args) -> int:
         raise ConfigError("missing required option: data (split manifest path)")
     if not args.out:
         raise ConfigError("missing required option: out (output directory)")
-    family = FAMILY_ALIASES.get(args.family)
-    if family is None:
-        raise ConfigError(f"unknown family {args.family!r}")
+    family = FAMILY_ALIASES[args.family]
     check_family_scheme(family, args.features)
     config = TrainingConfig(**{field: getattr(args, dest)
                                for dest, field in TRAIN_FIELDS.items()}).validate()
@@ -231,7 +231,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sample(args) -> int:
     model = load_checkpoint(args.ckpt)
-    colors = np.tile(_color_from_args(args).as_tuple(), (args.n, 1))
+    colors = np.tile(_color_from_args(args), (args.n, 1))
     rng = np.random.default_rng(args.seed)
     for tokens in model.sample_batch(colors, rng, max_len=args.max_len):
         print(" ".join(tokens))

@@ -1,86 +1,50 @@
-"""HSV/HSL color types and conversions.
+"""HSV color rows: the one test of a color, and HSL -> HSV conversion.
 
-Unit conventions used throughout the package: hue in degrees in [0, 360)
-(360 wraps to 0), saturation and value/lightness in percent in [0, 100].
-Models condition on HSV; HSL appears only at the I/O boundary because
-survey data and reports commonly use it.
+A color is an (h, s, v) row of floats: hue in degrees, wrapped into
+[0, 360) (360 wraps to 0), saturation and value in percent in [0, 100].
+Many colors are an (N, 3) float64 array of such rows. Models condition
+on HSV; HSL appears only at the I/O boundary because survey data and
+reports commonly use it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 
-def canonical_hue(h: float) -> float:
-    """Wrap a hue in degrees into [0, 360)."""
-    if not math.isfinite(h):
-        raise ValueError(f"hue must be finite, got {h!r}")
-    h = h % 360.0
-    # float mod can round up to the modulus itself for tiny negative inputs
-    if h >= 360.0:
-        h = 0.0
-    return h
-
-
-def _check_percent(name: str, x: float) -> float:
-    if not math.isfinite(x) or x < 0.0 or x > 100.0:
-        raise ValueError(f"{name} must be in [0, 100], got {x!r}")
-    return float(x)
-
-
 def canonical_hue_array(h: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`canonical_hue` of finite hues, as a new array."""
+    """Finite hues in degrees wrapped into [0, 360), as a new array."""
     h = np.mod(h, 360.0)
+    # float mod can round up to the modulus itself for tiny negative inputs
     h[h >= 360.0] = 0.0
     return h
 
 
 def percent_ok_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise test that :func:`_check_percent` accepts x (NaN fails
-    both comparisons, infinities fail one)."""
+    """Elementwise test that x is in [0, 100] (NaN fails both
+    comparisons, infinities fail one)."""
     return (x >= 0.0) & (x <= 100.0)
 
 
-@dataclass(frozen=True)
-class ColorHSV:
-    """A point in HSV space. Canonicalizes hue and validates ranges."""
-
-    h: float
-    s: float
-    v: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", canonical_hue(float(self.h)))
-        object.__setattr__(self, "s", _check_percent("s", self.s))
-        object.__setattr__(self, "v", _check_percent("v", self.v))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.h, self.s, self.v)
-
-
-@dataclass(frozen=True)
-class ColorHSL:
-    """A point in HSL space, used for corpus I/O and visualization grids."""
-
-    h: float
-    s: float
-    l: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", canonical_hue(float(self.h)))
-        object.__setattr__(self, "s", _check_percent("s", self.s))
-        object.__setattr__(self, "l", _check_percent("l", self.l))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.h, self.s, self.l)
+def checked_hsv(rows: np.ndarray, is_hsl: bool):
+    """Indices of the (h, s, v) or (h, s, l) rows that are colors, and
+    their canonical HSV rows: the hue is finite and the other two are in
+    [0, 100] (for HSL, also after conversion to HSV); the hue is wrapped
+    into [0, 360)."""
+    ok = np.isfinite(rows[:, 0]) & percent_ok_array(rows[:, 1]) & percent_ok_array(rows[:, 2])
+    idx = np.flatnonzero(ok)
+    if is_hsl:
+        hsv = hsl_to_hsv_array(rows[idx])
+        ok = percent_ok_array(hsv[:, 1]) & percent_ok_array(hsv[:, 2])
+        return idx[ok], hsv[ok]
+    hsv = rows[idx]
+    hsv[:, 0] = canonical_hue_array(hsv[:, 0])
+    return idx, hsv
 
 
-def hsl_to_hsv(c: ColorHSL) -> ColorHSV:
-    """``hsl_to_hsv_array`` of one color."""
-    return ColorHSV(*hsl_to_hsv_array(np.array([c.as_tuple()]))[0])
+def hsl_to_hsv(hsl) -> np.ndarray:
+    """``hsl_to_hsv_array`` of one (h, s, l) triple, as a (3,) row."""
+    return hsl_to_hsv_array(np.reshape(hsl, (1, 3)))[0]
 
 
 def hsl_to_hsv_array(hsl: np.ndarray) -> np.ndarray:
@@ -94,4 +58,3 @@ def hsl_to_hsv_array(hsl: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         sv = np.where(v == 0.0, 0.0, 2.0 * (1.0 - l / np.where(v == 0.0, 1.0, v)))
     return np.stack([h, 100.0 * sv, 100.0 * v], axis=1)
-

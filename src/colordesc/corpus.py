@@ -20,13 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .colors import (
-    ColorHSV,
-    canonical_hue_array,
-    hsl_to_hsv,  # unused; perfbench/tracing.py counts calls at corpus.hsl_to_hsv
-    hsl_to_hsv_array,
-    percent_ok_array,
-)
+from .colors import checked_hsv
+from .colors import hsl_to_hsv  # unused; perfbench/tracing.py counts calls here
 from .errors import CorpusError
 
 log = logging.getLogger(__name__)
@@ -167,9 +162,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.descriptions)
 
-    def color(self, i: int) -> ColorHSV:
-        h, s, v = self.colors[i]
-        return ColorHSV(float(h), float(s), float(v))
+    def color(self, i: int) -> np.ndarray:
+        """A copy of HSV row i."""
+        return self.colors[i].copy()
 
     def subsample(self, n: int, seed: int) -> "Dataset":
         """A reproducible random subsample without replacement."""
@@ -310,7 +305,7 @@ def _parse_block(lines: list[str], delim: str, is_hsl: bool, code_of: _Codes):
         keep = [all(map(_is_number, row)) for row in zip(*cols[:3])]
         cols = [list(compress(col, keep)) for col in cols]
         numbers = np.array(cols[:3], dtype=np.float64)
-    valid, hsv = _checked_hsv(numbers.T, is_hsl)
+    valid, hsv = checked_hsv(numbers.T, is_hsl)
     codes = np.fromiter(map(code_of.__getitem__, cols[3]), dtype=np.intp,
                         count=len(cols[3]))[valid]
     return hsv, codes, len(records) - len(valid)
@@ -322,20 +317,6 @@ def _is_number(field: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _checked_hsv(rows: np.ndarray, is_hsl: bool):
-    """Indices of the (h, s, v) or (h, s, l) rows that ``ColorHSV`` (after
-    ``hsl_to_hsv`` for HSL) accepts, and their canonical HSV colors."""
-    ok = np.isfinite(rows[:, 0]) & percent_ok_array(rows[:, 1]) & percent_ok_array(rows[:, 2])
-    idx = np.flatnonzero(ok)
-    if is_hsl:
-        hsv = hsl_to_hsv_array(rows[idx])
-        ok = percent_ok_array(hsv[:, 1]) & percent_ok_array(hsv[:, 2])
-        return idx[ok], hsv[ok]
-    hsv = rows[idx]
-    hsv[:, 0] = canonical_hue_array(hsv[:, 0])
-    return idx, hsv
 
 
 def _description(text: str) -> Description | None:

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import nn
 from .checkpoint import read_checkpoint, write_checkpoint
-from .colors import ColorHSV
 from .corpus import (
     Dataset,
     Description,
@@ -168,8 +167,6 @@ _LEVEL_OFFSETS = np.cumsum((0,) + BUCKET_SIZES[:-1])
 
 
 def _as_color_array(c) -> np.ndarray:
-    if isinstance(c, ColorHSV):
-        return np.array([c.as_tuple()], dtype=np.float64)
     arr = np.asarray(c, dtype=np.float64)
     return arr.reshape(1, 3) if arr.ndim == 1 else arr
 
@@ -1004,6 +1001,14 @@ def _header_fields(family: str, header: dict):
     words = header.get(key)
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise CheckpointError(f"checkpoint {key} is not a list of strings")
+    if family != "sequence":
+        # distinct like a vocabulary's tokens, and each a key a text can have
+        if not words:
+            raise CheckpointError("checkpoint inventory is empty")
+        if len(set(words)) != len(words):
+            raise CheckpointError("checkpoint inventory contains duplicate descriptions")
+        if not all(all(w.split(" ")) for w in words):
+            raise CheckpointError("checkpoint inventory has a description with an empty token")
     if family != "histogram" and header.get("scheme") not in SCHEMES:
         raise CheckpointError(
             f"checkpoint has unknown feature scheme {header.get('scheme')!r}")

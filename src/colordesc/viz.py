@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colors import hsl_to_hsv_array
-from .corpus import Description, tokenize, tokens_of
+from .corpus import tokens_of
 from .errors import ConfigError, EvaluationError
 
 # zero-probability cells are floored here so empty regions render black
@@ -164,10 +164,10 @@ def periodic_local_maxima(profile: np.ndarray) -> list:
 
 
 def describe_slug(d) -> str:
-    """Filesystem-safe slug for a description: tokens joined by '-',
-    anything outside [a-z0-9-] dropped."""
-    tokens = d.tokens if isinstance(d, Description) else tokenize(str(d))
-    raw = "-".join(tokens)
+    """Filesystem-safe slug for a description (a Description, a text or a
+    token sequence): tokens joined by '-', anything outside [a-z0-9-]
+    dropped."""
+    raw = "-".join(tokens_of(d))
     cleaned = "".join(ch for ch in raw if ch.isalnum() or ch == "-")
     cleaned = cleaned.strip("-")
     return cleaned or "description"

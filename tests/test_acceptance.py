@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from colordesc import (
-    ColorHSV,
     TrainingConfig,
     aic,
     evaluate,
@@ -124,7 +123,7 @@ def test_criterion_04_sequence_mass_and_beam_oracle():
     model = constant_step_model(["x", "y"],
                                 [-1e9, math.log(0.2), -1e9,
                                  math.log(0.5), math.log(0.3)])
-    color = ColorHSV(180.0, 50.0, 50.0)
+    color = (180.0, 50.0, 50.0)
 
     def mass(state, prev, depth):
         probs, nxt = model.step(state, prev)
@@ -285,8 +284,8 @@ def test_criterion_10_checkpoint_roundtrip_bit_identical(tmp_path):
     rng = np.random.default_rng(99)
     words = model.vocab.id_to_token[3:]
     for _ in range(100):
-        color = ColorHSV(float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
-                         float(rng.uniform(0, 100)))
+        color = (float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
+                 float(rng.uniform(0, 100)))
         tokens = list(rng.choice(words, size=rng.integers(1, 4)))
         assert model.score_description(color, tokens) == \
             loaded.score_description(color, tokens)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colordesc import ColorHSV, nn
+from colordesc import nn
 from colordesc.corpus import END_ID, RESERVED_TOKENS, START_ID, UNK_ID
 from colordesc.models import _as_color_array
 
@@ -150,7 +150,7 @@ def test_beam_matches_reference(seed, n_content, conditioning, hidden, width,
                                 max_len, colors):
     model = random_tiny_model(seed, n_content=n_content, conditioning=conditioning,
                               hidden=hidden)
-    assert_matches_reference(model, [ColorHSV(*c) for c in colors], width, max_len)
+    assert_matches_reference(model, colors, width, max_len)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -159,8 +159,8 @@ def test_beam_at_hidden_size_50_matches_reference_within_rounding(seed, conditio
     model = random_tiny_model(seed, n_content=400, conditioning=conditioning,
                               hidden=50)
     rng = np.random.default_rng(seed)
-    colors = [ColorHSV(float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
-                       float(rng.uniform(0, 100))) for _ in range(6)]
+    colors = [(float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
+               float(rng.uniform(0, 100))) for _ in range(6)]
     assert_matches_reference(model, colors, 10, 4, atol=H50_LOGP_ATOL)
 
 
@@ -169,7 +169,7 @@ def test_a_completion_tied_with_the_best_extension_does_not_stop_the_search():
     # best extension at depth 0 and only the depth-1 step shows it lost
     model = constant_step_model(["a", "b"], np.log([1e-12, 0.4, 1e-12, 0.4, 0.2]))
     for width in (1, 3):
-        (_, ids), = assert_matches_reference(model, [ColorHSV(0.0, 0.0, 50.0)], width, 4)
+        (_, ids), = assert_matches_reference(model, [(0.0, 0.0, 50.0)], width, 4)
         assert ids == ()
 
 
@@ -200,8 +200,7 @@ def all_content_tied_model(seed: int, n_content: int):
 def test_ties_go_to_the_smaller_id_tuple(n_content):
     model = all_content_tied_model(0, n_content)
     first = FIRST_CONTENT
-    colors = [ColorHSV(0.0, 0.0, 50.0), ColorHSV(200.0, 70.0, 30.0),
-              ColorHSV(90.0, 40.0, 80.0)]
+    colors = [(0.0, 0.0, 50.0), (200.0, 70.0, 30.0), (90.0, 40.0, 80.0)]
     for color in colors:
         probs, _ = model.step(model.initial_state(color), START_ID)
         assert len(set(probs[first:].tolist())) == 1

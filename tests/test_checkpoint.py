@@ -15,21 +15,25 @@ from hypothesis import given, settings, strategies as st
 from colordesc import (CheckpointError, Dataset, Description, TrainingConfig,
                        models)
 from colordesc.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint, write_checkpoint
-from colordesc.models import HistogramModel, load_checkpoint, save_checkpoint
+from colordesc.cli import main
+from colordesc.models import (HISTOGRAM_LEVELS, AtomicModel, HistogramModel,
+                              load_checkpoint, save_checkpoint)
 
 from conftest import random_tiny_model
 
 
 @functools.cache
 def _base_files() -> dict:
-    """name -> (file bytes, header dict, payload bytes) of two small
-    valid checkpoints."""
+    """name -> (file bytes, header dict, payload bytes) of three small
+    valid checkpoints, one per family."""
     hist = HistogramModel.build(TrainingConfig(), Dataset(
         colors=np.array([[0.0, 0.0, 0.0], [200.0, 50.0, 50.0], [90.0, 99.0, 10.0]]),
         descriptions=[Description.from_text(t) for t in ("red", "blue", "dark green")]))
+    atomic = AtomicModel.build(TrainingConfig(hidden_size=4), hist.inventory, "raw")
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, model in (("sequence", random_tiny_model(6)), ("histogram", hist)):
+        for name, model in (("sequence", random_tiny_model(6)), ("histogram", hist),
+                            ("atomic", atomic)):
             path = Path(tmp) / f"{name}.ckpt"
             save_checkpoint(model, path)
             blob = path.read_bytes()
@@ -71,7 +75,7 @@ SHAPES = st.sampled_from([[-1], [True], [1.5], ["3"], [2**40, 2**40], None, 7,
 
 
 @settings(max_examples=200, deadline=None)
-@given(base=st.sampled_from(["sequence", "histogram"]), data=st.data())
+@given(base=st.sampled_from(["sequence", "histogram", "atomic"]), data=st.data())
 def test_truncated_or_bit_flipped_files_raise_checkpoint_error(base, data):
     blob = bytearray(_base_files()[base][0])
     if data.draw(st.booleans(), label="truncate"):
@@ -86,7 +90,7 @@ def test_truncated_or_bit_flipped_files_raise_checkpoint_error(base, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(base=st.sampled_from(["sequence", "histogram"]), data=st.data())
+@given(base=st.sampled_from(["sequence", "histogram", "atomic"]), data=st.data())
 def test_crafted_headers_with_a_valid_checksum_raise_checkpoint_error(base, data):
     _, header, payload = _base_files()[base]
     header = json.loads(json.dumps(header))
@@ -154,6 +158,46 @@ def test_bad_header_field_names_the_field(tmp_path, field, change, message):
     path.write_bytes(_pack(header, payload))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+def _inventory_model(family: str, words: list):
+    """An atomic or histogram model whose inventory strings are ``words``,
+    with tensors or counts of the matching size, as a checkpoint stores it."""
+    keys = [w.split(" ") for w in words]
+    if family == "atomic":
+        cfg = TrainingConfig(hidden_size=4)
+        return AtomicModel(cfg, keys, "raw", AtomicModel._init_params(cfg, "raw", len(keys)))
+    counts = [np.array([(0, k, 1) for k in range(len(keys))], dtype=np.int32).reshape(-1, 3)
+              for _ in HISTOGRAM_LEVELS]
+    return HistogramModel(TrainingConfig(), keys, counts)
+
+
+@pytest.mark.parametrize("family", ["atomic", "histogram"])
+@pytest.mark.parametrize("words,message", [
+    ([], "inventory is empty"),
+    (["a", "a"], "duplicate descriptions"),
+    (["a", ""], "empty token"),
+    (["a", "a  b"], "empty token"),
+    ([" a", "b"], "empty token"),
+])
+def test_a_bad_inventory_is_refused(tmp_path, family, words, message):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_inventory_model(family, words), path)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    # the same file with a good inventory loads
+    save_checkpoint(_inventory_model(family, ["a", "b c"]), path)
+    assert load_checkpoint(path).inventory == [("a",), ("b", "c")]
+
+
+def test_an_empty_inventory_is_a_usage_error_in_the_cli(tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_inventory_model("atomic", []), path)
+    for command in ("top1", "sample"):
+        assert main([command, "--ckpt", str(path), "--hsv", "10,50,50"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "inventory is empty" in err[0]
 
 
 def test_model_constructor_errors_are_not_reported_as_damage(tmp_path,

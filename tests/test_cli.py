@@ -584,6 +584,15 @@ def test_color_validation_maps_to_usage_error(uniform_atomic_ckpt, capsys):
     rc = main(["top1", "--ckpt", str(uniform_atomic_ckpt),
                "--hsv", "10,50,500"])
     assert rc == 2
+    capsys.readouterr()
+    # one error line that names the flag and the loader's rule
+    for flag, text, rule in (("--hsv", "10,50,500", "s, v in [0, 100]"),
+                             ("--hsl", "10,50,101", "s, l in [0, 100]"),
+                             ("--hsv", "nan,50,50", "h must be finite")):
+        assert main(["top1", "--ckpt", str(uniform_atomic_ckpt), flag, text]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} '{text}'"), err
+        assert rule in err[0]
 
 
 def test_top1_prints_argmax(uniform_atomic_ckpt, capsys):

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from colordesc import (
-    ColorHSL,
-    ColorHSV,
-    canonical_hue,
-    hsl_to_hsv,
-    hsl_to_hsv_array,
-)
+from colordesc import hsl_to_hsv, hsl_to_hsv_array
+from colordesc.colors import canonical_hue_array, checked_hsv
 
 
 def hsv_to_hsl_array(hsv: np.ndarray) -> np.ndarray:
@@ -28,29 +23,30 @@ def hsv_to_hsl_array(hsv: np.ndarray) -> np.ndarray:
 
 
 def test_canonical_hue_wraps_into_range():
-    assert canonical_hue(0.0) == 0.0
-    assert canonical_hue(360.0) == 0.0
-    assert canonical_hue(725.0) == pytest.approx(5.0)
-    assert canonical_hue(-30.0) == pytest.approx(330.0)
+    h = canonical_hue_array(np.array([0.0, 360.0, 725.0, -30.0, -1e-13]))
+    assert h[0] == 0.0
+    assert h[1] == 0.0
+    assert h[2] == pytest.approx(5.0)
+    assert h[3] == pytest.approx(330.0)
     # tiny negative values must not round up to the modulus itself
-    assert 0.0 <= canonical_hue(-1e-13) < 360.0
+    assert 0.0 <= h[4] < 360.0
 
 
 def test_canonical_hue_rejects_non_finite():
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            canonical_hue(bad)
+    # canonical_hue_array wraps finite hues; checked_hsv drops the others
+    rows = np.array([[bad, 50.0, 50.0] for bad in (math.nan, math.inf, -math.inf)])
+    for is_hsl in (False, True):
+        valid, hsv = checked_hsv(rows, is_hsl)
+        assert valid.tolist() == [] and hsv.shape == (0, 3)
 
 
 def test_color_types_validate_and_canonicalize():
-    c = ColorHSV(400.0, 50.0, 75.0)
-    assert c.h == pytest.approx(40.0)
-    with pytest.raises(ValueError):
-        ColorHSV(10.0, -1.0, 50.0)
-    with pytest.raises(ValueError):
-        ColorHSV(10.0, 40.0, 100.5)
-    with pytest.raises(ValueError):
-        ColorHSL(10.0, 40.0, math.nan)
+    valid, hsv = checked_hsv(np.array([[400.0, 50.0, 75.0], [10.0, -1.0, 50.0],
+                                       [10.0, 40.0, 100.5]]), False)
+    assert valid.tolist() == [0]
+    assert hsv[0, 0] == pytest.approx(40.0)
+    valid, _ = checked_hsv(np.array([[10.0, 40.0, math.nan]]), True)
+    assert valid.tolist() == []
 
 
 @pytest.mark.parametrize("hsl,expected_hsv", [
@@ -61,8 +57,8 @@ def test_color_types_validate_and_canonicalize():
     ((0.0, 0.0, 40.0), (0.0, 0.0, 40.0)),      # gray keeps value=lightness
 ])
 def test_hsl_to_hsv_known_points(hsl, expected_hsv):
-    got = hsl_to_hsv(ColorHSL(*hsl))
-    assert got.as_tuple() == pytest.approx(expected_hsv, abs=1e-9)
+    got = hsl_to_hsv(hsl)
+    assert tuple(got) == pytest.approx(expected_hsv, abs=1e-9)
 
 
 def test_hsl_hsv_roundtrip_dense():
@@ -87,13 +83,13 @@ def test_scalar_and_array_conversions_agree():
     ])
     arr = hsl_to_hsv_array(hsl)
     for i in range(len(hsl)):
-        c = hsl_to_hsv(ColorHSL(*hsl[i]))
-        assert c.as_tuple() == pytest.approx(tuple(arr[i]), abs=1e-12)
+        c = hsl_to_hsv(hsl[i])
+        assert tuple(c) == pytest.approx(tuple(arr[i]), abs=1e-12)
 
 
 def test_hue_is_preserved_by_conversion():
     for h in (0.0, 123.4, 359.9):
-        assert hsl_to_hsv(ColorHSL(h, 60.0, 70.0)).h == pytest.approx(h)
+        assert hsl_to_hsv((h, 60.0, 70.0))[0] == pytest.approx(h)
         assert hsv_to_hsl_array(np.array([[h, 60.0, 70.0]]))[0, 0] == pytest.approx(h)
 
 
@@ -103,17 +99,19 @@ def _percent(lo=0.0, hi=100.0):
 
 @given(h=st.floats(0.0, 360.0, exclude_max=True), s=_percent(), l=_percent())
 def test_scalar_and_array_conversions_agree_exactly(h, s, l):
-    hsv = hsl_to_hsv(ColorHSL(h, s, l))
+    # every HSL color is an HSV color after conversion
+    valid, hsv = checked_hsv(np.array([[h, s, l]]), True)
     hsv_arr = hsl_to_hsv_array(np.array([[h, s, l]]))[0]
-    assert hsv.as_tuple() == tuple(hsv_arr)
+    assert valid.tolist() == [0]
+    assert tuple(hsv[0]) == tuple(hsl_to_hsv((h, s, l))) == tuple(hsv_arr)
 
 
 @given(h=st.floats(0.0, 360.0, exclude_max=True), s=_percent(),
        l=_percent(0.01, 99.99))
 def test_hsl_hsv_hsl_roundtrip(h, s, l):
     # saturation is undefined at l in {0, 100}; away from there it returns
-    hsv = hsl_to_hsv(ColorHSL(h, s, l))
-    back_h, back_s, back_l = hsv_to_hsl_array([hsv.as_tuple()])[0]
+    hsv = hsl_to_hsv((h, s, l))
+    back_h, back_s, back_l = hsv_to_hsl_array([hsv])[0]
     assert back_h == h
     assert back_s == pytest.approx(s, abs=1e-7)
     assert back_l == pytest.approx(l, abs=1e-9)

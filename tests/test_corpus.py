@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colordesc import (
+    ConfigError,
     CorpusError,
     Dataset,
     Description,
@@ -24,8 +27,8 @@ from colordesc import (
     load_manifest,
     tokenize,
 )
-from colordesc import corpus
-from colordesc.colors import ColorHSL, ColorHSV, hsl_to_hsv
+from colordesc import cli, corpus
+from colordesc.colors import hsl_to_hsv
 from colordesc.corpus import (
     _HEADER_SETS,
     EncodedDataset,
@@ -293,9 +296,27 @@ def test_encode_batch_maps_oov_to_unk_and_keeps_empty_items():
     assert offsets.tolist() == [0, 4, 6, 9]
 
 
+def scalar_hsv(a: float, b: float, c: float, is_hsl: bool):
+    """The per-row color rule that the array rule replaced: the HSV triple
+    of a finite hue and two percentages in [0, 100] (for HSL, also after
+    conversion to HSV), with the hue wrapped into [0, 360); None if the
+    triple is not a color."""
+    def percents(*xs):
+        return all(0.0 <= x <= 100.0 for x in xs)
+
+    if not (math.isfinite(a) and percents(b, c)):
+        return None
+    if is_hsl:
+        a, b, c = hsl_to_hsv((a, b, c)).tolist()
+        return (a, b, c) if percents(b, c) else None
+    h = a % 360.0
+    # float mod can round up to the modulus itself for tiny negative inputs
+    return (0.0 if h >= 360.0 else h, b, c)
+
+
 def per_row_load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     """The per-row loader that the array loader replaced, kept as the
-    reference: one ColorHSL/ColorHSV and one Description per row."""
+    reference: one ``scalar_hsv`` and one Description per row."""
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"corpus file not found: {path}")
@@ -341,19 +362,17 @@ def per_row_load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
                 skipped += 1
                 continue
             try:
-                a, b, c = (float(parts[0]), float(parts[1]), float(parts[2]))
-                if is_hsl:
-                    color = hsl_to_hsv(ColorHSL(a, b, c))
-                else:
-                    color = ColorHSV(a, b, c)
-            except (ValueError, OverflowError):
+                color = scalar_hsv(*map(float, parts[:3]), is_hsl)
+            except ValueError:
+                color = None
+            if color is None:
                 skipped += 1
                 continue
             tokens = tokenize(parts[3])
             if not tokens:
                 skipped += 1
                 continue
-            hsv_rows.append(color.as_tuple())
+            hsv_rows.append(color)
             descriptions.append(
                 Description(raw=parts[3].strip(), tokens=[sys.intern(t) for t in tokens])
             )
@@ -436,6 +455,30 @@ def test_array_loader_equals_per_row_loader(tmp_path_factory, delim, header, spa
     assert [d.raw for d in got.descriptions] == [d.raw for d in want.descriptions]
     assert [d.tokens for d in got.descriptions] == [d.tokens for d in want.descriptions]
     assert (got.skipped, got.split) == (want.skipped, want.split)
+
+
+@settings(max_examples=300, deadline=None)
+@given(space=st.sampled_from(["hsv", "hsl"]), h=hue_field, s=percent_field,
+       x=percent_field)
+def test_cli_color_follows_the_loader_rule(tmp_path_factory, space, h, s, x):
+    # --hsv/--hsl take a triple exactly when a one-row corpus holding it
+    # loads with nothing skipped, and give the loader's HSV row, bit for bit
+    text = f"{h},{s},{x}"
+    path = tmp_path_factory.mktemp("rule") / "c.csv"
+    path.write_text(f"h,s,{space[2]},description\n{text},red\n", encoding="utf-8")
+    try:
+        ds = load_corpus(path)
+        loaded = ds.colors[0] if ds.skipped == 0 else None
+    except CorpusError:
+        loaded = None
+    args = argparse.Namespace(**{"hsv": "", "hsl": "", space: text})
+    try:
+        got = cli._color_from_args(args)
+    except ConfigError:
+        got = None
+    assert (got is None) == (loaded is None), text
+    if got is not None:
+        assert got.dtype == loaded.dtype and got.tobytes() == loaded.tobytes()
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -14,7 +14,6 @@ import colordesc
 from colordesc import (
     AtomicModel,
     CheckpointError,
-    ColorHSV,
     ConfigError,
     Dataset,
     Description,
@@ -40,7 +39,7 @@ from conftest import (
     random_tiny_model,
 )
 
-GRAY = ColorHSV(0.0, 0.0, 50.0)
+GRAY = (0.0, 0.0, 50.0)
 
 
 def test_every_exported_name_resolves():
@@ -133,7 +132,7 @@ def _full_vocab_mass(model, color, depth):
 @pytest.mark.parametrize("conditioning", ["every-step", "init-state"])
 def test_sequence_mass_sums_to_one(seed, conditioning):
     model = random_tiny_model(seed, n_content=2, conditioning=conditioning)
-    color = ColorHSV(200.0, 40.0, 60.0)
+    color = (200.0, 40.0, 60.0)
     completed, live = _full_vocab_mass(model, color, depth=3)
     assert completed + live == pytest.approx(1.0, abs=1e-5)
     assert completed <= 1.0
@@ -150,7 +149,7 @@ def test_single_token_description_mass_bounded():
 
 def test_per_step_distribution_is_proper():
     model = random_tiny_model(3)
-    state = model.initial_state(ColorHSV(10.0, 90.0, 90.0))
+    state = model.initial_state((10.0, 90.0, 90.0))
     prev = START_ID
     for _ in range(4):
         probs, state = model.step(state, prev)
@@ -161,7 +160,7 @@ def test_per_step_distribution_is_proper():
 
 def test_score_matches_step_walk():
     model = random_tiny_model(4, n_content=3)
-    color = ColorHSV(123.0, 45.0, 67.0)
+    color = (123.0, 45.0, 67.0)
     tokens = ["w1", "w2"]
     ids = [model.vocab.token_to_id[t] for t in tokens]
     state = model.initial_state(color)
@@ -185,7 +184,7 @@ def test_sampling_follows_step_distribution():
     rng = np.random.default_rng(11)
     counts = {"end": 0, "a": 0, "b": 0}
     n = 100_000
-    for tokens in model.sample_batch(np.tile(GRAY.as_tuple(), (n, 1)), rng, max_len=1):
+    for tokens in model.sample_batch(np.tile(GRAY, (n, 1)), rng, max_len=1):
         if not tokens:
             counts["end"] += 1
         else:
@@ -209,7 +208,7 @@ class FixedUniforms:
 def reference_sample(model, color, rng, max_len):
     """The one-color samplers ``sample_batch`` replaced: one ``rng.choice``
     per step (sequence) or per draw (atomic, histogram)."""
-    row = np.array([color.as_tuple()])
+    row = np.array([color])
     C = len(getattr(model, "inventory", ()))
     if model.family == "atomic":
         feats, _ = model.featurize(row)
@@ -269,7 +268,7 @@ def test_a_single_draw_follows_the_one_color_sampler_it_replaced():
     models = _models_of_each_family()
     for model in models:
         for i, c in enumerate(_random_colors(40, 17)):
-            color = ColorHSV(*c)
+            color = c
             got = model.sample(color, np.random.default_rng([3, i]), max_len=6)
             want = reference_sample(model, color, np.random.default_rng([3, i]), 6)
             assert got.key() == want, (model.family, i)
@@ -279,7 +278,7 @@ def test_a_single_draw_follows_the_one_color_sampler_it_replaced():
     for model in models[1:]:
         batch = model.sample_batch(colors, np.random.default_rng(25))
         rng = np.random.default_rng(25)
-        want = [reference_sample(model, ColorHSV(*c), rng, 20) for c in colors]
+        want = [reference_sample(model, c, rng, 20) for c in colors]
         assert batch == want, model.family
 
 
@@ -315,7 +314,7 @@ def test_decoders_and_samplers_never_run_a_one_row_block(monkeypatch):
     u[0] = 0.999
     outlived = sequence.sample_batch(colors, FixedUniforms(u), max_len=6)
     assert len(outlived[0]) == 6 and outlived[1:] == [(), ()]
-    color = ColorHSV(*colors[0])
+    color = colors[0]
     for model in (sequence, atomic):
         model.sample(color, np.random.default_rng(27), max_len=6)
         model.sample_batch(colors[:1], np.random.default_rng(28))
@@ -367,7 +366,7 @@ def test_empty_sample_possible_when_end_dominates():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_beam_width_27_equals_exhaustive_argmax(seed):
     model = random_tiny_model(seed, n_content=3)
-    for color in (GRAY, ColorHSV(300.0, 80.0, 20.0)):
+    for color in (GRAY, (300.0, 80.0, 20.0)):
         table = enumerate_sequences(model, color, max_len=3)
         best_logp, best_ids = min(table, key=lambda t: (-t[0], t[1]))
         pred = model.predict_top1(color, beam_width=27, max_len=3)
@@ -381,7 +380,7 @@ def test_beam_width_27_equals_exhaustive_argmax(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_wider_beam_never_scores_worse_than_greedy(seed):
     model = random_tiny_model(seed, n_content=4)
-    for color in (GRAY, ColorHSV(50.0, 60.0, 70.0), ColorHSV(340.0, 10.0, 95.0)):
+    for color in (GRAY, (50.0, 60.0, 70.0), (340.0, 10.0, 95.0)):
         wide = model.predict_top1(color, beam_width=10, max_len=5)
         greedy = model.predict_top1(color, beam_width=1, max_len=5)
 
@@ -401,7 +400,7 @@ def test_beam_width_validation():
     with pytest.raises(ValueError):
         model.predict_top1(GRAY, max_len=-1)
     # every family's sampler keeps the decoder's max_len rule
-    colors = np.tile(GRAY.as_tuple(), (3, 1))
+    colors = np.tile(GRAY, (3, 1))
     for model in _models_of_each_family():
         with pytest.raises(ValueError, match="max_len must be >= 0"):
             model.sample_batch(colors, np.random.default_rng(0), max_len=-1)
@@ -626,8 +625,8 @@ def test_histogram_probabilities_sum_to_one_everywhere():
     model = HistogramModel.build(TrainingConfig(), ds)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        c = ColorHSV(float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
-                     float(rng.uniform(0, 100)))
+        c = (float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
+             float(rng.uniform(0, 100)))
         total = sum(math.exp(model.score_description(c, list(key)))
                     for key in model.inventory)
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -638,7 +637,7 @@ def test_histogram_backoff_reaches_global_unigram():
     # mid buckets are empty, forcing the global fallback
     ds = _one_bucket_dataset(["a", "a", "b"], color=(1.0, 99.0, 99.0))
     model = HistogramModel.build(TrainingConfig(), ds)
-    far = ColorHSV(180.0, 1.0, 1.0)
+    far = (180.0, 1.0, 1.0)
     assert math.exp(model.score_description(far, "a")) == pytest.approx(3.0 / 5.0)
     assert math.exp(model.score_description(far, "b")) == pytest.approx(2.0 / 5.0)
 
@@ -661,7 +660,7 @@ def test_histogram_top1_ties_go_to_the_smaller_class_at_every_level():
     model = HistogramModel.build(TrainingConfig(), ds)
     near, far = ds.colors[0], (180.0, 1.0, 1.0)  # fine cell, global fallback
     assert model.predict_top1_batch(np.array([near, far])) == [("a",), ("a",)]
-    assert model.predict_top1(ColorHSV(*far)).tokens == ["a"]
+    assert model.predict_top1(far).tokens == ["a"]
 
 
 def test_histogram_param_count_formula():
@@ -886,8 +885,8 @@ def _probe_scores(model, n=20, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        c = ColorHSV(float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
-                     float(rng.uniform(0, 100)))
+        c = (float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
+             float(rng.uniform(0, 100)))
         tokens = [model.vocab.id_to_token[3]] if hasattr(model, "vocab") else \
             list(model.inventory[0])
         out.append(model.score_description(c, tokens))

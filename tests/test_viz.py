@@ -210,3 +210,6 @@ def test_describe_slug():
     assert describe_slug("Dark Red!") == "dark-red"
     assert describe_slug(Description.from_text("greenish blue")) == "greenish-blue"
     assert describe_slug("???") == "description"
+    # a token sequence is its tokens, not the text of its repr
+    assert describe_slug(("greenish", "blue")) == "greenish-blue"
+    assert describe_slug(list(np.array(["greenish", "blue"]))) == "greenish-blue"
