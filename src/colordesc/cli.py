@@ -157,7 +157,7 @@ def cmd_eval(args) -> int:
     ds = splits[args.split]
     loaded = time.perf_counter()
     # scoring and the beam-search accuracy pass are timed apart
-    report = evaluate(model, ds, split=args.split, beam_width=None,
+    report = evaluate(model, ds, split=args.split,
                       on_zero="exclude" if args.allow_zero else "error",
                       timestamp=_now())
     scored = time.perf_counter()

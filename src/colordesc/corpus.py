@@ -75,7 +75,10 @@ class Vocabulary:
     """
 
     def __init__(self, id_to_token: list[str]):
-        if list(id_to_token[: len(RESERVED_TOKENS)]) != list(RESERVED_TOKENS):
+        if not (isinstance(id_to_token, list)
+                and all(isinstance(t, str) for t in id_to_token)):
+            raise CorpusError("vocabulary is not a list of strings")
+        if id_to_token[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
             raise CorpusError(
                 f"vocabulary must start with reserved tokens {RESERVED_TOKENS}"
             )

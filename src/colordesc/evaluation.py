@@ -239,18 +239,14 @@ class EvalReport:
         return cls(**d)
 
 
-def evaluate(model, ds: Dataset, split: str = "",
-             beam_width: int | None = DEFAULT_BEAM_WIDTH, on_zero: str = "error",
+def evaluate(model, ds: Dataset, split: str = "", on_zero: str = "error",
              timestamp: str = "") -> EvalReport:
-    """Score a dataset and assemble the full report. ``beam_width=None``
-    skips the (expensive) accuracy pass; a width below 1 is rejected
-    before anything is scored."""
-    if beam_width is not None:
-        check_generation_args(beam_width)
+    """Score a dataset and assemble its report, without accuracy: add
+    that with ``report.with_hits(hit_flags(model, ds, beam_width), beam_width)``."""
     log2p = per_item_log2(model, ds)
     ppl, total_bits, _, n_zero = perplexity_from_log2(log2p, on_zero)
     k = model.param_count
-    report = EvalReport(
+    return EvalReport(
         split=split,
         n_items=len(ds),
         perplexity=ppl,
@@ -264,6 +260,3 @@ def evaluate(model, ds: Dataset, split: str = "",
         hits=None,
         timestamp=timestamp,
     )
-    if beam_width is None:
-        return report
-    return report.with_hits(hit_flags(model, ds, beam_width), beam_width)

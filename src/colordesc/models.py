@@ -41,9 +41,10 @@ from .corpus import (
     UNK_ID,
     Vocabulary,
     encode_dataset,
+    tokenize,
     tokens_of,
 )
-from .errors import CheckpointError, ConfigError, CorpusError, TrainingDivergence
+from .errors import CheckpointError, ConfigError, TrainingDivergence
 from .evaluation import (DEFAULT_BEAM_WIDTH, check_generation_args, per_item_log2,
                          perplexity_from_log2)
 from .features import (
@@ -183,6 +184,23 @@ def _inventory(train: Dataset):
     return inventory, _class_ids({k: i for i, k in enumerate(inventory)}, keys, train.codes)
 
 
+def _check_inventory(texts) -> None:
+    """The inventory rule, on an inventory's keys joined by spaces as a
+    checkpoint stores them: a nonempty list of distinct strings, each a
+    key that a text can have, so nonempty and equal to its tokens joined
+    by single spaces (no capital, no empty token, no other whitespace)."""
+    if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
+        raise ConfigError("description inventory is not a list of strings")
+    if not texts:
+        raise ConfigError("description inventory is empty")
+    if len(set(texts)) != len(texts):
+        raise ConfigError("description inventory contains duplicate descriptions")
+    for s in texts:
+        if not s or s != " ".join(tokenize(s)):
+            raise ConfigError(f"description inventory entry {s!r} has an empty token, "
+                              "a capital or whitespace other than single spaces")
+
+
 def _description(tokens) -> Description:
     tokens = list(tokens)
     return Description(raw=" ".join(tokens), tokens=tokens)
@@ -247,12 +265,14 @@ class _Model:
 
     def __init__(self, config: TrainingConfig, scheme: str, params: dict,
                  epochs_trained: float = 0.0):
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown feature scheme {scheme!r}")
+        check_family_scheme(self.family, scheme)
+        # compared before float() so that a huge int cannot overflow
+        if type(epochs_trained) not in (int, float) or not 0 <= epochs_trained < 2**53:
+            raise ConfigError(f"bad epochs_trained {epochs_trained!r}")
         self.config = config
         self.scheme = scheme
         self.params = params
-        self.epochs_trained = epochs_trained
+        self.epochs_trained = float(epochs_trained)
 
     def __init_subclass__(cls, **kwargs):
         # perfbench's tracer wraps the attributes a family class holds
@@ -597,8 +617,7 @@ class AtomicModel(_InventoryModel):
 
     @classmethod
     def build(cls, config: TrainingConfig, inventory: list, scheme: str) -> "AtomicModel":
-        if not inventory:
-            raise ConfigError("atomic model needs a nonempty description inventory")
+        _check_inventory([" ".join(k) for k in inventory])
         params = cls._init_params(config, scheme, len(inventory))
         return cls(config, list(inventory), scheme, params)
 
@@ -838,10 +857,12 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
 
 
 def check_family_scheme(family: str, scheme: str) -> None:
-    """Reject an unknown family, or a scheme the family is not defined
-    over, before any data is read."""
+    """Reject an unknown family or scheme, or a scheme the family is not
+    defined over, before any data is read."""
     if family not in FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown feature scheme {scheme!r}")
     if family == "histogram" and scheme != "buckets":
         raise ConfigError("histogram family is defined over buckets only")
 
@@ -884,21 +905,20 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
 # checkpoint persistence
 
 
-def _expected_shapes(family: str, cfg: TrainingConfig, scheme: str,
-                     n_words: int) -> dict:
-    """Tensor name -> shape; None stands for a dimension of any size.
-    ``n_words`` is the vocabulary or inventory size."""
-    if family == "histogram":
-        return {f"counts.{name}": (None, 3) for name in HISTOGRAM_LEVELS}
-    return {name: shape for name, shape, _ in _layout(family, cfg, scheme, n_words)}
-
-
-def _check_histogram_counts(counts: list, C: int) -> None:
-    """Reject count rows the backoff cannot use: wrong dtype, ids out of
-    range, counts below 1, rows out of (bucket, class) order, or an
-    empty global level."""
-    for name, level, size in zip(HISTOGRAM_LEVELS, counts, BUCKET_SIZES):
+def _check_histogram_counts(tensors: dict, C: int) -> None:
+    """Reject a histogram's tensors unless they are exactly the three
+    count levels, each (n, 3) int32 rows the backoff can use: ids in
+    range, counts at least 1, rows strictly increasing by (bucket,
+    class), and a nonempty global level."""
+    names = {f"counts.{name}" for name in HISTOGRAM_LEVELS}
+    if set(tensors) != names:
+        raise CheckpointError(
+            f"histogram checkpoint has tensors {sorted(tensors)}, expected {sorted(names)}")
+    for name, size in zip(HISTOGRAM_LEVELS, BUCKET_SIZES):
         what = f"tensor 'counts.{name}'"
+        level = tensors[f"counts.{name}"]
+        if level.ndim != 2 or level.shape[1] != 3:
+            raise CheckpointError(f"{what} has shape {level.shape}, expected (n, 3)")
         if level.dtype != np.int32:
             raise CheckpointError(f"{what} has dtype {level.dtype}, expected int32")
         bucket, cls_id, n = level.T.astype(np.int64)
@@ -911,7 +931,7 @@ def _check_histogram_counts(counts: list, C: int) -> None:
         if (np.diff(bucket * C + cls_id) <= 0).any():
             raise CheckpointError(
                 f"{what} rows are not strictly increasing by (bucket, class)")
-    if len(counts[-1]) == 0:
+    if len(tensors["counts.global"]) == 0:
         raise CheckpointError("histogram checkpoint has an empty global level")
 
 
@@ -935,81 +955,42 @@ def save_checkpoint(model, path) -> None:
 
 
 def load_checkpoint(path):
+    """The model a checkpoint file holds. Each header field is checked by
+    the rule that makes a model of it; a fault of the file is a
+    CheckpointError."""
     header, tensors = read_checkpoint(path)
-    family = header.get("family")
-    if family not in FAMILIES:
-        raise CheckpointError(f"checkpoint has unknown family tag {family!r}")
     if header.get("features") != FEATURE_CONSTANTS:
         raise CheckpointError(
             "checkpoint was written with different featurizer constants")
-    cfg, epochs, words = _header_fields(family, header)
-
-    expected = _expected_shapes(family, cfg, header.get("scheme"), len(words))
-    if set(expected) != set(tensors):
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
-        raise CheckpointError(
-            f"checkpoint tensor set mismatch (missing {missing}, extra {extra})")
-    for name, shape in expected.items():
-        got = tensors[name].shape
-        if len(got) != len(shape) or any(w is not None and g != w
-                                         for g, w in zip(got, shape)):
-            raise CheckpointError(
-                f"tensor {name!r} has shape {got}, expected {shape}")
-    if family == "sequence":
-        try:
-            vocab = Vocabulary(words)
-        except CorpusError as exc:
-            raise CheckpointError(f"checkpoint vocabulary is invalid: {exc}") from exc
-        return SequenceDecoderModel(cfg, vocab, header["scheme"], tensors,
-                                    epochs_trained=epochs)
-    inventory = [s.split(" ") for s in words]
-    if family == "histogram":
-        counts = [tensors[f"counts.{name}"] for name in HISTOGRAM_LEVELS]
-        _check_histogram_counts(counts, len(inventory))
-        return HistogramModel(cfg, inventory, counts, epochs_trained=epochs)
-    return AtomicModel(cfg, inventory, header["scheme"], tensors,
-                       epochs_trained=epochs)
-
-
-# JSON types a config field may hold, by the type of its default
-_CONFIG_KINDS = {float: (int, float), int: (int,), str: (str,)}
-
-
-def _header_fields(family: str, header: dict):
-    """(config, epochs trained, vocabulary or inventory strings) of a
-    checkpoint header, with the scheme, each checked for type and value;
-    a bad field is a CheckpointError."""
-    fields = header.get("config")
-    if not isinstance(fields, dict):
-        raise CheckpointError("checkpoint header has no config object")
-    for name in TrainingConfig.__dataclass_fields__:
-        kinds = _CONFIG_KINDS[type(getattr(TrainingConfig, name))]
-        if name in fields and type(fields[name]) not in kinds:
-            raise CheckpointError(
-                f"checkpoint config field {name!r} has a bad value {fields[name]!r}")
-    try:
-        cfg = TrainingConfig.from_dict(fields)
-    except ConfigError as exc:
-        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
+    family, scheme = header.get("family"), header.get("scheme")
     meta = header.get("meta", {})
     epochs = meta.get("epochs_trained", 0.0) if isinstance(meta, dict) else None
-    # compared before float() so that a huge int cannot overflow
-    if type(epochs) not in (int, float) or not 0 <= epochs < 2**53:
-        raise CheckpointError(f"checkpoint has a bad epochs_trained {epochs!r}")
-    key = "vocab" if family == "sequence" else "inventory"
-    words = header.get(key)
-    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-        raise CheckpointError(f"checkpoint {key} is not a list of strings")
-    if family != "sequence":
-        # distinct like a vocabulary's tokens, and each a key a text can have
-        if not words:
-            raise CheckpointError("checkpoint inventory is empty")
-        if len(set(words)) != len(words):
-            raise CheckpointError("checkpoint inventory contains duplicate descriptions")
-        if not all(all(w.split(" ")) for w in words):
-            raise CheckpointError("checkpoint inventory has a description with an empty token")
-    if family != "histogram" and header.get("scheme") not in SCHEMES:
-        raise CheckpointError(
-            f"checkpoint has unknown feature scheme {header.get('scheme')!r}")
-    return cfg, float(epochs), words
+    try:
+        check_family_scheme(family, scheme)
+        cfg = TrainingConfig.from_dict(header.get("config"))
+        if family == "sequence":
+            words = Vocabulary(header.get("vocab"))
+        else:
+            words = header.get("inventory")
+            _check_inventory(words)
+            words = [s.split(" ") for s in words]
+        if family == "histogram":
+            _check_histogram_counts(tensors, len(words))
+            counts = [tensors[f"counts.{name}"] for name in HISTOGRAM_LEVELS]
+            return HistogramModel(cfg, words, counts, epochs)
+        expected = {name: shape for name, shape, _ in _layout(family, cfg, scheme, len(words))}
+        if set(expected) != set(tensors):
+            missing = sorted(set(expected) - set(tensors))
+            extra = sorted(set(tensors) - set(expected))
+            raise CheckpointError(
+                f"checkpoint tensor set mismatch (missing {missing}, extra {extra})")
+        for name, shape in expected.items():
+            if tensors[name].shape != shape:
+                raise CheckpointError(
+                    f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+        model_cls = SequenceDecoderModel if family == "sequence" else AtomicModel
+        return model_cls(cfg, words, scheme, tensors, epochs)
+    except CheckpointError:
+        raise
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint header is invalid: {exc}") from exc

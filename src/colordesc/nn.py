@@ -82,8 +82,16 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known}).validate()
+        """A validated config from a JSON object. Unknown keys are ignored;
+        a field holds a JSON number or string of its default's type."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config is not an object: {d!r}")
+        # the JSON types a field may hold, by the type of its default
+        kinds = {float: (int, float), int: (int,), str: (str,)}
+        for name in cls.__dataclass_fields__:
+            if name in d and type(d[name]) not in kinds[type(getattr(cls, name))]:
+                raise ConfigError(f"config field {name!r} has a bad value {d[name]!r}")
+        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__}).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,9 @@ def periodic_local_maxima(profile: np.ndarray) -> list:
 
 def describe_slug(d) -> str:
     """Filesystem-safe slug for a description (a Description, a text or a
-    token sequence): tokens joined by '-', anything outside [a-z0-9-]
-    dropped."""
-    raw = "-".join(tokens_of(d))
+    token sequence): its tokens lowercased and joined by '-', keeping only
+    letters and digits of any script (``str.isalnum``) and '-'."""
+    raw = "-".join(tokens_of(d)).lower()
     cleaned = "".join(ch for ch in raw if ch.isalnum() or ch == "-")
     cleaned = cleaned.strip("-")
     return cleaned or "description"

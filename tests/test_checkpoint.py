@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from colordesc import (CheckpointError, Dataset, Description, TrainingConfig,
                        models)
@@ -179,6 +179,8 @@ def _inventory_model(family: str, words: list):
     (["a", ""], "empty token"),
     (["a", "a  b"], "empty token"),
     ([" a", "b"], "empty token"),
+    (["A", "b"], "empty token"),
+    (["a\tb", "c"], "empty token"),
 ])
 def test_a_bad_inventory_is_refused(tmp_path, family, words, message):
     path = tmp_path / "m.ckpt"
@@ -188,6 +190,34 @@ def test_a_bad_inventory_is_refused(tmp_path, family, words, message):
     # the same file with a good inventory loads
     save_checkpoint(_inventory_model(family, ["a", "b c"]), path)
     assert load_checkpoint(path).inventory == [("a",), ("b", "c")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(st.text(max_size=12), min_size=1, max_size=5))
+def test_the_inventory_of_any_texts_saves_and_loads(texts):
+    # every key a text can have is an inventory entry a checkpoint accepts
+    keys = sorted({Description.from_text(t).key() for t in texts} - {()})
+    assume(keys)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        for family in ("atomic", "histogram"):
+            save_checkpoint(_inventory_model(family, [" ".join(k) for k in keys]), path)
+            assert load_checkpoint(path).inventory == keys
+
+
+@pytest.mark.parametrize("scheme,message", [
+    ("fourier", "buckets only"),
+    ("raw", "buckets only"),
+    (7, "unknown feature scheme 7"),
+])
+def test_a_histogram_file_of_another_scheme_is_refused(tmp_path, scheme, message):
+    path = tmp_path / "h.ckpt"
+    save_checkpoint(_inventory_model("histogram", ["a", "b c"]), path)
+    header, tensors = read_checkpoint(path)
+    header["scheme"] = scheme
+    write_checkpoint(path, header, tensors)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
 
 
 def test_an_empty_inventory_is_a_usage_error_in_the_cli(tmp_path, capsys):

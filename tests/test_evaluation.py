@@ -163,11 +163,13 @@ def test_bad_beam_width_is_rejected_before_scoring():
         model = Recording()
         with pytest.raises(ValueError, match="beam_width"):
             hit_flags(model, ds, beam_width=width)
-        with pytest.raises(ValueError, match="beam_width"):
-            evaluate(model, ds, beam_width=width)
         assert model.calls == []
+        # the report's accuracy pass refuses the width before it decodes
+        with pytest.raises(ValueError, match="beam_width"):
+            evaluate(model, ds).with_hits(hit_flags(model, ds, beam_width=width), width)
+        assert model.calls == ["score"]
     model = Recording()
-    evaluate(model, ds, beam_width=1)
+    evaluate(model, ds).with_hits(hit_flags(model, ds, beam_width=1), 1)
     assert model.calls == ["score", ("top1", 3)]
 
 
@@ -383,7 +385,7 @@ def test_evaluate_report_is_internally_consistent():
     ds = disjoint_pairs(6, seed=22)
     cfg = TrainingConfig(max_epochs=3, batch_size=3, dropout=0.0, seed=0)
     model, _ = train_model("sequence", ds, cfg, scheme="fourier")
-    report = evaluate(model, ds, split="train", beam_width=2)
+    report = evaluate(model, ds, split="train").with_hits(hit_flags(model, ds, 2), 2)
     assert report.n_items == 6
     assert report.perplexity == pytest.approx(
         2.0 ** (report.total_bits / report.n_items))
@@ -399,7 +401,7 @@ def test_evaluate_can_skip_accuracy():
     ds = disjoint_pairs(4, seed=23)
     cfg = TrainingConfig(max_epochs=1, batch_size=4, seed=0)
     model, _ = train_model("sequence", ds, cfg, scheme="raw")
-    report = evaluate(model, ds, split="dev", beam_width=None)
+    report = evaluate(model, ds, split="dev")
     assert report.accuracy is None
     assert report.hits is None
 

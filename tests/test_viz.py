@@ -213,3 +213,7 @@ def test_describe_slug():
     # a token sequence is its tokens, not the text of its repr
     assert describe_slug(("greenish", "blue")) == "greenish-blue"
     assert describe_slug(list(np.array(["greenish", "blue"]))) == "greenish-blue"
+    # tokens are lowercased as a text's are
+    assert describe_slug(["Dark", "Red"]) == describe_slug("Dark Red") == "dark-red"
+    # letters and digits of any script are kept
+    assert describe_slug("Grün 2 ½") == describe_slug(["grün", "2", "½"]) == "grün-2-½"
