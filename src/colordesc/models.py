@@ -242,18 +242,19 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _layout(family: str, cfg: TrainingConfig, scheme: str, n_words: int) -> list:
-    """(name, shape, init) of every tensor of a neural family, in draw
-    order: the family's own, then for ``buckets`` the bucket embedding
-    tables. Models are initialized and checkpoint shapes checked from it.
-    ``n_words`` is the vocabulary or inventory size."""
+    """(name, shape, dtype, init) of every tensor of a model, which a
+    checkpoint must match. A neural family draws them in list order: its
+    own, then for ``buckets`` the bucket embedding tables. The histogram's
+    are its count levels, any number (a None length) of int32 rows, with
+    no init. ``n_words`` is the vocabulary or inventory size."""
+    if family == "histogram":
+        return [(f"counts.{name}", (None, 3), np.int32, None) for name in HISTOGRAM_LEVELS]
     F = feature_dim(scheme, cfg.bucket_embedding_dim)
-    if family == "sequence":
-        layout = nn.sequence_layout(cfg, n_words, F)
-    else:
-        layout = nn.atomic_layout(cfg, F, n_words)
+    layout = (nn.sequence_layout(cfg, n_words, F) if family == "sequence"
+              else nn.atomic_layout(cfg, F, n_words))
     if scheme == "buckets":
         E = cfg.bucket_embedding_dim
-        layout += [(name, (size, E), nn.normal(cfg.embedding_sigma))
+        layout += [(name, (size, E), cfg.np_dtype, nn.normal(cfg.embedding_sigma))
                    for name, size in zip(BUCKET_PARAM_NAMES, BUCKET_SIZES)]
     return layout
 
@@ -287,7 +288,7 @@ class _Model:
         order from a generator seeded by the config."""
         config.validate()
         return nn.init_params(_layout(cls.family, config, scheme, n_words),
-                              np.random.default_rng(config.seed), config.np_dtype)
+                              np.random.default_rng(config.seed))
 
     @property
     def param_count(self) -> int:
@@ -906,22 +907,12 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
 
 
 def _check_histogram_counts(tensors: dict, C: int) -> None:
-    """Reject a histogram's tensors unless they are exactly the three
-    count levels, each (n, 3) int32 rows the backoff can use: ids in
-    range, counts at least 1, rows strictly increasing by (bucket,
-    class), and a nonempty global level."""
-    names = {f"counts.{name}" for name in HISTOGRAM_LEVELS}
-    if set(tensors) != names:
-        raise CheckpointError(
-            f"histogram checkpoint has tensors {sorted(tensors)}, expected {sorted(names)}")
+    """Reject count levels the backoff cannot use: an id out of range, a
+    count below 1, rows not strictly increasing by (bucket, class), or an
+    empty global level."""
     for name, size in zip(HISTOGRAM_LEVELS, BUCKET_SIZES):
         what = f"tensor 'counts.{name}'"
-        level = tensors[f"counts.{name}"]
-        if level.ndim != 2 or level.shape[1] != 3:
-            raise CheckpointError(f"{what} has shape {level.shape}, expected (n, 3)")
-        if level.dtype != np.int32:
-            raise CheckpointError(f"{what} has dtype {level.dtype}, expected int32")
-        bucket, cls_id, n = level.T.astype(np.int64)
+        bucket, cls_id, n = tensors[f"counts.{name}"].T.astype(np.int64)
         if ((bucket < 0) | (bucket >= size)).any():
             raise CheckpointError(f"{what} has a bucket id outside [0, {size})")
         if ((cls_id < 0) | (cls_id >= C)).any():
@@ -955,9 +946,10 @@ def save_checkpoint(model, path) -> None:
 
 
 def load_checkpoint(path):
-    """The model a checkpoint file holds. Each header field is checked by
-    the rule that makes a model of it; a fault of the file is a
-    CheckpointError."""
+    """The model a checkpoint file holds. Its tensors must match the
+    family's ``_layout`` in name, shape and dtype; each header field is
+    checked by the rule that makes a model of it. A fault of the file is
+    a CheckpointError."""
     header, tensors = read_checkpoint(path)
     if header.get("features") != FEATURE_CONSTANTS:
         raise CheckpointError(
@@ -974,20 +966,23 @@ def load_checkpoint(path):
             words = header.get("inventory")
             _check_inventory(words)
             words = [s.split(" ") for s in words]
+        layout = _layout(family, cfg, scheme, len(words))
+        names = [name for name, *_ in layout]
+        if set(names) != set(tensors):
+            raise CheckpointError(f"checkpoint has tensors {sorted(tensors)}, "
+                                  f"expected {sorted(names)}")
+        for name, shape, dtype, _ in layout:
+            t = tensors[name]
+            want = tuple(m if n is None else n for n, m in zip(shape, t.shape))
+            if t.ndim != len(shape) or t.shape != want:
+                raise CheckpointError(
+                    f"tensor {name!r} has shape {t.shape}, expected {shape}")
+            if t.dtype != dtype:
+                raise CheckpointError(
+                    f"tensor {name!r} has dtype {t.dtype}, expected {np.dtype(dtype)}")
         if family == "histogram":
             _check_histogram_counts(tensors, len(words))
-            counts = [tensors[f"counts.{name}"] for name in HISTOGRAM_LEVELS]
-            return HistogramModel(cfg, words, counts, epochs)
-        expected = {name: shape for name, shape, _ in _layout(family, cfg, scheme, len(words))}
-        if set(expected) != set(tensors):
-            missing = sorted(set(expected) - set(tensors))
-            extra = sorted(set(tensors) - set(expected))
-            raise CheckpointError(
-                f"checkpoint tensor set mismatch (missing {missing}, extra {extra})")
-        for name, shape in expected.items():
-            if tensors[name].shape != shape:
-                raise CheckpointError(
-                    f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+            return HistogramModel(cfg, words, [tensors[name] for name in names], epochs)
         model_cls = SequenceDecoderModel if family == "sequence" else AtomicModel
         return model_cls(cfg, words, scheme, tensors, epochs)
     except CheckpointError:

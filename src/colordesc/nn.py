@@ -56,6 +56,10 @@ class TrainingConfig:
     adagrad_eps: float = ADAGRAD_EPS
 
     def validate(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if not (0.0 <= self.dropout < 1.0):
@@ -141,10 +145,10 @@ def zeros(rng, shape, dtype) -> np.ndarray:
     return np.zeros(shape, dtype=dtype)
 
 
-def init_params(layout, rng, dtype) -> Params:
-    """Draw every tensor of a layout, a list of (name, shape, init)
-    triples, from ``rng`` in list order: ``init(rng, shape, dtype)``."""
-    return {name: init(rng, shape, dtype) for name, shape, init in layout}
+def init_params(layout, rng) -> Params:
+    """Draw every tensor of a layout, a list of (name, shape, dtype, init)
+    entries, from ``rng`` in list order: ``init(rng, shape, dtype)``."""
+    return {name: init(rng, shape, dtype) for name, shape, dtype, init in layout}
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +185,9 @@ class Adagrad:
 # padded positions masked out.
 
 def sequence_layout(cfg: TrainingConfig, vocab_size: int, feature_width: int) -> list:
-    """(name, shape, init) of every sequence-decoder tensor, in draw
-    order. LSTM weights ~ N(0, lstm_sigma^2); its biases are 0 except the
-    forget-gate block, which is ``forget_bias``."""
+    """(name, shape, dtype, init) of every sequence-decoder tensor, in
+    draw order. LSTM weights ~ N(0, lstm_sigma^2); its biases are 0 except
+    the forget-gate block, which is ``forget_bias``."""
     H, E, V, F = cfg.hidden_size, cfg.embedding_dim, vocab_size, feature_width
     D = F + E if cfg.conditioning == "every-step" else E
     lstm = normal(cfg.lstm_sigma)
@@ -209,7 +213,7 @@ def sequence_layout(cfg: TrainingConfig, vocab_size: int, feature_width: int) ->
             ("cond.W_h0", (F, H), glorot), ("cond.b_h0", (H,), zeros),
             ("cond.W_c0", (F, H), glorot), ("cond.b_c0", (H,), zeros),
         ]
-    return layout
+    return [(name, shape, cfg.np_dtype, init) for name, shape, init in layout]
 
 
 def sequence_initial_state(params: Params, cfg: TrainingConfig, feats: np.ndarray):
@@ -564,12 +568,12 @@ def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
 # dropout after each hidden layer.
 
 def atomic_layout(cfg: TrainingConfig, feature_width: int, n_classes: int) -> list:
-    """(name, shape, init) of every atomic-classifier tensor, in draw order."""
-    Hd = cfg.atomic_hidden
+    """(name, shape, dtype, init) of every atomic-classifier tensor, in draw order."""
+    Hd, dt = cfg.atomic_hidden, cfg.np_dtype
     return [
-        ("fc1.W", (feature_width, Hd), glorot), ("fc1.b", (Hd,), zeros),
-        ("fc2.W", (Hd, Hd), glorot), ("fc2.b", (Hd,), zeros),
-        ("out.W", (Hd, n_classes), glorot), ("out.b", (n_classes,), zeros),
+        ("fc1.W", (feature_width, Hd), dt, glorot), ("fc1.b", (Hd,), dt, zeros),
+        ("fc2.W", (Hd, Hd), dt, glorot), ("fc2.b", (Hd,), dt, zeros),
+        ("out.W", (Hd, n_classes), dt, glorot), ("out.b", (n_classes,), dt, zeros),
     ]
 
 

@@ -62,8 +62,7 @@ def test_criterion_01_gradients_match_finite_differences():
         cfg = TrainingConfig(hidden_size=4, embedding_dim=4, dropout=0.0,
                              seed=seed, dtype="float64")
         rng = np.random.default_rng(seed)
-        params = nn.init_params(nn.sequence_layout(cfg, len(vocab), FOURIER_DIM),
-                                rng, cfg.np_dtype)
+        params = nn.init_params(nn.sequence_layout(cfg, len(vocab), FOURIER_DIM), rng)
         feats = fourier_feature_array(
             rng.uniform((0, 0, 0), (360, 100, 100), size=(2, 3))
         ).astype(np.float64)

@@ -147,6 +147,7 @@ def test_repacked_base_files_still_load():
     ("scheme", lambda v: [v], "unknown feature scheme"),
     # shapes are checked without allocating tensors of the header's size
     ("hidden_size", lambda _: 10**9, "tensor 'lstm.W_x'"),
+    ("dtype", lambda _: "float64", "dtype"),
 ])
 def test_bad_header_field_names_the_field(tmp_path, field, change, message):
     _, header, payload = _base_files()["sequence"]

@@ -260,6 +260,8 @@ _OUT_OF_RANGE_TRAIN_FLAGS = [
     ("rnn", "--subsample-train", "-3", "--subsample-train must be >= 0"),
     ("rnn", "--patience", "0", "patience must be >= 1"),
     ("atomic", "--evals-per-epoch", "0", "evals_per_epoch must be >= 1"),
+    ("rnn", "--lr", "nan", "learning_rate must be finite"),
+    ("rnn", "--lr", "inf", "learning_rate must be finite"),
 ]
 
 

@@ -961,19 +961,37 @@ def test_checkpoint_rejects_future_version(tmp_path):
         load_checkpoint(bad)
 
 
-def test_checkpoint_shape_mismatch_detected(tmp_path):
+@pytest.mark.parametrize("family,edit,message", [
+    pytest.param("sequence", lambda t: t.update({"emb": t["emb"][:-1]}), "shape",
+                 id="sequence-emb-row-dropped"),
+    pytest.param("atomic", lambda t: t.update({"out.W": t["out.W"].astype(np.int32)}),
+                 "tensor 'out.W' has dtype int32, expected float32",
+                 id="atomic-out.W-int32"),
+    pytest.param("sequence", lambda t: t.update({"lstm.b": t["lstm.b"].astype(np.int32)}),
+                 "tensor 'lstm.b' has dtype int32, expected float32",
+                 id="sequence-lstm.b-int32"),
+])
+def test_checkpoint_shape_mismatch_detected(tmp_path, capsys, family, edit, message):
     from colordesc.checkpoint import read_checkpoint, write_checkpoint
+    from colordesc.cli import main
 
-    model = random_tiny_model(9)
+    if family == "sequence":
+        model = random_tiny_model(9)
+    else:
+        model = AtomicModel.build(TrainingConfig(hidden_size=4), [("a",), ("b",)], "raw")
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     header, tensors = read_checkpoint(path)
-    tensors["emb"] = tensors["emb"][:-1]  # drop a vocabulary row
+    edit(tensors)
     header.pop("tensors")
     bad = tmp_path / "reshaped.ckpt"
     write_checkpoint(bad, header, tensors)
-    with pytest.raises(CheckpointError, match="shape"):
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(bad)
+    # the CLI reports it as a usage error on one line
+    assert main(["top1", "--ckpt", str(bad), "--hsv", "10,50,50"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "Traceback" not in err[0]
 
 
 def test_checkpoint_preserves_vocab_and_meta(tmp_path):

@@ -144,9 +144,9 @@ def test_lstm_init_shapes_and_forget_bias():
     # every-step input width: 3 feature columns + 1 embedding column = 4
     cfg = TrainingConfig(hidden_size=2, embedding_dim=1).validate()
     layout = nn.sequence_layout(cfg, 5, 3)
-    params = nn.init_params(layout, np.random.default_rng(0), cfg.np_dtype)
-    assert {name: shape for name, shape, _ in layout} == {
-        name: p.shape for name, p in params.items()}
+    params = nn.init_params(layout, np.random.default_rng(0))
+    assert {name: (shape, dtype) for name, shape, dtype, _ in layout} == {
+        name: (p.shape, p.dtype) for name, p in params.items()}
     assert params["lstm.W_x"].shape == (4, 8)
     assert params["lstm.W_h"].shape == (2, 8)
     np.testing.assert_array_equal(params["lstm.b"][2:4], [5.0, 5.0])
@@ -158,10 +158,8 @@ def test_lstm_init_shapes_and_forget_bias():
 
 def test_sequence_init_determinism():
     cfg = TrainingConfig(seed=5).validate()
-    a = nn.init_params(nn.sequence_layout(cfg, 11, 54), np.random.default_rng(5),
-                       cfg.np_dtype)
-    b = nn.init_params(nn.sequence_layout(cfg, 11, 54), np.random.default_rng(5),
-                       cfg.np_dtype)
+    a = nn.init_params(nn.sequence_layout(cfg, 11, 54), np.random.default_rng(5))
+    b = nn.init_params(nn.sequence_layout(cfg, 11, 54), np.random.default_rng(5))
     assert set(a) == set(b)
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
@@ -172,7 +170,7 @@ def _random_sequence_setup(seed, conditioning, dropout=0.2, V=5, F=6, B=3, T=4):
                          conditioning=conditioning, dtype="float64",
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
-    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng, cfg.np_dtype)
+    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng)
     feats = rng.standard_normal((B, F))
     in_ids = rng.integers(0, V, (B, T))
     targets = rng.integers(0, V, (B, T))
@@ -288,7 +286,7 @@ def test_atomic_gradients_match_finite_differences(seed):
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
     F, C, B = 6, 5, 3
-    params = nn.init_params(nn.atomic_layout(cfg, F, C), rng, cfg.np_dtype)
+    params = nn.init_params(nn.atomic_layout(cfg, F, C), rng)
     feats = rng.standard_normal((B, F))
     targets = rng.integers(0, C, B)
 
@@ -332,7 +330,7 @@ def _scoring_setup(seed, B, conditioning, dtype, dims, lengths, holes=False):
                          conditioning=conditioning, dtype=dtype,
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
-    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng, cfg.np_dtype)
+    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng)
     params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
     T = int(lengths.max())

@@ -234,7 +234,7 @@ def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes, dropout=0.2):
                          conditioning=conditioning, dtype=dtype,
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
-    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng, cfg.np_dtype)
+    params = nn.init_params(nn.sequence_layout(cfg, V, F), rng)
     params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
     lengths = rng.integers(1, T + 1, B)
@@ -295,7 +295,7 @@ def test_atomic_training_pass_equals_padded_reference(B, C, dtype, dropout, seed
                          dtype=dtype, seed=seed).validate()
     rng = np.random.default_rng(seed)
     F = 54
-    params = nn.init_params(nn.atomic_layout(cfg, F, C), rng, cfg.np_dtype)
+    params = nn.init_params(nn.atomic_layout(cfg, F, C), rng)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
     targets = rng.integers(0, C, B)
     want_loss, want_cache = padded_atomic_forward(
@@ -315,7 +315,7 @@ def test_atomic_training_pass_equals_padded_reference(B, C, dtype, dropout, seed
 def test_atomic_target_logprobs_equal_full_log_softmax(B, C, dtype, seed):
     cfg = TrainingConfig(atomic_hidden=20, dtype=dtype, seed=seed).validate()
     rng = np.random.default_rng(seed)
-    params = nn.init_params(nn.atomic_layout(cfg, 54, C), rng, cfg.np_dtype)
+    params = nn.init_params(nn.atomic_layout(cfg, 54, C), rng)
     params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
     feats = rng.standard_normal((B, 54)).astype(cfg.np_dtype)
     targets = rng.integers(0, C, B)
