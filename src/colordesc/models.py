@@ -114,7 +114,8 @@ def _score_pool() -> ThreadPoolExecutor:
 
 def _map_chunks(n: int, score_chunk) -> None:
     """``score_chunk(lo, hi)`` for every ``_SCORE_BATCH``-row chunk
-    [lo, hi) of n rows, on up to one thread per usable CPU. Each chunk is
+    [lo, hi) of n rows, on one thread per chunk up to one per usable CPU,
+    so that a call of two chunks already runs on two CPUs. Each chunk is
     computed as it would be alone and writes only its own rows, so
     results do not depend on the number of threads. An error is raised
     once every worker has stopped; no worker starts a chunk after it."""
@@ -123,10 +124,7 @@ def _map_chunks(n: int, score_chunk) -> None:
             score_chunk(0, n)
         return
     todo = iter(range(0, n, _SCORE_BATCH))
-    # a thread is woken only if it can take two chunks: with fewer, it saves
-    # little of a short call, and its wake-up and the two threads' handoffs
-    # of the interpreter lock cost more on a busy machine
-    workers = min(-(-n // _SCORE_BATCH) // 2, _usable_cpus())
+    workers = min(-(-n // _SCORE_BATCH), _usable_cpus())
     lock = threading.Lock()
 
     def drain():
@@ -793,8 +791,8 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
     ``batch_grads(feats, batch, rng)`` runs the family's forward and
     backward passes on the featurized batch (rows ``batch`` of train) and
     returns the gradients, with the gradient of the featurized input
-    under "feats"; the driver scatters that one into the bucket
-    embedding tables. Dev perplexity is checked
+    under "feats"; the loop adds that one into the rows of the bucket
+    embedding tables that the batch looked up. Dev perplexity is checked
     ``evals_per_epoch`` times per epoch; training stops after
     ``patience`` consecutive non-improving checks and the best parameters
     are restored.
@@ -829,8 +827,8 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
             if idx is not None:
                 E = config.bucket_embedding_dim
                 for r, name in enumerate(BUCKET_PARAM_NAMES):
-                    grads[name] = np.zeros_like(model.params[name])
-                    np.add.at(grads[name], idx[:, r], dfeats[:, r * E : (r + 1) * E])
+                    opt.update_rows(model.params, name, idx[:, r],
+                                    dfeats[:, r * E : (r + 1) * E])
             opt.update(model.params, grads)
             if b in eval_points:
                 frac = epoch - 1 + (b + 1) / n_batches

@@ -20,6 +20,7 @@ output]:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -56,12 +57,11 @@ class TrainingConfig:
     adagrad_eps: float = ADAGRAD_EPS
 
     def validate(self):
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        # a zero-gradient row is left exactly as it is only when eps > 0
+        if self.adagrad_eps <= 0:
+            raise ConfigError("adagrad_eps must be positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must be in [0, 1)")
         for name in ("hidden_size", "embedding_dim", "bucket_embedding_dim",
@@ -75,6 +75,17 @@ class TrainingConfig:
             raise ConfigError(f"unknown conditioning mode {self.conditioning!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        # after the range rules, which compare a huge int exactly; a float
+        # field may hold an int, which must fit in a float
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, float) or type(getattr(TrainingConfig, name)) is float:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int too large for a float
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"{name} must be finite, got {value!r}")
         return self
 
     @property
@@ -172,6 +183,20 @@ class Adagrad:
     def update(self, params: Params, grads: Params) -> None:
         for name, g in grads.items():
             adagrad_update(params[name], g, self.accum[name], self.lr, self.eps)
+
+    def update_rows(self, params: Params, name: str, ids: np.ndarray,
+                    grads: np.ndarray) -> None:
+        """``update`` of tensor ``name`` whose gradient is the sum of row i
+        of ``grads`` into its row ``ids[i]``, added in order of i, as
+        ``np.add.at`` into a zero tensor sums it. With eps > 0 a zero
+        gradient leaves a row and its accumulator exactly as they are, so
+        only the distinct rows of ``ids`` are updated."""
+        rows, at = np.unique(ids, return_inverse=True)
+        grad = np.zeros((len(rows),) + grads.shape[1:], dtype=params[name].dtype)
+        np.add.at(grad, at, grads)
+        param, accum = params[name][rows], self.accum[name][rows]
+        adagrad_update(param, grad, accum, self.lr, self.eps)
+        params[name][rows], self.accum[name][rows] = param, accum
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,8 @@ def test_repacked_base_files_still_load():
     # shapes are checked without allocating tensors of the header's size
     ("hidden_size", lambda _: 10**9, "tensor 'lstm.W_x'"),
     ("dtype", lambda _: "float64", "dtype"),
+    ("learning_rate", lambda _: 10**400, "learning_rate must be finite"),
+    ("adagrad_eps", lambda _: 0, "adagrad_eps must be positive"),
 ])
 def test_bad_header_field_names_the_field(tmp_path, field, change, message):
     _, header, payload = _base_files()["sequence"]

@@ -262,6 +262,8 @@ _OUT_OF_RANGE_TRAIN_FLAGS = [
     ("atomic", "--evals-per-epoch", "0", "evals_per_epoch must be >= 1"),
     ("rnn", "--lr", "nan", "learning_rate must be finite"),
     ("rnn", "--lr", "inf", "learning_rate must be finite"),
+    # a number too large for a float reads as inf
+    ("rnn", "--lr", "1e400", "learning_rate must be finite"),
 ]
 
 

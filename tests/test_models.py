@@ -524,7 +524,8 @@ def test_train_rejects_bad_inputs():
     # out-of-range settings fail before training, for every family
     for family, scheme in (("sequence", "raw"), ("atomic", "raw"),
                            ("histogram", "buckets")):
-        for bad in ({"seed": -1}, {"patience": 0}, {"evals_per_epoch": 0}):
+        for bad in ({"seed": -1}, {"patience": 0}, {"evals_per_epoch": 0},
+                    {"adagrad_eps": 0.0}, {"learning_rate": 10**400}):
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 train_model(family, ds, TrainingConfig(max_epochs=1, **bad),
                             scheme=scheme)
@@ -794,43 +795,81 @@ def test_concurrent_callers_share_the_pool_and_score_bit_identically():
 
 
 # Run in a fresh interpreter, pinned to one CPU or with all of them: it
-# trains and scores with both neural families and prints what it got,
-# with the number of threads that ran a scoring kernel.
+# trains and scores with both neural families, makes two- and
+# three-chunk scoring, sampling and top-1 calls with all three, and
+# prints what it got, with the number of threads that ran each call's
+# kernel.
 CPU_CHILD = r"""
-import hashlib, json, os, sys, threading
+import hashlib, json, os, sys, threading, time
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from colordesc import TrainingConfig, nn, train_model
+from colordesc.models import HistogramModel
 from test_models import _phrases
 
-threads = set()
+threads = {}  # call label -> idents of the threads that ran its kernels
+label = None
 
 def recording(kernel):
     def run(*args, **kwargs):
-        threads.add(threading.get_ident())
+        seen = threads.setdefault(label, set())
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            # a thread's first chunk waits, so that a woken worker is
+            # sure to find a chunk left however short the kernel is
+            time.sleep(0.05)
         return kernel(*args, **kwargs)
     return run
 
-nn.sequence_logprobs = recording(nn.sequence_logprobs)
-nn.atomic_target_logprobs = recording(nn.atomic_target_logprobs)
+for owner, name in ((nn, "sequence_logprobs"), (nn, "atomic_target_logprobs"),
+                    (nn, "sequence_step_probs"), (nn, "atomic_logits"),
+                    (HistogramModel, "_class_probs")):
+    setattr(owner, name, recording(getattr(owner, name)))
 
 def digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
+def call(name, fn, *args):
+    global label
+    label = name
+    try:
+        return fn(*args)
+    finally:
+        label = None
+
 train, dev = _phrases(600, 1), _phrases(3000, 2)
 grid = _phrases(3000, 3).colors
 out = {"cpus": len(os.sched_getaffinity(0))}
-for family in ("sequence", "atomic"):
-    model, history = train_model(family, train, TrainingConfig(max_epochs=1, batch_size=64, seed=5),
-                                 scheme="fourier", dev=dev)
+models = {}
+for family, scheme in (("sequence", "fourier"), ("atomic", "fourier"),
+                       ("histogram", "buckets")):
+    model, history = call(f"train {family}", train_model, family, train,
+                          TrainingConfig(max_epochs=1, batch_size=64, seed=5),
+                          scheme, dev)
+    models[family] = model
+    if family == "histogram":
+        continue
     out[family] = {
         "history": [repr(rec["perplexity"]) for rec in history],
         "params": digest(np.concatenate([v.ravel() for v in model.params.values()])),
-        "scores": digest(model.score_dataset(dev)),
-        "grid": digest(model.score_color_array(grid, train.descriptions[0].tokens)),
+        "scores": digest(call(f"score {family}", model.score_dataset, dev)),
+        "grid": digest(call(f"grid {family}", model.score_color_array, grid,
+                            train.descriptions[0].tokens)),
     }
-out["threads"] = len(threads)
+# two- and three-chunk calls of every chunked path
+for n in (700, 1200):
+    ds = _phrases(n, 7)
+    for family, model in models.items():
+        if family != "histogram":
+            out[f"score {family} {n}"] = digest(
+                call(f"score {family} {n}", model.score_dataset, ds))
+        out[f"sample {family} {n}"] = call(f"sample {family} {n}", model.sample_batch,
+                                           ds.colors, np.random.default_rng(n))
+        if family != "sequence":
+            out[f"top1 {family} {n}"] = call(f"top1 {family} {n}",
+                                             model.predict_top1_batch, ds.colors)
+out["threads"] = {name: len(seen) for name, seen in threads.items()}
 print(json.dumps(out))
 """
 
@@ -848,12 +887,22 @@ def test_scores_and_monitor_are_bit_identical_on_one_cpu_and_on_all():
         assert proc.returncode == 0, proc.stderr
         runs[mode] = json.loads(proc.stdout.splitlines()[-1])
     pinned, every = runs["pinned"], runs["all"]
-    assert pinned["cpus"] == 1 and pinned["threads"] == 1
-    if every["cpus"] > 1:
-        assert every["threads"] > 1
+    assert pinned["cpus"] == 1 and set(pinned["threads"].values()) == {1}
     for family in ("sequence", "atomic"):
         assert len(pinned[family]["history"]) == 2
         assert pinned[family] == every[family], family
+    calls = [key for key in pinned if key[-4:] in (" 700", "1200")]
+    assert len(calls) == 14
+    for key in calls:
+        assert pinned[key] == every[key], key
+    if every["cpus"] > 1:
+        # every call of two or more chunks wakes a thread; the histogram
+        # decodes without chunks
+        chunked = [key for key in calls if key[:4] != "top1" or "atomic" in key]
+        assert chunked and all(every["threads"][key] > 1 for key in chunked), \
+            every["threads"]
+        assert every["threads"]["train sequence"] > 1
+        assert every["threads"]["score atomic"] > 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

@@ -24,7 +24,12 @@ def test_config_validation():
         TrainingConfig(dtype="float16").validate()
     with pytest.raises(ConfigError):
         TrainingConfig(batch_size=0).validate()
-    for bad in ({"seed": -1}, {"patience": 0}, {"evals_per_epoch": 0}):
+    # an int too large for a float is refused, in a field with a range
+    # rule by that rule
+    for bad in ({"seed": -1}, {"patience": 0}, {"evals_per_epoch": 0},
+                {"adagrad_eps": 0.0}, {"adagrad_eps": -1e-8},
+                {"learning_rate": 10**400}, {"embedding_sigma": 10**400},
+                {"dropout": 10**400}, {"hidden_size": float("nan")}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             TrainingConfig(**bad).validate()
 

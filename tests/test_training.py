@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from colordesc import (Dataset, Description, TrainingConfig, TrainingDivergence,
                        nn)
 from colordesc.corpus import END_ID
-from colordesc.models import save_checkpoint, train_model
+from colordesc.models import BUCKET_PARAM_NAMES, save_checkpoint, train_model
 
 from conftest import lstm_step_full
 
@@ -455,3 +455,49 @@ def test_seeded_training_checkpoint_equals_reference_kernels(
         want = _seeded_checkpoint(tmp_path / "want.ckpt", family, scheme,
                                   conditioning, dropout)
     assert hashlib.sha256(got).hexdigest() == hashlib.sha256(want).hexdigest()
+
+
+# -- bucket tables: training updates only the rows a batch looked up.
+# The reference is the update it replaced, on the whole table.
+
+
+def _dense_update_rows(self, params, name, ids, grads):
+    grad = np.zeros_like(params[name])
+    np.add.at(grad, ids, grads)
+    _adagrad_reference(params[name], grad, self.accum[name], self.lr, self.eps)
+
+
+@pytest.mark.parametrize("family", ["atomic", "sequence"])
+def test_bucket_table_row_update_equals_dense_update(monkeypatch, family):
+    once = _golden_corpus(100, seed=31)
+    # every color three times, so that a batch repeats fine buckets too
+    train = Dataset(colors=np.tile(once.colors, (3, 1)),
+                    descriptions=once.descriptions * 3, split="train")
+    cfg = TrainingConfig(batch_size=32, max_epochs=2, seed=13)
+    made, batches = [], []
+
+    class Recorded(nn.Adagrad):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def update_rows(self, params, name, ids, grads):
+            batches.append((name, ids.copy()))
+            super().update_rows(params, name, ids, grads)
+
+    monkeypatch.setattr(nn, "Adagrad", Recorded)
+    got, _ = train_model(family, train, cfg, scheme="buckets")
+    monkeypatch.setattr(Recorded, "update_rows", _dense_update_rows)
+    want, _ = train_model(family, train, cfg, scheme="buckets")
+
+    # 10 batches an epoch, each updating the three tables
+    assert len(batches) == 2 * 10 * 3
+    for name in BUCKET_PARAM_NAMES:
+        assert any(len(np.unique(ids)) < len(ids) for n, ids in batches if n == name)
+    sparse, dense = made
+    assert not sparse.accum["buckets.fine"].any(axis=1).all()  # untouched rows
+    assert not sparse.accum["buckets.mid"].any(axis=1).all()
+    assert got.params.keys() == want.params.keys()
+    for name in got.params:
+        assert _same_bits(got.params[name], want.params[name]), name
+        assert _same_bits(sparse.accum[name], dense.accum[name]), name
