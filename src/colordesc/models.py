@@ -76,7 +76,7 @@ FEATURE_CONSTANTS = {
     "bucket_grids": [list(g) for g in BUCKET_GRIDS],
 }
 
-_SCORE_BATCH = 512
+_SCORE_BATCH = 512  # whole nn.TILE tiles: only a call's last tile is padded
 
 # Scoring runs its chunks on the calling thread and on pool threads, at
 # most one for each other usable CPU; numpy releases the interpreter lock
@@ -208,7 +208,8 @@ def _one_row_as_two(fn, *rows):
     """``fn(*rows)`` for arrays with one row per item; a one-item call runs
     on its row twice and keeps the first. numpy sends a one-row product to
     gemv, whose sums can differ in the last bit from the same row of a
-    GEMM, and a color must decode and sample alike alone and in a batch."""
+    GEMM, and a color must decode and sample alike alone and in a batch.
+    The sequence family's rule; the inventory families run row tiles."""
     if len(rows[0]) != 1:
         return fn(*rows)
     out = fn(*(r.repeat(2, axis=0) for r in rows))
@@ -221,7 +222,7 @@ def _draw(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     same uniform: the number of entries of the row's cumulative sum,
     divided by its last entry, that are <= u."""
     cdf = np.cumsum(p, axis=1)
-    total = cdf[:, -1:]
+    total = cdf[:, -1:].copy()  # a view would make ``cdf /=`` copy all of cdf
     if not (total > 0).all():  # rng.choice raises on such a row too
         raise ValueError("a row to draw from has no probability mass")
     cdf /= total
@@ -349,8 +350,8 @@ class _Model:
 class _InventoryModel(_Model):
     """A family whose outcomes are the distinct training descriptions.
     It supplies ``_class_probs(colors)``, the (n, C) float64 distribution
-    over the inventory of each color row, which ``sample_batch`` draws
-    from."""
+    over the inventory of each of at most ``nn.TILE`` color rows, which
+    ``sample_batch`` draws from one tile of rows at a time."""
 
     def __init__(self, config: TrainingConfig, inventory: list, scheme: str,
                  params: dict, epochs_trained: float = 0.0):
@@ -367,8 +368,9 @@ class _InventoryModel(_Model):
         drawn = np.empty(len(colors), dtype=np.int64)
 
         def sample_chunk(lo, hi):
-            drawn[lo:hi] = _draw(_one_row_as_two(self._class_probs, colors[lo:hi]),
-                                 u[lo:hi])
+            for a in range(lo, hi, nn.TILE):
+                b = min(a + nn.TILE, hi)
+                drawn[a:b] = _draw(self._class_probs(colors[a:b]), u[a:b])
 
         _map_chunks(len(colors), sample_chunk)
         return [self.inventory[k] for k in drawn.tolist()]
@@ -622,7 +624,7 @@ class AtomicModel(_InventoryModel):
 
     def _class_probs(self, colors: np.ndarray) -> np.ndarray:
         """(n, C) class distribution of each color row, in float64."""
-        return nn.softmax(nn.atomic_logits(self.params, self.featurize(colors)[0]),
+        return nn.softmax(nn.atomic_tile_logits(self.params, self.featurize(colors)[0]),
                           axis=1)
 
     def score_token_batch(self, colors: np.ndarray, token_seqs: list, codes) -> np.ndarray:
@@ -643,14 +645,17 @@ class AtomicModel(_InventoryModel):
 
     def _top1_batch(self, colors: np.ndarray, width: int, max_len: int) -> list:
         """The argmax class of each row, ties to the smaller id, taken on
-        the working-precision logits: the log-softmax only shifts a row."""
+        the working-precision logits of each tile of rows
+        (``nn.atomic_tile_logits``): the log-softmax only shifts a row."""
         best = np.empty(len(colors), dtype=np.int64)
 
-        def logits(x):
-            return nn.atomic_logits(self.params, self.featurize(x)[0])
-
         def decode_chunk(lo, hi):
-            best[lo:hi] = np.argmax(_one_row_as_two(logits, colors[lo:hi]), axis=1)
+            feats, _ = self.featurize(colors[lo:hi])
+            out = best[lo:hi]
+            for a in range(0, hi - lo, nn.TILE):
+                rows = slice(a, a + nn.TILE)
+                out[rows] = np.argmax(nn.atomic_tile_logits(self.params, feats[rows]),
+                                      axis=1)
 
         _map_chunks(len(colors), decode_chunk)
         return [self.inventory[k] for k in best.tolist()]

@@ -306,7 +306,13 @@ def _lstm_step(W_h, neg_w, ax, h, c, gates, c_out, tc_out, h_out):
     return h, c
 
 
-_LOG_SOFTMAX_BUFFER = 1 << 18  # float64 entries (2 MiB) of _log_softmax_at's buffer
+_LOG_SOFTMAX_BUFFER = 1 << 18  # entries of _log_softmax_at's and _softmax_xent's buffers
+
+
+def _block_rows(N: int, C: int) -> int:
+    """Rows of a block of an (N, C) array that fills at most
+    ``_LOG_SOFTMAX_BUFFER`` entries, and at least one row."""
+    return max(1, min(N, _LOG_SOFTMAX_BUFFER // C))
 
 
 def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -317,13 +323,14 @@ def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     ``_LOG_SOFTMAX_BUFFER`` entries (at least one row), so the logits are
     never converted whole; a row's value does not depend on its block."""
     N, C = logits.shape
-    step = max(1, _LOG_SOFTMAX_BUFFER // C)
+    step = _block_rows(N, C)
     out = np.empty(N, dtype=np.float64)
-    buf = np.empty((min(N, step), C), dtype=np.float64)
+    buf = np.empty((step, C), dtype=np.float64)
     for lo in range(0, N, step):
         block = logits[lo : lo + step]
         z = buf[: len(block)]
-        np.subtract(block, block.max(axis=1, keepdims=True), out=z, dtype=np.float64)
+        np.copyto(z, block)
+        z -= block.max(axis=1, keepdims=True)
         z_target = z[np.arange(len(z)), targets[lo : lo + len(z)]]
         log_sum = np.log(np.sum(np.exp(z, out=z), axis=1))
         np.subtract(z_target, log_sum, out=out[lo : lo + len(z)])
@@ -332,15 +339,25 @@ def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _softmax_xent(logits: np.ndarray, targets: np.ndarray):
     """(log p[row, targets[row]], p - onehot) of the (N, C) ``logits``,
-    which hold the log-softmax on return; one more (N, C) buffer holds
-    the probabilities and becomes the gradient. Callers scale it."""
-    rows = np.arange(len(logits))
+    computed in place: the logits become the gradient. The row sums of
+    exp go through one block buffer of at most ``_LOG_SOFTMAX_BUFFER``
+    entries, so no second (N, C) array is made. Callers scale the
+    gradient."""
+    N, C = logits.shape
+    rows = np.arange(N)
     logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    logits -= np.log(probs.sum(axis=1, keepdims=True))
-    dlogits = np.exp(logits, out=probs)
+    step = _block_rows(N, C)
+    buf = np.empty((step, C), dtype=logits.dtype)
+    sums = np.empty((N, 1), dtype=logits.dtype)
+    for lo in range(0, N, step):
+        block = logits[lo : lo + step]
+        np.exp(block, out=buf[: len(block)]).sum(axis=1, keepdims=True,
+                                                 out=sums[lo : lo + len(block)])
+    logits -= np.log(sums)
+    logp = logits[rows, targets]
+    dlogits = np.exp(logits, out=logits)
     dlogits[rows, targets] -= 1.0
-    return logits[rows, targets], dlogits
+    return logp, dlogits
 
 
 def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
@@ -609,7 +626,7 @@ def atomic_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     dropout mask, both drawn from ``rng`` first; at dropout 0 they are
     all ones (see ``sequence_forward``). The log-softmax and the logit
     gradient (p - onehot) / B are computed in place (``_softmax_xent``)
-    in the (B, C) logits buffer and one more."""
+    in the (B, C) logits buffer."""
     dt = cfg.np_dtype
     B = feats.shape[0]
     drop_masks = [dropout_mask(rng, (B, cfg.atomic_hidden), cfg.dropout, dt)
@@ -648,6 +665,14 @@ def atomic_backward(cache) -> Params:
     return grads
 
 
+# Inference runs the atomic classifier on tiles of TILE rows: a call's
+# rows go TILE at a time, the last tile zero-padded, so every product has
+# TILE rows, never a gemv. A row in a tile gets one result whatever the
+# other rows hold, so a row's score, top-1 and draw do not depend on its
+# batch, and a call holds the (TILE, C) logits of one tile at a time.
+TILE = 64
+
+
 def atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
     """(B, C) class logits in the working precision, dropout off."""
     h1 = np.maximum(feats @ params["fc1.W"] + params["fc1.b"], 0.0)
@@ -657,14 +682,33 @@ def atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
     return logits
 
 
+def atomic_tile_logits(params: Params, feats: np.ndarray) -> np.ndarray:
+    """(n, C) class logits of n <= TILE rows, dropout off, computed on
+    one tile: the rows zero-padded to TILE."""
+    tile = np.zeros((TILE, feats.shape[1]), dtype=feats.dtype)
+    tile[: len(feats)] = feats
+    return atomic_logits(params, tile)[: len(feats)]
+
+
 def atomic_logprobs(params: Params, cfg: TrainingConfig,
                     feats: np.ndarray) -> np.ndarray:
-    """(B, C) log class probabilities, dropout off, float64."""
-    return log_softmax(atomic_logits(params, feats).astype(np.float64), axis=1)
+    """(B, C) log class probabilities, dropout off, float64, taken tile
+    by tile (``atomic_tile_logits``)."""
+    out = np.empty((len(feats), params["out.b"].size), dtype=np.float64)
+    for lo in range(0, len(feats), TILE):
+        rows = slice(lo, lo + TILE)
+        out[rows] = log_softmax(atomic_tile_logits(params, feats[rows]).astype(np.float64),
+                                axis=1)
+    return out
 
 
 def atomic_target_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                            targets: np.ndarray) -> np.ndarray:
     """log p(targets[b] | feats[b]) per row, float64, dropout off: the
-    entries of ``atomic_logprobs`` at the targets, bit for bit."""
-    return _log_softmax_at(atomic_logits(params, feats), targets)
+    entries of ``atomic_logprobs`` at the targets, bit for bit, taken
+    tile by tile (``atomic_tile_logits``)."""
+    out = np.empty(len(feats), dtype=np.float64)
+    for lo in range(0, len(feats), TILE):
+        rows = slice(lo, lo + TILE)
+        out[rows] = _log_softmax_at(atomic_tile_logits(params, feats[rows]), targets[rows])
+    return out

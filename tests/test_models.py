@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,12 +299,13 @@ def test_sample_batch_rows_depend_only_on_their_own_uniforms():
 
 def test_decoders_and_samplers_never_run_a_one_row_block(monkeypatch):
     # numpy sends a one-row product to gemv, which can round differently
-    # from the same row of a GEMM: every decode step and class distribution
-    # runs on at least two rows, a lone row twice
+    # from the same row of a GEMM: every decode step runs on at least two
+    # rows, a lone row twice, and every atomic class distribution on one
+    # whole row tile
     rows = []
     for name in ("sequence_step_probs", "atomic_logits"):
-        def spy(*args, real=getattr(nn, name)):
-            rows.append(len(args[-1]))
+        def spy(*args, real=getattr(nn, name), name=name):
+            rows.append((name, len(args[-1])))
             return real(*args)
         monkeypatch.setattr(nn, name, spy)
     sequence, atomic, _ = _models_of_each_family()
@@ -321,7 +323,8 @@ def test_decoders_and_samplers_never_run_a_one_row_block(monkeypatch):
         model.sample_batch(colors, np.random.default_rng(29))
         for width in (1, 3):
             model.predict_top1(color, beam_width=width, max_len=6)
-    assert rows and min(rows) >= 2
+    assert rows and min(n for _, n in rows) >= 2
+    assert {n for name, n in rows if name == "atomic_logits"} == {nn.TILE}
 
 
 def test_sampling_never_emits_reserved_tokens():
@@ -602,6 +605,144 @@ def test_atomic_memorizes_small_set():
     hits = sum(model.predict_top1(ds.color(i)).key() == ds.descriptions[i].key()
                for i in range(len(ds)))
     assert hits == len(ds)
+
+
+# -- the inventory families run every product over the C classes on row
+# tiles of nn.TILE rows, the last one zero-padded
+
+
+def _atomic_model(C: int, hidden: int) -> AtomicModel:
+    """An untrained fourier atomic model over C one-word classes, with
+    sharpened outputs."""
+    model = AtomicModel.build(TrainingConfig(atomic_hidden=hidden, seed=0),
+                              [(f"c{k}",) for k in range(C)], "fourier")
+    model.params["out.W"] *= np.float32(4.0)
+    return model
+
+
+def _class_rows(model, colors, classes) -> Dataset:
+    return Dataset(colors, [Description.from_text(" ".join(model.inventory[k]))
+                            for k in classes])
+
+
+def _whole_chunk_reference(model, colors, classes, u, rng):
+    """Scores, top-1 classes and draws of each row from the logits of
+    whole 512-row chunks, one (rows, C) product each, as scoring ran before
+    tiles (a lone row runs twice, as numpy would send one row to gemv;
+    a product of 1,000 rows or more rounds the first layer differently):
+    the log-softmax at the class, the argmax, and the inverse-CDF draw
+    from the float64 softmax. Every third row's uniform is moved onto a
+    cumulative probability of its row, where a last-bit change of the
+    row's distribution would change the draw."""
+    n, C = len(colors), len(model.inventory)
+    p = model.params
+    scores = np.empty(n)
+    top1, draws = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for lo in range(0, n, 512):
+        chunk = colors[lo : lo + 512]
+        feats, _ = model.featurize(chunk.repeat(2, axis=0) if len(chunk) == 1 else chunk)
+        h1 = np.maximum(feats @ p["fc1.W"] + p["fc1.b"], 0.0)
+        logits = (h1 @ p["fc2.W"] + p["fc2.b"]) @ p["out.W"]
+        logits += p["out.b"]
+        top1[lo : lo + len(chunk)] = np.argmax(logits[: len(chunk)], axis=1)
+        for a in range(lo, lo + len(chunk), 32):  # the float64 rows, 32 at a time
+            rows = np.arange(a, min(a + 32, n))
+            z = logits[rows - lo].astype(np.float64)
+            z -= z.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            total = e.sum(axis=1)
+            scores[rows] = z[rows - a, classes[rows]] - np.log(total)
+            cdf = np.cumsum(e / total[:, None], axis=1)
+            cdf /= cdf[:, -1:].copy()
+            for i in rows[rows % 3 == 0]:
+                u[i] = cdf[i - a, rng.integers(C - 1)]
+            draws[rows] = [np.searchsorted(c, x, side="right")
+                           for c, x in zip(cdf, u[rows])]
+    return scores, top1, draws
+
+
+@pytest.mark.parametrize("C", [5, 4376, 28235])
+def test_tiled_atomic_rows_equal_the_whole_chunk_reference(C):
+    # at hidden size 20 a row of the product does not depend on the row
+    # count (two rows or more), so tiles give the full product's bits
+    model = _atomic_model(C, hidden=20)
+    rng = np.random.default_rng(C)
+    for n in (1, 2, 63, 64, 65, 127, 513, 1250):
+        colors = _random_colors(n, n)
+        classes = rng.integers(0, C, n)
+        u = rng.random(n)
+        scores, top1, draws = _whole_chunk_reference(model, colors, classes, u, rng)
+        got = model.score_dataset(_class_rows(model, colors, classes))
+        assert got.tobytes() == scores.tobytes(), n
+        assert model.predict_top1_batch(colors) == [model.inventory[k] for k in top1], n
+        assert model.sample_batch(colors, FixedUniforms(u)) == \
+            [model.inventory[k] for k in draws], n
+
+
+def test_an_atomic_row_alone_equals_it_at_every_position_of_a_batch(monkeypatch):
+    # at hidden size 50 a product's row rounds differently with 2-65 rows,
+    # so only a fixed tile height keeps a row's results off its batch
+    from colordesc import models
+
+    model = _atomic_model(400, hidden=50)
+    seen = []  # the distributions the sampler draws from
+
+    def spy(p, u, real=models._draw):
+        seen.append(p.copy())
+        return real(p, u)
+
+    monkeypatch.setattr(models, "_draw", spy)
+    rng = np.random.default_rng(41)
+    for n in (2, 63, 64, 65, 513):
+        colors = _random_colors(n, 100 + n)
+        classes = rng.integers(0, 400, n)
+        # each row's uniform sits on a cumulative probability of the
+        # distribution it is drawn from alone, so a batch that rounds the
+        # row differently in the last bit would draw something else
+        u = np.empty(n)
+        for i in range(n):
+            seen.clear()
+            model.sample_batch(colors[i : i + 1], FixedUniforms([0.5]))
+            cdf = np.cumsum(seen[0][0])
+            u[i] = cdf[np.searchsorted(cdf, 0.5 * cdf[-1])] / cdf[-1]
+        scores = model.score_dataset(_class_rows(model, colors, classes))
+        top1 = model.predict_top1_batch(colors)
+        drawn = model.sample_batch(colors, FixedUniforms(u))
+        for i in range(n):
+            alone = model.score_dataset(_class_rows(model, colors[i : i + 1],
+                                                    classes[i : i + 1]))
+            assert alone.tobytes() == scores[i : i + 1].tobytes(), (n, i)
+            assert model.predict_top1(colors[i]).key() == top1[i], (n, i)
+            assert model.sample_batch(colors[i : i + 1], FixedUniforms(u[i : i + 1])) == \
+                [drawn[i]], (n, i)
+
+
+def test_a_512_row_call_holds_one_tile_of_class_rows_not_the_chunk():
+    # at C = 28,235 a (512, C) float32 logits chunk is 58 MB and the
+    # sampler's float64 p and cdf 116 MB each; a 64-row tile's are 7.2 MB
+    # and 14.5 MB. The bounds are ~1.5x the peaks measured with numpy
+    # 2.4.6: 9.5 MB scoring, 7.4 MB top-1, 30.8 MB sampling
+    from colordesc.models import _SCORE_BATCH
+
+    C = 28235
+    model = _atomic_model(C, hidden=20)
+    colors = _random_colors(512, 42)
+    ds = _class_rows(model, colors, np.random.default_rng(43).integers(0, C, 512))
+    calls = {
+        "score": (lambda: model.score_dataset(ds), 15e6),
+        "top1": (lambda: model.predict_top1_batch(colors), 12e6),
+        "sample": (lambda: model.sample_batch(colors, np.random.default_rng(44)), 48e6),
+    }
+    for name, (call, bound) in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (name, peak)
+    assert _SCORE_BATCH % nn.TILE == 0  # a chunk is whole tiles
 
 
 # -- histogram family

@@ -399,6 +399,20 @@ def _reference_log_softmax_at(logits, targets):
     return z_target - np.log(np.sum(np.exp(z, out=z), axis=1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(rows=st.one_of(st.integers(1, 129), st.just(513)),
+       C=st.sampled_from([5, 400, 4376, 28235]),
+       dtype=st.sampled_from(["float32", "float64"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_log_softmax_at_equals_the_reference_bit_for_bit(rows, C, dtype, seed):
+    # 513 rows span several blocks at C = 4,376 (59 rows a block) and 28,235 (9)
+    rng = np.random.default_rng(seed)
+    logits = (rng.standard_normal((rows, C)) * 8).astype(dtype)
+    targets = rng.integers(0, C, rows)
+    assert _same_bits(nn._log_softmax_at(logits, targets),
+                      _reference_log_softmax_at(logits, targets))
+
+
 REFERENCE_KERNELS = {
     "sequence_forward": padded_sequence_forward,
     "sequence_backward": padded_sequence_backward,
