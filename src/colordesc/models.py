@@ -204,18 +204,6 @@ def _description(tokens) -> Description:
     return Description(raw=" ".join(tokens), tokens=tokens)
 
 
-def _one_row_as_two(fn, *rows):
-    """``fn(*rows)`` for arrays with one row per item; a one-item call runs
-    on its row twice and keeps the first. numpy sends a one-row product to
-    gemv, whose sums can differ in the last bit from the same row of a
-    GEMM, and a color must decode and sample alike alone and in a batch.
-    The sequence family's rule; the inventory families run row tiles."""
-    if len(rows[0]) != 1:
-        return fn(*rows)
-    out = fn(*(r.repeat(2, axis=0) for r in rows))
-    return tuple(o[:1] for o in out) if isinstance(out, tuple) else out[:1]
-
-
 def _draw(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The index that each row of probabilities ``p`` yields for its
     uniform ``u``, as ``rng.choice(len(row), p=row)`` computes it from the
@@ -420,28 +408,17 @@ class SequenceDecoderModel(_Model):
 
     # -- incremental decoding (also the enumeration probe used in tests)
 
-    def _start(self, colors: np.ndarray):
-        """(feats, h0, c0) of each color row."""
-        def start(x):
-            feats, _ = self.featurize(x)
-            return (feats,) + nn.sequence_initial_state(self.params, self.config, feats)
-        return _one_row_as_two(start, colors)
-
-    def _advance(self, feats, prev, h, c):
-        """``nn.sequence_step_probs`` for rows of (feats, previous token, h,
-        c); one row runs as two."""
-        return _one_row_as_two(
-            lambda *rows: nn.sequence_step_probs(self.params, self.config, *rows),
-            feats, prev, h, c)
-
-    def initial_state(self, c):
-        return self._start(_as_color_array(c))
+    def initial_state(self, colors):
+        """(feats, h0, c0) of one color or of each (N, 3) color row."""
+        feats, _ = self.featurize(_as_color_array(colors))
+        return (feats,) + nn.sequence_start_state(self.params, self.config, feats)
 
     def step(self, state, prev_id: int):
         """Next-token distribution (float64, sums to 1) after feeding
         prev_id, plus the advanced state."""
         feats, h, c = state
-        probs, h2, c2 = self._advance(feats, np.array([prev_id], dtype=np.int64), h, c)
+        probs, h2, c2 = nn.sequence_step_probs(self.params, self.config, feats,
+                                               np.array([prev_id], dtype=np.int64), h, c)
         return probs[0], (feats, h2, c2)
 
     # -- generation
@@ -460,11 +437,11 @@ class SequenceDecoderModel(_Model):
         lengths = np.full(n, max_len)
 
         def sample_chunk(lo, hi):
-            feats, h, c = self._start(colors[lo:hi])
+            feats, h, c = self.initial_state(colors[lo:hi])
             rows = np.arange(lo, hi)  # rows still sampling
             tok = np.full(hi - lo, START_ID, dtype=np.int64)
             for t in range(max_len):
-                p, h, c = self._advance(feats, tok, h, c)
+                p, h, c = nn.sequence_step_probs(self.params, self.config, feats, tok, h, c)
                 p[:, START_ID] = 0.0
                 p[:, UNK_ID] = 0.0
                 p /= p.sum(axis=1, keepdims=True)
@@ -496,7 +473,7 @@ class SequenceDecoderModel(_Model):
         ``predict_top1`` returns for each color row. Beside a beam wider
         than 1 a greedy beam runs, and its completion wins if it is better,
         so widening the beam never hurts the returned score."""
-        feats, h, c = self._start(colors)
+        feats, h, c = self.initial_state(colors)
         with np.errstate(divide="ignore"):  # a zero probability's log is -inf
             logp, ids = self._beam(feats, h, c, width, max_len)
             if width > 1:
@@ -538,7 +515,8 @@ class SequenceDecoderModel(_Model):
         best_ids = ids.copy()
 
         for depth in range(max_len + 1):
-            probs, h_new, c_new = self._advance(feats[search], prev, h, c)
+            probs, h_new, c_new = nn.sequence_step_probs(self.params, self.config,
+                                                         feats[search], prev, h, c)
             scores = np.log(probs, out=probs)
 
             # each search's best completion: stable, so ties keep id order

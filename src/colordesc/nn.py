@@ -242,22 +242,20 @@ def sequence_layout(cfg: TrainingConfig, vocab_size: int, feature_width: int) ->
 
 
 def sequence_initial_state(params: Params, cfg: TrainingConfig, feats: np.ndarray):
-    """(h0, c0) for a batch of featurized colors."""
-    B = feats.shape[0]
-    H = cfg.hidden_size
+    """(h0, c0) for featurized colors: (..., F) rows give (..., H) states."""
     if cfg.conditioning == "init-state":
         h0 = feats @ params["cond.W_h0"] + params["cond.b_h0"]
         c0 = feats @ params["cond.W_c0"] + params["cond.b_c0"]
         return h0, c0
-    dt = params["lstm.b"].dtype
-    return np.zeros((B, H), dtype=dt), np.zeros((B, H), dtype=dt)
+    shape, dt = feats.shape[:-1] + (cfg.hidden_size,), params["lstm.b"].dtype
+    return np.zeros(shape, dtype=dt), np.zeros(shape, dtype=dt)
 
 
 def _step_inputs(params, cfg, feats, ids):
-    """(N, D) step inputs for N (color row, previous token) pairs."""
+    """(..., D) step inputs for (..., F) color rows and their previous tokens."""
     emb = params["emb"][ids]
     if cfg.conditioning == "every-step":
-        return np.concatenate([feats, emb], axis=1)
+        return np.concatenate([feats, emb], axis=-1)
     return emb
 
 
@@ -275,32 +273,32 @@ def _negated_peepholes(params: Params, rows: int) -> np.ndarray:
     return np.repeat(neg_w[:, None], rows, axis=1)
 
 
-def _lstm_step(W_h, neg_w, ax, h, c, gates, c_out, tc_out, h_out):
-    """One step of the peephole LSTM over a block of rows, in place.
+def _lstm_step(a, neg_w, c, gates, c_out, tc_out, h_out):
+    """One step of the peephole LSTM over a block of rows, in place, from
+    its gate inputs a = h_prev W_h + (x W_x + b). The callers form the
+    products, so that inference can run them on tiles.
 
-    ``ax`` is the block's x W_x + b and ``neg_w`` its negated peepholes
-    (``_negated_peepholes``). i, f, g, o go to ``gates`` (4, rows, H),
-    the new cell to ``c_out``, its tanh to ``tc_out`` and the new hidden
-    state to ``h_out``; ``c_out`` may be ``c`` and ``h_out`` may be ``h``.
-    Returns (h, c). Each sigmoid argument is formed negated, ready for
-    exp: c (-w) - a equals -(c w + a) exactly. An exp that overflows
-    saturates its sigmoid to 0.
+    The rows are (rows, H) arrays or (k, TILE, H) stacks. ``neg_w`` holds
+    the negated peepholes (``_negated_peepholes``). i, f, g, o go to
+    ``gates`` (4, ...), the new cell to ``c_out``, its tanh to ``tc_out``
+    and the new hidden state to ``h_out``; ``c_out`` may be ``c``. Returns
+    (h, c). Each sigmoid argument is formed negated, ready for exp:
+    c (-w) - a equals -(c w + a) exactly. An exp that overflows saturates
+    its sigmoid to 0.
     """
-    H = h.shape[1]
-    a = h @ W_h
-    a += ax
+    H = c.shape[-1]
     i, f, g, o = gates
     with np.errstate(over="ignore"):
         np.multiply(c, neg_w[0], out=i)
-        i -= a[:, :H]
+        i -= a[..., :H]
         np.multiply(c, neg_w[1], out=f)
-        f -= a[:, H : 2 * H]
+        f -= a[..., H : 2 * H]
         _sigmoid_of_negated(gates[:2])
-        np.tanh(a[:, 2 * H : 3 * H], out=g)
+        np.tanh(a[..., 2 * H : 3 * H], out=g)
         c = np.multiply(f, c, out=c_out)
         c += i * g
         np.multiply(c, neg_w[2], out=o)
-        o -= a[:, 3 * H :]
+        o -= a[..., 3 * H :]
         _sigmoid_of_negated(o)
         h = np.multiply(o, np.tanh(c, out=tc_out), out=h_out)
     return h, c
@@ -397,8 +395,9 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     hidden = np.empty((T, B, H), dtype=dt)
     h, c = h0, c0
     for t in range(T):
-        h, c = _lstm_step(params["lstm.W_h"], neg_w, AX[t], h, c, gates[t],
-                          cells[t], tanh_c[t], hidden[t])
+        a = h @ params["lstm.W_h"]
+        a += AX[t]
+        h, c = _lstm_step(a, neg_w, c, gates[t], cells[t], tanh_c[t], hidden[t])
 
     drop_mask = dropout_mask(rng, (B, T, H), cfg.dropout, dt)
     # row-major (B, T, H), as the logit product and its gradients read it
@@ -533,71 +532,103 @@ def sequence_backward(cache) -> Params:
     return grads
 
 
+# Inference runs on tiles of TILE rows: a call's rows are zero-padded to
+# whole tiles and every product runs on a (k, TILE, K) stack, one GEMM per
+# tile, never a gemv (a one-row product) and never one GEMM over many
+# tiles. With numpy's OpenBLAS a row in a tile gets one result whatever
+# the other rows hold and wherever the row sits, so a row's score, top-1
+# and draw do not depend on its batch.
+TILE = 64
+
+
+def _tiles(x: np.ndarray) -> np.ndarray:
+    """The rows of x zero-padded to whole tiles, as a (k, TILE, ...) stack."""
+    out = np.zeros((-(-len(x) // TILE), TILE) + x.shape[1:], dtype=x.dtype)
+    _rows(out, len(x))[...] = x
+    return out
+
+
+def _rows(stack: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of a (k, TILE, ...) stack."""
+    return stack.reshape((-1,) + stack.shape[2:])[:n]
+
+
+def _tile_matmul(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x @ W for the rows of x, computed on whole tiles."""
+    return _rows(_tiles(x) @ W, len(x))
+
+
 def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                       in_ids: np.ndarray, targets: np.ndarray,
                       mask: np.ndarray) -> np.ndarray:
     """Per-item log probability (nats) of the target sequences, dropout off.
 
     A row's length is one past its last nonzero mask entry. Rows run
-    longest first (stable order), and step t advances only the prefix of
-    rows still live at t, never fewer than min(B, 2): numpy sends a
-    one-row product to gemv, whose sums can differ in the last bit from
-    the same row of a GEMM. The log-softmax is taken at the target only,
+    longest first (stable order), and step t advances the prefix of rows
+    still live at t, rounded up to whole tiles (``TILE``). The
+    log-softmax is taken on the live rows at the target only,
     z[target] - log(sum(exp(z))) with z = logits - max in float64, the
     same operations as a full log-softmax row. Scores come back in input
-    order. They match running every row for all T steps only up to BLAS
-    rounding: a product's row can round differently with a different row
-    count. With numpy's OpenBLAS they are bit-identical at hidden sizes 4
-    and 20, and differ by up to ~7e-7 nats at hidden size 50. Summation
-    over steps is per item, accumulated in float64.
+    order, summed over steps per item in float64.
     """
     B, T = in_ids.shape
     live = mask != 0
     lengths = np.where(live.any(axis=1), T - np.argmax(live[:, ::-1], axis=1), 0)
     order = np.argsort(-lengths, kind="stable")
-    n_live = np.maximum(np.count_nonzero(lengths[:, None] > np.arange(T), axis=0),
-                        min(B, 2))
+    n_live = np.count_nonzero(lengths[:, None] > np.arange(lengths.max(initial=0)), axis=0)
+    k_live = -(-n_live // TILE)
+    feats = _tiles(feats[order])
     h, c = sequence_initial_state(params, cfg, feats)
-    h, c, feats = h[order], c[order], feats[order]
-    in_ids, targets, mask = in_ids[order], targets[order], mask[order]
+    feats, ids = feats.reshape(-1, feats.shape[-1]), _tiles(in_ids[order]).reshape(-1, T)
+    targets, mask = targets[order], mask[order]
 
-    # input contribution of every advanced (step, row) pair in one GEMM,
-    # step-major so each step's rows are one contiguous block; all T steps
-    # run, so a one-row block keeps the T-row product it had when padded
-    first = np.cumsum(n_live) - n_live
-    pair_rows = np.arange(n_live.sum()) - np.repeat(first, n_live)
-    pair_steps = np.repeat(np.arange(T), n_live)
-    X = _step_inputs(params, cfg, feats[pair_rows], in_ids[pair_rows, pair_steps])
-    AX = X @ params["lstm.W_x"] + params["lstm.b"]
+    # input contribution of every advanced (step, row) pair, step-major so
+    # each step's rows are one contiguous block of whole tiles
+    n_run = k_live * TILE
+    first = np.cumsum(n_run) - n_run
+    pair_rows = np.arange(n_run.sum()) - np.repeat(first, n_run)
+    pair_steps = np.repeat(np.arange(len(n_run)), n_run)
+    X = _step_inputs(params, cfg, feats[pair_rows], ids[pair_rows, pair_steps])
+    AX = X.reshape(-1, TILE, X.shape[-1]) @ params["lstm.W_x"] + params["lstm.b"]
 
-    # each step overwrites the live prefix of one (B, H) state in place
-    neg_w = _negated_peepholes(params, B)
+    # each step overwrites the live tiles of one state stack in place
+    neg_w = _negated_peepholes(params, TILE)
     gates = np.empty((4,) + h.shape, dtype=h.dtype)
     tanh_c = np.empty_like(h)
-    logits = np.empty((B, params["out.b"].size), dtype=h.dtype)
+    logits = np.empty(h.shape[:2] + params["out.b"].shape, dtype=h.dtype)
     total = np.zeros(B, dtype=np.float64)
     lo = 0
-    for t, n in enumerate(n_live):
-        _lstm_step(params["lstm.W_h"], neg_w[:, :n], AX[lo : lo + n], h[:n], c[:n],
-                   gates[:, :n], c[:n], tanh_c[:n], h[:n])
-        lo += n
-        step_logits = np.matmul(h[:n], params["out.W"], out=logits[:n])
+    for t, (n, k) in enumerate(zip(n_live, k_live)):
+        a = h[:k] @ params["lstm.W_h"]
+        a += AX[lo : lo + k]
+        _lstm_step(a, neg_w, c[:k], gates[:, :k], c[:k], tanh_c[:k], h[:k])
+        lo += k
+        step_logits = np.matmul(h[:k], params["out.W"], out=logits[:k])
         step_logits += params["out.b"]
-        total[:n] += _log_softmax_at(step_logits, targets[:n, t]) * mask[:n, t]
+        total[:n] += _log_softmax_at(_rows(step_logits, n), targets[:n, t]) * mask[:n, t]
     out = np.empty(B, dtype=np.float64)
     out[order] = total
     return out
 
 
+def sequence_start_state(params: Params, cfg: TrainingConfig, feats: np.ndarray):
+    """(h0, c0) of each row of ``feats`` for decoding, computed on tiles."""
+    return tuple(_rows(s, len(feats))
+                 for s in sequence_initial_state(params, cfg, _tiles(feats)))
+
+
 def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                         prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """Incremental decode step: next-token distribution (float64) and new
-    state."""
-    ax = _step_inputs(params, cfg, feats, prev_ids) @ params["lstm.W_x"] + params["lstm.b"]
-    h, c = _lstm_step(params["lstm.W_h"], _negated_peepholes(params, 1), ax, h, c,
-                      np.empty((4,) + h.shape, dtype=h.dtype), np.empty_like(c),
-                      np.empty_like(c), np.empty_like(h))
-    logits = h @ params["out.W"]
+    """Incremental decode step of each row: next-token distribution
+    (float64) and new state. The products run on tiles, the elementwise
+    steps on the rows."""
+    x = _step_inputs(params, cfg, feats, prev_ids)
+    a = _tile_matmul(h, params["lstm.W_h"])
+    a += _tile_matmul(x, params["lstm.W_x"]) + params["lstm.b"]
+    h, c = _lstm_step(a, _negated_peepholes(params, 1), c,
+                      np.empty((4,) + c.shape, dtype=c.dtype), np.empty_like(c),
+                      np.empty_like(c), np.empty_like(c))
+    logits = _tile_matmul(h, params["out.W"])
     logits += params["out.b"]
     return softmax(logits, axis=1), h, c
 
@@ -665,16 +696,9 @@ def atomic_backward(cache) -> Params:
     return grads
 
 
-# Inference runs the atomic classifier on tiles of TILE rows: a call's
-# rows go TILE at a time, the last tile zero-padded, so every product has
-# TILE rows, never a gemv. A row in a tile gets one result whatever the
-# other rows hold, so a row's score, top-1 and draw do not depend on its
-# batch, and a call holds the (TILE, C) logits of one tile at a time.
-TILE = 64
-
-
 def atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
-    """(B, C) class logits in the working precision, dropout off."""
+    """(..., C) class logits of (..., F) rows in the working precision,
+    dropout off."""
     h1 = np.maximum(feats @ params["fc1.W"] + params["fc1.b"], 0.0)
     h2 = h1 @ params["fc2.W"] + params["fc2.b"]
     logits = h2 @ params["out.W"]
@@ -684,10 +708,8 @@ def atomic_logits(params: Params, feats: np.ndarray) -> np.ndarray:
 
 def atomic_tile_logits(params: Params, feats: np.ndarray) -> np.ndarray:
     """(n, C) class logits of n <= TILE rows, dropout off, computed on
-    one tile: the rows zero-padded to TILE."""
-    tile = np.zeros((TILE, feats.shape[1]), dtype=feats.dtype)
-    tile[: len(feats)] = feats
-    return atomic_logits(params, tile)[: len(feats)]
+    one tile, so that a call holds the (TILE, C) logits of one tile."""
+    return _rows(atomic_logits(params, _tiles(feats)), len(feats))
 
 
 def atomic_logprobs(params: Params, cfg: TrainingConfig,

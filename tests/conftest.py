@@ -96,14 +96,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def lstm_step_full(params, x, h_prev, c_prev, a=None):
+def lstm_step_full(params, x, h_prev, c_prev, a=None, matmul=np.matmul):
     """Step returning the intermediate values backprop needs.
 
-    ``a`` may carry the precomputed x W_x contribution (plus bias)."""
+    ``a`` may carry the precomputed x W_x contribution (plus bias);
+    ``matmul`` computes the products."""
     H = h_prev.shape[-1]
     if a is None:
-        a = x @ params["lstm.W_x"] + params["lstm.b"]
-    a = a + h_prev @ params["lstm.W_h"]
+        a = matmul(x, params["lstm.W_x"]) + params["lstm.b"]
+    a = a + matmul(h_prev, params["lstm.W_h"])
     i = sigmoid(a[..., :H] + c_prev * params["lstm.w_ci"])
     f = sigmoid(a[..., H : 2 * H] + c_prev * params["lstm.w_cf"])
     g = np.tanh(a[..., 2 * H : 3 * H])
@@ -114,23 +115,37 @@ def lstm_step_full(params, x, h_prev, c_prev, a=None):
     return h, c, (i, f, g, o, tc)
 
 
+def tile_matmul(x, W):
+    """x @ W for the rows of x, run as one product per ``nn.TILE``-row
+    tile of x's rows zero-padded to whole tiles."""
+    n, k = len(x), -(-len(x) // nn.TILE)
+    tiles = np.zeros((k * nn.TILE, x.shape[1]), dtype=x.dtype)
+    tiles[:n] = x
+    return np.concatenate([tile @ W for tile in np.split(tiles, k)])[:n]
+
+
 def padded_sequence_logprobs(params, cfg, feats, in_ids, targets, mask):
     """The padded scorer: every row runs all T steps, the full (B, V)
-    log-softmax is built at each step and the mask zeroes padding."""
+    log-softmax is built at each step and the mask zeroes padding. Every
+    product runs on whole tiles (``tile_matmul``)."""
     B, T = in_ids.shape
     H = cfg.hidden_size
     X = params["emb"][in_ids]
     if cfg.conditioning == "every-step":
         tiled = np.broadcast_to(feats[:, None, :], (B, T, feats.shape[1]))
         X = np.concatenate([tiled, X], axis=2)
-    AX = X.reshape(B * T, -1) @ params["lstm.W_x"] + params["lstm.b"]
+    AX = tile_matmul(X.reshape(B * T, -1), params["lstm.W_x"]) + params["lstm.b"]
     AX = AX.reshape(B, T, 4 * H)
-    h, c = nn.sequence_initial_state(params, cfg, feats)
+    if cfg.conditioning == "init-state":
+        h = tile_matmul(feats, params["cond.W_h0"]) + params["cond.b_h0"]
+        c = tile_matmul(feats, params["cond.W_c0"]) + params["cond.b_c0"]
+    else:
+        h = c = np.zeros((B, H), dtype=params["lstm.b"].dtype)
     total = np.zeros(B, dtype=np.float64)
     rows = np.arange(B)
     for t in range(T):
-        h, c, _ = lstm_step_full(params, None, h, c, a=AX[:, t])
-        logits = (h @ params["out.W"] + params["out.b"]).astype(np.float64)
+        h, c, _ = lstm_step_full(params, None, h, c, a=AX[:, t], matmul=tile_matmul)
+        logits = (tile_matmul(h, params["out.W"]) + params["out.b"]).astype(np.float64)
         logp = nn.log_softmax(logits, axis=1)
         total += logp[rows, targets[:, t]] * mask[:, t]
     return total

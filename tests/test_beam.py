@@ -3,7 +3,7 @@
 decodes one color at a time and sorts every candidate as one Python tuple,
 and a tie-rule regression test on models where every content token ties.
 Both beams take their decode steps from the model's ``initial_state`` and
-``_advance``, so they differ only in the search."""
+``nn.sequence_step_probs``, so they differ only in the search."""
 
 import numpy as np
 import pytest
@@ -17,12 +17,6 @@ from conftest import constant_step_model, random_tiny_model
 
 FIRST_CONTENT = len(RESERVED_TOKENS)
 
-# at hidden size 50 a product's row can round differently with a different
-# row count (see nn.sequence_logprobs), and the batch mixes the rows of
-# many searches in each step
-H50_LOGP_ATOL = 1e-5
-
-
 def reference_beam(model, c, width: int, max_len: int):
     """(logp, ids) of the best completion: every (row, token) candidate
     becomes a (-score, ids) tuple and the first ``width`` in sorted order
@@ -35,8 +29,8 @@ def reference_beam(model, c, width: int, max_len: int):
     completed = []
     for depth in range(max_len + 1):
         n = len(live_ids)
-        probs, h_new, c_new = model._advance(np.repeat(feats1, n, axis=0), prev,
-                                             h_arr, c_arr)
+        probs, h_new, c_new = nn.sequence_step_probs(
+            model.params, model.config, np.repeat(feats1, n, axis=0), prev, h_arr, c_arr)
         with np.errstate(divide="ignore"):
             step_logp = np.log(probs)
         for i in range(n):
@@ -85,32 +79,26 @@ def reference_top1(model, c, width: int, max_len: int):
 
 def counted(model, fn):
     """(result, number of nn.sequence_step_probs calls fn made, number of
-    hypotheses it advanced through the model's decode step)."""
-    calls, rows = [], []
-    real, advance = nn.sequence_step_probs, model._advance
+    hypotheses they advanced)."""
+    rows = []
+    real = nn.sequence_step_probs
 
-    def step(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    def counting_advance(feats, prev, h, c):
+    def step(params, cfg, feats, prev, h, c):
         rows.append(len(prev))
-        return advance(feats, prev, h, c)
+        return real(params, cfg, feats, prev, h, c)
 
-    nn.sequence_step_probs, model._advance = step, counting_advance
+    nn.sequence_step_probs = step
     try:
-        return fn(), len(calls), sum(rows)
+        return fn(), len(rows), sum(rows)
     finally:
         nn.sequence_step_probs = real
-        del model._advance
 
 
-def assert_matches_reference(model, colors, width: int, max_len: int,
-                             atol: float = 0.0):
-    """The batch finds each color's reference ids, with a logp that is
-    bit-identical (``atol`` 0) or within ``atol``, in one decode step per
-    depth of the longest beam and one per depth of the longest greedy
-    beam, advancing the hypotheses the references advance;
+def assert_matches_reference(model, colors, width: int, max_len: int):
+    """The batch finds each color's reference ids, with a bit-identical
+    logp, in one decode step per depth of the longest beam and one per
+    depth of the longest greedy beam, advancing the hypotheses the
+    references advance;
     predict_top1_batch and predict_top1 give the same descriptions.
     Returns the reference results."""
     arr = np.array([_as_color_array(c)[0] for c in colors])
@@ -119,10 +107,7 @@ def assert_matches_reference(model, colors, width: int, max_len: int,
     assert ids == [w[0][1] for w in want]
     got_logp = np.asarray(logp, dtype=np.float64)
     want_logp = np.array([w[0][0] for w in want], dtype=np.float64)
-    if atol == 0.0:
-        assert got_logp.tobytes() == want_logp.tobytes()
-    else:
-        np.testing.assert_allclose(got_logp, want_logp, rtol=0, atol=atol)
+    assert got_logp.tobytes() == want_logp.tobytes()
     assert calls == max(w[1] for w in want) + max(w[2] for w in want)
     assert rows == sum(w[3] for w in want)
 
@@ -142,7 +127,7 @@ hsv = st.tuples(st.floats(0.0, 360.0), st.floats(0.0, 100.0), st.floats(0.0, 100
 @given(seed=st.integers(0, 2**16),
        n_content=st.sampled_from([2, 5, 400, 420]),
        conditioning=st.sampled_from(["every-step", "init-state"]),
-       hidden=st.sampled_from([4, 20]),
+       hidden=st.sampled_from([4, 20, 50]),
        width=st.integers(1, 12),
        max_len=st.integers(0, 5),
        colors=st.lists(hsv, min_size=1, max_size=4))
@@ -161,7 +146,7 @@ def test_beam_at_hidden_size_50_matches_reference_within_rounding(seed, conditio
     rng = np.random.default_rng(seed)
     colors = [(float(rng.uniform(0, 360)), float(rng.uniform(0, 100)),
                float(rng.uniform(0, 100))) for _ in range(6)]
-    assert_matches_reference(model, colors, 10, 4, atol=H50_LOGP_ATOL)
+    assert_matches_reference(model, colors, 10, 4)
 
 
 def test_a_completion_tied_with_the_best_extension_does_not_stop_the_search():

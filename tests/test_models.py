@@ -298,33 +298,61 @@ def test_sample_batch_rows_depend_only_on_their_own_uniforms():
 
 
 def test_decoders_and_samplers_never_run_a_one_row_block(monkeypatch):
-    # numpy sends a one-row product to gemv, which can round differently
-    # from the same row of a GEMM: every decode step runs on at least two
-    # rows, a lone row twice, and every atomic class distribution on one
-    # whole row tile
-    rows = []
-    for name in ("sequence_step_probs", "atomic_logits"):
-        def spy(*args, real=getattr(nn, name), name=name):
-            rows.append((name, len(args[-1])))
-            return real(*args)
-        monkeypatch.setattr(nn, name, spy)
+    # numpy sends a one-row product to gemv, and a GEMM's row can round
+    # differently with a different row count: every product of sequence
+    # scoring, of the initial state and of the atomic classifier runs on a
+    # (k, nn.TILE, ...) stack, one GEMM per tile, and each product of a
+    # decode step through nn._tile_matmul, which makes that stack
+    seen = []  # (array, leading shape) of the rows each product multiplies
+    tiled = set()  # ids of the weights multiplied through nn._tile_matmul
+    real_start, real_step, real_logits, real_matmul = (
+        nn.sequence_initial_state, nn._lstm_step, nn.atomic_logits, nn._tile_matmul)
+
+    def tile_matmul(x, W):
+        tiled.add(id(W))
+        return real_matmul(x, W)
+
+    def initial_state(params, cfg, feats):
+        seen.append(("feats", feats.shape[:-1]))
+        return real_start(params, cfg, feats)
+
+    def lstm_step(a, *rest):  # a = h W_h + (x W_x + b)
+        seen.append(("scoring gate inputs", a.shape[:-1]))
+        return real_step(a, *rest)
+
+    def atomic_logits(params, feats):
+        seen.append(("atomic feats", feats.shape[:-1]))
+        return real_logits(params, feats)
+
+    monkeypatch.setattr(nn, "_tile_matmul", tile_matmul)
+    monkeypatch.setattr(nn, "sequence_initial_state", initial_state)
+    monkeypatch.setattr(nn, "_lstm_step", lstm_step)
+    monkeypatch.setattr(nn, "atomic_logits", atomic_logits)
     sequence, atomic, _ = _models_of_each_family()
     colors = _random_colors(3, 26)
+    color = colors[0]
+    models = ((sequence, "w0 w1"), (atomic, " ".join(atomic.inventory[0])))
+    for model, d in models:
+        model.score_description(color, d)
+        model.score_color_array(colors, d)
+    # the decode step forms its gate inputs from nn._tile_matmul products
+    monkeypatch.setattr(nn, "_lstm_step", real_step)
     # row 0 never draws </s> (its uniforms sit at the top of every CDF)
     # and the others draw it first, so row 0 steps on alone
     u = np.zeros((3, 6))
     u[0] = 0.999
     outlived = sequence.sample_batch(colors, FixedUniforms(u), max_len=6)
     assert len(outlived[0]) == 6 and outlived[1:] == [(), ()]
-    color = colors[0]
-    for model in (sequence, atomic):
+    for model, _ in models:
         model.sample(color, np.random.default_rng(27), max_len=6)
         model.sample_batch(colors[:1], np.random.default_rng(28))
         model.sample_batch(colors, np.random.default_rng(29))
         for width in (1, 3):
             model.predict_top1(color, beam_width=width, max_len=6)
-    assert rows and min(n for _, n in rows) >= 2
-    assert {n for name, n in rows if name == "atomic_logits"} == {nn.TILE}
+    assert {name for name, _ in seen} == {"feats", "scoring gate inputs", "atomic feats"}
+    assert tiled == {id(sequence.params[k]) for k in ("lstm.W_x", "lstm.W_h", "out.W")}
+    for name, shape in seen:
+        assert len(shape) == 2 and shape[0] >= 1 and shape[1] == nn.TILE, (name, shape)
 
 
 def test_sampling_never_emits_reserved_tokens():
@@ -679,12 +707,26 @@ def test_tiled_atomic_rows_equal_the_whole_chunk_reference(C):
             [model.inventory[k] for k in draws], n
 
 
-def test_an_atomic_row_alone_equals_it_at_every_position_of_a_batch(monkeypatch):
-    # at hidden size 50 a product's row rounds differently with 2-65 rows,
-    # so only a fixed tile height keeps a row's results off its batch
+@pytest.mark.parametrize("hidden", [50, 100])
+@pytest.mark.parametrize("family", ["sequence", "atomic"])
+def test_a_row_alone_equals_it_at_every_position_of_a_batch(monkeypatch, family, hidden):
+    # at hidden sizes 50 and 100 a product's row rounds differently with
+    # 2-65 rows, so only a fixed tile height keeps a row's score, beam-3
+    # top-1 and draws off its batch
     from colordesc import models
 
-    model = _atomic_model(400, hidden=50)
+    rng = np.random.default_rng(41)
+    if family == "atomic":
+        model = _atomic_model(400, hidden=hidden)
+    else:
+        vocab = make_vocab([f"w{k}" for k in range(97)])
+        model = SequenceDecoderModel.build(TrainingConfig(hidden_size=hidden, seed=0),
+                                           vocab, "fourier")
+        model.params["out.W"] *= np.float32(4.0)
+    steps = 6 if family == "sequence" else 1  # uniforms a row draws
+
+    def uniforms(u):
+        return FixedUniforms(u if family == "sequence" else u[:, 0])
     seen = []  # the distributions the sampler draws from
 
     def spy(p, u, real=models._draw):
@@ -692,29 +734,41 @@ def test_an_atomic_row_alone_equals_it_at_every_position_of_a_batch(monkeypatch)
         return real(p, u)
 
     monkeypatch.setattr(models, "_draw", spy)
-    rng = np.random.default_rng(41)
+
+    def descriptions(n):
+        if family == "atomic":
+            return [Description.from_text(" ".join(model.inventory[k]))
+                    for k in rng.integers(0, 400, n)]
+        return [Description.from_text(" ".join(f"w{k}" for k in rng.integers(0, 97, m)))
+                for m in rng.integers(1, 5, n)]
+
     for n in (2, 63, 64, 65, 513):
         colors = _random_colors(n, 100 + n)
-        classes = rng.integers(0, 400, n)
-        # each row's uniform sits on a cumulative probability of the
-        # distribution it is drawn from alone, so a batch that rounds the
-        # row differently in the last bit would draw something else
-        u = np.empty(n)
+        ds = Dataset(colors, descriptions(n))
+        # each of a row's uniforms is the cumulative probability just below
+        # the draw of 0.5 from the distribution it is drawn from alone, so
+        # it draws the token 0.5 draws and later steps see the same
+        # distributions; a batch that rounded that entry up in the last bit
+        # would draw another token
+        u = np.full((n, steps), 0.5)
         for i in range(n):
             seen.clear()
-            model.sample_batch(colors[i : i + 1], FixedUniforms([0.5]))
-            cdf = np.cumsum(seen[0][0])
-            u[i] = cdf[np.searchsorted(cdf, 0.5 * cdf[-1])] / cdf[-1]
-        scores = model.score_dataset(_class_rows(model, colors, classes))
-        top1 = model.predict_top1_batch(colors)
-        drawn = model.sample_batch(colors, FixedUniforms(u))
+            model.sample_batch(colors[i : i + 1], uniforms(u[i : i + 1]), max_len=6)
+            for t, p in enumerate(seen):
+                cdf = np.cumsum(p[0])
+                cdf /= cdf[-1:].copy()
+                u[i, t] = cdf[max(np.count_nonzero(cdf <= 0.5) - 1, 0)]
+        scores = model.score_dataset(ds)
+        top1 = model.predict_top1_batch(colors, beam_width=3, max_len=6)
+        drawn = model.sample_batch(colors, uniforms(u), max_len=6)
         for i in range(n):
-            alone = model.score_dataset(_class_rows(model, colors[i : i + 1],
-                                                    classes[i : i + 1]))
-            assert alone.tobytes() == scores[i : i + 1].tobytes(), (n, i)
-            assert model.predict_top1(colors[i]).key() == top1[i], (n, i)
-            assert model.sample_batch(colors[i : i + 1], FixedUniforms(u[i : i + 1])) == \
-                [drawn[i]], (n, i)
+            row = slice(i, i + 1)
+            alone = model.score_dataset(Dataset(colors[row], ds.descriptions[row]))
+            assert alone.tobytes() == scores[row].tobytes(), (n, i)
+            top1_alone = model.predict_top1(colors[i], beam_width=3, max_len=6)
+            assert top1_alone.key() == top1[i], (n, i)
+            drawn_alone = model.sample_batch(colors[row], uniforms(u[row]), max_len=6)
+            assert drawn_alone == [drawn[i]], (n, i)
 
 
 def test_a_512_row_call_holds_one_tile_of_class_rows_not_the_chunk():
