@@ -11,8 +11,14 @@ so tokenization is plain lowercasing plus whitespace splitting.
 
 from __future__ import annotations
 
+import codecs
+import functools
+import hashlib
+import io
 import logging
+import os
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -188,7 +194,7 @@ _HEADER_SETS = {
 }
 
 
-# characters of text per block: the size hint of ``readlines``. A block's
+# bytes of the file per block (characters, for ASCII text). A block's
 # field strings (~4,800 rows of 27 characters) fit in a few pymalloc
 # arenas, which the next block reuses. With 1 MiB blocks the long-lived
 # description strings pinned more arenas: loading the benchmark corpus
@@ -210,9 +216,12 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     mark is ignored. Rows with the same description field share one
     (frozen) Description.
 
-    The file is read in blocks of about ``BLOCK_CHARS`` characters, each
-    parsed with array operations (``_parse_block``), so no per-row Python
-    object outlives its block.
+    The file is read in blocks of ``BLOCK_CHARS`` bytes, each parsed with
+    array operations (``_parse_block``), so no per-row Python object
+    outlives its block. The result of a parse is kept in a cache
+    entry keyed by the file's bytes, ``space`` and the parse rules
+    (``_cache_entry``); a later load of the same bytes reads the entry
+    instead, and gives the same Dataset.
     """
     path = Path(path)
     if not path.is_file():
@@ -220,25 +229,67 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     if space not in ("auto", "hsv", "hsl"):
         raise CorpusError(f"unknown color space {space!r}")
 
+    entry = _cache_entry(_file_sha256(path), space)
+    loaded = _read_entry(entry)
+    hit = loaded is not None
+    if not hit:
+        *loaded, sha256 = _parse(path, space)
+        # keyed by the bytes parsed, which may differ from those looked up
+        entry = _cache_entry(sha256, space)
+    hsv, codes, fields, skipped = loaded
+    del loaded  # so that the copy below frees the arrays read or joined
+    # one Description per distinct text, shared by every row that has it
+    distinct = [_description(text) for text in fields]
+    keep = np.array([d is not None for d in distinct], dtype=bool)[codes]
+    if not keep.any():
+        raise CorpusError(f"no valid records in {path} ({skipped + len(keep)} skipped)")
+    # hsv[keep] is a copy even when every row is kept. Freeing the joined
+    # (or read) array, 2.6 MB for the benchmark's dev split, raises
+    # glibc's dynamic mmap and trim thresholds above the scorer's 512-row
+    # working set (~4 MB); without it, scoring that split re-faulted
+    # ~3 MB per chunk and took 20% longer.
+    hsv, codes = hsv[keep], codes[keep]
+    skipped += len(keep) - len(codes)
+    if not hit:
+        _write_entry(entry, hsv, codes, fields, skipped)
+    table = np.empty(len(distinct), dtype=object)
+    table[:] = distinct
+    descriptions = table[codes].tolist()
+
+    log.info("load_corpus(%s): %d rows, %s", path, len(descriptions),
+             f"read from cache entry {entry}" if hit else "parsed")
+    if skipped:
+        log.info("load_corpus(%s): skipped %d unparseable records", path, skipped)
+    return Dataset(colors=hsv, descriptions=descriptions, split=split, skipped=skipped)
+
+
+def _parse(path: Path, space: str):
+    """(hsv, codes, fields, skipped, sha256) of a corpus file: the colors
+    of its records with valid numbers, their codes into ``fields`` (each
+    distinct description field as read, in order of first use), the count
+    of records skipped so far and the hex sha256 of the bytes parsed.
+    Rows whose description has no tokens are still in."""
     # (hsv, codes, skipped) per block, after an empty one
     parsed = [(np.empty((0, 3)), np.empty(0, dtype=np.intp), 0)]
     code_of = _Codes()  # distinct description field -> code
+    sha256 = hashlib.sha256()
 
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            first = f.readline()
-            if first == "":
+        with open(path, "rb") as f:
+            blocks = _line_blocks(f, sha256)
+            lines = next(blocks, [])
+            if not lines:
                 raise CorpusError(f"corpus file is empty: {path}")
-            delim = _detect_delimiter(first)
-            header_cols = tuple(c.strip().lower() for c in first.rstrip("\n").split(delim))
+            delim = _detect_delimiter(lines[0])
+            header_cols = tuple(c.strip().lower() for c in lines[0].split(delim))
             header_space = _HEADER_SETS.get(header_cols)
-            blocks = iter(lambda: f.readlines(BLOCK_CHARS), [])
             if header_space is not None:
                 if space != "auto" and space != header_space:
                     raise CorpusError(
                         f"header declares {header_space} but space={space!r} was requested"
                     )
                 space = header_space
+                del lines[0]
             else:
                 # no header: first line is data; need an explicit or default space
                 if header_cols and header_cols[0] in ("h", "hue"):
@@ -248,9 +299,8 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
                     )
                 if space == "auto":
                     space = "hsv"
-                blocks = chain([[first]], blocks)
-            parsed += (_parse_block(lines, delim, space == "hsl", code_of)
-                       for lines in blocks)
+            parsed += (_parse_block(block, delim, space == "hsl", code_of)
+                       for block in chain([lines], blocks))
     except UnicodeDecodeError as exc:
         raise CorpusError(f"corpus file is not valid UTF-8: {path} ({exc.reason})") from exc
 
@@ -258,27 +308,25 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     del parsed
     hsv = np.concatenate(hsv_blocks)
     codes = np.concatenate(code_blocks)
-    del hsv_blocks, code_blocks
-    skipped = sum(skips)
-    # one Description per distinct text, shared by every row that has it
-    distinct = [_description(text) for text in code_of]
-    keep = np.array([d is not None for d in distinct], dtype=bool)[codes]
-    # hsv[keep] is a copy even when every row is kept. Freeing the joined
-    # array (2.6 MB for the benchmark's dev split) raises glibc's dynamic
-    # mmap and trim thresholds above the scorer's 512-row working set
-    # (~4 MB); without it, scoring that split re-faulted ~3 MB per chunk
-    # and took 20% longer.
-    hsv, codes = hsv[keep], codes[keep]
-    skipped += len(keep) - len(codes)
-    table = np.empty(len(distinct), dtype=object)
-    table[:] = distinct
-    descriptions = table[codes].tolist()
+    return hsv, codes, list(code_of), sum(skips), sha256.hexdigest()
 
-    if not descriptions:
-        raise CorpusError(f"no valid records in {path} ({skipped} skipped)")
-    if skipped:
-        log.info("load_corpus(%s): skipped %d unparseable records", path, skipped)
-    return Dataset(colors=hsv, descriptions=descriptions, split=split, skipped=skipped)
+
+def _line_blocks(f, sha256):
+    """The lines of binary file ``f`` as UTF-8 text with universal
+    newlines (as ``open`` reads them), without their ends, one nonempty
+    list per read of ``BLOCK_CHARS`` bytes that ends a line; every byte
+    read goes into ``sha256``. A leading byte order mark is dropped."""
+    decode = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8-sig")(), translate=True).decode
+    tail = ""  # the text read after the last line end
+    for data in chain(iter(lambda: f.read(BLOCK_CHARS), b""), [b""]):
+        sha256.update(data)
+        lines = (tail + decode(data, final=not data)).split("\n")
+        tail = lines.pop()
+        if not data and tail:
+            lines.append(tail)
+        if lines:
+            yield lines
 
 
 def _parse_block(lines: list[str], delim: str, is_hsl: bool, code_of: _Codes):
@@ -296,9 +344,9 @@ def _parse_block(lines: list[str], delim: str, is_hsl: bool, code_of: _Codes):
                        count=len(records)) == 3
     good = records if four.all() else list(compress(records, four))
     n = len(good)
-    # every record has three delimiters and ends its line, so one split
-    # yields its four fields in order (and a trailing "" after the last)
-    fields = "".join(good).replace("\n", delim).split(delim)
+    # every record has three delimiters, so one split yields its four
+    # fields in order
+    fields = delim.join(good).split(delim)
     cols = [fields[k:4 * n:4] for k in range(4)]
     del fields
     try:
@@ -328,6 +376,108 @@ def _description(text: str) -> Description | None:
     if not tokens:
         return None
     return Description(raw=text.strip(), tokens=[sys.intern(t) for t in tokens])
+
+
+# -- the cache of parsed files
+#
+# An entry is an uncompressed .npz of a loaded split: ``hsv`` (N, 3)
+# float64 and ``codes`` (N,) int32 of its rows, the distinct description
+# fields of the file as one UTF-8 blob ``text`` (uint8) with the end of
+# each field in characters, ``ends`` (int64), and ``skipped``. Only a
+# successful load writes one, through a temporary file and
+# ``os.replace``. An entry that cannot be read, or does not hold such
+# arrays, is a miss, and a cache that cannot be written is no cache:
+# neither changes a result.
+
+@functools.cache
+def _rules_stamp() -> str:
+    """The sha256 of what decides a parse besides the file: the source of
+    this module and of ``colors``, and the numpy and Python versions."""
+    h = hashlib.sha256(f"numpy {np.__version__} python {sys.version}".encode())
+    for module in ("corpus.py", "colors.py"):
+        h.update(Path(__file__).with_name(module).read_bytes())
+    return h.hexdigest()
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/colordesc``, or ``~/.cache/colordesc`` when that
+    variable is unset or not an absolute path."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    # the XDG rule: a relative path is ignored
+    return (Path(root) if os.path.isabs(root) else Path.home() / ".cache") / "colordesc"
+
+
+def _file_sha256(path: Path) -> str | None:
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError:
+        return None
+    return h.hexdigest()
+
+
+def _cache_entry(sha256: str | None, space: str) -> Path | None:
+    """The entry of a parse of the bytes with that sha256 under ``space``;
+    None where there is no cache."""
+    if sha256 is None:
+        return None
+    try:
+        key = f"{sha256} {space} {_rules_stamp()}"
+        return _cache_dir() / f"{hashlib.sha256(key.encode()).hexdigest()}.npz"
+    except (OSError, RuntimeError):  # no source to stamp, no home directory
+        return None
+
+
+def _read_entry(entry: Path | None):
+    """(hsv, codes, fields, skipped) of a cache entry; None if it is
+    missing or is not a whole, consistent entry."""
+    if entry is None:
+        return None
+    try:
+        with np.load(entry) as z:
+            hsv, codes, blob, ends, skipped = (
+                z[name] for name in ("hsv", "codes", "text", "ends", "skipped"))
+        n = len(codes)
+        text = blob.tobytes().decode("utf-8")
+        if not (hsv.dtype == np.float64 and hsv.shape == (n, 3)
+                and codes.dtype == np.int32 and codes.shape == (n,)
+                and blob.dtype == np.uint8 and ends.dtype == np.int64 and ends.ndim == 1
+                and np.all(np.diff(ends, prepend=0) >= 0)
+                and (ends[-1] if len(ends) else 0) == len(text)
+                and (n == 0 or 0 <= codes.min() <= codes.max() < len(ends))
+                and skipped.dtype == np.int64 and skipped.shape == () and skipped >= 0):
+            raise ValueError("arrays of the wrong kind")
+    except FileNotFoundError:
+        return None
+    except Exception as exc:  # whatever an entry holds, it is only a miss
+        log.info("load_corpus: cache entry %s is unusable (%s); parsing", entry, exc)
+        return None
+    fields = [text[a:b] for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())]
+    return hsv, codes, fields, int(skipped)
+
+
+def _write_entry(entry: Path | None, hsv, codes, fields, skipped: int) -> None:
+    """Store a loaded split as ``entry``, atomically; a cache that cannot
+    be written is skipped."""
+    if entry is None:
+        return
+    ends = np.cumsum([len(field) for field in fields], dtype=np.int64)
+    text = np.frombuffer("".join(fields).encode("utf-8"), dtype=np.uint8)
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=f".{entry.stem}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.savez(f, hsv=hsv, codes=codes.astype(np.int32), text=text, ends=ends,
+                         skipped=np.int64(skipped))
+            os.replace(tmp, entry)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        log.info("load_corpus: cannot write cache entry %s (%s)", entry, exc)
 
 
 def read_key_values(path, what: str = "manifest") -> dict:

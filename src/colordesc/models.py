@@ -440,8 +440,10 @@ class SequenceDecoderModel(_Model):
             feats, h, c = self.initial_state(colors[lo:hi])
             rows = np.arange(lo, hi)  # rows still sampling
             tok = np.full(hi - lo, START_ID, dtype=np.int64)
+            neg_w = nn.negated_peepholes(self.params, 1)
             for t in range(max_len):
-                p, h, c = nn.sequence_step_probs(self.params, self.config, feats, tok, h, c)
+                p, h, c = nn.sequence_step_probs(self.params, self.config, feats, tok, h, c,
+                                                 neg_w=neg_w)
                 p[:, START_ID] = 0.0
                 p[:, UNK_ID] = 0.0
                 p /= p.sum(axis=1, keepdims=True)
@@ -513,10 +515,12 @@ class SequenceDecoderModel(_Model):
         # depth-0 completion at -inf ties it and changes nothing
         best_logp = np.full(n, -np.inf)
         best_ids = ids.copy()
+        neg_w = nn.negated_peepholes(self.params, 1)
 
         for depth in range(max_len + 1):
             probs, h_new, c_new = nn.sequence_step_probs(self.params, self.config,
-                                                         feats[search], prev, h, c)
+                                                         feats[search], prev, h, c,
+                                                         neg_w=neg_w)
             scores = np.log(probs, out=probs)
 
             # each search's best completion: stable, so ties keep id order

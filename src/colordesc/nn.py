@@ -267,7 +267,7 @@ def _sigmoid_of_negated(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
-def _negated_peepholes(params: Params, rows: int) -> np.ndarray:
+def negated_peepholes(params: Params, rows: int) -> np.ndarray:
     """(3, rows, H): -w_ci, -w_cf and -w_co, each tiled over the rows."""
     neg_w = -np.array([params["lstm.w_ci"], params["lstm.w_cf"], params["lstm.w_co"]])
     return np.repeat(neg_w[:, None], rows, axis=1)
@@ -279,7 +279,7 @@ def _lstm_step(a, neg_w, c, gates, c_out, tc_out, h_out):
     products, so that inference can run them on tiles.
 
     The rows are (rows, H) arrays or (k, TILE, H) stacks. ``neg_w`` holds
-    the negated peepholes (``_negated_peepholes``). i, f, g, o go to
+    the negated peepholes (``negated_peepholes``). i, f, g, o go to
     ``gates`` (4, ...), the new cell to ``c_out``, its tanh to ``tc_out``
     and the new hidden state to ``h_out``; ``c_out`` may be ``c``. Returns
     (h, c). Each sigmoid argument is formed negated, ready for exp:
@@ -388,7 +388,7 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     AX = AX.reshape(B, T, 4 * H).transpose(1, 0, 2).copy()
 
     h0, c0 = sequence_initial_state(params, cfg, feats)
-    neg_w = _negated_peepholes(params, B)
+    neg_w = negated_peepholes(params, B)
     gates = np.empty((T, 4, B, H), dtype=dt)  # i, f, g, o
     cells = np.empty((T, B, H), dtype=dt)
     tanh_c = np.empty((T, B, H), dtype=dt)
@@ -592,7 +592,7 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     AX = X.reshape(-1, TILE, X.shape[-1]) @ params["lstm.W_x"] + params["lstm.b"]
 
     # each step overwrites the live tiles of one state stack in place
-    neg_w = _negated_peepholes(params, TILE)
+    neg_w = negated_peepholes(params, TILE)
     gates = np.empty((4,) + h.shape, dtype=h.dtype)
     tanh_c = np.empty_like(h)
     logits = np.empty(h.shape[:2] + params["out.b"].shape, dtype=h.dtype)
@@ -618,14 +618,18 @@ def sequence_start_state(params: Params, cfg: TrainingConfig, feats: np.ndarray)
 
 
 def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
-                        prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray):
+                        prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray, *,
+                        neg_w: np.ndarray | None = None):
     """Incremental decode step of each row: next-token distribution
     (float64) and new state. The products run on tiles, the elementwise
-    steps on the rows."""
+    steps on the rows. A caller that steps many times passes
+    ``neg_w = negated_peepholes(params, 1)``, built once."""
+    if neg_w is None:
+        neg_w = negated_peepholes(params, 1)
     x = _step_inputs(params, cfg, feats, prev_ids)
     a = _tile_matmul(h, params["lstm.W_h"])
     a += _tile_matmul(x, params["lstm.W_x"]) + params["lstm.b"]
-    h, c = _lstm_step(a, _negated_peepholes(params, 1), c,
+    h, c = _lstm_step(a, neg_w, c,
                       np.empty((4,) + c.shape, dtype=c.dtype), np.empty_like(c),
                       np.empty_like(c), np.empty_like(c))
     logits = _tile_matmul(h, params["out.W"])

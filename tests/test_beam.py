@@ -83,9 +83,9 @@ def counted(model, fn):
     rows = []
     real = nn.sequence_step_probs
 
-    def step(params, cfg, feats, prev, h, c):
+    def step(params, cfg, feats, prev, h, c, **kwargs):
         rows.append(len(prev))
-        return real(params, cfg, feats, prev, h, c)
+        return real(params, cfg, feats, prev, h, c, **kwargs)
 
     nn.sequence_step_probs = step
     try:

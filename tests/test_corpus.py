@@ -154,17 +154,23 @@ def test_load_corpus_strips_a_byte_order_mark(tmp_path):
     np.testing.assert_array_equal(ds.colors, [[10.0, 20.0, 30.0]])
 
 
-def test_loaded_rows_share_one_frozen_description_per_text(tmp_path):
+def test_loaded_rows_share_one_frozen_description_per_text(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    caplog.set_level(logging.INFO, logger="colordesc.corpus")
     p = _write(tmp_path / "c.csv",
                "h,s,v,description\n1,2,3,red\n4,5,6, red\n7,8,9,red\n1,1,1,blue\n")
-    d = load_corpus(p).descriptions
-    assert d[0] is d[2]
-    # equal after stripping, but a different field: its own object
-    assert d[1] is not d[0] and d[1] == d[0]
-    for field, value in (("raw", "x"), ("tokens", ["x"])):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(d[0], field, value)
-    assert d[0].raw == "red" and d[2].tokens == ["red"]
+    # a parse, then a read of the cache entry it wrote
+    for source in ("parsed", "read from cache entry"):
+        caplog.clear()
+        d = load_corpus(p).descriptions
+        assert source in caplog.text
+        assert d[0] is d[2]
+        # equal after stripping, but a different field: its own object
+        assert d[1] is not d[0] and d[1] == d[0]
+        for field, value in (("raw", "x"), ("tokens", ["x"])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d[0], field, value)
+        assert d[0].raw == "red" and d[2].tokens == ["red"]
 
 
 def test_load_manifest_resolves_relative_paths(tmp_path):
@@ -425,14 +431,17 @@ def data_row(draw, delim):
        space=st.sampled_from(["auto", "auto", "hsv", "hsl"]),
        data=st.data(),
        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=30),
+       last_end=st.booleans(),
        block_chars=st.one_of(st.none(), st.integers(1, 60)))
 def test_array_loader_equals_per_row_loader(tmp_path_factory, delim, header, space,
-                                           data, ends, block_chars):
+                                           data, ends, last_end, block_chars):
     lines = data.draw(st.lists(st.one_of(data_row(delim), data_row(delim),
                                          st.sampled_from(BLANK_LINES)),
                                min_size=1, max_size=40))
     text_lines = ([] if header is None else [delim.join(header)]) + lines
     text = "".join(ln + ends[i % len(ends)] for i, ln in enumerate(text_lines))
+    if not last_end:  # the file ends inside its last line
+        text = text.rstrip("\r\n")
     path = tmp_path_factory.mktemp("diff") / "c.csv"
     path.write_bytes(text.encode("utf-8"))
 
@@ -442,19 +451,128 @@ def test_array_loader_equals_per_row_loader(tmp_path_factory, delim, header, spa
         except CorpusError as exc:
             return str(exc)
 
-    # small blocks (one to three lines) put every kind of line on a block edge
-    with mock.patch.object(corpus, "BLOCK_CHARS", block_chars or corpus.BLOCK_CHARS):
-        got = load(load_corpus)
-    want = load(per_row_load_corpus)
-    if isinstance(want, str):
-        assert got == want
-        return
+    cache = tmp_path_factory.mktemp("cache")
+    with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(cache)}):
+        # small blocks (a few bytes) put every kind of line, and every byte
+        # of a multibyte character, on a block edge
+        with mock.patch.object(corpus, "BLOCK_CHARS", block_chars or corpus.BLOCK_CHARS):
+            miss = load(load_corpus)
+        want = load(per_row_load_corpus)
+        if isinstance(want, str):
+            assert miss == want == load(load_corpus)
+            assert not list(cache.rglob("*.npz"))
+            return
+        # the second load reads the entry the first one wrote
+        with mock.patch.object(corpus, "_parse", side_effect=AssertionError("parsed again")):
+            hit = load(load_corpus)
+    for got in (miss, hit):
+        assert_same_split(got, want)
+    # rows share a Description on a hit as after the parse
+    np.testing.assert_array_equal(hit.codes, miss.codes)
+
+
+def assert_same_split(got: Dataset, want: Dataset) -> None:
+    """Equal colors (bit for bit), texts, tokens, skipped count and name."""
     assert got.colors.dtype == want.colors.dtype == np.float64
     assert got.colors.shape == want.colors.shape
     assert got.colors.tobytes() == want.colors.tobytes()
     assert [d.raw for d in got.descriptions] == [d.raw for d in want.descriptions]
     assert [d.tokens for d in got.descriptions] == [d.tokens for d in want.descriptions]
     assert (got.skipped, got.split) == (want.skipped, want.split)
+
+
+CACHED_CORPUS = "h,s,l,description\n120,100,50,green\n10,20,30, green\n1,2,300,bad\n"
+
+
+def _entry(cache: Path) -> Path:
+    (entry,) = cache.glob("colordesc/*.npz")
+    return entry
+
+
+def _inconsistent(cache: Path) -> None:
+    with np.load(_entry(cache)) as z:
+        arrays = dict(z)
+    arrays["codes"] = arrays["codes"] + 7  # past the table's end
+    np.savez(_entry(cache), **arrays)
+
+
+def _refuse_writes(cache: Path, monkeypatch) -> None:
+    # what a read-only directory gives a user who is not root
+    (cache / "colordesc").mkdir(parents=True)
+    (cache / "colordesc").chmod(0o555)
+    monkeypatch.setattr(corpus.tempfile, "mkstemp",
+                        mock.Mock(side_effect=PermissionError("read-only")))
+
+
+def _edited_after_lookup(cache: Path, monkeypatch) -> None:
+    # the first lookup sees other bytes than the parse that follows it
+    real, looked_up = corpus._file_sha256, []
+
+    def sha256(path):
+        looked_up.append(path)
+        return real(path) if len(looked_up) > 1 else hashlib.sha256(b"other").hexdigest()
+
+    monkeypatch.setattr(corpus, "_file_sha256", sha256)
+
+
+# case: (the bytes of a file that fails to load, else None for
+# CACHED_CORPUS; set-up before the first load; fault before the second;
+# whether the second load parses)
+CACHE_CASES = {
+    "no valid records": (b"x,y,z,w\n", None, None, True),
+    "not UTF-8": (b"1,2,3,r\xffed\n", None, None, True),
+    "garbage entry": (None, None, lambda c, p, m: _entry(c).write_bytes(b"garbage"), True),
+    "truncated entry": (None, None,
+                        lambda c, p, m: _entry(c).write_bytes(_entry(c).read_bytes()[:-99]),
+                        True),
+    "inconsistent entry": (None, None, lambda c, p, m: _inconsistent(c), True),
+    "same path, new bytes": (None, None,
+                             lambda c, p, m: p.write_text(CACHED_CORPUS + "1,2,3,blue\n"),
+                             True),
+    "new parse rules": (None, None,
+                        lambda c, p, m: m.setattr(corpus, "_rules_stamp", lambda: "new"), True),
+    # the entry is keyed by the bytes parsed, so the next load finds it
+    "edited between lookup and parse": (None, _edited_after_lookup, None, False),
+    "cache dir is a file": (None, lambda c, m: c.write_text(""), None, True),
+    "read-only cache dir": (None, _refuse_writes, None, True),
+    "no fault": (None, None, None, False),
+}
+
+
+@pytest.mark.parametrize("case", CACHE_CASES)
+def test_cache_faults_never_change_a_load(tmp_path, monkeypatch, caplog, case):
+    bad, before, fault, parses = CACHE_CASES[case]
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    caplog.set_level(logging.INFO, logger="colordesc.corpus")
+    path = tmp_path / "c.csv"
+    path.write_bytes(CACHED_CORPUS.encode() if bad is None else bad)
+    if before:
+        before(cache, monkeypatch)
+
+    def load(fn):
+        try:
+            return fn(path, split="dev")
+        except CorpusError as exc:
+            return str(exc)
+
+    first = load(load_corpus)
+    if fault:
+        fault(cache, path, monkeypatch)
+    caplog.clear()
+    second = load(load_corpus)
+    if bad is not None:
+        # a file that fails leaves no entry, and fails alike every time
+        assert isinstance(first, str) and first == second
+        assert not list(tmp_path.rglob("*.npz"))
+        return
+    assert_same_split(second, load(per_row_load_corpus))
+    assert ("parsed" in caplog.text) == parses
+    assert ("read from cache entry" in caplog.text) == (not parses)
+    if cache.is_dir() and not case.startswith("read-only"):
+        # a bad entry is replaced by a whole one
+        entries = list(cache.glob("colordesc/*.npz"))
+        assert entries and all(corpus._read_entry(e) is not None for e in entries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -486,9 +604,10 @@ REPO = Path(__file__).resolve().parents[1]
 # would also count the pytest process that spawned it, as Linux carries
 # the old peak across exec
 LOAD_AND_DIGEST = """
-import hashlib, json, re, sys
+import hashlib, json, logging, re, sys
 from pathlib import Path
 from colordesc import load_manifest
+logging.basicConfig(level=logging.INFO)
 train = load_manifest(sys.argv[1])["train"]
 status = Path("/proc/self/status").read_text()
 print(json.dumps({
@@ -510,13 +629,17 @@ def test_paper_scale_split_loads_in_bounded_memory(tmp_path):
     finally:
         sys.path.remove(str(REPO / "perfbench"))
     synth.generate(7, tmp_path, n_train=1_500_000)
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    out = subprocess.run([sys.executable, "-c", LOAD_AND_DIGEST, str(tmp_path / "manifest.txt")],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    got = json.loads(out)
-    assert got["peak_mb"] < 250
-    assert (got["rows"], got["skipped"]) == (1_500_000, 0)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), XDG_CACHE_HOME=str(tmp_path / "cache"))
     want = per_row_load_corpus(tmp_path / "train.csv", space="hsl")
-    assert got["colors"] == hashlib.sha256(want.colors.tobytes()).hexdigest()
-    assert got["raw"] == hashlib.sha256(
-        "\n".join(d.raw for d in want.descriptions).encode()).hexdigest()
+    # a parse, then a read of the cache entries it wrote
+    for source in ("parsed", "read from cache entry"):
+        proc = subprocess.run([sys.executable, "-c", LOAD_AND_DIGEST,
+                               str(tmp_path / "manifest.txt")],
+                              env=env, check=True, capture_output=True, text=True)
+        assert f"1500000 rows, {source}" in proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["peak_mb"] < 250
+        assert (got["rows"], got["skipped"]) == (1_500_000, 0)
+        assert got["colors"] == hashlib.sha256(want.colors.tobytes()).hexdigest()
+        assert got["raw"] == hashlib.sha256(
+            "\n".join(d.raw for d in want.descriptions).encode()).hexdigest()

@@ -1077,7 +1077,10 @@ def test_scores_and_monitor_are_bit_identical_on_one_cpu_and_on_all():
                                           os.environ.get("PYTHONPATH", "")])}
     runs = {}
     for mode in ("pinned", "all"):
+        # run in this directory, so that the child's ``import conftest``
+        # finds this suite's, not the repository root's
         proc = subprocess.run([sys.executable, "-c", CPU_CHILD, mode], env=env,
+                              cwd=Path(__file__).parent,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         runs[mode] = json.loads(proc.stdout.splitlines()[-1])

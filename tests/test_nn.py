@@ -76,7 +76,7 @@ def test_lstm_step_saturates_gates_without_warnings():
     with np.errstate(over="raise"):
         a = h @ np.zeros((H, 4 * H))
         a += ax
-        h2, c2 = nn._lstm_step(a, nn._negated_peepholes(params, 1), c, gates,
+        h2, c2 = nn._lstm_step(a, nn.negated_peepholes(params, 1), c, gates,
                                np.empty((1, H)), np.empty((1, H)), np.empty((1, H)))
     for gate in gates[[0, 1, 3], 0]:
         np.testing.assert_allclose(gate, [0.0, 0.5, 1.0])
