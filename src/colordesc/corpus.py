@@ -218,10 +218,11 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
 
     The file is read in blocks of ``BLOCK_CHARS`` bytes, each parsed with
     array operations (``_parse_block``), so no per-row Python object
-    outlives its block. The result of a parse is kept in a cache
-    entry keyed by the file's bytes, ``space`` and the parse rules
-    (``_cache_entry``); a later load of the same bytes reads the entry
-    instead, and gives the same Dataset.
+    outlives its block. The result of a parse is kept in one cache entry
+    per file and ``space`` (``_cache_entry``), with the digest of the
+    bytes parsed and the parse rules; a later load of the same bytes
+    under the same rules reads the entry instead, and gives the same
+    Dataset.
     """
     path = Path(path)
     if not path.is_file():
@@ -229,13 +230,13 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     if space not in ("auto", "hsv", "hsl"):
         raise CorpusError(f"unknown color space {space!r}")
 
-    entry = _cache_entry(_file_sha256(path), space)
-    loaded = _read_entry(entry)
+    entry = _cache_entry(path, space)
+    loaded = _read_entry(entry, _file_sha256(path))
     hit = loaded is not None
     if not hit:
+        # the entry records the bytes parsed, which may differ from those
+        # looked up
         *loaded, sha256 = _parse(path, space)
-        # keyed by the bytes parsed, which may differ from those looked up
-        entry = _cache_entry(sha256, space)
     hsv, codes, fields, skipped = loaded
     del loaded  # so that the copy below frees the arrays read or joined
     # one Description per distinct text, shared by every row that has it
@@ -251,7 +252,7 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     hsv, codes = hsv[keep], codes[keep]
     skipped += len(keep) - len(codes)
     if not hit:
-        _write_entry(entry, hsv, codes, fields, skipped)
+        _write_entry(entry, sha256, hsv, codes, fields, skipped)
     table = np.empty(len(distinct), dtype=object)
     table[:] = distinct
     descriptions = table[codes].tolist()
@@ -383,11 +384,13 @@ def _description(text: str) -> Description | None:
 # An entry is an uncompressed .npz of a loaded split: ``hsv`` (N, 3)
 # float64 and ``codes`` (N,) int32 of its rows, the distinct description
 # fields of the file as one UTF-8 blob ``text`` (uint8) with the end of
-# each field in characters, ``ends`` (int64), and ``skipped``. Only a
-# successful load writes one, through a temporary file and
-# ``os.replace``. An entry that cannot be read, or does not hold such
-# arrays, is a miss, and a cache that cannot be written is no cache:
-# neither changes a result.
+# each field in characters, ``ends`` (int64), and ``skipped``; ``sha256``
+# and ``stamp`` are the digest of the bytes parsed and the parse rules
+# (``_rules_stamp``). Only a successful load writes one, through a
+# temporary file and ``os.replace``, over the file's last entry. An
+# entry of other bytes or rules, one that cannot be read, or one that
+# does not hold such arrays, is a miss, and a cache that cannot be
+# written is no cache: neither changes a result.
 
 @functools.cache
 def _rules_stamp() -> str:
@@ -418,25 +421,26 @@ def _file_sha256(path: Path) -> str | None:
     return h.hexdigest()
 
 
-def _cache_entry(sha256: str | None, space: str) -> Path | None:
-    """The entry of a parse of the bytes with that sha256 under ``space``;
+def _cache_entry(path: Path, space: str) -> Path | None:
+    """The entry of a parse of the file at ``path`` under ``space``;
     None where there is no cache."""
-    if sha256 is None:
-        return None
     try:
-        key = f"{sha256} {space} {_rules_stamp()}"
+        key = f"{path.resolve()} {space}"
         return _cache_dir() / f"{hashlib.sha256(key.encode()).hexdigest()}.npz"
-    except (OSError, RuntimeError):  # no source to stamp, no home directory
+    except (OSError, RuntimeError):  # no such directory, no home directory
         return None
 
 
-def _read_entry(entry: Path | None):
-    """(hsv, codes, fields, skipped) of a cache entry; None if it is
-    missing or is not a whole, consistent entry."""
-    if entry is None:
+def _read_entry(entry: Path | None, sha256: str | None):
+    """(hsv, codes, fields, skipped) of a cache entry of the bytes with
+    that sha256 under the current parse rules; None if it is missing, is
+    of other bytes or rules, or is not a whole, consistent entry."""
+    if entry is None or sha256 is None:
         return None
     try:
         with np.load(entry) as z:
+            if (str(z["sha256"]), str(z["stamp"])) != (sha256, _rules_stamp()):
+                return None
             hsv, codes, blob, ends, skipped = (
                 z[name] for name in ("hsv", "codes", "text", "ends", "skipped"))
         n = len(codes)
@@ -458,9 +462,10 @@ def _read_entry(entry: Path | None):
     return hsv, codes, fields, int(skipped)
 
 
-def _write_entry(entry: Path | None, hsv, codes, fields, skipped: int) -> None:
-    """Store a loaded split as ``entry``, atomically; a cache that cannot
-    be written is skipped."""
+def _write_entry(entry: Path | None, sha256: str, hsv, codes, fields,
+                 skipped: int) -> None:
+    """Store a loaded split of the bytes with that sha256 as ``entry``,
+    atomically; a cache that cannot be written is skipped."""
     if entry is None:
         return
     ends = np.cumsum([len(field) for field in fields], dtype=np.int64)
@@ -471,7 +476,7 @@ def _write_entry(entry: Path | None, hsv, codes, fields, skipped: int) -> None:
         try:
             with os.fdopen(fd, "wb") as f:
                 np.savez(f, hsv=hsv, codes=codes.astype(np.int32), text=text, ends=ends,
-                         skipped=np.int64(skipped))
+                         skipped=np.int64(skipped), sha256=sha256, stamp=_rules_stamp())
             os.replace(tmp, entry)
         except BaseException:
             os.unlink(tmp)

@@ -78,24 +78,6 @@ FEATURE_CONSTANTS = {
 
 _SCORE_BATCH = 512  # whole nn.TILE tiles: only a call's last tile is padded
 
-# Scoring runs its chunks on the calling thread and on pool threads, at
-# most one for each other usable CPU; numpy releases the interpreter lock
-# inside its kernels. The pool is made by the first call that wakes a
-# thread. A forked child has none of the pool's threads, so it drops the
-# pool and makes its own.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -103,13 +85,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _score_pool() -> ThreadPoolExecutor:
+# Scoring runs its chunks on the calling thread and on pool threads, at
+# most one for each other usable CPU, as read at import; numpy releases
+# the interpreter lock inside its kernels. The pool starts a thread at
+# the first call that needs one and keeps it. A forked child has none of
+# the pool's threads, so it makes a new pool.
+def _make_pool() -> None:
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
-                                       thread_name_prefix="colordesc-score")
-        return _pool
+    _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
+                               thread_name_prefix="colordesc-score")
+
+
+_make_pool()
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_make_pool)
 
 
 def _map_chunks(n: int, score_chunk) -> None:
@@ -144,8 +133,7 @@ def _map_chunks(n: int, score_chunk) -> None:
     if workers <= 1:
         drain()
         return
-    pool = _score_pool()
-    futures = [pool.submit(drain) for _ in range(workers - 1)]
+    futures = [_pool.submit(drain) for _ in range(workers - 1)]
     try:
         drain()
     finally:

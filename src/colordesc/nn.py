@@ -565,11 +565,12 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
 
     A row's length is one past its last nonzero mask entry. Rows run
     longest first (stable order), and step t advances the prefix of rows
-    still live at t, rounded up to whole tiles (``TILE``). The
-    log-softmax is taken on the live rows at the target only,
-    z[target] - log(sum(exp(z))) with z = logits - max in float64, the
-    same operations as a full log-softmax row. Scores come back in input
-    order, summed over steps per item in float64.
+    still live at t, rounded up to whole tiles (``TILE``), from that
+    step's inputs alone, so a call's buffers grow with its rows and not
+    with its steps. The log-softmax is taken on the live rows at the
+    target only, z[target] - log(sum(exp(z))) with z = logits - max in
+    float64, the same operations as a full log-softmax row. Scores come
+    back in input order, summed over steps per item in float64.
     """
     B, T = in_ids.shape
     live = mask != 0
@@ -582,27 +583,17 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     feats, ids = feats.reshape(-1, feats.shape[-1]), _tiles(in_ids[order]).reshape(-1, T)
     targets, mask = targets[order], mask[order]
 
-    # input contribution of every advanced (step, row) pair, step-major so
-    # each step's rows are one contiguous block of whole tiles
-    n_run = k_live * TILE
-    first = np.cumsum(n_run) - n_run
-    pair_rows = np.arange(n_run.sum()) - np.repeat(first, n_run)
-    pair_steps = np.repeat(np.arange(len(n_run)), n_run)
-    X = _step_inputs(params, cfg, feats[pair_rows], ids[pair_rows, pair_steps])
-    AX = X.reshape(-1, TILE, X.shape[-1]) @ params["lstm.W_x"] + params["lstm.b"]
-
     # each step overwrites the live tiles of one state stack in place
     neg_w = negated_peepholes(params, TILE)
     gates = np.empty((4,) + h.shape, dtype=h.dtype)
     tanh_c = np.empty_like(h)
     logits = np.empty(h.shape[:2] + params["out.b"].shape, dtype=h.dtype)
     total = np.zeros(B, dtype=np.float64)
-    lo = 0
     for t, (n, k) in enumerate(zip(n_live, k_live)):
+        x = _step_inputs(params, cfg, feats[: k * TILE], ids[: k * TILE, t])
         a = h[:k] @ params["lstm.W_h"]
-        a += AX[lo : lo + k]
+        a += x.reshape(k, TILE, -1) @ params["lstm.W_x"] + params["lstm.b"]
         _lstm_step(a, neg_w, c[:k], gates[:, :k], c[:k], tanh_c[:k], h[:k])
-        lo += k
         step_logits = np.matmul(h[:k], params["out.W"], out=logits[:k])
         step_logits += params["out.b"]
         total[:n] += _log_softmax_at(_rows(step_logits, n), targets[:n, t]) * mask[:n, t]

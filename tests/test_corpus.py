@@ -570,9 +570,11 @@ def test_cache_faults_never_change_a_load(tmp_path, monkeypatch, caplog, case):
     assert ("parsed" in caplog.text) == parses
     assert ("read from cache entry" in caplog.text) == (not parses)
     if cache.is_dir() and not case.startswith("read-only"):
-        # a bad entry is replaced by a whole one
+        # a bad or stale entry is replaced by a whole one: a file has one
         entries = list(cache.glob("colordesc/*.npz"))
-        assert entries and all(corpus._read_entry(e) is not None for e in entries)
+        assert len(entries) == 1
+        assert all(corpus._read_entry(e, corpus._file_sha256(path)) is not None
+                   for e in entries)
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from colordesc import (
     SequenceDecoderModel,
     TrainingConfig,
     load_checkpoint,
+    models,
     nn,
     save_checkpoint,
     train_model,
@@ -987,6 +989,30 @@ def test_concurrent_callers_share_the_pool_and_score_bit_identically():
     assert not any(t.is_alive() for t in callers)
     assert len(got) == 3 * len(callers)
     assert all(scores == want[family] for family, scores in got)
+
+
+@pytest.mark.skipif(models._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_a_chunk_error_is_raised_after_every_worker_stops():
+    # the first chunk fails at once; the others sleep, so a worker that
+    # took one is still in it when the error comes
+    chunk = models._SCORE_BATCH
+    workers = min(8, models._usable_cpus())
+    started, ended = [], []
+
+    def score_chunk(lo, hi):
+        if lo == 0:
+            raise ValueError("chunk 0")
+        started.append(time.monotonic())
+        time.sleep(0.05)
+        ended.append(time.monotonic())
+
+    with pytest.raises(ValueError, match="chunk 0"):
+        models._map_chunks(8 * chunk, score_chunk)
+    returned = time.monotonic()
+    # no worker starts a chunk after the failed one, and the call returns
+    # only once every started chunk has ended
+    assert len(started) + 1 <= workers
+    assert len(ended) == len(started) and all(t <= returned for t in ended)
 
 
 # Run in a fresh interpreter, pinned to one CPU or with all of them: it

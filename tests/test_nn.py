@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,23 @@ def test_sequence_logprobs_advances_only_live_rows(monkeypatch):
     assert softmax_rows == [130, 65, 65, 64, 1]
     monkeypatch.undo()
     np.testing.assert_array_equal(got, padded_sequence_logprobs(*setup))
+
+
+def test_scoring_working_set_does_not_grow_with_steps():
+    # 512 rows live at every step: at T = 20 the peak stays within 1 MB of
+    # the peak at T = 2 (numpy 2.4.6: 3.30 and 3.53 MB; 3.80 and 10.24 MB
+    # when every step's inputs were projected up front)
+    peaks = {}
+    for T in (2, 20):
+        setup = _scoring_setup(0, 512, "every-step", "float32", (20, 20, 400, 54),
+                               np.full(512, T))
+        tracemalloc.start()
+        try:
+            nn.sequence_logprobs(*setup)
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20] - peaks[2] < 1e6, peaks
 
 
 def test_sequence_logprobs_single_row_and_all_masked():
