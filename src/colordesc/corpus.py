@@ -238,17 +238,12 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
         # looked up
         *loaded, sha256 = _parse(path, space)
     hsv, codes, fields, skipped = loaded
-    del loaded  # so that the copy below frees the arrays read or joined
+    del loaded  # the row filter below then frees what it copies: ~45 MB at 1.5M rows
     # one Description per distinct text, shared by every row that has it
     distinct = [_description(text) for text in fields]
     keep = np.array([d is not None for d in distinct], dtype=bool)[codes]
     if not keep.any():
         raise CorpusError(f"no valid records in {path} ({skipped + len(keep)} skipped)")
-    # hsv[keep] is a copy even when every row is kept. Freeing the joined
-    # (or read) array, 2.6 MB for the benchmark's dev split, raises
-    # glibc's dynamic mmap and trim thresholds above the scorer's 512-row
-    # working set (~4 MB); without it, scoring that split re-faulted
-    # ~3 MB per chunk and took 20% longer.
     hsv, codes = hsv[keep], codes[keep]
     skipped += len(keep) - len(codes)
     if not hit:
@@ -410,14 +405,11 @@ def _cache_dir() -> Path:
     return (Path(root) if os.path.isabs(root) else Path.home() / ".cache") / "colordesc"
 
 
-def _file_sha256(path: Path) -> str | None:
+def _file_sha256(path: Path) -> str:
     h = hashlib.sha256()
-    try:
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                h.update(chunk)
-    except OSError:
-        return None
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -431,11 +423,11 @@ def _cache_entry(path: Path, space: str) -> Path | None:
         return None
 
 
-def _read_entry(entry: Path | None, sha256: str | None):
+def _read_entry(entry: Path | None, sha256: str):
     """(hsv, codes, fields, skipped) of a cache entry of the bytes with
     that sha256 under the current parse rules; None if it is missing, is
     of other bytes or rules, or is not a whole, consistent entry."""
-    if entry is None or sha256 is None:
+    if entry is None:
         return None
     try:
         with np.load(entry) as z:
@@ -488,7 +480,8 @@ def _write_entry(entry: Path | None, sha256: str, hsv, codes, fields,
 def read_key_values(path, what: str = "manifest") -> dict:
     """The key=value lines of a manifest or config file (``what`` names
     it in errors), keys and values stripped; blank lines and lines
-    starting with # are skipped and a byte order mark is ignored."""
+    starting with # are skipped, a byte order mark is ignored and a key
+    set twice is an error."""
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"{what} not found: {path}")
@@ -497,14 +490,17 @@ def read_key_values(path, what: str = "manifest") -> dict:
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{what} is not valid UTF-8: {path} ({exc.reason})") from exc
     entries: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> number of the line that set it
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise CorpusError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in set_on:
+            raise CorpusError(f"{path}:{ln}: {key!r} is already set on line {set_on[key]}")
+        entries[key], set_on[key] = value, ln
     return entries
 
 

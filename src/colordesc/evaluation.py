@@ -48,8 +48,10 @@ def perplexity_from_log2(log2p: np.ndarray, on_zero: str = "error"):
 
     Zero-probability items (-inf) are an error by default; with
     on_zero='exclude' they are dropped from the geometric mean and
-    counted instead of silently clipped.
+    counted instead of silently clipped. Another policy is an error.
     """
+    if on_zero not in ("error", "exclude"):
+        raise EvaluationError(f"unknown zero-probability policy {on_zero!r}")
     log2p = np.asarray(log2p, dtype=np.float64)
     zero = ~np.isfinite(log2p)
     n_zero = int(zero.sum())
@@ -57,8 +59,6 @@ def perplexity_from_log2(log2p: np.ndarray, on_zero: str = "error"):
         raise EvaluationError(
             f"{n_zero} of {log2p.size} items have probability 0; "
             "rerun with the exclusion policy to drop and count them")
-    if n_zero and on_zero != "exclude":
-        raise EvaluationError(f"unknown zero-probability policy {on_zero!r}")
     used = log2p[~zero]
     if used.size == 0:
         raise EvaluationError("no items with nonzero probability")

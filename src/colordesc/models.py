@@ -130,9 +130,6 @@ def _map_chunks(n: int, score_chunk) -> None:
                     pass
             raise
 
-    if workers <= 1:
-        drain()
-        return
     futures = [_pool.submit(drain) for _ in range(workers - 1)]
     try:
         drain()

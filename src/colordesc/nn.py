@@ -306,6 +306,11 @@ def _lstm_step(a, neg_w, c, gates, c_out, tc_out, h_out):
 
 _LOG_SOFTMAX_BUFFER = 1 << 18  # entries of _log_softmax_at's and _softmax_xent's buffers
 
+# glibc raises its mmap threshold to the largest mapped block freed so far, and its trim
+# threshold to twice that: with this 4 MiB block freed at import, every scoring buffer (at
+# most 2 MiB) comes from a heap not trimmed between chunks. Other allocators ignore it.
+np.empty(2 * _LOG_SOFTMAX_BUFFER)
+
 
 def _block_rows(N: int, C: int) -> int:
     """Rows of a block of an (N, C) array that fills at most

@@ -170,6 +170,20 @@ def test_train_config_file_may_start_with_a_byte_order_mark(tmp_corpus, tmp_path
     assert config["batch_size"] == 4
 
 
+def test_train_config_file_repeated_key_fails_before_anything_is_written(
+        tmp_corpus, tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("epochs=2\nbatch-size=4\nepochs=1\n", encoding="utf-8")
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--data", str(tmp_corpus),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith(f"error: {cfg}:3: 'epochs' is already set on line 1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["features", "family", "conditioning"])
 def test_train_config_file_bad_choice_fails_before_reading_data(
         key, tmp_corpus, tmp_path, capsys, monkeypatch):

@@ -206,6 +206,11 @@ def test_load_manifest_checks_keys_before_reading_any_split(tmp_path):
     m = _write(tmp_path / "m.manifest", "dev=dev.csv\ntset=train.csv\n")
     with pytest.raises(CorpusError, match="unknown manifest keys"):
         load_manifest(m)
+    # so does a key set twice, before dev.csv is read
+    m2 = _write(tmp_path / "m2.manifest", "dev=dev.csv\n# again\n\n dev = other.csv\n")
+    with pytest.raises(CorpusError,
+                       match=re.escape(f"{m2}:4: 'dev' is already set on line 1")):
+        load_manifest(m2)
 
 
 def test_non_utf8_files_are_corpus_errors_naming_the_file(tmp_path):

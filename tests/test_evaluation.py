@@ -62,6 +62,12 @@ def test_zero_probability_item_can_be_excluded():
         perplexity_from_log2(np.array([-np.inf]), on_zero="exclude")
 
 
+@pytest.mark.parametrize("logs", [[-1.0, -2.0], [-1.0, -np.inf]])
+def test_unknown_zero_policy_errors_whatever_the_items(logs):
+    with pytest.raises(EvaluationError, match="unknown zero-probability policy 'bogus'"):
+        perplexity_from_log2(np.array(logs), on_zero="bogus")
+
+
 def test_perplexity_on_model(tmp_corpus):
     from colordesc import load_manifest
 

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -1127,6 +1128,45 @@ def test_scores_and_monitor_are_bit_identical_on_one_cpu_and_on_all():
             every["threads"]
         assert every["threads"]["train sequence"] > 1
         assert every["threads"]["score atomic"] > 1
+
+
+# Run in a fresh interpreter that has loaded nothing, so that it has freed
+# no large block before scoring: an untrained H = 20, V = 400 sequence model
+# scores 20,000 rows twice, and the minor page faults of the second pass are
+# printed.
+FAULTS_CHILD = r"""
+import resource
+import numpy as np
+from colordesc import TrainingConfig, Vocabulary
+from colordesc.corpus import RESERVED_TOKENS
+from colordesc.models import SequenceDecoderModel
+
+words = [f"w{i}" for i in range(397)]
+model = SequenceDecoderModel.build(TrainingConfig(hidden_size=20, seed=3),
+                                   Vocabulary(list(RESERVED_TOKENS) + words), "fourier")
+rng = np.random.default_rng(5)
+colors = rng.uniform(0, 1, (20000, 3)) * [360, 100, 100]
+table = [list(rng.choice(words, k)) for k in rng.integers(1, 4, 2000)]
+codes = rng.integers(0, len(table), len(colors))
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.score_token_batch(colors, table, codes)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's dynamic mmap and trim thresholds")
+def test_a_second_scoring_pass_reuses_its_pages_in_a_process_that_loaded_nothing():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(colordesc.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", FAULTS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # a pass that faults each 512-row chunk's buffers in anew makes
+    # 13,000-32,000 faults
+    assert int(proc.stdout.splitlines()[-1]) < 1000
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
