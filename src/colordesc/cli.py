@@ -375,7 +375,13 @@ def main(argv=None) -> int:
             # the file's key=value lines become the train parser's
             # defaults, so explicit flags win
             values = read_key_values(args.config, "config file")
-            defaults = {k.replace("-", "_"): v for k, v in values.items()}
+            keys = {}  # option -> the file's key for it
+            for key in values:
+                other = keys.setdefault(key.replace("-", "_"), key)
+                if other != key:
+                    raise ConfigError(f"{args.config}: keys {other!r} and {key!r} "
+                                      "set the same option")
+            defaults = {dest: values[key] for dest, key in keys.items()}
             args = build_parser(defaults).parse_args(argv)
         # after the re-parse, so that a config file's values are checked too
         _check_int_flags(args)

@@ -43,6 +43,11 @@ def per_item_log2(model, ds: Dataset) -> np.ndarray:
     return model.score_dataset(ds) / LN2
 
 
+def _check_zero_policy(on_zero: str) -> None:
+    if on_zero not in ("error", "exclude"):
+        raise EvaluationError(f"unknown zero-probability policy {on_zero!r}")
+
+
 def perplexity_from_log2(log2p: np.ndarray, on_zero: str = "error"):
     """(perplexity, total_bits, n_used, n_zero) from per-item log2 probs.
 
@@ -50,8 +55,7 @@ def perplexity_from_log2(log2p: np.ndarray, on_zero: str = "error"):
     on_zero='exclude' they are dropped from the geometric mean and
     counted instead of silently clipped. Another policy is an error.
     """
-    if on_zero not in ("error", "exclude"):
-        raise EvaluationError(f"unknown zero-probability policy {on_zero!r}")
+    _check_zero_policy(on_zero)
     log2p = np.asarray(log2p, dtype=np.float64)
     zero = ~np.isfinite(log2p)
     n_zero = int(zero.sum())
@@ -243,6 +247,7 @@ def evaluate(model, ds: Dataset, split: str = "", on_zero: str = "error",
              timestamp: str = "") -> EvalReport:
     """Score a dataset and assemble its report, without accuracy: add
     that with ``report.with_hits(hit_flags(model, ds, beam_width), beam_width)``."""
+    _check_zero_policy(on_zero)  # an unknown policy must not cost a scoring pass
     log2p = per_item_log2(model, ds)
     ppl, total_bits, _, n_zero = perplexity_from_log2(log2p, on_zero)
     k = model.param_count

@@ -378,15 +378,18 @@ class SequenceDecoderModel(_Model):
 
     def score_token_batch(self, colors: np.ndarray, token_seqs: list, codes) -> np.ndarray:
         """Log probability of row i's full description ``token_seqs[codes[i]]``,
-        </s> included, given its color row. OOV tokens score as <unk>."""
+        </s> included, given its color row. OOV tokens score as <unk>.
+        Chunks are cut from the call's rows ordered longest first, so a
+        chunk runs only the steps its own rows need."""
         enc = EncodedDataset(*self.vocab.encode_batch(token_seqs), codes)
+        order = np.argsort(-np.diff(enc.offsets)[enc.codes], kind="stable")
         out = np.empty(len(enc), dtype=np.float64)
 
         def score_chunk(lo, hi):
-            feats, _ = self.featurize(colors[lo:hi])
-            out[lo:hi] = nn.sequence_logprobs(
-                self.params, self.config, feats,
-                *enc.teacher_forcing(np.arange(lo, hi)))
+            rows = order[lo:hi]
+            feats, _ = self.featurize(colors[rows])
+            out[rows] = nn.sequence_logprobs(
+                self.params, self.config, feats, *enc.teacher_forcing(rows))
 
         _map_chunks(len(enc), score_chunk)
         return out

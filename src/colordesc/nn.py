@@ -114,8 +114,10 @@ class TrainingConfig:
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """exp(z - max) / sum, in float64 whatever z's precision, computed in
-    place in one float64 buffer."""
-    p = np.subtract(z, z.max(axis=axis, keepdims=True), dtype=np.float64)
+    place in one float64 buffer. The max is cast to float64 once, as a
+    float32 one would be cast per element of the subtraction."""
+    p = z.astype(np.float64)
+    p -= z.max(axis=axis, keepdims=True).astype(np.float64)
     np.exp(p, out=p)
     p /= p.sum(axis=axis, keepdims=True)
     return p
@@ -324,7 +326,8 @@ def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     with z = logits - max, the operations of a full log-softmax row.
     Blocks of rows go through one reused float64 buffer of at most
     ``_LOG_SOFTMAX_BUFFER`` entries (at least one row), so the logits are
-    never converted whole; a row's value does not depend on its block."""
+    never converted whole; a row's value does not depend on its block.
+    Each row max is cast to float64 once, not per element."""
     N, C = logits.shape
     step = _block_rows(N, C)
     out = np.empty(N, dtype=np.float64)
@@ -333,7 +336,7 @@ def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
         block = logits[lo : lo + step]
         z = buf[: len(block)]
         np.copyto(z, block)
-        z -= block.max(axis=1, keepdims=True)
+        z -= block.max(axis=1, keepdims=True).astype(np.float64)
         z_target = z[np.arange(len(z)), targets[lo : lo + len(z)]]
         log_sum = np.log(np.sum(np.exp(z, out=z), axis=1))
         np.subtract(z_target, log_sum, out=out[lo : lo + len(z)])

@@ -184,6 +184,21 @@ def test_train_config_file_repeated_key_fails_before_anything_is_written(
     assert not out.exists()
 
 
+def test_train_config_file_two_spellings_of_one_option_fail_before_anything_is_written(
+        tmp_corpus, tmp_path, capsys):
+    cfg = tmp_path / "spellings.cfg"
+    cfg.write_text("batch-size=64\nepochs=1\nbatch_size=8\n", encoding="utf-8")
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--data", str(tmp_corpus),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith(
+        f"error: {cfg}: keys 'batch-size' and 'batch_size' set the same option")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["features", "family", "conditioning"])
 def test_train_config_file_bad_choice_fails_before_reading_data(
         key, tmp_corpus, tmp_path, capsys, monkeypatch):

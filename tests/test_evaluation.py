@@ -68,6 +68,17 @@ def test_unknown_zero_policy_errors_whatever_the_items(logs):
         perplexity_from_log2(np.array(logs), on_zero="bogus")
 
 
+def test_evaluate_refuses_an_unknown_zero_policy_before_scoring():
+    class Unscorable:
+        param_count = 1
+
+        def score_dataset(self, d):
+            raise AssertionError("scored before the policy was checked")
+
+    with pytest.raises(EvaluationError, match="unknown zero-probability policy 'bogus'"):
+        evaluate(Unscorable(), disjoint_pairs(3, seed=25), on_zero="bogus")
+
+
 def test_perplexity_on_model(tmp_corpus):
     from colordesc import load_manifest
 

@@ -965,6 +965,37 @@ def test_chunked_scores_equal_the_serial_reference_loop():
         assert model.score_dataset(ds).tobytes() == want.tobytes(), model.family
 
 
+def test_permuting_the_rows_permutes_the_scores_bit_for_bit():
+    ds = _phrases(2000, 11)  # four chunks of 1-3-token rows, interleaved
+    perm = np.random.default_rng(12).permutation(len(ds))
+    shuffled = Dataset(ds.colors[perm], [ds.descriptions[i] for i in perm])
+    for model in _scoring_models():
+        want = model.score_dataset(ds)[perm]
+        assert model.score_dataset(shuffled).tobytes() == want.tobytes(), model.family
+
+
+def test_sequence_chunks_take_the_calls_rows_longest_first(monkeypatch):
+    seq, _ = _scoring_models()
+    real = nn.sequence_logprobs
+    chunks = []  # the step counts of each chunk's rows
+
+    def recording(params, cfg, feats, in_ids, targets, mask):
+        chunks.append(np.count_nonzero(mask, axis=1))
+        return real(params, cfg, feats, in_ids, targets, mask)
+
+    monkeypatch.setattr(nn, "sequence_logprobs", recording)
+    ds = _phrases(2000, 13)
+    seq.score_dataset(ds)
+    assert len(chunks) == 4 and sum(map(len, chunks)) == len(ds)
+    # chunks may run in any order on the threads; their rows do not overlap
+    # in length, so each chunk's shortest row is at least as long as the
+    # next chunk's longest
+    chunks.sort(key=lambda steps: (-steps.max(), -steps.min()))
+    for this, nxt in zip(chunks, chunks[1:]):
+        assert this.min() >= nxt.max()
+    assert chunks[0].max() == 4 and chunks[-1].min() == 2
+
+
 def test_concurrent_callers_share_the_pool_and_score_bit_identically():
     # more callers than CPUs, switching threads as often as they can
     seq, atomic = _scoring_models()

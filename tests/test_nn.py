@@ -65,6 +65,57 @@ def test_softmax_extreme_logits_stay_finite():
     assert np.isfinite(lp[1])
 
 
+def _mixed_dtype_log_softmax_at(logits, targets):
+    """_log_softmax_at as it subtracted a row max of the logits' own dtype
+    from its float64 buffer, numpy casting the max per element."""
+    N, C = logits.shape
+    step = nn._block_rows(N, C)
+    out = np.empty(N, dtype=np.float64)
+    buf = np.empty((step, C), dtype=np.float64)
+    for lo in range(0, N, step):
+        block = logits[lo : lo + step]
+        z = buf[: len(block)]
+        np.copyto(z, block)
+        z -= block.max(axis=1, keepdims=True)
+        z_target = z[np.arange(len(z)), targets[lo : lo + len(z)]]
+        log_sum = np.log(np.sum(np.exp(z, out=z), axis=1))
+        np.subtract(z_target, log_sum, out=out[lo : lo + len(z)])
+    return out
+
+
+def _mixed_dtype_softmax(z, axis=-1):
+    """softmax as it subtracted the max in the logits' dtype, cast by a
+    float64 ufunc."""
+    p = np.subtract(z, z.max(axis=axis, keepdims=True), dtype=np.float64)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 130), C=st.sampled_from([5, 400, 4376]),
+       dtype=st.sampled_from(["float32", "float64"]),
+       scale=st.sampled_from([1.0, 1e4, 1e30, "max"]), ties=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_dtype_normalizations_equal_the_mixed_dtype_formulas_bit_for_bit(
+        rows, C, dtype, scale, ties, seed):
+    # up to 130 rows span three blocks at C = 4,376 (59 rows a block)
+    rng = np.random.default_rng(seed)
+    if scale == "max":  # the dtype's largest magnitudes, both signs
+        scale = np.finfo(dtype).max / 4
+    logits = rng.uniform(-1.0, 1.0, (rows, C)) * scale
+    if ties:  # few distinct values, so a row's max appears many times
+        logits = np.round(logits / scale * 2) * scale / 2
+    logits = logits.astype(dtype)
+    targets = rng.integers(0, C, rows)
+    with np.errstate(over="ignore"):
+        assert (nn._log_softmax_at(logits, targets).tobytes()
+                == _mixed_dtype_log_softmax_at(logits, targets).tobytes())
+        for axis in (-1, 0):
+            assert (nn.softmax(logits, axis=axis).tobytes()
+                    == _mixed_dtype_softmax(logits, axis=axis).tobytes())
+
+
 def test_lstm_step_saturates_gates_without_warnings():
     # every gate pre-activation is -1e4, 0 or 1e4 (c = 0 and W_h = 0), so
     # the sigmoids' exp(1e4) overflows and must saturate silently to 0
