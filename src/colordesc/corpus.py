@@ -231,12 +231,15 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
         raise CorpusError(f"unknown color space {space!r}")
 
     entry = _cache_entry(path, space)
-    loaded = _read_entry(entry, _file_sha256(path))
-    hit = loaded is not None
-    if not hit:
-        # the entry records the bytes parsed, which may differ from those
-        # looked up
-        *loaded, sha256 = _parse(path, space)
+    try:
+        loaded = _read_entry(entry, _file_sha256(path))
+        hit = loaded is not None
+        if not hit:
+            # the entry records the bytes parsed, which may differ from those
+            # looked up
+            *loaded, sha256 = _parse(path, space)
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     hsv, codes, fields, skipped = loaded
     del loaded  # the row filter below then frees what it copies: ~45 MB at 1.5M rows
     # one Description per distinct text, shared by every row that has it
@@ -489,6 +492,8 @@ def read_key_values(path, what: str = "manifest") -> dict:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{what} is not valid UTF-8: {path} ({exc.reason})") from exc
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
     entries: dict[str, str] = {}
     set_on: dict[str, int] = {}  # key -> number of the line that set it
     for ln, line in enumerate(text.splitlines(), 1):

@@ -215,14 +215,16 @@ class EvalReport:
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        """Read a report ``save`` wrote; a file that is not one, or whose
-        per-item vectors are not numbers for each of its items, is a
-        ConfigError naming the file."""
-        with open(path, encoding="utf-8") as fh:
-            try:
+        """Read a report ``save`` wrote; a file that cannot be read, is not
+        one, or whose per-item vectors are not numbers for each of its
+        items, is a ConfigError naming the file."""
+        try:
+            with open(path, encoding="utf-8") as fh:
                 d = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"{path} cannot be read: {exc}") from exc
         if not isinstance(d, dict):
             raise ConfigError(f"{path} is not an eval report: not a JSON object")
         known = {f for f in cls.__dataclass_fields__}

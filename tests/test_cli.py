@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -385,11 +386,26 @@ def test_eval_unknown_split(ab_corpus, uniform_atomic_ckpt, tmp_path, capsys):
     assert "test" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_non_utf8_split_is_usage_error(command, ab_corpus, uniform_atomic_ckpt,
-                                       tmp_path, capsys):
+# a regular file whose first read fails, even for root, whom no file mode stops
+UNREADABLE = Path("/proc/self/mem")
+needs_unreadable = pytest.mark.skipif(not UNREADABLE.is_file(),
+                                      reason=f"no {UNREADABLE} here")
+
+
+@pytest.mark.parametrize("command, unreadable", [
+    pytest.param("train", False, id="train"), pytest.param("eval", False, id="eval"),
+    pytest.param("train", True, id="train-unreadable", marks=needs_unreadable),
+    pytest.param("eval", True, id="eval-unreadable", marks=needs_unreadable)])
+def test_non_utf8_split_is_usage_error(command, unreadable, ab_corpus,
+                                       uniform_atomic_ckpt, tmp_path, capsys):
     dev = tmp_path / "dev.csv"
-    dev.write_bytes(b"h,s,v,description\n5.0,50.0,50.0,\xff\n")
+    if unreadable:
+        dev.unlink()
+        dev.symlink_to(UNREADABLE)
+        message = f"cannot read corpus file {dev}: "
+    else:
+        dev.write_bytes(b"h,s,v,description\n5.0,50.0,50.0,\xff\n")
+        message = f"corpus file is not valid UTF-8: {dev}"
     out = tmp_path / "run"
     args = (["train", "--family", "histogram", "--features", "buckets"]
             if command == "train" else ["eval", "--ckpt", str(uniform_atomic_ckpt)])
@@ -397,7 +413,22 @@ def test_non_utf8_split_is_usage_error(command, ab_corpus, uniform_atomic_ckpt,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
-    assert err.startswith(f"error: corpus file is not valid UTF-8: {dev}")
+    assert err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@needs_unreadable
+@pytest.mark.parametrize("flag, what", [("--config", "config file"),
+                                        ("--data", "manifest")])
+def test_unreadable_key_value_file_is_usage_error(flag, what, tmp_path, capsys):
+    out = tmp_path / "run"
+    # the last --data wins; the config file is read before the manifest
+    rc = main(["train", "--data", str(tmp_path / "missing.manifest"), "--out", str(out),
+               flag, str(UNREADABLE)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot read {what} {UNREADABLE}: ")
     assert not out.exists()
 
 
@@ -526,13 +557,16 @@ def _string_log2_probs(fields):
     lambda fields: "[1, 2]",
     lambda fields: '{"split": "dev"}',
     _string_log2_probs,
-], ids=["not-json", "json-list", "missing-fields", "string-log2-probs"])
+    lambda fields: None,  # no file
+], ids=["not-json", "json-list", "missing-fields", "string-log2-probs", "missing-file"])
 def test_compare_malformed_report_is_usage_error(make_text, ab_corpus,
                                                  uniform_atomic_ckpt, tmp_path,
                                                  capsys):
     good = _eval_to(tmp_path / "e", uniform_atomic_ckpt, ab_corpus)
     bad = tmp_path / "bad.json"
-    bad.write_text(make_text(json.loads(good.read_text())), encoding="utf-8")
+    text = make_text(json.loads(good.read_text()))
+    if text is not None:
+        bad.write_text(text, encoding="utf-8")
     capsys.readouterr()
     rc = main(["compare", str(good), str(bad)])
     assert rc == 2
