@@ -1,24 +1,37 @@
 #!/usr/bin/env bash
 # On the seed-3 synthetic corpus: same-seed checkpoints are byte-identical
-# across processes, and eval scores, hits and draws do not depend on the
-# CPUs a run may use or on the order of a split's rows.
+# across processes and CPU counts, and eval scores, hits and draws do not
+# depend on the CPUs a run may use or on the order of a split's rows.
 #   bash ci/determinism.sh WORK CLI...    (see ci/common.bash)
 . "$(dirname "$0")/common.bash"
 python "$ci/../perfbench/synth.py" --seed 3 --out "$work/c"
 
 # one process per string-hash seed, so nothing in the checkpoint may depend
-# on set or dict iteration order of strings
-for model in "sequence fourier" "atomic buckets" "histogram buckets"; do
-  read -r family features <<< "$model"
+# on set or dict iteration order of strings; the init-state bucket model
+# trains the gradient into the initial state and the bucket-table rows
+train() {
+  colordesc train --data "$work/c/manifest.txt" --subsample-train 2000 --epochs 1 \
+    --seed 4 "$@" > /dev/null
+}
+for model in "sequence sequence fourier every-step" \
+             "sequence-init sequence buckets init-state" \
+             "atomic atomic buckets every-step" "histogram histogram buckets every-step"; do
+  read -r name family features conditioning <<< "$model"
   for hashseed in 1 2; do
-    PYTHONHASHSEED=$hashseed colordesc train --data "$work/c/manifest.txt" \
-      --family "$family" --features "$features" \
-      --subsample-train 2000 --epochs 1 --seed 4 \
-      --out "$work/run-$family-$hashseed" > /dev/null
+    PYTHONHASHSEED=$hashseed train --family "$family" --features "$features" \
+      --conditioning "$conditioning" --out "$work/run-$name-$hashseed"
   done
-  cmp "$work/run-$family-1/model.ckpt" "$work/run-$family-2/model.ckpt"
-  echo "$family/$features: identical"
+  cmp "$work/run-$name-1/model.ckpt" "$work/run-$name-2/model.ckpt"
+  echo "$family/$features/$conditioning: identical"
 done
+
+# the training's dev monitor scores on every usable CPU and keeps the best
+# check's parameters, so the CPUs a training may use must not change them
+PYTHONHASHSEED=1 taskset -c 0 "${cli[@]}" train --data "$work/c/manifest.txt" \
+  --subsample-train 2000 --epochs 1 --seed 4 --family sequence --features fourier \
+  --conditioning every-step --out "$work/run-sequence-one" > /dev/null
+cmp "$work/run-sequence-1/model.ckpt" "$work/run-sequence-one/model.ckpt"
+echo "sequence/fourier/every-step: identical on one CPU and on all"
 
 # scoring runs its 512-row chunks on every usable CPU, one thread per chunk;
 # the first 1,200 dev rows make calls of two and three chunks. On them every

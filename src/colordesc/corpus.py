@@ -250,7 +250,7 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     hsv, codes = hsv[keep], codes[keep]
     skipped += len(keep) - len(codes)
     if not hit:
-        _write_entry(entry, sha256, hsv, codes, fields, skipped)
+        _write_entry(entry, path, sha256, hsv, codes, fields, skipped)
     table = np.empty(len(distinct), dtype=object)
     table[:] = distinct
     descriptions = table[codes].tolist()
@@ -384,11 +384,13 @@ def _description(text: str) -> Description | None:
 # fields of the file as one UTF-8 blob ``text`` (uint8) with the end of
 # each field in characters, ``ends`` (int64), and ``skipped``; ``sha256``
 # and ``stamp`` are the digest of the bytes parsed and the parse rules
-# (``_rules_stamp``). Only a successful load writes one, through a
-# temporary file and ``os.replace``, over the file's last entry. An
-# entry of other bytes or rules, one that cannot be read, or one that
-# does not hold such arrays, is a miss, and a cache that cannot be
-# written is no cache: neither changes a result.
+# (``_rules_stamp``), and ``source`` the resolved path of the file. Only
+# a successful load writes one, through a temporary file and
+# ``os.replace``, over the file's last entry, and then removes every
+# other entry whose source is gone or unrecorded (``_sweep``). An entry
+# of other bytes or rules, one that cannot be read, or one that does not
+# hold such arrays, is a miss, and a cache that cannot be written is no
+# cache: neither changes a result.
 
 @functools.cache
 def _rules_stamp() -> str:
@@ -457,10 +459,11 @@ def _read_entry(entry: Path | None, sha256: str):
     return hsv, codes, fields, int(skipped)
 
 
-def _write_entry(entry: Path | None, sha256: str, hsv, codes, fields,
+def _write_entry(entry: Path | None, path: Path, sha256: str, hsv, codes, fields,
                  skipped: int) -> None:
-    """Store a loaded split of the bytes with that sha256 as ``entry``,
-    atomically; a cache that cannot be written is skipped."""
+    """Store a loaded split of the bytes with that sha256 at ``path`` as
+    ``entry``, atomically, then ``_sweep`` the cache; a cache that cannot
+    be written is skipped."""
     if entry is None:
         return
     ends = np.cumsum([len(field) for field in fields], dtype=np.int64)
@@ -471,13 +474,38 @@ def _write_entry(entry: Path | None, sha256: str, hsv, codes, fields,
         try:
             with os.fdopen(fd, "wb") as f:
                 np.savez(f, hsv=hsv, codes=codes.astype(np.int32), text=text, ends=ends,
-                         skipped=np.int64(skipped), sha256=sha256, stamp=_rules_stamp())
+                         skipped=np.int64(skipped), sha256=sha256, stamp=_rules_stamp(),
+                         source=str(path.resolve()))
             os.replace(tmp, entry)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
         log.info("load_corpus: cannot write cache entry %s (%s)", entry, exc)
+        return
+    _sweep(entry)
+
+
+def _sweep(entry: Path) -> None:
+    """Remove every entry but ``entry`` from its directory whose
+    ``source`` no longer exists or that records none (those written
+    before entries named their source). A later load of a removed
+    entry's file parses it again."""
+    for other in entry.parent.glob("*.npz"):
+        if other == entry:
+            continue
+        try:
+            with np.load(other) as z:
+                source = str(z["source"]) if "source" in z.files else None
+        except FileNotFoundError:  # removed by another process meanwhile
+            continue
+        except Exception:  # whatever an entry holds, it records no source
+            source = None
+        if source is None or not os.path.exists(source):
+            try:
+                other.unlink()
+            except OSError as exc:
+                log.info("load_corpus: cannot remove cache entry %s (%s)", other, exc)
 
 
 def read_key_values(path, what: str = "manifest") -> dict:

@@ -366,6 +366,18 @@ def _softmax_xent(logits: np.ndarray, targets: np.ndarray):
     return logp, dlogits
 
 
+def _longest_first(mask: np.ndarray):
+    """(order, n_live) of a (B, T) mask. A row's length is one past its
+    last nonzero mask entry. ``order`` lists the rows longest first (a
+    stable sort), and n_live[t] counts the rows longer than t, for each t
+    below the longest length: step t's live rows are order[:n_live[t]]."""
+    lengths = np.max((mask != 0) * np.arange(1, mask.shape[1] + 1), axis=1, initial=0)
+    order = np.argsort(-lengths, kind="stable")
+    # the rows of each length, longest first, added up
+    n_live = np.bincount(lengths)[:0:-1].cumsum()[::-1]
+    return order, n_live
+
+
 def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                      in_ids: np.ndarray, targets: np.ndarray, mask: np.ndarray,
                      rng=None):
@@ -374,65 +386,69 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     feats: (B, F) featurized colors; in_ids/targets/mask: (B, T).
     Returns (loss, cache); loss is the batch-mean summed cross-entropy.
     The hidden states always pass through one (B, T, H) dropout mask
-    drawn from ``rng`` (``dropout_mask``). At dropout 0 the mask is all
-    ones, nothing is drawn and ``rng`` may be None; multiplying by 1 is
-    exact. A fresh generator of a fixed seed pins the mask.
+    drawn from ``rng`` (``dropout_mask``), in input row order. At
+    dropout 0 the mask is all ones, nothing is drawn and ``rng`` may be
+    None; multiplying by 1 is exact. A fresh generator of a fixed seed
+    pins the mask.
 
-    Every (row, step) cell runs through the recurrence and the output
-    product. The log-softmax, the probabilities and the logit gradient
-    (p - onehot) * mask / B are taken on live cells (mask != 0) only, in
-    row-major order, so the loss and every gradient are bit-identical to
-    masking a padded (B, T, V) log-softmax. The recurrence keeps its
-    per-step values step-major, (T, ..., B, H), so that each step works
-    on contiguous (B, H) blocks.
+    Only live cells run: a row's (row, step) cells up to its length
+    (``_longest_first``). Rows run longest first and step t advances the
+    prefix of rows live at t, so every per-cell value is packed
+    step-major, one contiguous (n_live[t], ...) block per step. A mask-0
+    cell inside a row's length advances the recurrence and takes no
+    loss: the output product, the log-softmax and the logit gradient
+    (p - onehot) * mask / B run on the scored cells (mask != 0) alone,
+    in place in one (scored cells, V) buffer (``_softmax_xent``).
     """
     B, T = in_ids.shape
     H = cfg.hidden_size
     dt = cfg.np_dtype
-    # inputs of every (row, step) pair, row-major, and their input
-    # contribution in one GEMM
-    X = _step_inputs(params, cfg, np.repeat(feats, T, axis=0), in_ids.ravel())
+    order, n_live = _longest_first(mask)
+    # step t's cells are bounds[t]:bounds[t + 1], the rows order[:n_live[t]]
+    bounds = np.concatenate([[0], np.cumsum(n_live)])
+    steps = np.repeat(np.arange(len(n_live)), n_live)
+    rank = np.arange(bounds[-1]) - bounds[steps]
+    rows = order[rank]
+    ids = in_ids[rows, steps]
+    X = _step_inputs(params, cfg, feats[rows], ids)
     AX = X @ params["lstm.W_x"] + params["lstm.b"]
-    AX = AX.reshape(B, T, 4 * H).transpose(1, 0, 2).copy()
 
-    h0, c0 = sequence_initial_state(params, cfg, feats)
+    # states[:B] hold the sorted rows' initial states and states[B:] each
+    # cell's new state, so step t reads its rows' previous ones from prev[t] on
+    N = len(rows)
+    prev = np.concatenate([[0], B + bounds[:-2]])
+    h_states = np.empty((B + N, H), dtype=dt)
+    c_states = np.empty((B + N, H), dtype=dt)
+    h_states[:B], c_states[:B] = sequence_initial_state(params, cfg, feats[order])
+    hidden, cells = h_states[B:], c_states[B:]
     neg_w = negated_peepholes(params, B)
-    gates = np.empty((T, 4, B, H), dtype=dt)  # i, f, g, o
-    cells = np.empty((T, B, H), dtype=dt)
-    tanh_c = np.empty((T, B, H), dtype=dt)
-    hidden = np.empty((T, B, H), dtype=dt)
-    h, c = h0, c0
-    for t in range(T):
-        a = h @ params["lstm.W_h"]
-        a += AX[t]
-        h, c = _lstm_step(a, neg_w, c, gates[t], cells[t], tanh_c[t], hidden[t])
+    gates = np.empty((4, N, H), dtype=dt)  # i, f, g, o
+    tanh_c = np.empty((N, H), dtype=dt)
+    for t, n in enumerate(n_live):
+        cell, p = slice(bounds[t], bounds[t + 1]), prev[t]
+        a = h_states[p : p + n] @ params["lstm.W_h"]
+        a += AX[cell]
+        _lstm_step(a, neg_w[:, :n], c_states[p : p + n], gates[:, cell], cells[cell],
+                   tanh_c[cell], hidden[cell])
 
-    drop_mask = dropout_mask(rng, (B, T, H), cfg.dropout, dt)
-    # row-major (B, T, H), as the logit product and its gradients read it
-    dropped = np.multiply(hidden.transpose(1, 0, 2), drop_mask,
-                          out=np.empty_like(drop_mask))
-
-    logits = dropped.reshape(B * T, H) @ params["out.W"]
+    scored = np.flatnonzero(mask[rows, steps])
+    at = rows[scored], steps[scored]  # the scored cells' (row, step)
+    weight = mask[at]
+    drop = dropout_mask(rng, (B, T, H), cfg.dropout, dt)[at]
+    dropped = hidden[scored] * drop
+    logits = dropped @ params["out.W"]
     logits += params["out.b"]
-    live = np.flatnonzero(mask)
-    weight = mask.ravel()[live]
-    logp, dlogits = _softmax_xent(logits[live], targets.ravel()[live])
-    nll = np.zeros(B * T, dtype=np.float64)
-    nll[live] = -logp * weight
-    loss = float(nll.sum(dtype=np.float64) / B)
+    logp, dlogits = _softmax_xent(logits, targets[at])
+    loss = float((-logp * weight).sum(dtype=np.float64) / B)
     if not np.isfinite(loss):
         raise TrainingDivergence("non-finite loss in sequence forward pass")
     dlogits *= (weight / B).astype(dt)[:, None]
-    # the logits buffer becomes the (B*T, V) logit gradient, zero on padding
-    dflat = logits
-    dflat[mask.ravel() == 0] = 0.0
-    dflat[live] = dlogits
 
     cache = {
-        "cfg": cfg, "params": params, "feats": feats, "X": X,
-        "in_ids": in_ids, "h0": h0, "c0": c0, "gates": gates, "c": cells,
-        "tanh_c": tanh_c, "hidden": hidden, "dropped": dropped,
-        "drop_mask": drop_mask, "dlogits": dlogits, "dflat": dflat,
+        "cfg": cfg, "params": params, "feats": feats, "X": X, "ids": ids,
+        "order": order, "n_live": n_live, "bounds": bounds, "prev_cell": prev[steps] + rank,
+        "h_states": h_states, "c_states": c_states, "gates": gates, "tanh_c": tanh_c,
+        "scored": scored, "dropped": dropped, "drop": drop, "dlogits": dlogits,
     }
     return loss, cache
 
@@ -441,102 +457,87 @@ def sequence_backward(cache) -> Params:
     """Exact gradients of the sequence loss for every parameter.
 
     Also returns key "feats": the gradient w.r.t. the featurized color
-    input (used to train bucket embeddings and the init-state maps'
-    upstream, zero cost for fixed featurizers).
+    input, in input row order (used to train bucket embeddings and the
+    init-state maps' upstream, zero cost for fixed featurizers).
 
-    Padded cells keep zero logit gradients in the (B*T, V) products, so
-    every GEMM and batch sum runs over the rows, and in the order, of the
-    padded computation.
+    Every product and reduction runs on the packed live cells of the
+    forward pass, step t's block on its n_live[t] rows.
     """
     cfg: TrainingConfig = cache["cfg"]
     params = cache["params"]
-    B, T = cache["in_ids"].shape
+    feats, order, n_live, bounds = (cache[k] for k in ("feats", "order", "n_live", "bounds"))
+    B, F = feats.shape
     H = cfg.hidden_size
     dt = cfg.np_dtype
+    dlogits, gates, tc = cache["dlogits"], cache["gates"], cache["tanh_c"]
+    N = gates.shape[1]
+    cells = cache["c_states"][B:]
+    # each cell's previous states, where the forward step loop read them
+    h_prev = cache["h_states"][cache["prev_cell"]]
+    c_prev = cache["c_states"][cache["prev_cell"]]
 
-    dflat = cache["dflat"]
     grads: Params = {}
-    grads["out.W"] = cache["dropped"].reshape(B * T, H).T @ dflat
-    grads["out.b"] = cache["dlogits"].sum(axis=0)
-    dH_out = dflat @ params["out.W"].T
-    dH_out *= cache["drop_mask"].reshape(B * T, H)
-    dH_out = dH_out.reshape(B, T, H).transpose(1, 0, 2).copy()
+    grads["out.W"] = cache["dropped"].T @ dlogits
+    grads["out.b"] = dlogits.sum(axis=0)
+    dH_out = np.zeros((N, H), dtype=dt)
+    dH_out[cache["scored"]] = (dlogits @ params["out.W"].T) * cache["drop"]
 
-    gates, cells, tc = cache["gates"], cache["c"], cache["tanh_c"]
-    # per-cell factors of every step, computed once: 1-i, 1-f, 1-g^2, 1-o
-    one_minus = 1.0 - gates
-    np.subtract(1.0, gates[:, 2] ** 2, out=one_minus[:, 2])
-    one_minus_tc2 = 1.0 - tc ** 2
-    # dc times [g, c_prev] starts [dai, daf]
-    g_cprev = np.empty((T, 2, B, H), dtype=dt)
-    g_cprev[:, 0] = gates[:, 2]
-    g_cprev[0, 1] = cache["c0"]
-    g_cprev[1:, 1] = cells[:-1]
-    w = np.empty((3, B, H), dtype=dt)
-    w[:] = np.stack([params["lstm.w_ci"], params["lstm.w_cf"],
-                     params["lstm.w_co"]])[:, None]
+    # each cell's local derivatives, computed once for all steps: from the
+    # gradients dh and dc_next reaching its hidden and cell states,
+    # dao = dh k_o, dc = dh k_dc + dc_next, [dai, daf] = dc k_if, dag = dc k_g,
+    # and dc k_next reaches the previous cell state
+    i, f, g, o = gates
+    w_ci, w_cf, w_co = params["lstm.w_ci"], params["lstm.w_cf"], params["lstm.w_co"]
+    k_o = tc * o * (1.0 - o)
+    k_dc = o * (1.0 - tc ** 2) + k_o * w_co
+    gates_if = gates[:2].transpose(1, 0, 2)
+    k_if = np.stack([g, c_prev], axis=1) * gates_if * (1.0 - gates_if)
+    k_g = i * (1.0 - g ** 2)
+    k_next = f + k_if[:, 0] * w_ci + k_if[:, 1] * w_cf
     W_hT = params["lstm.W_h"].T
-    dgates = np.empty((T, 4, B, H), dtype=dt)  # dai, daf, dag, dao
-    da = np.empty((B, T, 4, H), dtype=dt)  # the same, row-major for the GEMMs
+    da = np.empty((N, 4, H), dtype=dt)  # dai, daf, dag, dao of each cell
+    # the sorted rows' gradients from the next step; a row's stay zero
+    # until the loop reaches the row's last step
     dh_next = np.zeros((B, H), dtype=dt)
     dc_next = np.zeros((B, H), dtype=dt)
-    for t in range(T - 1, -1, -1):
-        i, f, g, o = gates[t]
-        dai_f, dag, dao = dgates[t, :2], dgates[t, 2], dgates[t, 3]
-        dh = dH_out[t]
-        dh += dh_next
-        np.multiply(dh, tc[t], out=dao)
-        dao *= o
-        dao *= one_minus[t, 3]
-        dc = np.multiply(dh, o, out=dh)
-        dc *= one_minus_tc2[t]
-        dc += dc_next
-        dc += dao * w[2]
-        np.multiply(dc, g_cprev[t], out=dai_f)
-        dai_f *= gates[t, :2]
-        dai_f *= one_minus[t, :2]
-        np.multiply(dc, i, out=dag)
-        dag *= one_minus[t, 2]
-        peep = dai_f * w[:2]
-        dc_next = np.multiply(dc, f, out=dc_next)
-        dc_next += peep[0]
-        dc_next += peep[1]
-        np.copyto(da[:, t], dgates[t].transpose(1, 0, 2))
-        dh_next = da[:, t].reshape(B, 4 * H) @ W_hT
+    for t in range(len(n_live) - 1, -1, -1):
+        n, cell = n_live[t], slice(bounds[t], bounds[t + 1])
+        dh = dH_out[cell]
+        dh += dh_next[:n]
+        np.multiply(dh, k_o[cell], out=da[cell, 3])
+        dc = np.multiply(dh, k_dc[cell], out=dh)
+        dc += dc_next[:n]
+        np.multiply(dc[:, None], k_if[cell], out=da[cell, :2])
+        np.multiply(dc, k_g[cell], out=da[cell, 2])
+        np.multiply(dc, k_next[cell], out=dc_next[:n])
+        np.matmul(da[cell].reshape(n, 4 * H), W_hT, out=dh_next[:n])
 
-    da_flat = da.reshape(B * T, 4 * H)
-    h_prev = np.concatenate(
-        [cache["h0"][:, None], cache["hidden"][:-1].transpose(1, 0, 2)], axis=1)
+    da_flat = da.reshape(N, 4 * H)
     grads["lstm.W_x"] = cache["X"].T @ da_flat
-    grads["lstm.W_h"] = h_prev.reshape(B * T, H).T @ da_flat
+    grads["lstm.W_h"] = h_prev.T @ da_flat
     grads["lstm.b"] = da_flat.sum(axis=0)
-    # peephole gradients: each step's batch sum, added in the loop's order
-    step_if = (dgates[:, :2] * g_cprev[:, 1:]).sum(axis=2)
-    step_o = (dgates[:, 3] * cells).sum(axis=1)
-    dw_if = np.zeros((2, H), dtype=dt)
-    dw_co = np.zeros(H, dtype=dt)
-    for t in range(T - 1, -1, -1):
-        dw_if += step_if[t]
-        dw_co += step_o[t]
-    grads["lstm.w_ci"], grads["lstm.w_cf"] = dw_if
-    grads["lstm.w_co"] = dw_co
+    grads["lstm.w_ci"] = (da[:, 0] * c_prev).sum(axis=0)
+    grads["lstm.w_cf"] = (da[:, 1] * c_prev).sum(axis=0)
+    grads["lstm.w_co"] = (da[:, 3] * cells).sum(axis=0)
 
-    dX = (da_flat @ params["lstm.W_x"].T).reshape(B, T, -1)
-    feats = cache["feats"]
-    F = feats.shape[1]
+    dX = da_flat @ params["lstm.W_x"].T
     grads["emb"] = np.zeros_like(params["emb"])
     if cfg.conditioning == "every-step":
-        np.add.at(grads["emb"], cache["in_ids"], dX[:, :, F:])
-        dfeats = dX[:, :, :F].sum(axis=1)
+        np.add.at(grads["emb"], cache["ids"], dX[:, F:])
+        dfeats = np.zeros((B, F), dtype=dX.dtype)
+        for t, n in enumerate(n_live):
+            dfeats[:n] += dX[bounds[t] : bounds[t + 1], :F]
     else:
-        np.add.at(grads["emb"], cache["in_ids"], dX)
+        np.add.at(grads["emb"], cache["ids"], dX)
         # gradient reaching h0/c0 closes the recurrences above
-        grads["cond.W_h0"] = feats.T @ dh_next
+        sorted_feats = feats[order]
+        grads["cond.W_h0"] = sorted_feats.T @ dh_next
         grads["cond.b_h0"] = dh_next.sum(axis=0)
-        grads["cond.W_c0"] = feats.T @ dc_next
+        grads["cond.W_c0"] = sorted_feats.T @ dc_next
         grads["cond.b_c0"] = dc_next.sum(axis=0)
         dfeats = dh_next @ params["cond.W_h0"].T + dc_next @ params["cond.W_c0"].T
-    grads["feats"] = dfeats
+    grads["feats"] = np.empty_like(dfeats)
+    grads["feats"][order] = dfeats
     return grads
 
 
@@ -581,10 +582,7 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     back in input order, summed over steps per item in float64.
     """
     B, T = in_ids.shape
-    live = mask != 0
-    lengths = np.where(live.any(axis=1), T - np.argmax(live[:, ::-1], axis=1), 0)
-    order = np.argsort(-lengths, kind="stable")
-    n_live = np.count_nonzero(lengths[:, None] > np.arange(lengths.max(initial=0)), axis=0)
+    order, n_live = _longest_first(mask)
     k_live = -(-n_live // TILE)
     feats = _tiles(feats[order])
     h, c = sequence_initial_state(params, cfg, feats)

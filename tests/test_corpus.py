@@ -582,6 +582,40 @@ def test_cache_faults_never_change_a_load(tmp_path, monkeypatch, caplog, case):
                    for e in entries)
 
 
+def test_a_cache_write_removes_entries_of_gone_or_unnamed_sources(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    kept, gone, new = (tmp_path / f"{name}.csv" for name in ("kept", "gone", "new"))
+    for path in (kept, gone, new):
+        path.write_text(CACHED_CORPUS)
+    entries = {path: corpus._cache_entry(path, "auto") for path in (kept, gone, new)}
+
+    def load(path):
+        got = load_corpus(path, split="dev")
+        assert_same_split(got, per_row_load_corpus(path, split="dev"))
+
+    def listed():
+        return sorted(cache.glob("colordesc/*.npz"))
+
+    load(kept)
+    load(gone)
+    gone.unlink()
+    # an entry written before entries recorded their source
+    unnamed = cache / "colordesc" / "unnamed.npz"
+    with np.load(entries[kept]) as z:
+        assert str(z["source"]) == str(kept.resolve())
+        np.savez(unnamed, **{name: z[name] for name in z.files if name != "source"})
+    # a hit writes nothing, so it removes nothing
+    load(kept)
+    assert listed() == sorted([entries[kept], entries[gone], unnamed])
+    # a write removes exactly the entries of gone or unrecorded sources
+    load(new)
+    assert listed() == sorted([entries[kept], entries[new]])
+    with mock.patch.object(corpus, "_parse", side_effect=AssertionError("parsed again")):
+        load(kept)
+        load(new)
+
+
 @settings(max_examples=300, deadline=None)
 @given(space=st.sampled_from(["hsv", "hsl"]), h=hue_field, s=percent_field,
        x=percent_field)

@@ -1,14 +1,20 @@
-"""Training kernels against the padded reference they replaced.
+"""Training kernels against plain references.
 
 ``padded_sequence_forward``/``padded_sequence_backward`` and
 ``padded_atomic_forward``/``padded_atomic_backward`` are the earlier
 kernels, kept verbatim apart from their names and annotations and from
 taking the current signature, under which dropout is always a mask (all
-ones at dropout 0): the sequence pair builds the full (B, T, V)
-log-softmax and masks padding, and both keep a ``probs`` copy for the
-backward pass. The kernels in ``colordesc.nn`` must match them bit for
-bit: the same loss and the same bytes in every gradient. Golden digests
-pin whole seeded trainings.
+ones at dropout 0): the sequence pair runs every row for all T steps,
+builds the full (B, T, V) log-softmax and masks padding, and both keep a
+``probs`` copy for the backward pass. ``live_sequence_forward``/
+``live_sequence_backward`` compute the same loss on live cells only, in
+the order the kernels in ``colordesc.nn`` use, straight-line. The
+atomic kernels in ``colordesc.nn`` must match the padded pair bit for
+bit, and the sequence kernels the live pair: the same loss and the same
+bytes in every gradient. The padded sequence pair stays the math
+oracle: the live cells change the order of the sums, so the sequence
+kernels match it within rounding. Golden digests pin whole seeded
+trainings.
 """
 
 import hashlib
@@ -164,6 +170,156 @@ def padded_sequence_backward(cache):
     return grads
 
 
+def _live_cells(mask):
+    """(order, step_rows): the rows longest first (a stable sort), a
+    row's length one past its last nonzero mask entry, and for each step
+    the rows still live at it."""
+    lengths = np.array([np.flatnonzero(row)[-1] + 1 if row.any() else 0 for row in mask],
+                       dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    return order, [order[lengths[order] > t] for t in range(lengths.max(initial=0))]
+
+
+def live_sequence_forward(params, cfg, feats, in_ids, targets, mask, rng=None):
+    """Teacher-forced forward pass on live cells, packed step-major:
+    step t runs the rows live at t, longest first. Cells with mask 0
+    inside a row's length advance the recurrence and take no loss."""
+    B, T = in_ids.shape
+    H = cfg.hidden_size
+    dt = cfg.np_dtype
+    order, step_rows = _live_cells(mask)
+    rows = np.concatenate([np.zeros(0, dtype=np.int64)] + step_rows)
+    steps = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [np.full(len(r), t) for t, r in enumerate(step_rows)])
+    X = nn._step_inputs(params, cfg, feats[rows], in_ids[rows, steps])
+    AX = X @ params["lstm.W_x"] + params["lstm.b"]
+
+    h, c = nn.sequence_initial_state(params, cfg, feats[order])
+    h_prev, c_prev, gates_i, gates_f, gates_g, gates_o = [], [], [], [], [], []
+    cells, tanh_c, hidden = [], [], []
+    lo = 0
+    for r in step_rows:
+        n = len(r)
+        h_prev.append(h[:n])
+        c_prev.append(c[:n])
+        h, c, (i, f, g, o, tc) = lstm_step_full(params, None, h[:n], c[:n],
+                                                 a=AX[lo : lo + n])
+        gates_i.append(i)
+        gates_f.append(f)
+        gates_g.append(g)
+        gates_o.append(o)
+        cells.append(c)
+        tanh_c.append(tc)
+        hidden.append(h)
+        lo += n
+
+    def packed(blocks):
+        return np.concatenate([np.zeros((0, H), dtype=dt)] + blocks)
+
+    hidden = packed(hidden)
+    drop_mask = nn.dropout_mask(rng, (B, T, H), cfg.dropout, dt)[rows, steps]
+    scored = mask[rows, steps] != 0
+    dropped = hidden[scored] * drop_mask[scored]
+    logits = dropped @ params["out.W"] + params["out.b"]
+    logp = nn.log_softmax(logits, axis=1)
+    weight = mask[rows, steps][scored]
+    score_targets = targets[rows, steps][scored]
+    nll = -logp[np.arange(len(logp)), score_targets] * weight
+    loss = float(nll.sum(dtype=np.float64) / B)
+    if not np.isfinite(loss):
+        raise TrainingDivergence("non-finite loss in sequence forward pass")
+
+    cache = {
+        "cfg": cfg, "params": params, "feats": feats, "X": X, "order": order,
+        "rows": rows, "step_rows": step_rows, "ids": in_ids[rows, steps], "scored": scored,
+        "weight": weight, "targets": score_targets, "h_prev": packed(h_prev),
+        "c_prev": packed(c_prev), "i": packed(gates_i), "f": packed(gates_f),
+        "g": packed(gates_g), "o": packed(gates_o), "c": packed(cells),
+        "tanh_c": packed(tanh_c), "dropped": dropped, "drop_mask": drop_mask,
+        "probs": np.exp(logp),
+    }
+    return loss, cache
+
+
+def live_sequence_backward(cache):
+    """Exact gradients of ``live_sequence_forward``'s loss, with key
+    "feats" in input row order."""
+    cfg = cache["cfg"]
+    params = cache["params"]
+    feats = cache["feats"]
+    B, F = feats.shape
+    H = cfg.hidden_size
+    dt = cfg.np_dtype
+    N = len(cache["X"])
+
+    dlogits = cache["probs"].copy()
+    dlogits[np.arange(len(dlogits)), cache["targets"]] -= 1.0
+    dlogits *= (cache["weight"] / B)[:, None].astype(dt)
+
+    grads = {}
+    grads["out.W"] = cache["dropped"].T @ dlogits
+    grads["out.b"] = dlogits.sum(axis=0)
+    dH_out = np.zeros((N, H), dtype=dt)
+    dH_out[cache["scored"]] = (dlogits @ params["out.W"].T) * cache["drop_mask"][cache["scored"]]
+
+    w_ci, w_cf, w_co = params["lstm.w_ci"], params["lstm.w_cf"], params["lstm.w_co"]
+    i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
+    c, tc, c_prev = cache["c"], cache["tanh_c"], cache["c_prev"]
+    # each cell's local derivatives: dao = dh k_o, dc = dh k_dc + dc_next,
+    # dai = dc k_i, daf = dc k_f, dag = dc k_g, dc_prev = dc k_next
+    k_o = tc * o * (1.0 - o)
+    k_dc = o * (1.0 - tc ** 2) + k_o * w_co
+    k_i = g * i * (1.0 - i)
+    k_f = c_prev * f * (1.0 - f)
+    k_g = i * (1.0 - g ** 2)
+    k_next = f + k_i * w_ci + k_f * w_cf
+    da = np.empty((N, 4 * H), dtype=dt)
+    dh_next = np.zeros((B, H), dtype=dt)
+    dc_next = np.zeros((B, H), dtype=dt)
+    step_rows = cache["step_rows"]
+    starts = np.cumsum([0] + [len(r) for r in step_rows])
+    for t in range(len(step_rows) - 1, -1, -1):
+        n = len(step_rows[t])
+        cell = slice(starts[t], starts[t] + n)
+        dh = dH_out[cell] + dh_next[:n]
+        dao = dh * k_o[cell]
+        dc = dh * k_dc[cell] + dc_next[:n]
+        dai = dc * k_i[cell]
+        daf = dc * k_f[cell]
+        dag = dc * k_g[cell]
+        da[cell] = np.concatenate([dai, daf, dag, dao], axis=1)
+        # a row whose last step is t - 1 gets no gradient from step t
+        dh_next = np.zeros((B, H), dtype=dt)
+        dh_next[:n] = da[cell] @ params["lstm.W_h"].T
+        dc_next = np.zeros((B, H), dtype=dt)
+        dc_next[:n] = dc * k_next[cell]
+
+    grads["lstm.W_x"] = cache["X"].T @ da
+    grads["lstm.W_h"] = cache["h_prev"].T @ da
+    grads["lstm.b"] = da.sum(axis=0)
+    grads["lstm.w_ci"] = (da[:, :H] * c_prev).sum(axis=0)
+    grads["lstm.w_cf"] = (da[:, H : 2 * H] * c_prev).sum(axis=0)
+    grads["lstm.w_co"] = (da[:, 3 * H :] * c).sum(axis=0)
+
+    dX = da @ params["lstm.W_x"].T
+    order = cache["order"]
+    grads["emb"] = np.zeros_like(params["emb"])
+    grads["feats"] = np.zeros((B, F), dtype=dX.dtype)
+    if cfg.conditioning == "every-step":
+        np.add.at(grads["emb"], cache["ids"], dX[:, F:])
+        np.add.at(grads["feats"], cache["rows"], dX[:, :F])
+    else:
+        np.add.at(grads["emb"], cache["ids"], dX)
+        # gradient reaching h0/c0 closes the recurrences above
+        grads["cond.W_h0"] = feats[order].T @ dh_next
+        grads["cond.b_h0"] = dh_next.sum(axis=0)
+        grads["cond.W_c0"] = feats[order].T @ dc_next
+        grads["cond.b_c0"] = dc_next.sum(axis=0)
+        grads["feats"][order] = (dh_next @ params["cond.W_h0"].T
+                                 + dc_next @ params["cond.W_c0"].T)
+    return grads
+
+
 def padded_atomic_forward(params, cfg, feats, targets, rng=None):
     """Returns (loss, cache); loss is mean cross-entropy over the batch."""
     dt = cfg.np_dtype
@@ -249,26 +405,53 @@ def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes, dropout=0.2):
     return cfg, params, feats, in_ids, targets, mask
 
 
-@settings(max_examples=80, deadline=None)
-@given(B=st.sampled_from([1, 2, 3, 127, 128, 129]),
-       T=st.integers(1, 6),
-       conditioning=st.sampled_from(["every-step", "init-state"]),
-       dtype=st.sampled_from(["float32", "float64"]),
-       dims=st.sampled_from([(4, 3, 7, 5), (20, 20, 400, 54), (50, 8, 7, 5)]),
-       dropout=st.booleans(),
-       holes=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_sequence_training_pass_equals_padded_reference(B, T, conditioning, dtype,
-                                                       dims, dropout, holes, seed):
+SEQUENCE_BATCHES = dict(
+    B=st.sampled_from([1, 2, 3, 127, 128, 129]),
+    T=st.integers(1, 6),
+    conditioning=st.sampled_from(["every-step", "init-state"]),
+    dtype=st.sampled_from(["float32", "float64"]),
+    dims=st.sampled_from([(4, 3, 7, 5), (20, 20, 400, 54), (50, 8, 7, 5)]),
+    dropout=st.booleans(),
+    holes=st.booleans(),
+    seed=st.integers(0, 2**32 - 1))
+
+
+def _sequence_passes(reference, B, T, conditioning, dtype, dims, dropout, holes, seed):
+    """(loss, grads) of ``nn``'s sequence pair and of a reference pair on
+    one random batch, each given a fresh generator of the same seed."""
     cfg, params, feats, in_ids, targets, mask = _sequence_setup(
         seed, B, T, conditioning, dtype, dims, holes, dropout=0.2 if dropout else 0.0)
     args = (params, cfg, feats, in_ids, targets, mask)
-    want_loss, want_cache = padded_sequence_forward(
-        *args, rng=np.random.default_rng([seed, 1]))
-    got_loss, got_cache = nn.sequence_forward(*args, rng=np.random.default_rng([seed, 1]))
+    passes = []
+    for forward, backward in ((nn.sequence_forward, nn.sequence_backward), reference):
+        loss, cache = forward(*args, rng=np.random.default_rng([seed, 1]))
+        passes.append((loss, backward(cache)))
+    return passes
+
+
+@settings(max_examples=80, deadline=None)
+@given(**SEQUENCE_BATCHES)
+def test_sequence_training_pass_equals_live_reference(**batch):
+    (got_loss, got), (want_loss, want) = _sequence_passes(
+        (live_sequence_forward, live_sequence_backward), **batch)
     assert _same_bits(got_loss, want_loss)
-    _assert_same_grads(nn.sequence_backward(got_cache),
-                       padded_sequence_backward(want_cache))
+    _assert_same_grads(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**SEQUENCE_BATCHES)
+def test_sequence_training_pass_matches_padded_reference_within_rounding(**batch):
+    # live cells sum in another order than the padded pass: each value is
+    # within a few units of rounding of the tensor's largest entry
+    (got_loss, got), (want_loss, want) = _sequence_passes(
+        (padded_sequence_forward, padded_sequence_backward), **batch)
+    tol = 1e-12 if batch["dtype"] == "float64" else 1e-5
+    assert abs(got_loss - want_loss) <= tol * abs(want_loss)
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape
+        err = np.abs(got[name].astype(np.float64) - want[name]).max(initial=0.0)
+        assert err <= tol * np.abs(want[name]).max(initial=0.0), name
 
 
 def test_sequence_dropout_draws_the_same_stream():
@@ -276,11 +459,11 @@ def test_sequence_dropout_draws_the_same_stream():
         11, 128, 4, "every-step", "float32", (20, 20, 400, 54), holes=False)
     args = (params, cfg, feats, in_ids, targets, mask)
     rng_want, rng_got = np.random.default_rng(3), np.random.default_rng(3)
-    want_loss, want_cache = padded_sequence_forward(*args, rng=rng_want)
+    want_loss, want_cache = live_sequence_forward(*args, rng=rng_want)
     got_loss, got_cache = nn.sequence_forward(*args, rng=rng_got)
     assert _same_bits(got_loss, want_loss)
     _assert_same_grads(nn.sequence_backward(got_cache),
-                       padded_sequence_backward(want_cache))
+                       live_sequence_backward(want_cache))
     assert rng_got.random() == rng_want.random()
 
 
@@ -364,9 +547,9 @@ def test_divergence_names_epoch_batch_and_parameter(monkeypatch):
 
 
 # -- whole seeded trainings: the checkpoint bytes must not depend on the
-# kernels. The reference run puts the padded kernels, the parent's
-# scorers and the Adagrad expression above into ``nn`` for the training
-# and its dev monitoring.
+# kernels. The reference run puts the live sequence pair, the padded
+# atomic pair, the parent's scorers and the Adagrad expression above into
+# ``nn`` for the training and its dev monitoring.
 
 WORDS = ["red", "green", "blue", "teal", "mauve", "olive", "gray", "pink"]
 MODIFIERS = ["light", "dark", "pale", "deep"]
@@ -414,8 +597,8 @@ def test_log_softmax_at_equals_the_reference_bit_for_bit(rows, C, dtype, seed):
 
 
 REFERENCE_KERNELS = {
-    "sequence_forward": padded_sequence_forward,
-    "sequence_backward": padded_sequence_backward,
+    "sequence_forward": live_sequence_forward,
+    "sequence_backward": live_sequence_backward,
     "atomic_forward": padded_atomic_forward,
     "atomic_backward": padded_atomic_backward,
     "atomic_target_logprobs": _reference_atomic_target_logprobs,
@@ -424,19 +607,20 @@ REFERENCE_KERNELS = {
 }
 
 # sha256 of the six checkpoints with numpy 2.4.6 and its bundled
-# OpenBLAS 0.3.31 on an AVX-512 (Sapphire Rapids) Xeon, taken with the
-# padded kernels (the dropout-0 rows with the kernels that skipped the
-# mask at dropout 0); another BLAS build or CPU may round a GEMM
-# differently, so the test compares against the reference run, not these.
+# OpenBLAS 0.3.31 on an AVX-512 (Sapphire Rapids) Xeon: the atomic rows
+# taken with the padded kernels (the dropout-0 row with the kernels that
+# skipped the mask at dropout 0), the sequence rows with the live-cell
+# kernels; another BLAS build or CPU may round a GEMM differently, so the
+# test compares against the reference run, not these.
 RECORDED_DIGESTS = {
     ("sequence", "fourier", "every-step", 0.2):
-        "e11ba65562d60a1771ef8486ef28eeed02867623ca1345aca97975e467586312",
+        "ec77d34489eb4eb6b65a5b60660be0ac1fcacda66393d7d15a191a4936e5fb54",
     ("sequence", "fourier", "every-step", 0.0):
-        "a3fe108d5d26b6e886d9f75afa5907ec55f8ed4eaf3f01675e456efddaf0216f",
+        "f5a5c975fa406b7ecbb76323f4155130dacc956557036c88a8cc1971a3276ddc",
     ("sequence", "buckets", "init-state", 0.2):
-        "62b65d0cbdccba89e1b46795bd264eb799fe3af5c97ca5d3bbfb9e04b54f72cf",
+        "a91cdcb2188fb42e17eca6476be3dbe43906cd03bba488bb5174aa2b6b59f25f",
     ("sequence", "raw", "init-state", 0.0):
-        "fce9b95cf61b617756009ec74a016900c53b4ebf4bbdf37b98f0f855c91fc12d",
+        "95f3a934d32b3d59786b3f956c88165dd1e9ff80b201b9fff0e729035fc7e23c",
     ("atomic", "buckets", "every-step", 0.2):
         "968b8fc1b57a68f0973136a9de4e62040d3b57c61f8dbbf7f89b714e26113f90",
     ("atomic", "fourier", "every-step", 0.0):
