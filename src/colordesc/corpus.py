@@ -577,21 +577,23 @@ class EncodedDataset:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def teacher_forcing(self, rows: np.ndarray):
-        """(in_ids, targets, mask) for rows ``rows``: inputs ids[:-1] and
-        targets ids[1:], both int64 and padded with </s> to the longest
-        row's T steps, and a float64 mask that is 1.0 over real target
-        positions."""
+    def steps(self, rows=slice(None)) -> np.ndarray:
+        """The step count of each row of ``rows`` (all rows by default):
+        its tokens and </s>, the targets its <s> ... </s> entry gives."""
         entries = self.codes[rows]
-        start = self.offsets[entries]
-        steps = self.offsets[entries + 1] - start - 1
-        mask = np.arange(steps.max()) < steps[:, None]
-        src = (start[:, None] + np.arange(mask.shape[1]))[mask]
-        in_ids = np.full(mask.shape, END_ID, dtype=np.int64)
-        targets = in_ids.copy()
-        in_ids[mask] = self.flat_ids[src]
-        targets[mask] = self.flat_ids[src + 1]
-        return in_ids, targets, mask.astype(np.float64)
+        return self.offsets[entries + 1] - self.offsets[entries] - 1
+
+    def teacher_forcing(self, rows: np.ndarray):
+        """(ids, steps) for rows ``rows``: ``steps`` as ``steps(rows)``
+        gives it, and ``ids`` one (B, T + 1) int64 array of each row's
+        <s> ... </s>, padded with </s>, where T is the longest row's step
+        count. Step t reads input ids[:, t] and target ids[:, t + 1]."""
+        steps = self.steps(rows)
+        start = self.offsets[self.codes[rows]]
+        live = np.arange(steps.max() + 1) <= steps[:, None]
+        ids = np.full(live.shape, END_ID, dtype=np.int64)
+        ids[live] = self.flat_ids[(start[:, None] + np.arange(live.shape[1]))[live]]
+        return ids, steps
 
 
 def encode_dataset(ds: Dataset, vocab: Vocabulary) -> EncodedDataset:

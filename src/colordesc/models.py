@@ -382,7 +382,7 @@ class SequenceDecoderModel(_Model):
         Chunks are cut from the call's rows ordered longest first, so a
         chunk runs only the steps its own rows need."""
         enc = EncodedDataset(*self.vocab.encode_batch(token_seqs), codes)
-        order = np.argsort(-np.diff(enc.offsets)[enc.codes], kind="stable")
+        order = np.argsort(-enc.steps(), kind="stable")
         out = np.empty(len(enc), dtype=np.float64)
 
         def score_chunk(lo, hi):
@@ -768,7 +768,8 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
     returns the gradients, with the gradient of the featurized input
     under "feats"; the loop adds that one into the rows of the bucket
     embedding tables that the batch looked up. Dev perplexity is checked
-    ``evals_per_epoch`` times per epoch; training stops after
+    after the batch that ends each ``evals_per_epoch``-th of an epoch, at
+    most once per batch (one batch, one check); training stops after
     ``patience`` consecutive non-improving checks and the best parameters
     are restored.
     """

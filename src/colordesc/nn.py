@@ -208,8 +208,10 @@ class Adagrad:
 # mode, or the embedding alone in init-state mode (where a learned linear
 # map of the features initializes h0 and c0). Output layer + softmax over
 # the full vocabulary at every step. Loss: cross-entropy summed over a
-# description's tokens, averaged over descriptions in the batch, with
-# padded positions masked out.
+# description's steps, averaged over descriptions in the batch. A batch is
+# ``EncodedDataset.teacher_forcing``'s (ids, steps): row b's step t, for
+# t < steps[b], reads input ids[b, t] and target ids[b, t + 1], and its
+# ids past steps[b] are never read.
 
 def sequence_layout(cfg: TrainingConfig, vocab_size: int, feature_width: int) -> list:
     """(name, shape, dtype, init) of every sequence-decoder tensor, in
@@ -366,51 +368,49 @@ def _softmax_xent(logits: np.ndarray, targets: np.ndarray):
     return logp, dlogits
 
 
-def _longest_first(mask: np.ndarray):
-    """(order, n_live) of a (B, T) mask. A row's length is one past its
-    last nonzero mask entry. ``order`` lists the rows longest first (a
-    stable sort), and n_live[t] counts the rows longer than t, for each t
-    below the longest length: step t's live rows are order[:n_live[t]]."""
-    lengths = np.max((mask != 0) * np.arange(1, mask.shape[1] + 1), axis=1, initial=0)
-    order = np.argsort(-lengths, kind="stable")
+def _longest_first(steps: np.ndarray):
+    """(order, n_live) of rows of the given step counts. ``order`` lists
+    the rows longest first (a stable sort), and n_live[t] counts the rows
+    longer than t, for each t below the longest: step t's live rows are
+    order[:n_live[t]]."""
+    order = np.argsort(-steps, kind="stable")
     # the rows of each length, longest first, added up
-    n_live = np.bincount(lengths)[:0:-1].cumsum()[::-1]
+    n_live = np.bincount(steps)[:0:-1].cumsum()[::-1]
     return order, n_live
 
 
 def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
-                     in_ids: np.ndarray, targets: np.ndarray, mask: np.ndarray,
-                     rng=None):
+                     ids: np.ndarray, steps: np.ndarray, rng=None):
     """Teacher-forced training pass.
 
-    feats: (B, F) featurized colors; in_ids/targets/mask: (B, T).
-    Returns (loss, cache); loss is the batch-mean summed cross-entropy.
-    The hidden states always pass through one (B, T, H) dropout mask
-    drawn from ``rng`` (``dropout_mask``), in input row order. At
+    feats: (B, F) featurized colors; ids, steps: a batch as
+    ``EncodedDataset.teacher_forcing`` gives it. Returns (loss, cache);
+    loss is the batch-mean summed cross-entropy. The hidden states always
+    pass through one (B, T, H) dropout mask drawn from ``rng``
+    (``dropout_mask``), in input row order, T the longest row's steps. At
     dropout 0 the mask is all ones, nothing is drawn and ``rng`` may be
     None; multiplying by 1 is exact. A fresh generator of a fixed seed
     pins the mask.
 
-    Only live cells run: a row's (row, step) cells up to its length
+    Only live cells run: a row's (row, step) cells below its step count
     (``_longest_first``). Rows run longest first and step t advances the
     prefix of rows live at t, so every per-cell value is packed
-    step-major, one contiguous (n_live[t], ...) block per step. A mask-0
-    cell inside a row's length advances the recurrence and takes no
-    loss: the output product, the log-softmax and the logit gradient
-    (p - onehot) * mask / B run on the scored cells (mask != 0) alone,
-    in place in one (scored cells, V) buffer (``_softmax_xent``).
+    step-major, one contiguous (n_live[t], ...) block per step. Every
+    live cell takes its loss: the output product, the log-softmax and
+    the logit gradient (p - onehot) / B run in place in one
+    (live cells, V) buffer (``_softmax_xent``).
     """
-    B, T = in_ids.shape
+    B = len(steps)
     H = cfg.hidden_size
     dt = cfg.np_dtype
-    order, n_live = _longest_first(mask)
+    order, n_live = _longest_first(steps)
     # step t's cells are bounds[t]:bounds[t + 1], the rows order[:n_live[t]]
     bounds = np.concatenate([[0], np.cumsum(n_live)])
-    steps = np.repeat(np.arange(len(n_live)), n_live)
-    rank = np.arange(bounds[-1]) - bounds[steps]
+    cell_step = np.repeat(np.arange(len(n_live)), n_live)
+    rank = np.arange(bounds[-1]) - bounds[cell_step]
     rows = order[rank]
-    ids = in_ids[rows, steps]
-    X = _step_inputs(params, cfg, feats[rows], ids)
+    in_ids = ids[rows, cell_step]
+    X = _step_inputs(params, cfg, feats[rows], in_ids)
     AX = X @ params["lstm.W_x"] + params["lstm.b"]
 
     # states[:B] hold the sorted rows' initial states and states[B:] each
@@ -431,24 +431,21 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
         _lstm_step(a, neg_w[:, :n], c_states[p : p + n], gates[:, cell], cells[cell],
                    tanh_c[cell], hidden[cell])
 
-    scored = np.flatnonzero(mask[rows, steps])
-    at = rows[scored], steps[scored]  # the scored cells' (row, step)
-    weight = mask[at]
-    drop = dropout_mask(rng, (B, T, H), cfg.dropout, dt)[at]
-    dropped = hidden[scored] * drop
+    drop = dropout_mask(rng, (B, len(n_live), H), cfg.dropout, dt)[rows, cell_step]
+    dropped = hidden * drop
     logits = dropped @ params["out.W"]
     logits += params["out.b"]
-    logp, dlogits = _softmax_xent(logits, targets[at])
-    loss = float((-logp * weight).sum(dtype=np.float64) / B)
+    logp, dlogits = _softmax_xent(logits, ids[rows, cell_step + 1])
+    loss = float((-logp).sum(dtype=np.float64) / B)
     if not np.isfinite(loss):
         raise TrainingDivergence("non-finite loss in sequence forward pass")
-    dlogits *= (weight / B).astype(dt)[:, None]
+    dlogits *= dt(1.0 / B)  # the rounded 1/B, not a division: checkpoint bytes rest on it
 
     cache = {
-        "cfg": cfg, "params": params, "feats": feats, "X": X, "ids": ids,
-        "order": order, "n_live": n_live, "bounds": bounds, "prev_cell": prev[steps] + rank,
+        "cfg": cfg, "params": params, "feats": feats, "X": X, "ids": in_ids,
+        "order": order, "n_live": n_live, "bounds": bounds, "prev_cell": prev[cell_step] + rank,
         "h_states": h_states, "c_states": c_states, "gates": gates, "tanh_c": tanh_c,
-        "scored": scored, "dropped": dropped, "drop": drop, "dlogits": dlogits,
+        "dropped": dropped, "drop": drop, "dlogits": dlogits,
     }
     return loss, cache
 
@@ -479,8 +476,7 @@ def sequence_backward(cache) -> Params:
     grads: Params = {}
     grads["out.W"] = cache["dropped"].T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
-    dH_out = np.zeros((N, H), dtype=dt)
-    dH_out[cache["scored"]] = (dlogits @ params["out.W"].T) * cache["drop"]
+    dH_out = (dlogits @ params["out.W"].T) * cache["drop"]
 
     # each cell's local derivatives, computed once for all steps: from the
     # gradients dh and dc_next reaching its hidden and cell states,
@@ -568,26 +564,25 @@ def _tile_matmul(x: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
-                      in_ids: np.ndarray, targets: np.ndarray,
-                      mask: np.ndarray) -> np.ndarray:
-    """Per-item log probability (nats) of the target sequences, dropout off.
+                      ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Per-item log probability (nats) of the target sequences, dropout
+    off, for a batch as ``EncodedDataset.teacher_forcing`` gives it.
 
-    A row's length is one past its last nonzero mask entry. Rows run
-    longest first (stable order), and step t advances the prefix of rows
-    still live at t, rounded up to whole tiles (``TILE``), from that
-    step's inputs alone, so a call's buffers grow with its rows and not
-    with its steps. The log-softmax is taken on the live rows at the
-    target only, z[target] - log(sum(exp(z))) with z = logits - max in
-    float64, the same operations as a full log-softmax row. Scores come
-    back in input order, summed over steps per item in float64.
+    Rows run longest first (stable order), and step t advances the
+    prefix of rows still live at t, rounded up to whole tiles (``TILE``),
+    from that step's inputs alone, so a call's buffers grow with its rows
+    and not with its steps. The log-softmax is taken on the live rows at
+    the target only, z[target] - log(sum(exp(z))) with z = logits - max
+    in float64, the same operations as a full log-softmax row. Scores
+    come back in input order, summed over steps per item in float64.
     """
-    B, T = in_ids.shape
-    order, n_live = _longest_first(mask)
+    B = len(steps)
+    order, n_live = _longest_first(steps)
     k_live = -(-n_live // TILE)
     feats = _tiles(feats[order])
     h, c = sequence_initial_state(params, cfg, feats)
-    feats, ids = feats.reshape(-1, feats.shape[-1]), _tiles(in_ids[order]).reshape(-1, T)
-    targets, mask = targets[order], mask[order]
+    feats = feats.reshape(-1, feats.shape[-1])
+    ids = _tiles(ids[order]).reshape(-1, ids.shape[1])
 
     # each step overwrites the live tiles of one state stack in place
     neg_w = negated_peepholes(params, TILE)
@@ -602,7 +597,7 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
         _lstm_step(a, neg_w, c[:k], gates[:, :k], c[:k], tanh_c[:k], h[:k])
         step_logits = np.matmul(h[:k], params["out.W"], out=logits[:k])
         step_logits += params["out.b"]
-        total[:n] += _log_softmax_at(_rows(step_logits, n), targets[:n, t]) * mask[:n, t]
+        total[:n] += _log_softmax_at(_rows(step_logits, n), ids[:n, t + 1])
     out = np.empty(B, dtype=np.float64)
     out[order] = total
     return out

@@ -124,11 +124,14 @@ def tile_matmul(x, W):
     return np.concatenate([tile @ W for tile in np.split(tiles, k)])[:n]
 
 
-def padded_sequence_logprobs(params, cfg, feats, in_ids, targets, mask):
-    """The padded scorer: every row runs all T steps, the full (B, V)
-    log-softmax is built at each step and the mask zeroes padding. Every
-    product runs on whole tiles (``tile_matmul``)."""
+def padded_sequence_logprobs(params, cfg, feats, ids, steps):
+    """The padded scorer: every row runs all T steps of the (B, T + 1)
+    ``ids``, the full (B, V) log-softmax is built at each step and a mask
+    of each row's ``steps`` zeroes padding. Every product runs on whole
+    tiles (``tile_matmul``)."""
+    in_ids, targets = ids[:, :-1], ids[:, 1:]
     B, T = in_ids.shape
+    mask = (np.arange(T) < steps[:, None]).astype(np.float64)
     H = cfg.hidden_size
     X = params["emb"][in_ids]
     if cfg.conditioning == "every-step":

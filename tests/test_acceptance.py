@@ -66,18 +66,17 @@ def test_criterion_01_gradients_match_finite_differences():
         feats = fourier_feature_array(
             rng.uniform((0, 0, 0), (360, 100, 100), size=(2, 3))
         ).astype(np.float64)
-        in_ids = rng.integers(0, len(vocab), size=(2, 3))
-        in_ids[:, 0] = START_ID
-        targets = rng.integers(3, len(vocab), size=(2, 3))
-        targets[:, -1] = END_ID
-        mask = np.ones((2, 3))
+        # <s>, two content tokens, </s>: three steps a row
+        ids = rng.integers(3, len(vocab), size=(2, 4))
+        ids[:, 0] = START_ID
+        ids[:, -1] = END_ID
+        steps = np.full(2, 3)
 
         def loss_fn():
-            loss, _ = nn.sequence_forward(params, cfg, feats, in_ids,
-                                          targets, mask)
+            loss, _ = nn.sequence_forward(params, cfg, feats, ids, steps)
             return loss
 
-        _, cache = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask)
+        _, cache = nn.sequence_forward(params, cfg, feats, ids, steps)
         grads = nn.sequence_backward(cache)
         worst = fd_max_relative_error(params, loss_fn, grads)
         worst_overall = max(worst_overall, worst)

@@ -257,19 +257,15 @@ def test_encode_dataset_layout():
 
 
 def padded_batch(id_seqs):
-    """Per-item padding of encoded sequences (with sentinels): inputs
-    ids[:-1], targets ids[1:], mask over real target positions."""
+    """Per-item padding of encoded sequences (with sentinels): the ids
+    padded with </s> to the longest, and each sequence's step count."""
     B = len(id_seqs)
-    T = max(len(s) for s in id_seqs) - 1
-    in_ids = np.full((B, T), END_ID, dtype=np.int64)
-    targets = np.full((B, T), END_ID, dtype=np.int64)
-    mask = np.zeros((B, T), dtype=np.float64)
+    ids = np.full((B, max(map(len, id_seqs))), END_ID, dtype=np.int64)
+    steps = np.zeros(B, dtype=np.int64)
     for b, seq in enumerate(id_seqs):
-        L = len(seq) - 1
-        in_ids[b, :L] = seq[:-1]
-        targets[b, :L] = seq[1:]
-        mask[b, :L] = 1.0
-    return in_ids, targets, mask
+        ids[b, : len(seq)] = seq
+        steps[b] = len(seq) - 1
+    return ids, steps
 
 
 WORDS = ["red", "blue", "light", "dark", "ish", "zzz", "qq"]

@@ -41,13 +41,10 @@ def per_row_teacher_forcing(vocab: Vocabulary, ds: Dataset, rows: np.ndarray):
     flat, offsets = vocab.encode_batch([d.tokens for d in ds.descriptions])
     start = offsets[rows]
     steps = offsets[rows + 1] - start - 1
-    mask = np.arange(steps.max()) < steps[:, None]
-    src = (start[:, None] + np.arange(mask.shape[1]))[mask]
-    in_ids = np.full(mask.shape, END_ID, dtype=np.int64)
-    targets = in_ids.copy()
-    in_ids[mask] = flat[src]
-    targets[mask] = flat[src + 1]
-    return in_ids, targets, mask.astype(np.float64)
+    live = np.arange(steps.max() + 1) <= steps[:, None]
+    ids = np.full(live.shape, END_ID, dtype=np.int64)
+    ids[live] = flat[(start[:, None] + np.arange(live.shape[1]))[live]]
+    return ids, steps
 
 
 def per_row_inventory(ds: Dataset):

@@ -979,9 +979,9 @@ def test_sequence_chunks_take_the_calls_rows_longest_first(monkeypatch):
     real = nn.sequence_logprobs
     chunks = []  # the step counts of each chunk's rows
 
-    def recording(params, cfg, feats, in_ids, targets, mask):
-        chunks.append(np.count_nonzero(mask, axis=1))
-        return real(params, cfg, feats, in_ids, targets, mask)
+    def recording(params, cfg, feats, ids, steps):
+        chunks.append(steps.copy())
+        return real(params, cfg, feats, ids, steps)
 
     monkeypatch.setattr(nn, "sequence_logprobs", recording)
     ds = _phrases(2000, 13)

@@ -224,17 +224,16 @@ def test_sequence_init_determinism():
 
 
 def _random_sequence_setup(seed, conditioning, dropout=0.2, V=5, F=6, B=3, T=4):
+    """A random model, (B, T + 1) random ids and step counts in 1..T."""
     cfg = TrainingConfig(hidden_size=4, embedding_dim=3, dropout=dropout,
                          conditioning=conditioning, dtype="float64",
                          seed=seed).validate()
     rng = np.random.default_rng(seed)
     params = nn.init_params(nn.sequence_layout(cfg, V, F), rng)
     feats = rng.standard_normal((B, F))
-    in_ids = rng.integers(0, V, (B, T))
-    targets = rng.integers(0, V, (B, T))
-    mask = (rng.random((B, T)) < 0.8).astype(np.float64)
-    mask[:, 0] = 1.0
-    return cfg, params, feats, in_ids, targets, mask
+    ids = rng.integers(0, V, (B, T + 1))
+    steps = rng.integers(1, T + 1, B)
+    return cfg, params, feats, ids, steps
 
 
 def _mask_rng(seed):
@@ -246,16 +245,13 @@ def _mask_rng(seed):
 @pytest.mark.parametrize("conditioning", ["every-step", "init-state"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sequence_gradients_match_finite_differences(conditioning, seed):
-    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
-        seed, conditioning)
+    cfg, params, feats, ids, steps = _random_sequence_setup(seed, conditioning)
 
     def loss_fn():
-        loss, _ = nn.sequence_forward(params, cfg, feats, in_ids, targets,
-                                      mask, rng=_mask_rng(seed))
+        loss, _ = nn.sequence_forward(params, cfg, feats, ids, steps, rng=_mask_rng(seed))
         return loss
 
-    _, cache = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask,
-                                   rng=_mask_rng(seed))
+    _, cache = nn.sequence_forward(params, cfg, feats, ids, steps, rng=_mask_rng(seed))
     grads = nn.sequence_backward(cache)
     dfeats = grads.pop("feats")
     assert fd_max_relative_error(params, loss_fn, grads) <= 1e-4
@@ -278,16 +274,15 @@ def test_sequence_gradients_match_finite_differences(conditioning, seed):
 
 
 def test_zero_weight_model_gradients_match_finite_differences():
-    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
-        3, "every-step", dropout=0.0)
+    cfg, params, feats, ids, steps = _random_sequence_setup(3, "every-step", dropout=0.0)
     for v in params.values():
         v[...] = 0.0
 
     def loss_fn():
-        loss, _ = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask)
+        loss, _ = nn.sequence_forward(params, cfg, feats, ids, steps)
         return loss
 
-    _, cache = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask)
+    _, cache = nn.sequence_forward(params, cfg, feats, ids, steps)
     grads = nn.sequence_backward(cache)
     grads.pop("feats")
     assert fd_max_relative_error(params, loss_fn, grads) <= 1e-4
@@ -305,51 +300,45 @@ def test_padded_positions_get_exactly_zero_gradient(monkeypatch):
     real_step = nn._lstm_step
     monkeypatch.setattr(nn, "_lstm_step", recorded_step)
     T = 4
-    cfg, params, feats, in_ids, targets, _ = _random_sequence_setup(4, "every-step", B=T, T=T)
-    ladder = (np.arange(T) < np.arange(1, T + 1)[:, None]).astype(np.float64)
-    nn.sequence_backward(nn.sequence_forward(params, cfg, feats, in_ids, targets, ladder,
+    cfg, params, feats, ids, _ = _random_sequence_setup(4, "every-step", B=T, T=T)
+    nn.sequence_backward(nn.sequence_forward(params, cfg, feats, ids, np.arange(1, T + 1),
                                              rng=_mask_rng(4))[1])
     assert advanced == [4, 3, 2, 1]
 
-    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
-        4, "every-step")
-    mask[:, -1] = 0.0
-    mask[0, -2] = 0.0
-    mask[1, 1] = 0.0  # an interior zero: its input still feeds later steps
+    cfg, params, feats, ids, _ = _random_sequence_setup(4, "every-step", B=4)
+    steps = np.array([2, 3, 1, 0])  # a row of no steps takes no loss
 
-    def run(in_ids, targets):
-        loss, cache = nn.sequence_forward(params, cfg, feats, in_ids, targets,
-                                          mask, rng=_mask_rng(4))
+    def run(ids):
+        loss, cache = nn.sequence_forward(params, cfg, feats, ids, steps, rng=_mask_rng(4))
         return loss, cache, nn.sequence_backward(cache)
 
-    loss_a, _, grads_a = run(in_ids, targets)
-    # perturbing a padded target, or an input after a row's last live
-    # cell, leaves the loss and every gradient bit-equal
-    alt_targets = targets.copy()
-    alt_targets[mask == 0.0] = (alt_targets[mask == 0.0] + 1) % 5
-    alt_in = in_ids.copy()
-    alt_in[0, -2] = (alt_in[0, -2] + 1) % 5
-    alt_in[:, -1] = (alt_in[:, -1] + 2) % 5
-    for ids, tgt in ((in_ids, alt_targets), (alt_in, targets), (alt_in, alt_targets)):
-        loss_b, _, grads_b = run(ids, tgt)
+    loss_a, _, grads_a = run(ids)
+    assert loss_a > 0.0 and not grads_a["feats"][3].any()
+    # perturbing an id past a row's steps + 1 (the input after its last
+    # step, or a target after its last one) leaves the loss and every
+    # gradient bit-equal
+    past = np.arange(ids.shape[1]) > steps[:, None]
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        alt = ids.copy()
+        alt[past] = (alt[past] + rng.integers(1, 5, past.sum())) % 5
+        loss_b, _, grads_b = run(alt)
         assert loss_a == loss_b
         for k in grads_a:
             assert grads_a[k].tobytes() == grads_b[k].tobytes(), k
 
 
 def test_sequence_forward_raises_on_divergence():
-    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
-        5, "every-step", dropout=0.0)
+    cfg, params, feats, ids, steps = _random_sequence_setup(5, "every-step", dropout=0.0)
     params["out.b"][...] = np.nan
     with pytest.raises(TrainingDivergence):
-        nn.sequence_forward(params, cfg, feats, in_ids, targets, mask)
+        nn.sequence_forward(params, cfg, feats, ids, steps)
 
 
 def test_sequence_logprobs_agrees_with_loss():
-    cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
-        6, "every-step", dropout=0.0)
-    loss, _ = nn.sequence_forward(params, cfg, feats, in_ids, targets, mask)
-    logs = nn.sequence_logprobs(params, cfg, feats, in_ids, targets, mask)
+    cfg, params, feats, ids, steps = _random_sequence_setup(6, "every-step", dropout=0.0)
+    loss, _ = nn.sequence_forward(params, cfg, feats, ids, steps)
+    logs = nn.sequence_logprobs(params, cfg, feats, ids, steps)
     assert loss == pytest.approx(float(-logs.sum() / len(logs)), rel=1e-9)
 
 
@@ -375,12 +364,10 @@ def test_atomic_gradients_match_finite_differences(seed):
 
 def test_update_determinism_over_many_steps():
     def run():
-        cfg, params, feats, in_ids, targets, mask = _random_sequence_setup(
-            8, "every-step", dropout=0.0)
+        cfg, params, feats, ids, steps = _random_sequence_setup(8, "every-step", dropout=0.0)
         opt = nn.Adagrad(params, 0.1)
         for _ in range(25):
-            _, cache = nn.sequence_forward(params, cfg, feats, in_ids,
-                                           targets, mask)
+            _, cache = nn.sequence_forward(params, cfg, feats, ids, steps)
             grads = nn.sequence_backward(cache)
             grads.pop("feats")
             opt.update(params, grads)
@@ -395,9 +382,9 @@ def test_update_determinism_over_many_steps():
 # -- live-row scoring against the padded scorer
 
 
-def _scoring_setup(seed, B, conditioning, dtype, dims, lengths, holes=False):
-    """A random model and teacher-forcing tensors for rows of the given
-    lengths, padded with </s> to the longest as the models pad them."""
+def _scoring_setup(seed, B, conditioning, dtype, dims, steps):
+    """A random model and a teacher-forcing batch of rows of the given
+    step counts, padded with </s> to the longest as the models pad them."""
     H, E, V, F = dims
     cfg = TrainingConfig(hidden_size=H, embedding_dim=E, dropout=0.0,
                          conditioning=conditioning, dtype=dtype,
@@ -406,15 +393,9 @@ def _scoring_setup(seed, B, conditioning, dtype, dims, lengths, holes=False):
     params = nn.init_params(nn.sequence_layout(cfg, V, F), rng)
     params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
-    T = int(lengths.max())
-    mask = (np.arange(T) < lengths[:, None]).astype(np.float64)
-    if holes:
-        # interior zeros: a row's length is one past its last nonzero entry
-        mask *= rng.random(mask.shape) < 0.7
-    seqs = rng.integers(0, V, (B, T + 1))
-    in_ids = np.where(mask > 0, seqs[:, :-1], END_ID)
-    targets = np.where(mask > 0, seqs[:, 1:], END_ID)
-    return params, cfg, feats, in_ids, targets, mask
+    seqs = rng.integers(0, V, (B, int(steps.max()) + 1))
+    ids = np.where(np.arange(seqs.shape[1]) <= steps[:, None], seqs, END_ID)
+    return params, cfg, feats, ids, steps
 
 
 @settings(max_examples=90, deadline=None)
@@ -422,7 +403,7 @@ def _scoring_setup(seed, B, conditioning, dtype, dims, lengths, holes=False):
        conditioning=st.sampled_from(["every-step", "init-state"]),
        dtype=st.sampled_from(["float32", "float64"]),
        dims=st.sampled_from([(4, 3, 7, 5), (20, 20, 400, 54), (50, 20, 400, 54)]),
-       layout=st.sampled_from(["random", "one-longest", "holes"]),
+       layout=st.sampled_from(["random", "one-longest"]),
        seed=st.integers(0, 2**32 - 1))
 def test_sequence_logprobs_equals_padded_scorer(B, conditioning, dtype, dims,
                                                 layout, seed):
@@ -432,8 +413,7 @@ def test_sequence_logprobs_equals_padded_scorer(B, conditioning, dtype, dims,
         # the last step has one live row, which still runs in a whole tile
         lengths = rng.integers(1, 6, B)
         lengths[rng.integers(B)] = 6
-    setup = _scoring_setup(seed, B, conditioning, dtype, dims, lengths,
-                           holes=layout == "holes")
+    setup = _scoring_setup(seed, B, conditioning, dtype, dims, lengths)
     got = nn.sequence_logprobs(*setup)
     want = padded_sequence_logprobs(*setup)
     assert got.dtype == np.float64
@@ -488,26 +468,46 @@ def test_scoring_working_set_does_not_grow_with_steps():
 def test_sequence_logprobs_single_row_and_all_masked():
     # a lone row scores as its row of a larger batch does
     lengths = np.array([4, 2, 5, 1, 3])
-    params, cfg, feats, in_ids, targets, mask = _scoring_setup(
+    params, cfg, feats, ids, steps = _scoring_setup(
         2, len(lengths), "init-state", "float32", (50, 20, 400, 54), lengths)
-    batch = nn.sequence_logprobs(params, cfg, feats, in_ids, targets, mask)
+    batch = nn.sequence_logprobs(params, cfg, feats, ids, steps)
     for i in range(len(lengths)):
-        alone = nn.sequence_logprobs(params, cfg, feats[i : i + 1], in_ids[i : i + 1],
-                                     targets[i : i + 1], mask[i : i + 1])
+        alone = nn.sequence_logprobs(params, cfg, feats[i : i + 1], ids[i : i + 1],
+                                     steps[i : i + 1])
         assert alone.tobytes() == batch[i : i + 1].tobytes(), i
     for lengths in (np.array([4]), np.array([1, 1])):
         setup = _scoring_setup(3, len(lengths), "init-state", "float32",
                                (20, 20, 400, 54), lengths)
         np.testing.assert_array_equal(nn.sequence_logprobs(*setup),
                                       padded_sequence_logprobs(*setup))
-    # one row whose mask ends early: steps 1-3 have no live row
-    params, cfg, feats, in_ids, targets, mask = _scoring_setup(
+    # one row that ends early, at one step of the ids' four: steps 1-3
+    # have no live row
+    params, cfg, feats, ids, steps = _scoring_setup(
         5, 1, "every-step", "float32", (20, 20, 400, 54), np.array([4]))
-    mask[:, 1:] = 0.0
-    setup = (params, cfg, feats, in_ids, targets, mask)
+    setup = (params, cfg, feats, ids, np.array([1]))
     np.testing.assert_array_equal(nn.sequence_logprobs(*setup),
                                   padded_sequence_logprobs(*setup))
-    params, cfg, feats, in_ids, targets, mask = _scoring_setup(
+    # rows of no steps score log 1 = 0
+    params, cfg, feats, ids, steps = _scoring_setup(
         4, 3, "every-step", "float64", (4, 3, 7, 5), np.array([2, 1, 2]))
-    got = nn.sequence_logprobs(params, cfg, feats, in_ids, targets, mask * 0.0)
+    got = nn.sequence_logprobs(params, cfg, feats, ids, steps * 0)
     np.testing.assert_array_equal(got, np.zeros(3))
+
+
+@pytest.mark.parametrize("B", [1, 63, 64, 65, 513])
+@pytest.mark.parametrize("conditioning", ["every-step", "init-state"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_sequence_logprobs_never_reads_past_a_rows_length(B, conditioning, dtype):
+    # ids past a row's steps + 1 hold random in-vocabulary ids instead of
+    # </s>: the scores keep every bit
+    rng = np.random.default_rng(B)
+    lengths = rng.integers(1, 7, B)
+    lengths[0] = 6
+    params, cfg, feats, ids, steps = _scoring_setup(
+        B, B, conditioning, dtype, (20, 20, 400, 54), lengths)
+    want = nn.sequence_logprobs(params, cfg, feats, ids, steps)
+    past = np.arange(ids.shape[1]) > steps[:, None]
+    assert past.any() or B == 1
+    alt = ids.copy()
+    alt[past] = rng.integers(0, 400, past.sum())
+    assert nn.sequence_logprobs(params, cfg, feats, alt, steps).tobytes() == want.tobytes()

@@ -31,13 +31,15 @@ from colordesc.models import BUCKET_PARAM_NAMES, save_checkpoint, train_model
 from conftest import lstm_step_full
 
 
-def padded_sequence_forward(params, cfg, feats, in_ids, targets, mask, rng=None):
+def padded_sequence_forward(params, cfg, feats, ids, steps, rng=None):
     """Teacher-forced forward pass.
 
-    feats: (B, F) featurized colors; in_ids/targets/mask: (B, T).
+    feats: (B, F) featurized colors; ids: (B, T + 1); steps: (B,).
     Returns (loss, cache); loss is the batch-mean summed cross-entropy.
     """
+    in_ids, targets = ids[:, :-1], ids[:, 1:]
     B, T = in_ids.shape
+    mask = (np.arange(T) < steps[:, None]).astype(np.float64)
     H = cfg.hidden_size
     dt = cfg.np_dtype
     # inputs of every (row, step) pair, row-major, and their input
@@ -170,28 +172,24 @@ def padded_sequence_backward(cache):
     return grads
 
 
-def _live_cells(mask):
-    """(order, step_rows): the rows longest first (a stable sort), a
-    row's length one past its last nonzero mask entry, and for each step
-    the rows still live at it."""
-    lengths = np.array([np.flatnonzero(row)[-1] + 1 if row.any() else 0 for row in mask],
-                       dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    return order, [order[lengths[order] > t] for t in range(lengths.max(initial=0))]
+def _live_cells(steps):
+    """(order, step_rows): the rows longest first (a stable sort), and for
+    each step the rows still live at it."""
+    order = np.argsort(-steps, kind="stable")
+    return order, [order[steps[order] > t] for t in range(steps.max(initial=0))]
 
 
-def live_sequence_forward(params, cfg, feats, in_ids, targets, mask, rng=None):
+def live_sequence_forward(params, cfg, feats, ids, steps, rng=None):
     """Teacher-forced forward pass on live cells, packed step-major:
-    step t runs the rows live at t, longest first. Cells with mask 0
-    inside a row's length advance the recurrence and take no loss."""
-    B, T = in_ids.shape
+    step t runs the rows live at t, longest first."""
+    B = len(steps)
     H = cfg.hidden_size
     dt = cfg.np_dtype
-    order, step_rows = _live_cells(mask)
+    order, step_rows = _live_cells(steps)
     rows = np.concatenate([np.zeros(0, dtype=np.int64)] + step_rows)
-    steps = np.concatenate([np.zeros(0, dtype=np.int64)]
-                           + [np.full(len(r), t) for t, r in enumerate(step_rows)])
-    X = nn._step_inputs(params, cfg, feats[rows], in_ids[rows, steps])
+    cell_steps = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                + [np.full(len(r), t) for t, r in enumerate(step_rows)])
+    X = nn._step_inputs(params, cfg, feats[rows], ids[rows, cell_steps])
     AX = X @ params["lstm.W_x"] + params["lstm.b"]
 
     h, c = nn.sequence_initial_state(params, cfg, feats[order])
@@ -217,22 +215,20 @@ def live_sequence_forward(params, cfg, feats, in_ids, targets, mask, rng=None):
         return np.concatenate([np.zeros((0, H), dtype=dt)] + blocks)
 
     hidden = packed(hidden)
-    drop_mask = nn.dropout_mask(rng, (B, T, H), cfg.dropout, dt)[rows, steps]
-    scored = mask[rows, steps] != 0
-    dropped = hidden[scored] * drop_mask[scored]
+    drop_mask = nn.dropout_mask(rng, (B, len(step_rows), H), cfg.dropout, dt)[rows, cell_steps]
+    dropped = hidden * drop_mask
     logits = dropped @ params["out.W"] + params["out.b"]
     logp = nn.log_softmax(logits, axis=1)
-    weight = mask[rows, steps][scored]
-    score_targets = targets[rows, steps][scored]
-    nll = -logp[np.arange(len(logp)), score_targets] * weight
+    targets = ids[rows, cell_steps + 1]
+    nll = -logp[np.arange(len(logp)), targets]
     loss = float(nll.sum(dtype=np.float64) / B)
     if not np.isfinite(loss):
         raise TrainingDivergence("non-finite loss in sequence forward pass")
 
     cache = {
         "cfg": cfg, "params": params, "feats": feats, "X": X, "order": order,
-        "rows": rows, "step_rows": step_rows, "ids": in_ids[rows, steps], "scored": scored,
-        "weight": weight, "targets": score_targets, "h_prev": packed(h_prev),
+        "rows": rows, "step_rows": step_rows, "ids": ids[rows, cell_steps],
+        "targets": targets, "h_prev": packed(h_prev),
         "c_prev": packed(c_prev), "i": packed(gates_i), "f": packed(gates_f),
         "g": packed(gates_g), "o": packed(gates_o), "c": packed(cells),
         "tanh_c": packed(tanh_c), "dropped": dropped, "drop_mask": drop_mask,
@@ -254,13 +250,12 @@ def live_sequence_backward(cache):
 
     dlogits = cache["probs"].copy()
     dlogits[np.arange(len(dlogits)), cache["targets"]] -= 1.0
-    dlogits *= (cache["weight"] / B)[:, None].astype(dt)
+    dlogits *= np.asarray(1.0 / B, dtype=dt)
 
     grads = {}
     grads["out.W"] = cache["dropped"].T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
-    dH_out = np.zeros((N, H), dtype=dt)
-    dH_out[cache["scored"]] = (dlogits @ params["out.W"].T) * cache["drop_mask"][cache["scored"]]
+    dH_out = (dlogits @ params["out.W"].T) * cache["drop_mask"]
 
     w_ci, w_cf, w_co = params["lstm.w_ci"], params["lstm.w_cf"], params["lstm.w_co"]
     i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
@@ -381,10 +376,9 @@ def _assert_same_grads(got: dict, want: dict):
         assert _same_bits(got[name], want[name]), name
 
 
-def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes, dropout=0.2):
-    """A random model and teacher-forcing tensors padded with </s> the
-    way ``EncodedDataset.teacher_forcing`` pads them; one row has all T
-    steps. ``holes`` also zeroes interior mask cells."""
+def _sequence_setup(seed, B, T, conditioning, dtype, dims, dropout=0.2):
+    """A random model and a teacher-forcing batch padded with </s> the way
+    ``EncodedDataset.teacher_forcing`` pads it; one row has all T steps."""
     H, E, V, F = dims
     cfg = TrainingConfig(hidden_size=H, embedding_dim=E, dropout=dropout,
                          conditioning=conditioning, dtype=dtype,
@@ -393,16 +387,11 @@ def _sequence_setup(seed, B, T, conditioning, dtype, dims, holes, dropout=0.2):
     params = nn.init_params(nn.sequence_layout(cfg, V, F), rng)
     params["out.W"] *= np.asarray(4.0, dtype=cfg.np_dtype)
     feats = rng.standard_normal((B, F)).astype(cfg.np_dtype)
-    lengths = rng.integers(1, T + 1, B)
-    lengths[rng.integers(B)] = T
-    mask = (np.arange(T) < lengths[:, None]).astype(np.float64)
-    if holes:
-        mask *= rng.random(mask.shape) < 0.7
+    steps = rng.integers(1, T + 1, B)
+    steps[rng.integers(B)] = T
     seqs = rng.integers(0, V, (B, T + 1))
-    padded = np.arange(T) >= lengths[:, None]
-    in_ids = np.where(padded, END_ID, seqs[:, :-1])
-    targets = np.where(padded, END_ID, seqs[:, 1:])
-    return cfg, params, feats, in_ids, targets, mask
+    ids = np.where(np.arange(T + 1) <= steps[:, None], seqs, END_ID)
+    return cfg, params, feats, ids, steps
 
 
 SEQUENCE_BATCHES = dict(
@@ -412,16 +401,15 @@ SEQUENCE_BATCHES = dict(
     dtype=st.sampled_from(["float32", "float64"]),
     dims=st.sampled_from([(4, 3, 7, 5), (20, 20, 400, 54), (50, 8, 7, 5)]),
     dropout=st.booleans(),
-    holes=st.booleans(),
     seed=st.integers(0, 2**32 - 1))
 
 
-def _sequence_passes(reference, B, T, conditioning, dtype, dims, dropout, holes, seed):
+def _sequence_passes(reference, B, T, conditioning, dtype, dims, dropout, seed):
     """(loss, grads) of ``nn``'s sequence pair and of a reference pair on
     one random batch, each given a fresh generator of the same seed."""
-    cfg, params, feats, in_ids, targets, mask = _sequence_setup(
-        seed, B, T, conditioning, dtype, dims, holes, dropout=0.2 if dropout else 0.0)
-    args = (params, cfg, feats, in_ids, targets, mask)
+    cfg, params, feats, ids, steps = _sequence_setup(
+        seed, B, T, conditioning, dtype, dims, dropout=0.2 if dropout else 0.0)
+    args = (params, cfg, feats, ids, steps)
     passes = []
     for forward, backward in ((nn.sequence_forward, nn.sequence_backward), reference):
         loss, cache = forward(*args, rng=np.random.default_rng([seed, 1]))
@@ -455,9 +443,9 @@ def test_sequence_training_pass_matches_padded_reference_within_rounding(**batch
 
 
 def test_sequence_dropout_draws_the_same_stream():
-    cfg, params, feats, in_ids, targets, mask = _sequence_setup(
-        11, 128, 4, "every-step", "float32", (20, 20, 400, 54), holes=False)
-    args = (params, cfg, feats, in_ids, targets, mask)
+    cfg, params, feats, ids, steps = _sequence_setup(
+        11, 128, 4, "every-step", "float32", (20, 20, 400, 54))
+    args = (params, cfg, feats, ids, steps)
     rng_want, rng_got = np.random.default_rng(3), np.random.default_rng(3)
     want_loss, want_cache = live_sequence_forward(*args, rng=rng_want)
     got_loss, got_cache = nn.sequence_forward(*args, rng=rng_got)
