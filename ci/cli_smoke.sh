@@ -109,6 +109,22 @@ write_checkpoint(sys.argv[1], header, tensors)
 PY
 usage_error colordesc top1 --hsv 10,50,50 --ckpt "$atomic"
 usage_error colordesc sample --hsv 10,50,50 --ckpt "$atomic"
+# a NaN in a float tensor: the rewritten copy has a valid checksum and
+# still does not load
+python - "$seq" "$work/nan.ckpt" <<'PY'
+import sys
+import numpy as np
+from colordesc.checkpoint import read_checkpoint, write_checkpoint
+header, tensors = read_checkpoint(sys.argv[1])
+tensors["out.b"] = tensors["out.b"].copy()
+tensors["out.b"][0] = np.nan
+write_checkpoint(sys.argv[2], header, tensors)
+PY
+usage_error colordesc eval --ckpt "$work/nan.ckpt" --data "$data" --out "$work/nan-eval"
+usage_error colordesc top1 --hsv 10,50,50 --ckpt "$work/nan.ckpt"
+usage_error colordesc sample --hsv 10,50,50 --ckpt "$work/nan.ckpt"
+usage_error colordesc denotation --ckpt "$work/nan.ckpt" --desc "dark cyan" \
+  --grid 24x10x10 --outdir "$work/nan-den"
 # an int32 LSTM bias is not the dtype the layout gives it: the rewritten
 # file has a valid checksum and still does not load
 python - "$seq" <<'PY'

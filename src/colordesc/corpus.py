@@ -142,34 +142,46 @@ class _Codes(dict):
         return code
 
 
-@dataclass
 class Dataset:
-    """A split of (color, description) pairs.
+    """A split of (color, description) pairs: ``colors`` (N, 3) float64
+    HSV, ``table`` each distinct Description once in order of first use,
+    ``codes`` the int32 index into ``table`` of each row's description,
+    and ``skipped``, the records dropped at load time.
 
-    Colors are stored as an (N, 3) float64 HSV array; descriptions as a
-    parallel list and as ``codes`` into ``table``, each distinct object once
-    in order of first use. ``skipped`` counts records dropped at load time.
+    ``Dataset(colors, descriptions, ...)`` codes one Description per row
+    by object; ``from_table`` takes a table and codes as they are. The
+    per-row ``descriptions`` is built on its first read.
     """
 
-    colors: np.ndarray
-    descriptions: list[Description]
-    split: str = ""
-    skipped: int = 0
-
-    def __post_init__(self):
-        if len(self.colors) != len(self.descriptions):
-            raise CorpusError("colors and descriptions length mismatch")
+    def __init__(self, colors, descriptions, split: str = "", skipped: int = 0):
         code_of = _Codes()  # id of a distinct Description -> code
-        self.codes = np.fromiter(map(code_of.__getitem__, map(id, self.descriptions)),
-                                 dtype=np.int32, count=len(self.descriptions))
+        codes = np.fromiter(map(code_of.__getitem__, map(id, descriptions)),
+                            dtype=np.int32, count=len(descriptions))
         # the running maximum of the codes steps up at each code's first row
-        first = np.flatnonzero(np.diff(np.maximum.accumulate(self.codes), prepend=-1))
-        self.table = [self.descriptions[i] for i in first.tolist()]
-        if not all(d.tokens for d in self.table):
+        first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
+        table = [descriptions[i] for i in first.tolist()]
+        self._store(colors, table, codes, split, skipped)
+
+    @classmethod
+    def from_table(cls, colors, table, codes, split: str = "", skipped: int = 0):
+        ds = cls.__new__(cls)
+        ds._store(colors, table, codes, split, skipped)
+        return ds
+
+    def _store(self, colors, table, codes, split, skipped):
+        if len(colors) != len(codes):
+            raise CorpusError("colors and descriptions length mismatch")
+        if not all(d.tokens for d in table):
             raise CorpusError("dataset contains an empty description")
+        self.colors, self.table, self.codes = colors, table, codes
+        self.split, self.skipped = split, skipped
+
+    @functools.cached_property
+    def descriptions(self) -> list[Description]:
+        return list(map(self.table.__getitem__, self.codes.tolist()))
 
     def __len__(self) -> int:
-        return len(self.descriptions)
+        return len(self.codes)
 
     def color(self, i: int) -> np.ndarray:
         """A copy of HSV row i."""
@@ -181,11 +193,11 @@ class Dataset:
             return self
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(len(self), size=n, replace=False))
-        return Dataset(
-            colors=self.colors[idx].copy(),
-            descriptions=[self.descriptions[i] for i in idx],
-            split=f"{self.split}[{n}]",
-        )
+        code_of = _Codes()  # code in this table -> code in the subsample's
+        codes = np.fromiter(map(code_of.__getitem__, self.codes[idx].tolist()),
+                            dtype=np.int32, count=n)
+        return Dataset.from_table(self.colors[idx].copy(), [self.table[k] for k in code_of],
+                                  codes, split=f"{self.split}[{n}]")
 
 
 _HEADER_SETS = {
@@ -241,33 +253,35 @@ def load_corpus(path, space: str = "auto", split: str = "") -> Dataset:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     hsv, codes, fields, skipped = loaded
-    del loaded  # the row filter below then frees what it copies: ~45 MB at 1.5M rows
+    del loaded  # what the row filter and renumbering below replace is then freed
     # one Description per distinct text, shared by every row that has it
     distinct = [_description(text) for text in fields]
-    keep = np.array([d is not None for d in distinct], dtype=bool)[codes]
+    has_tokens = np.array([d is not None for d in distinct], dtype=bool)
+    keep = has_tokens[codes]
     if not keep.any():
         raise CorpusError(f"no valid records in {path} ({skipped + len(keep)} skipped)")
-    hsv, codes = hsv[keep], codes[keep]
+    if not keep.all():  # a copy of the colors: 36 MB at 1.5M rows
+        hsv, codes = hsv[keep], codes[keep]
+    # the texts with tokens keep their order, which is that of first use
+    codes = (np.cumsum(has_tokens, dtype=np.int32) - 1)[codes]
     skipped += len(keep) - len(codes)
     if not hit:
-        _write_entry(entry, path, sha256, hsv, codes, fields, skipped)
-    table = np.empty(len(distinct), dtype=object)
-    table[:] = distinct
-    descriptions = table[codes].tolist()
+        _write_entry(entry, path, sha256, hsv, codes, list(compress(fields, has_tokens)),
+                     skipped)
 
-    log.info("load_corpus(%s): %d rows, %s", path, len(descriptions),
+    log.info("load_corpus(%s): %d rows, %s", path, len(codes),
              f"read from cache entry {entry}" if hit else "parsed")
     if skipped:
         log.info("load_corpus(%s): skipped %d unparseable records", path, skipped)
-    return Dataset(colors=hsv, descriptions=descriptions, split=split, skipped=skipped)
+    return Dataset.from_table(hsv, list(compress(distinct, has_tokens)), codes, split, skipped)
 
 
 def _parse(path: Path, space: str):
     """(hsv, codes, fields, skipped, sha256) of a corpus file: the colors
-    of its records with valid numbers, their codes into ``fields`` (each
-    distinct description field as read, in order of first use), the count
-    of records skipped so far and the hex sha256 of the bytes parsed.
-    Rows whose description has no tokens are still in."""
+    of its records with valid colors, their codes into ``fields`` (the
+    distinct description fields of those records as read, in order of
+    first use), the count of records skipped so far and the hex sha256 of
+    the bytes parsed. Rows whose description has no tokens are still in."""
     # (hsv, codes, skipped) per block, after an empty one
     parsed = [(np.empty((0, 3)), np.empty(0, dtype=np.intp), 0)]
     code_of = _Codes()  # distinct description field -> code
@@ -356,8 +370,9 @@ def _parse_block(lines: list[str], delim: str, is_hsl: bool, code_of: _Codes):
         cols = [list(compress(col, keep)) for col in cols]
         numbers = np.array(cols[:3], dtype=np.float64)
     valid, hsv = checked_hsv(numbers.T, is_hsl)
-    codes = np.fromiter(map(code_of.__getitem__, cols[3]), dtype=np.intp,
-                        count=len(cols[3]))[valid]
+    # only the texts of colors get codes, so codes are in order of first use
+    texts = cols[3] if len(valid) == len(cols[3]) else [cols[3][i] for i in valid.tolist()]
+    codes = np.fromiter(map(code_of.__getitem__, texts), dtype=np.intp, count=len(texts))
     return hsv, codes, len(records) - len(valid)
 
 
@@ -380,11 +395,12 @@ def _description(text: str) -> Description | None:
 # -- the cache of parsed files
 #
 # An entry is an uncompressed .npz of a loaded split: ``hsv`` (N, 3)
-# float64 and ``codes`` (N,) int32 of its rows, the distinct description
-# fields of the file as one UTF-8 blob ``text`` (uint8) with the end of
-# each field in characters, ``ends`` (int64), and ``skipped``; ``sha256``
-# and ``stamp`` are the digest of the bytes parsed and the parse rules
-# (``_rules_stamp``), and ``source`` the resolved path of the file. Only
+# float64 and ``codes`` (N,) int32 of its rows, the description fields of
+# its table (in order of first use) as one UTF-8 blob ``text`` (uint8)
+# with the end of each field in characters, ``ends`` (int64), and
+# ``skipped``; ``sha256`` and ``stamp`` are the digest of the bytes
+# parsed and the parse rules (``_rules_stamp``), and ``source`` the
+# resolved path of the file. Only
 # a successful load writes one, through a temporary file and
 # ``os.replace``, over the file's last entry, and then removes every
 # other entry whose source is gone or unrecorded (``_sweep``). An entry
@@ -447,7 +463,9 @@ def _read_entry(entry: Path | None, sha256: str):
                 and blob.dtype == np.uint8 and ends.dtype == np.int64 and ends.ndim == 1
                 and np.all(np.diff(ends, prepend=0) >= 0)
                 and (ends[-1] if len(ends) else 0) == len(text)
-                and (n == 0 or 0 <= codes.min() <= codes.max() < len(ends))
+                and n > 0 and codes.min() >= 0 and codes.max() == len(ends) - 1
+                # codes in order of first use: the running maximum steps by 1
+                and np.diff(np.maximum.accumulate(codes), prepend=-1).max() == 1
                 and skipped.dtype == np.int64 and skipped.shape == () and skipped >= 0):
             raise ValueError("arrays of the wrong kind")
     except FileNotFoundError:

@@ -921,9 +921,9 @@ def save_checkpoint(model, path) -> None:
 
 def load_checkpoint(path):
     """The model a checkpoint file holds. Its tensors must match the
-    family's ``_layout`` in name, shape and dtype; each header field is
-    checked by the rule that makes a model of it. A fault of the file is
-    a CheckpointError."""
+    family's ``_layout`` in name, shape and dtype, and a float tensor must
+    be finite; each header field is checked by the rule that makes a model
+    of it. A fault of the file is a CheckpointError."""
     header, tensors = read_checkpoint(path)
     if header.get("features") != FEATURE_CONSTANTS:
         raise CheckpointError(
@@ -954,6 +954,8 @@ def load_checkpoint(path):
             if t.dtype != dtype:
                 raise CheckpointError(
                     f"tensor {name!r} has dtype {t.dtype}, expected {np.dtype(dtype)}")
+            if t.dtype.kind == "f" and not np.isfinite(t).all():
+                raise CheckpointError(f"tensor {name!r} has a NaN or infinite value")
         if family == "histogram":
             _check_histogram_counts(tensors, len(words))
             return HistogramModel(cfg, words, [tensors[name] for name in names], epochs)

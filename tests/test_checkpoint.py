@@ -3,6 +3,7 @@ headers under a valid checksum must all fail with CheckpointError."""
 
 import functools
 import json
+import re
 import struct
 import tempfile
 import zlib
@@ -254,3 +255,19 @@ def test_a_tensor_of_another_dtype_is_refused_by_name(tmp_path, dtype):
     with pytest.raises(CheckpointError, match=dtype):
         write_checkpoint(path, {}, {"t": np.arange(3, dtype=dtype)})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("family", ["sequence", "atomic"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_tensor_is_refused_by_name(tmp_path, family, value):
+    # the rewritten file has a valid checksum; training never writes one
+    blob, _, _ = _base_files()[family]
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob)
+    header, tensors = read_checkpoint(path)
+    for name in tensors:
+        bad = dict(tensors, **{name: tensors[name].copy()})
+        bad[name].flat[-1] = value
+        write_checkpoint(path, header, bad)
+        with pytest.raises(CheckpointError, match=f"tensor '{re.escape(name)}' has a NaN"):
+            load_checkpoint(path)

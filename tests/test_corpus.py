@@ -40,6 +40,7 @@ from colordesc.corpus import (
     read_key_values,
     tokens_of,
 )
+from colordesc.models import _inventory
 
 from conftest import encode_one
 
@@ -230,9 +231,10 @@ def test_non_utf8_files_are_corpus_errors_naming_the_file(tmp_path):
 
 def test_dataset_subsample_reproducible():
     rng = np.random.default_rng(0)
+    shared = [Description.from_text(f"t{i}") for i in range(12)]
     ds = Dataset(
         colors=rng.uniform(0, 100, (30, 3)),
-        descriptions=[Description.from_text(f"t{i}") for i in range(30)],
+        descriptions=[shared[k] for k in rng.integers(0, 12, 30)],
         split="train",
     )
     a = ds.subsample(10, seed=4)
@@ -241,6 +243,14 @@ def test_dataset_subsample_reproducible():
     np.testing.assert_array_equal(a.colors, b.colors)
     assert [d.raw for d in a.descriptions] == [d.raw for d in b.descriptions]
     assert ds.subsample(100, seed=1) is ds
+    # the rows of the per-row reference, which --subsample-train trains on
+    idx = np.sort(np.random.default_rng(4).choice(30, 10, replace=False))
+    assert a.colors.tobytes() == ds.colors[idx].tobytes()
+    assert len(a.descriptions) == 10
+    assert all(got is ds.descriptions[i] for got, i in zip(a.descriptions, idx.tolist()))
+    assert_first_use_table(a)
+    assert len(a.table) == len({id(d) for d in a.descriptions}) < len(ds.table)
+    assert a.split == "train[10]"
 
 
 def test_encode_dataset_layout():
@@ -473,13 +483,33 @@ def test_array_loader_equals_per_row_loader(tmp_path_factory, delim, header, spa
 
 
 def assert_same_split(got: Dataset, want: Dataset) -> None:
-    """Equal colors (bit for bit), texts, tokens, skipped count and name."""
+    """Equal colors (bit for bit), texts, tokens, skipped count and name;
+    ``got`` holds only the table entries its rows use, in order of first
+    use, and gives ``want``'s vocabulary, inventory and class ids."""
     assert got.colors.dtype == want.colors.dtype == np.float64
     assert got.colors.shape == want.colors.shape
     assert got.colors.tobytes() == want.colors.tobytes()
     assert [d.raw for d in got.descriptions] == [d.raw for d in want.descriptions]
     assert [d.tokens for d in got.descriptions] == [d.tokens for d in want.descriptions]
     assert (got.skipped, got.split) == (want.skipped, want.split)
+    assert_first_use_table(got)
+    assert Vocabulary.build(got).id_to_token == Vocabulary.build(want).id_to_token
+    (inventory, ids), (want_inventory, want_ids) = _inventory(got), _inventory(want)
+    assert inventory == want_inventory
+    assert ids.dtype == want_ids.dtype
+    np.testing.assert_array_equal(ids, want_ids)
+
+
+def assert_first_use_table(ds: Dataset) -> None:
+    """Row i's description is table entry codes[i], and the table holds
+    each entry some row uses, in order of first use."""
+    assert ds.codes.dtype == np.int32
+    assert all(ds.table[k] is d for k, d in zip(ds.codes.tolist(), ds.descriptions))
+    assert np.bincount(ds.codes, minlength=len(ds.table)).min() > 0
+    running = np.maximum.accumulate(ds.codes)
+    assert ds.codes[0] == 0
+    assert np.diff(running).max(initial=0) <= 1
+    assert running[-1] == len(ds.table) - 1
 
 
 CACHED_CORPUS = "h,s,l,description\n120,100,50,green\n10,20,30, green\n1,2,300,bad\n"
