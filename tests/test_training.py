@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from colordesc import (Dataset, Description, TrainingConfig, TrainingDivergence,
                        nn)
 from colordesc.corpus import END_ID
+from colordesc.evaluation import hit_flags, per_item_log2, perplexity_from_log2
 from colordesc.models import BUCKET_PARAM_NAMES, save_checkpoint, train_model
 
 from conftest import lstm_step_full
@@ -641,6 +642,42 @@ def test_seeded_training_checkpoint_equals_reference_kernels(
         want = _seeded_checkpoint(tmp_path / "want.ckpt", family, scheme,
                                   conditioning, dropout)
     assert hashlib.sha256(got).hexdigest() == hashlib.sha256(want).hexdigest()
+
+
+# -- the quality of each recorded training: the per-description perplexity
+# of the held-out set (atomic's out-of-inventory items excluded, as ``eval
+# --allow-zero`` does) to 6 significant digits, and its beam-10 top-1 hits
+# out of 60. A change that moves checkpoint bytes on purpose re-records the
+# digests above and leaves these alone. The perplexity may move by
+# rounding: the recorded figure's own rounding is under 3e-6 relative, and
+# one exp per logit in the softmax moved it by at most 1.3e-6; a halved
+# learning rate moves it by 5-100%. The hits must not move.
+RECORDED_QUALITY = {
+    ("sequence", "fourier", "every-step", 0.2): (18.7140, 17),
+    ("sequence", "fourier", "every-step", 0.0): (19.9964, 21),
+    ("sequence", "buckets", "init-state", 0.2): (63.7636, 5),
+    ("sequence", "raw", "init-state", 0.0): (46.1791, 5),
+    ("atomic", "buckets", "every-step", 0.2): (47.0201, 5),
+    ("atomic", "fourier", "every-step", 0.0): (19.3748, 17),
+}
+QUALITY_RTOL = 1e-4
+
+
+@pytest.mark.parametrize(
+    "family,scheme,conditioning,dropout", sorted(RECORDED_QUALITY),
+    ids=["-".join(case[:3]) + ("" if case[3] else "-no-dropout")
+         for case in sorted(RECORDED_QUALITY)])
+def test_seeded_training_quality_equals_the_recorded_one(
+        family, scheme, conditioning, dropout):
+    assert RECORDED_QUALITY.keys() == RECORDED_DIGESTS.keys()
+    train, dev = _golden_corpus(300, seed=21), _golden_corpus(60, seed=22)
+    cfg = TrainingConfig(batch_size=32, max_epochs=2, seed=13,
+                         conditioning=conditioning, dropout=dropout)
+    model, _ = train_model(family, train, cfg, scheme=scheme, dev=dev)
+    perplexity = perplexity_from_log2(per_item_log2(model, dev), on_zero="exclude")[0]
+    want_perplexity, want_hits = RECORDED_QUALITY[family, scheme, conditioning, dropout]
+    assert perplexity == pytest.approx(want_perplexity, rel=QUALITY_RTOL)
+    assert int(hit_flags(model, dev).sum()) == want_hits
 
 
 # -- bucket tables: training updates only the rows a batch looked up.
