@@ -26,12 +26,16 @@ for model in "sequence sequence fourier every-step" \
 done
 
 # the training's dev monitor scores on every usable CPU and keeps the best
-# check's parameters, so the CPUs a training may use must not change them
-PYTHONHASHSEED=1 taskset -c 0 "${cli[@]}" train --data "$work/c/manifest.txt" \
-  --subsample-train 2000 --epochs 1 --seed 4 --family sequence --features fourier \
-  --conditioning every-step --out "$work/run-sequence-one" > /dev/null
-cmp "$work/run-sequence-1/model.ckpt" "$work/run-sequence-one/model.ckpt"
-echo "sequence/fourier/every-step: identical on one CPU and on all"
+# check's parameters, so the CPUs a training may use must not change them;
+# the atomic model also trains its bucket tables' rows
+for model in "sequence sequence fourier" "atomic atomic buckets"; do
+  read -r name family features <<< "$model"
+  PYTHONHASHSEED=1 taskset -c 0 "${cli[@]}" train --data "$work/c/manifest.txt" \
+    --subsample-train 2000 --epochs 1 --seed 4 --family "$family" --features "$features" \
+    --conditioning every-step --out "$work/run-$name-one" > /dev/null
+  cmp "$work/run-$name-1/model.ckpt" "$work/run-$name-one/model.ckpt"
+  echo "$family/$features/every-step: identical on one CPU and on all"
+done
 
 # scoring runs its 512-row chunks on every usable CPU, one thread per chunk;
 # the first 1,200 dev rows make calls of two and three chunks. On them every

@@ -43,6 +43,16 @@ def per_item_log2(model, ds: Dataset) -> np.ndarray:
     return model.score_dataset(ds) / LN2
 
 
+def oov_token_count(model, ds: Dataset) -> int:
+    """The tokens of ``ds``'s descriptions, counted per item, that the
+    model never saw in training (``model.known_tokens``): a sequence
+    model reads each as <unk>, and an inventory holds no description
+    with one."""
+    known = model.known_tokens
+    per_text = [sum(t not in known for t in d.tokens) for d in ds.table]
+    return int(np.bincount(ds.codes, minlength=len(per_text)) @ np.array(per_text, dtype=np.int64))
+
+
 def _check_zero_policy(on_zero: str) -> None:
     if on_zero not in ("error", "exclude"):
         raise EvaluationError(f"unknown zero-probability policy {on_zero!r}")
@@ -182,6 +192,7 @@ class EvalReport:
     accuracy: float | None
     beam_width: int | None
     zero_prob_items: int
+    oov_tokens: int | None
     log2_probs: list
     hits: list | None
     timestamp: str = ""
@@ -235,6 +246,8 @@ class EvalReport:
             d["perplexity"] = math.inf
         if isinstance(d.get("log2_probs"), list):
             d["log2_probs"] = [-math.inf if x is None else x for x in d["log2_probs"]]
+        # a report written before OOV tokens were counted has no count
+        d.setdefault("oov_tokens", None)
         missing = sorted(known - set(d) - {"timestamp"})
         if missing:
             raise ConfigError(f"{path} is not an eval report: missing {missing}")
@@ -263,6 +276,7 @@ def evaluate(model, ds: Dataset, split: str = "", on_zero: str = "error",
         accuracy=None,
         beam_width=None,
         zero_prob_items=n_zero,
+        oov_tokens=oov_token_count(model, ds),
         log2_probs=[float(x) for x in log2p],
         hits=None,
         timestamp=timestamp,

@@ -66,6 +66,8 @@ DEFAULT_MAX_LEN = 20
 PRNG_ID = "numpy.PCG64"
 
 BUCKET_PARAM_NAMES = ("buckets.fine", "buckets.mid", "buckets.global")
+# each table's first row in the three tables stacked in layout order
+BUCKET_OFFSETS = np.cumsum((0,) + BUCKET_SIZES[:-1])
 HISTOGRAM_LEVELS = ("fine", "mid", "global")
 
 # featurizer constants are stamped into checkpoints so a file trained
@@ -332,6 +334,11 @@ class _InventoryModel(_Model):
         self.inventory = [tuple(k) for k in inventory]
         self.index = {k: i for i, k in enumerate(self.inventory)}
 
+    @cached_property
+    def known_tokens(self) -> frozenset:
+        """The tokens of the inventory's descriptions: those of training."""
+        return frozenset(t for k in self.inventory for t in k)
+
     def sample_batch(self, colors, rng, max_len: int = DEFAULT_MAX_LEN) -> list:
         """One inventory description per color row, drawn from the row's
         ``_class_probs`` with uniform ``rng.random(N)[i]``."""
@@ -367,6 +374,11 @@ class SequenceDecoderModel(_Model):
                  params: dict, epochs_trained: float = 0.0):
         super().__init__(config, scheme, params, epochs_trained)
         self.vocab = vocab
+
+    @property
+    def known_tokens(self):
+        """The vocabulary's tokens, by which the model reads a description."""
+        return self.vocab.token_to_id.keys()
 
     @classmethod
     def build(cls, config: TrainingConfig, vocab: Vocabulary,
@@ -763,17 +775,28 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
                        monitor_ds: Dataset, monitor_name: str):
     """Shared minibatch/Adagrad/early-stopping driver.
 
-    ``batch_grads(feats, batch, rng)`` runs the family's forward and
-    backward passes on the featurized batch (rows ``batch`` of train) and
-    returns the gradients, with the gradient of the featurized input
-    under "feats"; the loop adds that one into the rows of the bucket
-    embedding tables that the batch looked up. Dev perplexity is checked
-    after the batch that ends each ``evals_per_epoch``-th of an epoch, at
-    most once per batch (one batch, one check); training stops after
-    ``patience`` consecutive non-improving checks and the best parameters
-    are restored.
+    The parameters, their gradients and the Adagrad accumulators each live
+    in one flat buffer, in ``_layout`` order, with ``model.params`` and
+    the gradient dict views of them. ``batch_grads(feats, batch, rng,
+    grads, input_grad)`` runs the family's forward and backward passes on
+    the featurized batch (rows ``batch`` of train), writing the
+    gradients into the views of ``grads``, and returns the gradient of
+    the featurized input when ``input_grad`` asks for it (buckets), else
+    None. The bucket tables come last in the layout, as one (rows, E)
+    table: their gradient goes into the rows the batch looked up, one
+    ``update_rows`` call over ids offset by the tables before them, and
+    every other tensor takes one ``update`` call. Dev perplexity is
+    checked after the batch that ends each ``evals_per_epoch``-th of an
+    epoch, at most once per batch (one batch, one check); training stops
+    after ``patience`` consecutive non-improving checks and the best
+    parameters are copied back into the buffer.
     """
+    params, model.params = nn.flatten(model.params)
+    grad_flat, grads = nn.flatten({k: np.zeros_like(v) for k, v in model.params.items()
+                                   if k not in BUCKET_PARAM_NAMES})
     opt = nn.Adagrad(model.params, config.learning_rate, config.adagrad_eps)
+    bucketed = model.scheme == "buckets"
+    E = config.bucket_embedding_dim
     rng = np.random.default_rng([config.seed, 1])
     history = []
     best_ppl = math.inf
@@ -794,18 +817,15 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
             batch = order[b * config.batch_size : (b + 1) * config.batch_size]
             feats, idx = model.featurize(train.colors[batch])
             try:
-                grads = batch_grads(feats, batch, rng)
+                dfeats = batch_grads(feats, batch, rng, grads, bucketed)
             except TrainingDivergence as exc:
                 raise TrainingDivergence(
                     f"{exc} at epoch {epoch}, batch {b} of {n_batches}; "
                     f"{_first_nonfinite(model.params)}") from exc
-            dfeats = grads.pop("feats")
-            if idx is not None:
-                E = config.bucket_embedding_dim
-                for r, name in enumerate(BUCKET_PARAM_NAMES):
-                    opt.update_rows(model.params, name, idx[:, r],
-                                    dfeats[:, r * E : (r + 1) * E])
-            opt.update(model.params, grads)
+            if bucketed:
+                opt.update_rows(params, len(grad_flat), (idx + BUCKET_OFFSETS).reshape(-1),
+                                dfeats.reshape(-1, E))
+            opt.update(params, grad_flat)
             if b in eval_points:
                 frac = epoch - 1 + (b + 1) / n_batches
                 ppl = _monitor_perplexity(model, monitor_ds)
@@ -813,7 +833,7 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
                                 "perplexity": ppl})
                 if ppl < best_ppl:
                     best_ppl = ppl
-                    best_params = {k: v.copy() for k, v in model.params.items()}
+                    best_params = params.copy()
                     best_epoch = frac
                     stale = 0
                 else:
@@ -824,7 +844,7 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
         if stop:
             break
     if best_params is not None:
-        model.params.update(best_params)
+        params[...] = best_params
         model.epochs_trained = best_epoch
     else:
         model.epochs_trained = float(epoch)
@@ -860,18 +880,18 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
         model = SequenceDecoderModel.build(config, Vocabulary.build(train), scheme)
         enc = encode_dataset(train, model.vocab)
 
-        def batch_grads(feats, batch, rng):
+        def batch_grads(feats, batch, rng, grads, input_grad):
             _, cache = nn.sequence_forward(model.params, config, feats,
                                            *enc.teacher_forcing(batch), rng=rng)
-            return nn.sequence_backward(cache)
+            return nn.sequence_backward(cache, grads, input_grad).pop("feats", None)
     else:
         inventory, targets_all = _inventory(train)
         model = AtomicModel.build(config, inventory, scheme)
 
-        def batch_grads(feats, batch, rng):
+        def batch_grads(feats, batch, rng, grads, input_grad):
             _, cache = nn.atomic_forward(model.params, config, feats,
                                          targets_all[batch], rng=rng)
-            return nn.atomic_backward(cache)
+            return nn.atomic_backward(cache, grads, input_grad).pop("feats", None)
     return model, _neural_train_loop(model, config, train, batch_grads,
                                      monitor, monitor_name)
 

@@ -3,7 +3,8 @@ inverted dropout, Adagrad, initializers, and hand-derived gradients.
 
 Parameters live in flat ``dict[str, np.ndarray]`` maps so the optimizer,
 checkpointing, and finite-difference verification can treat every model
-uniformly. float32 is the working precision; float64 is available for
+uniformly; in training each map's tensors are views of one flat buffer
+(``flatten``), so that Adagrad updates them all in one call. float32 is the working precision; float64 is available for
 gradient checks (``TrainingConfig.dtype``).
 
 LSTM formulation (Graves 2013, peephole variant), gates fused into
@@ -167,6 +168,29 @@ def init_params(layout, rng) -> Params:
 # ---------------------------------------------------------------------------
 # Adagrad
 
+def flatten(tensors: Params) -> tuple[np.ndarray, Params]:
+    """(flat, views): the tensors, of one dtype, copied back to back in
+    dict order into one 1-D buffer, and a view of it per name in that
+    tensor's shape. Two buffers flattened from tensors of the same
+    shapes have the same layout."""
+    flat = np.concatenate([t.reshape(-1) for t in tensors.values()])
+    views, lo = {}, 0
+    for name, t in tensors.items():
+        views[name] = flat[lo : lo + t.size].reshape(t.shape)
+        lo += t.size
+    return flat, views
+
+
+def add_rows_at(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(table, ids, rows)`` for a C-contiguous (m, E) table and
+    (n, E) rows, bit for bit: each entry takes the same additions in the
+    same order, by flat entry index, which is numpy's much faster 1-D
+    path."""
+    E = table.shape[1]
+    flat_ids = (ids[:, None] * E + np.arange(E)).reshape(-1)
+    np.add.at(table.reshape(-1), flat_ids, rows.reshape(-1))
+
+
 def adagrad_update(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
                    lr: float, eps: float = ADAGRAD_EPS) -> None:
     """In place: accum += grad^2; param -= lr * grad / (sqrt(accum) + eps)."""
@@ -175,30 +199,40 @@ def adagrad_update(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
 
 
 class Adagrad:
-    """Per-parameter squared-gradient accumulators, initialized to zero."""
+    """Squared-gradient accumulators, initialized to zero, in one flat
+    buffer ``flat`` laid out as ``flatten(params)``, with a view per name
+    in ``accum``. The updates take the flattened parameters."""
 
     def __init__(self, params: Params, lr: float, eps: float = ADAGRAD_EPS):
         self.lr = lr
         self.eps = eps
-        self.accum = {k: np.zeros_like(v) for k, v in params.items()}
+        self.flat, self.accum = flatten({k: np.zeros_like(v) for k, v in params.items()})
 
-    def update(self, params: Params, grads: Params) -> None:
-        for name, g in grads.items():
-            adagrad_update(params[name], g, self.accum[name], self.lr, self.eps)
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One step, in place, of the first ``len(grads)`` entries of the
+        flat parameter buffer ``params``: one elementwise update, entry by
+        entry the one each named tensor would get alone."""
+        n = len(grads)
+        adagrad_update(params[:n], grads, self.flat[:n], self.lr, self.eps)
 
-    def update_rows(self, params: Params, name: str, ids: np.ndarray,
+    def update_rows(self, params: np.ndarray, lo: int, ids: np.ndarray,
                     grads: np.ndarray) -> None:
-        """``update`` of tensor ``name`` whose gradient is the sum of row i
-        of ``grads`` into its row ``ids[i]``, added in order of i, as
-        ``np.add.at`` into a zero tensor sums it. With eps > 0 a zero
-        gradient leaves a row and its accumulator exactly as they are, so
-        only the distinct rows of ``ids`` are updated."""
+        """``update`` of the (rows, E) table that fills the flat parameter
+        buffer ``params`` from entry ``lo`` on, E = grads.shape[1], whose
+        gradient is the sum of row i of ``grads`` into its row ``ids[i]``,
+        added in order of i, as ``np.add.at`` into a zero tensor sums it.
+        With eps > 0 a zero gradient leaves a row and its accumulator
+        exactly as they are, so only the distinct rows of ``ids`` are
+        updated. Tables stacked in one span take one call, their ids
+        offset by the rows before them."""
+        E = grads.shape[1]
+        table, accum = params[lo:].reshape(-1, E), self.flat[lo:].reshape(-1, E)
         rows, at = np.unique(ids, return_inverse=True)
-        grad = np.zeros((len(rows),) + grads.shape[1:], dtype=params[name].dtype)
-        np.add.at(grad, at, grads)
-        param, accum = params[name][rows], self.accum[name][rows]
-        adagrad_update(param, grad, accum, self.lr, self.eps)
-        params[name][rows], self.accum[name][rows] = param, accum
+        grad = np.zeros((len(rows), E), dtype=table.dtype)
+        add_rows_at(grad, at, grads)
+        param, acc = table[rows], accum[rows]
+        adagrad_update(param, grad, acc, self.lr, self.eps)
+        table[rows], accum[rows] = param, acc
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +342,7 @@ def _lstm_step(a, neg_w, c, gates, c_out, tc_out, h_out):
     return h, c
 
 
-_LOG_SOFTMAX_BUFFER = 1 << 18  # entries of _log_softmax_at's and _softmax_xent's buffers
+_LOG_SOFTMAX_BUFFER = 1 << 18  # entries of _log_softmax_at's buffer
 
 # glibc raises its mmap threshold to the largest mapped block freed so far, and its trim
 # threshold to twice that: with this 4 MiB block freed at import, every scoring buffer (at
@@ -347,25 +381,18 @@ def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _softmax_xent(logits: np.ndarray, targets: np.ndarray):
     """(log p[row, targets[row]], p - onehot) of the (N, C) ``logits``,
-    computed in place: the logits become the gradient. The row sums of
-    exp go through one block buffer of at most ``_LOG_SOFTMAX_BUFFER``
-    entries, so no second (N, C) array is made. Callers scale the
-    gradient."""
-    N, C = logits.shape
-    rows = np.arange(N)
+    computed in place: the logits become the gradient. Each logit is
+    exponentiated once: with z = logits - max and s = sum(exp(z)),
+    log p = z - log(s) at the targets, and p = exp(z) / s. Callers scale
+    the gradient."""
+    rows = np.arange(len(logits))
     logits -= logits.max(axis=1, keepdims=True)
-    step = _block_rows(N, C)
-    buf = np.empty((step, C), dtype=logits.dtype)
-    sums = np.empty((N, 1), dtype=logits.dtype)
-    for lo in range(0, N, step):
-        block = logits[lo : lo + step]
-        np.exp(block, out=buf[: len(block)]).sum(axis=1, keepdims=True,
-                                                 out=sums[lo : lo + len(block)])
-    logits -= np.log(sums)
-    logp = logits[rows, targets]
-    dlogits = np.exp(logits, out=logits)
-    dlogits[rows, targets] -= 1.0
-    return logp, dlogits
+    z_target = logits[rows, targets]
+    p = np.exp(logits, out=logits)
+    sums = p.sum(axis=1, keepdims=True)
+    p /= sums
+    p[rows, targets] -= 1.0
+    return z_target - np.log(sums[:, 0]), p
 
 
 def _longest_first(steps: np.ndarray):
@@ -450,18 +477,32 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     return loss, cache
 
 
-def sequence_backward(cache) -> Params:
-    """Exact gradients of the sequence loss for every parameter.
+def _zeroed(out, like: np.ndarray) -> np.ndarray:
+    """``out`` set to zero, or a new zero array like ``like`` if it is None."""
+    if out is None:
+        return np.zeros_like(like)
+    out[...] = 0.0
+    return out
 
-    Also returns key "feats": the gradient w.r.t. the featurized color
-    input, in input row order (used to train bucket embeddings and the
-    init-state maps' upstream, zero cost for fixed featurizers).
+
+def sequence_backward(cache, grads: Params | None = None,
+                      input_grad: bool = False) -> Params:
+    """Exact gradients of the sequence loss for every parameter, written
+    into the arrays of ``grads`` where it has them (for example views of
+    one flat buffer) and into new ones where it does not; returns
+    ``grads``.
+
+    With ``input_grad`` it also sets key "feats": the gradient w.r.t. the
+    featurized color input, in input row order, which only trainable
+    features (bucket embeddings) read. Without it neither the feature
+    columns of the input gradient nor their per-row sums are computed.
 
     Every product and reduction runs on the packed live cells of the
     forward pass, step t's block on its n_live[t] rows.
     """
     cfg: TrainingConfig = cache["cfg"]
     params = cache["params"]
+    grads = {} if grads is None else grads
     feats, order, n_live, bounds = (cache[k] for k in ("feats", "order", "n_live", "bounds"))
     B, F = feats.shape
     H = cfg.hidden_size
@@ -473,9 +514,8 @@ def sequence_backward(cache) -> Params:
     h_prev = cache["h_states"][cache["prev_cell"]]
     c_prev = cache["c_states"][cache["prev_cell"]]
 
-    grads: Params = {}
-    grads["out.W"] = cache["dropped"].T @ dlogits
-    grads["out.b"] = dlogits.sum(axis=0)
+    grads["out.W"] = np.matmul(cache["dropped"].T, dlogits, out=grads.get("out.W"))
+    grads["out.b"] = dlogits.sum(axis=0, out=grads.get("out.b"))
     dH_out = (dlogits @ params["out.W"].T) * cache["drop"]
 
     # each cell's local derivatives, computed once for all steps: from the
@@ -509,31 +549,37 @@ def sequence_backward(cache) -> Params:
         np.matmul(da[cell].reshape(n, 4 * H), W_hT, out=dh_next[:n])
 
     da_flat = da.reshape(N, 4 * H)
-    grads["lstm.W_x"] = cache["X"].T @ da_flat
-    grads["lstm.W_h"] = h_prev.T @ da_flat
-    grads["lstm.b"] = da_flat.sum(axis=0)
-    grads["lstm.w_ci"] = (da[:, 0] * c_prev).sum(axis=0)
-    grads["lstm.w_cf"] = (da[:, 1] * c_prev).sum(axis=0)
-    grads["lstm.w_co"] = (da[:, 3] * cells).sum(axis=0)
+    grads["lstm.W_x"] = np.matmul(cache["X"].T, da_flat, out=grads.get("lstm.W_x"))
+    grads["lstm.W_h"] = np.matmul(h_prev.T, da_flat, out=grads.get("lstm.W_h"))
+    grads["lstm.b"] = da_flat.sum(axis=0, out=grads.get("lstm.b"))
+    grads["lstm.w_ci"] = (da[:, 0] * c_prev).sum(axis=0, out=grads.get("lstm.w_ci"))
+    grads["lstm.w_cf"] = (da[:, 1] * c_prev).sum(axis=0, out=grads.get("lstm.w_cf"))
+    grads["lstm.w_co"] = (da[:, 3] * cells).sum(axis=0, out=grads.get("lstm.w_co"))
 
-    dX = da_flat @ params["lstm.W_x"].T
-    grads["emb"] = np.zeros_like(params["emb"])
-    if cfg.conditioning == "every-step":
-        np.add.at(grads["emb"], cache["ids"], dX[:, F:])
-        dfeats = np.zeros((B, F), dtype=dX.dtype)
-        for t, n in enumerate(n_live):
-            dfeats[:n] += dX[bounds[t] : bounds[t + 1], :F]
+    # the input gradient da W_x^T, by column blocks: the embedding's always,
+    # the features' (every-step mode) only when asked for
+    W_x = params["lstm.W_x"]
+    every_step = cfg.conditioning == "every-step"
+    grads["emb"] = _zeroed(grads.get("emb"), params["emb"])
+    add_rows_at(grads["emb"], cache["ids"], da_flat @ W_x[F:].T if every_step else da_flat @ W_x.T)
+    if every_step:
+        if input_grad:
+            dX = da_flat @ W_x[:F].T
+            dfeats = np.zeros((B, F), dtype=dt)
+            for t, n in enumerate(n_live):
+                dfeats[:n] += dX[bounds[t] : bounds[t + 1]]
     else:
-        np.add.at(grads["emb"], cache["ids"], dX)
         # gradient reaching h0/c0 closes the recurrences above
         sorted_feats = feats[order]
-        grads["cond.W_h0"] = sorted_feats.T @ dh_next
-        grads["cond.b_h0"] = dh_next.sum(axis=0)
-        grads["cond.W_c0"] = sorted_feats.T @ dc_next
-        grads["cond.b_c0"] = dc_next.sum(axis=0)
-        dfeats = dh_next @ params["cond.W_h0"].T + dc_next @ params["cond.W_c0"].T
-    grads["feats"] = np.empty_like(dfeats)
-    grads["feats"][order] = dfeats
+        grads["cond.W_h0"] = np.matmul(sorted_feats.T, dh_next, out=grads.get("cond.W_h0"))
+        grads["cond.b_h0"] = dh_next.sum(axis=0, out=grads.get("cond.b_h0"))
+        grads["cond.W_c0"] = np.matmul(sorted_feats.T, dc_next, out=grads.get("cond.W_c0"))
+        grads["cond.b_c0"] = dc_next.sum(axis=0, out=grads.get("cond.b_c0"))
+        if input_grad:
+            dfeats = dh_next @ params["cond.W_h0"].T + dc_next @ params["cond.W_c0"].T
+    if input_grad:
+        grads["feats"] = np.empty_like(dfeats)
+        grads["feats"][order] = dfeats
     return grads
 
 
@@ -676,19 +722,24 @@ def atomic_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     return loss, cache
 
 
-def atomic_backward(cache) -> Params:
+def atomic_backward(cache, grads: Params | None = None,
+                    input_grad: bool = False) -> Params:
+    """Exact gradients of the atomic loss, into ``grads`` as
+    ``sequence_backward`` writes them, with key "feats" only when
+    ``input_grad`` asks for it."""
     params = cache["params"]
     dlogits = cache["dlogits"]
-    grads: Params = {}
-    grads["out.W"] = cache["d2"].T @ dlogits
-    grads["out.b"] = dlogits.sum(axis=0)
+    grads = {} if grads is None else grads
+    grads["out.W"] = np.matmul(cache["d2"].T, dlogits, out=grads.get("out.W"))
+    grads["out.b"] = dlogits.sum(axis=0, out=grads.get("out.b"))
     dh2 = (dlogits @ params["out.W"].T) * cache["drop_masks"][1]
-    grads["fc2.W"] = cache["d1"].T @ dh2
-    grads["fc2.b"] = dh2.sum(axis=0)
+    grads["fc2.W"] = np.matmul(cache["d1"].T, dh2, out=grads.get("fc2.W"))
+    grads["fc2.b"] = dh2.sum(axis=0, out=grads.get("fc2.b"))
     da1 = (dh2 @ params["fc2.W"].T) * cache["drop_masks"][0] * (cache["a1"] > 0)
-    grads["fc1.W"] = cache["feats"].T @ da1
-    grads["fc1.b"] = da1.sum(axis=0)
-    grads["feats"] = da1 @ params["fc1.W"].T
+    grads["fc1.W"] = np.matmul(cache["feats"].T, da1, out=grads.get("fc1.W"))
+    grads["fc1.b"] = da1.sum(axis=0, out=grads.get("fc1.b"))
+    if input_grad:
+        grads["feats"] = da1 @ params["fc1.W"].T
     return grads
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colordesc import (
+    Dataset,
+    Description,
     EvalReport,
     EvaluationError,
     TrainingConfig,
@@ -164,6 +166,7 @@ def test_bad_beam_width_is_rejected_before_scoring():
 
     class Recording:
         param_count = 1
+        known_tokens = frozenset()
 
         def __init__(self):
             self.calls = []
@@ -423,11 +426,42 @@ def test_evaluate_can_skip_accuracy():
     assert report.hits is None
 
 
+@pytest.mark.parametrize("family", ["sequence", "atomic", "histogram"])
+def test_evaluate_counts_the_dev_tokens_training_never_saw(family):
+    train = Dataset(colors=np.array([[0.0, 50.0, 50.0], [120.0, 50.0, 50.0]] * 2),
+                    descriptions=[Description.from_text(t)
+                                  for t in ["light red", "green", "light red", "green"]],
+                    split="train")
+    # "mauve" twice and "dark" once in the first text, which two items
+    # share, and "teal" once: 2 * 3 + 1 unseen tokens
+    texts = ["dark mauve mauve", "green", "light teal", "dark mauve mauve", "red"]
+    dev = Dataset(colors=np.zeros((5, 3)), descriptions=[Description.from_text(t)
+                                                         for t in texts], split="dev")
+    model, _ = train_model(family, train, TrainingConfig(max_epochs=1, seed=0),
+                           scheme="buckets")
+    report = evaluate(model, dev, split="dev", on_zero="exclude")
+    assert report.oov_tokens == 7
+    assert evaluate(model, train, split="train", on_zero="exclude").oov_tokens == 0
+
+
+def test_report_without_an_oov_count_still_loads(tmp_path):
+    report = EvalReport(
+        split="dev", n_items=2, perplexity=4.0, total_bits=4.0,
+        param_count=3, aic=14.0, accuracy=None, beam_width=None,
+        zero_prob_items=0, oov_tokens=5, log2_probs=[-2.0, -2.0],
+        hits=None, timestamp="")
+    raw = json.loads(report.to_json())
+    del raw["oov_tokens"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(raw))
+    assert EvalReport.load(path).oov_tokens is None
+
+
 def test_report_json_roundtrip(tmp_path):
     report = EvalReport(
         split="dev", n_items=3, perplexity=4.5, total_bits=6.51,
         param_count=120, aic=253.02, accuracy=66.7, beam_width=10,
-        zero_prob_items=0, log2_probs=[-1.0, -2.0, -3.51],
+        zero_prob_items=0, oov_tokens=0, log2_probs=[-1.0, -2.0, -3.51],
         hits=[1, 1, 0], timestamp="2026-08-14T00:00:00Z")
     path = tmp_path / "r.json"
     report.save(path)
@@ -446,7 +480,7 @@ def test_report_json_is_strict_and_roundtrips_zero_probability(tmp_path):
     report = EvalReport(
         split="dev", n_items=3, perplexity=math.inf, total_bits=3.0,
         param_count=5, aic=16.0, accuracy=None, beam_width=None,
-        zero_prob_items=1, log2_probs=[-1.0, -math.inf, -2.0],
+        zero_prob_items=1, oov_tokens=2, log2_probs=[-1.0, -math.inf, -2.0],
         hits=None, timestamp="")
     path = tmp_path / "r.json"
     report.save(path)
@@ -460,7 +494,7 @@ def test_report_summary_line_mentions_key_numbers():
     report = EvalReport(
         split="test", n_items=10, perplexity=12.345, total_bits=36.4,
         param_count=99, aic=270.8, accuracy=40.0, beam_width=10,
-        zero_prob_items=0, log2_probs=[-3.64] * 10, hits=[1] * 4 + [0] * 6,
+        zero_prob_items=0, oov_tokens=0, log2_probs=[-3.64] * 10, hits=[1] * 4 + [0] * 6,
         timestamp="2026-08-14T00:00:00Z")
     line = report.summary_line()
     assert "12.3" in line

@@ -6,18 +6,21 @@ kernels, kept verbatim apart from their names and annotations and from
 taking the current signature, under which dropout is always a mask (all
 ones at dropout 0): the sequence pair runs every row for all T steps,
 builds the full (B, T, V) log-softmax and masks padding, and both keep a
-``probs`` copy for the backward pass. ``live_sequence_forward``/
-``live_sequence_backward`` compute the same loss on live cells only, in
-the order the kernels in ``colordesc.nn`` use, straight-line. The
+``probs`` copy for the backward pass. The atomic pair takes ``probs`` as
+the kernels do, each row's exps divided by its sum, exponentiating each
+logit once. ``live_sequence_forward``/``live_sequence_backward`` compute
+the same loss on live cells only, in the order the kernels in
+``colordesc.nn`` use, straight-line: the same ``probs``, and the input
+gradient taken by column blocks, the embedding's and the features'. The
 atomic kernels in ``colordesc.nn`` must match the padded pair bit for
 bit, and the sequence kernels the live pair: the same loss and the same
-bytes in every gradient. The padded sequence pair stays the math
-oracle: the live cells change the order of the sums, so the sequence
-kernels match it within rounding. Golden digests pin whole seeded
-trainings.
-"""
+bytes in every gradient. The padded sequence pair stays the math oracle:
+the live cells change the order of the sums, and it takes p as
+exp(log p), so the sequence kernels match it within rounding. Golden
+digests pin whole seeded trainings."""
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -220,6 +223,7 @@ def live_sequence_forward(params, cfg, feats, ids, steps, rng=None):
     dropped = hidden * drop_mask
     logits = dropped @ params["out.W"] + params["out.b"]
     logp = nn.log_softmax(logits, axis=1)
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
     targets = ids[rows, cell_steps + 1]
     nll = -logp[np.arange(len(logp)), targets]
     loss = float(nll.sum(dtype=np.float64) / B)
@@ -233,7 +237,7 @@ def live_sequence_forward(params, cfg, feats, ids, steps, rng=None):
         "c_prev": packed(c_prev), "i": packed(gates_i), "f": packed(gates_f),
         "g": packed(gates_g), "o": packed(gates_o), "c": packed(cells),
         "tanh_c": packed(tanh_c), "dropped": dropped, "drop_mask": drop_mask,
-        "probs": np.exp(logp),
+        "probs": exps / exps.sum(axis=1, keepdims=True),
     }
     return loss, cache
 
@@ -297,15 +301,15 @@ def live_sequence_backward(cache):
     grads["lstm.w_cf"] = (da[:, H : 2 * H] * c_prev).sum(axis=0)
     grads["lstm.w_co"] = (da[:, 3 * H :] * c).sum(axis=0)
 
-    dX = da @ params["lstm.W_x"].T
+    W_x = params["lstm.W_x"]
     order = cache["order"]
     grads["emb"] = np.zeros_like(params["emb"])
-    grads["feats"] = np.zeros((B, F), dtype=dX.dtype)
+    grads["feats"] = np.zeros((B, F), dtype=dt)
     if cfg.conditioning == "every-step":
-        np.add.at(grads["emb"], cache["ids"], dX[:, F:])
-        np.add.at(grads["feats"], cache["rows"], dX[:, :F])
+        np.add.at(grads["emb"], cache["ids"], da @ W_x[F:].T)
+        np.add.at(grads["feats"], cache["rows"], da @ W_x[:F].T)
     else:
-        np.add.at(grads["emb"], cache["ids"], dX)
+        np.add.at(grads["emb"], cache["ids"], da @ W_x.T)
         # gradient reaching h0/c0 closes the recurrences above
         grads["cond.W_h0"] = feats[order].T @ dh_next
         grads["cond.b_h0"] = dh_next.sum(axis=0)
@@ -331,6 +335,7 @@ def padded_atomic_forward(params, cfg, feats, targets, rng=None):
     d2 = h2 * drop_masks[1]
     logits = d2 @ params["out.W"] + params["out.b"]
     logp = nn.log_softmax(logits, axis=1)
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
     nll = -logp[np.arange(B), targets]
     loss = float(nll.sum(dtype=np.float64) / B)
     if not np.isfinite(loss):
@@ -338,7 +343,7 @@ def padded_atomic_forward(params, cfg, feats, targets, rng=None):
     cache = {
         "cfg": cfg, "params": params, "feats": feats, "targets": targets,
         "a1": a1, "d1": d1, "d2": d2, "drop_masks": drop_masks,
-        "probs": np.exp(logp),
+        "probs": exps / exps.sum(axis=1, keepdims=True),
     }
     return loss, cache
 
@@ -412,7 +417,8 @@ def _sequence_passes(reference, B, T, conditioning, dtype, dims, dropout, seed):
         seed, B, T, conditioning, dtype, dims, dropout=0.2 if dropout else 0.0)
     args = (params, cfg, feats, ids, steps)
     passes = []
-    for forward, backward in ((nn.sequence_forward, nn.sequence_backward), reference):
+    kernels = (nn.sequence_forward, partial(nn.sequence_backward, input_grad=True))
+    for forward, backward in (kernels, reference):
         loss, cache = forward(*args, rng=np.random.default_rng([seed, 1]))
         passes.append((loss, backward(cache)))
     return passes
@@ -451,7 +457,7 @@ def test_sequence_dropout_draws_the_same_stream():
     want_loss, want_cache = live_sequence_forward(*args, rng=rng_want)
     got_loss, got_cache = nn.sequence_forward(*args, rng=rng_got)
     assert _same_bits(got_loss, want_loss)
-    _assert_same_grads(nn.sequence_backward(got_cache),
+    _assert_same_grads(nn.sequence_backward(got_cache, input_grad=True),
                        live_sequence_backward(want_cache))
     assert rng_got.random() == rng_want.random()
 
@@ -475,8 +481,57 @@ def test_atomic_training_pass_equals_padded_reference(B, C, dtype, dropout, seed
     got_loss, got_cache = nn.atomic_forward(params, cfg, feats, targets,
                                             rng=np.random.default_rng([seed, 1]))
     assert _same_bits(got_loss, want_loss)
-    _assert_same_grads(nn.atomic_backward(got_cache),
+    _assert_same_grads(nn.atomic_backward(got_cache, input_grad=True),
                        padded_atomic_backward(want_cache))
+
+
+def _flat_grads(params, cache, backward):
+    """The gradients ``backward`` writes into views of one flat buffer."""
+    _, grads = nn.flatten({k: np.full_like(v, np.nan) for k, v in params.items()})
+    assert backward(cache, grads) is grads
+    return grads
+
+
+@pytest.mark.parametrize("conditioning", ["every-step", "init-state"])
+def test_sequence_backward_writes_the_same_bits_into_given_arrays(conditioning):
+    # without the input gradient, and into a flat buffer's views, every
+    # parameter's gradient keeps its bits
+    cfg, params, feats, ids, steps = _sequence_setup(
+        12, 129, 5, conditioning, "float32", (20, 20, 400, 54))
+    _, cache = nn.sequence_forward(params, cfg, feats, ids, steps,
+                                   rng=np.random.default_rng(2))
+    want = nn.sequence_backward(cache, input_grad=True)
+    assert "feats" in want
+    del want["feats"]
+    _assert_same_grads(nn.sequence_backward(cache), want)
+    _assert_same_grads(_flat_grads(params, cache, nn.sequence_backward), want)
+
+
+def test_atomic_backward_writes_the_same_bits_into_given_arrays():
+    cfg = TrainingConfig(atomic_hidden=20, seed=4).validate()
+    rng = np.random.default_rng(4)
+    params = nn.init_params(nn.atomic_layout(cfg, 54, 400), rng)
+    feats = rng.standard_normal((129, 54)).astype(cfg.np_dtype)
+    _, cache = nn.atomic_forward(params, cfg, feats, rng.integers(0, 400, 129),
+                                 rng=np.random.default_rng(5))
+    want = nn.atomic_backward(cache, input_grad=True)
+    del want["feats"]
+    _assert_same_grads(nn.atomic_backward(cache), want)
+    _assert_same_grads(_flat_grads(params, cache, nn.atomic_backward), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 50), n=st.integers(0, 300), E=st.integers(1, 30),
+       dtype=st.sampled_from(["float32", "float64"]), seed=st.integers(0, 2**32 - 1))
+def test_add_rows_at_equals_add_at_bit_for_bit(m, n, E, dtype, seed):
+    rng = np.random.default_rng(seed)
+    want = rng.standard_normal((m, E)).astype(dtype)
+    got = want.copy()
+    ids = rng.integers(0, m, n)
+    rows = (rng.standard_normal((n, E)) * 1e3).astype(dtype)
+    np.add.at(want, ids, rows)
+    nn.add_rows_at(got, ids, rows)
+    assert _same_bits(got, want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -507,13 +562,16 @@ def test_adagrad_in_place_matches_the_expression(dtype):
     want_p = rng.standard_normal((7, 9)).astype(dtype)
     got_p = want_p.copy()
     want_acc = np.zeros_like(want_p)
-    opt = nn.Adagrad({"w": got_p}, lr=0.1)
+    # two tensors in one flat buffer; the gradient covers the first
+    flat, params = nn.flatten({"w": want_p, "rest": np.ones(4, dtype=dtype)})
+    opt = nn.Adagrad(params, lr=0.1)
     for _ in range(5):
         g = (rng.standard_normal((7, 9)) * 3).astype(dtype)
         g[0, 0] = 0.0
         _adagrad_reference(want_p, g, want_acc, 0.1, nn.ADAGRAD_EPS)
-        opt.update({"w": got_p}, {"w": g})
-        assert _same_bits(got_p, want_p) and _same_bits(opt.accum["w"], want_acc)
+        opt.update(flat, g.reshape(-1))
+        assert _same_bits(params["w"], want_p) and _same_bits(opt.accum["w"], want_acc)
+        assert (params["rest"] == 1.0).all() and not opt.accum["rest"].any()
 
 
 def test_divergence_names_epoch_batch_and_parameter(monkeypatch):
@@ -526,7 +584,9 @@ def test_divergence_names_epoch_batch_and_parameter(monkeypatch):
         real_update(self, params, grads)
         calls.append(1)
         if len(calls) == 7:  # after the 2nd batch of epoch 2
-            params["lstm.W_h"][0, 0] = np.nan
+            # the first entry of lstm.W_h in the flat buffer laid out as accum
+            names = list(self.accum)
+            params[sum(self.accum[k].size for k in names[:names.index("lstm.W_h")])] = np.nan
 
     monkeypatch.setattr(nn.Adagrad, "update", poisoning_update)
     with pytest.raises(TrainingDivergence,
@@ -585,35 +645,53 @@ def test_log_softmax_at_equals_the_reference_bit_for_bit(rows, C, dtype, seed):
                       _reference_log_softmax_at(logits, targets))
 
 
+def _into_grads(backward):
+    """A reference backward pass under the kernels' signature: its new
+    arrays copied into those of ``grads``, with "feats" only when
+    ``input_grad`` asks for it."""
+    def run(cache, grads=None, input_grad=False):
+        got = backward(cache)
+        dfeats = got.pop("feats")
+        if grads is None:
+            grads = got
+        for name, g in got.items():
+            grads[name][...] = g
+        if input_grad:
+            grads["feats"] = dfeats
+        return grads
+    return run
+
+
 REFERENCE_KERNELS = {
     "sequence_forward": live_sequence_forward,
-    "sequence_backward": live_sequence_backward,
+    "sequence_backward": _into_grads(live_sequence_backward),
     "atomic_forward": padded_atomic_forward,
-    "atomic_backward": padded_atomic_backward,
+    "atomic_backward": _into_grads(padded_atomic_backward),
     "atomic_target_logprobs": _reference_atomic_target_logprobs,
     "_log_softmax_at": _reference_log_softmax_at,
     "adagrad_update": _adagrad_reference,
+    "add_rows_at": np.add.at,
 }
 
 # sha256 of the six checkpoints with numpy 2.4.6 and its bundled
-# OpenBLAS 0.3.31 on an AVX-512 (Sapphire Rapids) Xeon: the atomic rows
-# taken with the padded kernels (the dropout-0 row with the kernels that
-# skipped the mask at dropout 0), the sequence rows with the live-cell
-# kernels; another BLAS build or CPU may round a GEMM differently, so the
-# test compares against the reference run, not these.
+# OpenBLAS 0.3.31 on an AVX-512 (Sapphire Rapids) Xeon, taken with the
+# kernels that exponentiate each logit once, take the input gradient by
+# column blocks and update one flat parameter buffer; another BLAS build
+# or CPU may round a GEMM differently, so the test compares against the
+# reference run, not these.
 RECORDED_DIGESTS = {
     ("sequence", "fourier", "every-step", 0.2):
-        "ec77d34489eb4eb6b65a5b60660be0ac1fcacda66393d7d15a191a4936e5fb54",
+        "a49397e627c10de3573d9d6ff57851fd2b549d876695080acf8d98c43d4bdbab",
     ("sequence", "fourier", "every-step", 0.0):
-        "f5a5c975fa406b7ecbb76323f4155130dacc956557036c88a8cc1971a3276ddc",
+        "25e9013e21fd06e5de81025dbd146ddee146354decb89bcca6c51de3ea364900",
     ("sequence", "buckets", "init-state", 0.2):
-        "a91cdcb2188fb42e17eca6476be3dbe43906cd03bba488bb5174aa2b6b59f25f",
+        "33f6312880c79f5bcbadfff938fcd56a48a9c2d95b320f34ebade83b4805094f",
     ("sequence", "raw", "init-state", 0.0):
-        "95f3a934d32b3d59786b3f956c88165dd1e9ff80b201b9fff0e729035fc7e23c",
+        "7a09e128729c929c07746a31c7efa158d91e3a1dc0d1e0e961e8d22f28c3d582",
     ("atomic", "buckets", "every-step", 0.2):
-        "968b8fc1b57a68f0973136a9de4e62040d3b57c61f8dbbf7f89b714e26113f90",
+        "65bc94036f7502e965a47d84c06405a43111f280dfd587d27fa86e2787bcbe1a",
     ("atomic", "fourier", "every-step", 0.0):
-        "899369985d291796564feacdcc01bdb6f48b7909f325f19807bb511a3b4b6f3f",
+        "9c2f91b06076930498bad5dfc87a453473046160276f23f2500f1bab7e953e8d",
 }
 
 
@@ -684,10 +762,12 @@ def test_seeded_training_quality_equals_the_recorded_one(
 # The reference is the update it replaced, on the whole table.
 
 
-def _dense_update_rows(self, params, name, ids, grads):
-    grad = np.zeros_like(params[name])
+def _dense_update_rows(self, params, lo, ids, grads):
+    E = grads.shape[1]
+    table, accum = params[lo:].reshape(-1, E), self.flat[lo:].reshape(-1, E)
+    grad = np.zeros_like(table)
     np.add.at(grad, ids, grads)
-    _adagrad_reference(params[name], grad, self.accum[name], self.lr, self.eps)
+    _adagrad_reference(table, grad, accum, self.lr, self.eps)
 
 
 @pytest.mark.parametrize("family", ["atomic", "sequence"])
@@ -704,19 +784,24 @@ def test_bucket_table_row_update_equals_dense_update(monkeypatch, family):
             super().__init__(*args)
             made.append(self)
 
-        def update_rows(self, params, name, ids, grads):
-            batches.append((name, ids.copy()))
-            super().update_rows(params, name, ids, grads)
+        def update_rows(self, params, lo, ids, grads):
+            batches.append(ids.copy())
+            super().update_rows(params, lo, ids, grads)
 
     monkeypatch.setattr(nn, "Adagrad", Recorded)
     got, _ = train_model(family, train, cfg, scheme="buckets")
     monkeypatch.setattr(Recorded, "update_rows", _dense_update_rows)
     want, _ = train_model(family, train, cfg, scheme="buckets")
 
-    # 10 batches an epoch, each updating the three tables
-    assert len(batches) == 2 * 10 * 3
-    for name in BUCKET_PARAM_NAMES:
-        assert any(len(np.unique(ids)) < len(ids) for n, ids in batches if n == name)
+    # 10 batches an epoch, each updating the three tables in one call, over
+    # ids offset by the rows of the tables before them
+    assert len(batches) == 2 * 10
+    ends = np.cumsum([len(got.params[name]) for name in BUCKET_PARAM_NAMES])
+    for ids in batches:
+        table = np.searchsorted(ends, ids, side="right")
+        assert (table.reshape(-1, 3) == np.arange(3)).all()
+    for t in range(3):
+        assert any(len(np.unique(ids[t::3])) < len(ids[t::3]) for ids in batches)
     sparse, dense = made
     assert not sparse.accum["buckets.fine"].any(axis=1).all()  # untouched rows
     assert not sparse.accum["buckets.mid"].any(axis=1).all()
