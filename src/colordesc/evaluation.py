@@ -49,8 +49,9 @@ def oov_token_count(model, ds: Dataset) -> int:
     model reads each as <unk>, and an inventory holds no description
     with one."""
     known = model.known_tokens
-    per_text = [sum(t not in known for t in d.tokens) for d in ds.table]
-    return int(np.bincount(ds.codes, minlength=len(per_text)) @ np.array(per_text, dtype=np.int64))
+    per_text = np.array([sum(t not in known for t in d.tokens) for d in ds.table],
+                        dtype=np.int64)
+    return int(np.bincount(ds.codes, minlength=len(per_text)) @ per_text)
 
 
 def _check_zero_policy(on_zero: str) -> None:

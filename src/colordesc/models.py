@@ -776,16 +776,14 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
     """Shared minibatch/Adagrad/early-stopping driver.
 
     The parameters, their gradients and the Adagrad accumulators each live
-    in one flat buffer, in ``_layout`` order, with ``model.params`` and
-    the gradient dict views of them. ``batch_grads(feats, batch, rng,
+    in one flat buffer in ``_layout`` order; ``model.params`` and the
+    gradient dict are views of theirs. ``batch_grads(feats, batch, rng,
     grads, input_grad)`` runs the family's forward and backward passes on
-    the featurized batch (rows ``batch`` of train), writing the
-    gradients into the views of ``grads``, and returns the gradient of
-    the featurized input when ``input_grad`` asks for it (buckets), else
-    None. The bucket tables come last in the layout, as one (rows, E)
-    table: their gradient goes into the rows the batch looked up, one
-    ``update_rows`` call over ids offset by the tables before them, and
-    every other tensor takes one ``update`` call. Dev perplexity is
+    the featurized batch (rows ``batch`` of train), writing into the views
+    of ``grads``, and returns the gradient of the featurized input if
+    ``input_grad`` (buckets), else None. The bucket tables, last in the
+    layout, take it on the rows the batch looked up in one ``update_rows``
+    call; every other tensor takes one ``update`` call. Dev perplexity is
     checked after the batch that ends each ``evals_per_epoch``-th of an
     epoch, at most once per batch (one batch, one check); training stops
     after ``patience`` consecutive non-improving checks and the best

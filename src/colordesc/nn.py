@@ -4,8 +4,9 @@ inverted dropout, Adagrad, initializers, and hand-derived gradients.
 Parameters live in flat ``dict[str, np.ndarray]`` maps so the optimizer,
 checkpointing, and finite-difference verification can treat every model
 uniformly; in training each map's tensors are views of one flat buffer
-(``flatten``), so that Adagrad updates them all in one call. float32 is the working precision; float64 is available for
-gradient checks (``TrainingConfig.dtype``).
+(``flatten``), so that Adagrad updates them all in one call. float32 is
+the working precision; float64 is available for gradient checks
+(``TrainingConfig.dtype``).
 
 LSTM formulation (Graves 2013, peephole variant), gates fused into
 single matrices with column blocks ordered [input, forget, candidate,
@@ -477,14 +478,6 @@ def sequence_forward(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     return loss, cache
 
 
-def _zeroed(out, like: np.ndarray) -> np.ndarray:
-    """``out`` set to zero, or a new zero array like ``like`` if it is None."""
-    if out is None:
-        return np.zeros_like(like)
-    out[...] = 0.0
-    return out
-
-
 def sequence_backward(cache, grads: Params | None = None,
                       input_grad: bool = False) -> Params:
     """Exact gradients of the sequence loss for every parameter, written
@@ -556,28 +549,29 @@ def sequence_backward(cache, grads: Params | None = None,
     grads["lstm.w_cf"] = (da[:, 1] * c_prev).sum(axis=0, out=grads.get("lstm.w_cf"))
     grads["lstm.w_co"] = (da[:, 3] * cells).sum(axis=0, out=grads.get("lstm.w_co"))
 
-    # the input gradient da W_x^T, by column blocks: the embedding's always,
+    # the input gradient da W_x^T by column blocks: the embedding's always,
     # the features' (every-step mode) only when asked for
     W_x = params["lstm.W_x"]
     every_step = cfg.conditioning == "every-step"
-    grads["emb"] = _zeroed(grads.get("emb"), params["emb"])
-    add_rows_at(grads["emb"], cache["ids"], da_flat @ W_x[F:].T if every_step else da_flat @ W_x.T)
-    if every_step:
-        if input_grad:
-            dX = da_flat @ W_x[:F].T
-            dfeats = np.zeros((B, F), dtype=dt)
-            for t, n in enumerate(n_live):
-                dfeats[:n] += dX[bounds[t] : bounds[t + 1]]
-    else:
+    if "emb" not in grads:
+        grads["emb"] = np.empty_like(params["emb"])
+    grads["emb"][...] = 0.0
+    add_rows_at(grads["emb"], cache["ids"], da_flat @ (W_x[F:] if every_step else W_x).T)
+    if not every_step:
         # gradient reaching h0/c0 closes the recurrences above
         sorted_feats = feats[order]
         grads["cond.W_h0"] = np.matmul(sorted_feats.T, dh_next, out=grads.get("cond.W_h0"))
         grads["cond.b_h0"] = dh_next.sum(axis=0, out=grads.get("cond.b_h0"))
         grads["cond.W_c0"] = np.matmul(sorted_feats.T, dc_next, out=grads.get("cond.W_c0"))
         grads["cond.b_c0"] = dc_next.sum(axis=0, out=grads.get("cond.b_c0"))
-        if input_grad:
-            dfeats = dh_next @ params["cond.W_h0"].T + dc_next @ params["cond.W_c0"].T
     if input_grad:
+        if every_step:
+            dX = da_flat @ W_x[:F].T
+            dfeats = np.zeros((B, F), dtype=dt)
+            for t, n in enumerate(n_live):
+                dfeats[:n] += dX[bounds[t] : bounds[t + 1]]
+        else:
+            dfeats = dh_next @ params["cond.W_h0"].T + dc_next @ params["cond.W_c0"].T
         grads["feats"] = np.empty_like(dfeats)
         grads["feats"][order] = dfeats
     return grads
