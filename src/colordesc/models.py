@@ -780,10 +780,11 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
     gradient dict are views of theirs. ``batch_grads(feats, batch, rng,
     grads, input_grad)`` runs the family's forward and backward passes on
     the featurized batch (rows ``batch`` of train), writing into the views
-    of ``grads``, and returns the gradient of the featurized input if
-    ``input_grad`` (buckets), else None. The bucket tables, last in the
-    layout, take it on the rows the batch looked up in one ``update_rows``
-    call; every other tensor takes one ``update`` call. Dev perplexity is
+    of ``grads``, and returns ``grads``, with the gradient of the
+    featurized input under "feats" if ``input_grad`` (buckets). The bucket
+    tables, last in the layout, take that one on the rows the batch looked
+    up in one ``update_rows`` call; every other tensor takes one
+    ``update`` call. Dev perplexity is
     checked after the batch that ends each ``evals_per_epoch``-th of an
     epoch, at most once per batch (one batch, one check); training stops
     after ``patience`` consecutive non-improving checks and the best
@@ -815,7 +816,7 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
             batch = order[b * config.batch_size : (b + 1) * config.batch_size]
             feats, idx = model.featurize(train.colors[batch])
             try:
-                dfeats = batch_grads(feats, batch, rng, grads, bucketed)
+                dfeats = batch_grads(feats, batch, rng, grads, bucketed).pop("feats", None)
             except TrainingDivergence as exc:
                 raise TrainingDivergence(
                     f"{exc} at epoch {epoch}, batch {b} of {n_batches}; "
@@ -881,7 +882,7 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
         def batch_grads(feats, batch, rng, grads, input_grad):
             _, cache = nn.sequence_forward(model.params, config, feats,
                                            *enc.teacher_forcing(batch), rng=rng)
-            return nn.sequence_backward(cache, grads, input_grad).pop("feats", None)
+            return nn.sequence_backward(cache, grads, input_grad)
     else:
         inventory, targets_all = _inventory(train)
         model = AtomicModel.build(config, inventory, scheme)
@@ -889,7 +890,7 @@ def train_model(family: str, train: Dataset, config: TrainingConfig,
         def batch_grads(feats, batch, rng, grads, input_grad):
             _, cache = nn.atomic_forward(model.params, config, feats,
                                          targets_all[batch], rng=rng)
-            return nn.atomic_backward(cache, grads, input_grad).pop("feats", None)
+            return nn.atomic_backward(cache, grads, input_grad)
     return model, _neural_train_loop(model, config, train, batch_grads,
                                      monitor, monitor_name)
 
