@@ -135,6 +135,9 @@ def cmd_train(args) -> int:
         for rec in history:
             line = (f"epoch={rec['epoch']:.4f} split={rec['split']} "
                     f"perplexity={rec['perplexity']:.6f}")
+            if "grad_norm" in rec:
+                line += (f" grad_norm={rec['grad_norm']:.6g}"
+                         f" max_abs_param={rec['max_abs_param']:.6g}")
             fh.write(line + "\n")
             print(line)
     settings = {

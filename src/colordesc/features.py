@@ -9,6 +9,10 @@ Three schemes:
   parts followed by the 27 imaginary parts, frequencies enumerated
   row-major (j outer, l inner). Dividing s and v by 200 keeps their
   phases within [0, pi] (injective), while hue stays fully periodic.
+  A row is computed from three phasors, z_h = exp(-2*pi*i*h'), z_s and
+  z_v, and their squares: element (j, k, l) is z_h^j * (z_s^k * z_v^l),
+  so a row takes 3 complex exps instead of 54 cos and sin calls. It
+  agrees with the direct cos/sin formula to ~1e-14 in float64.
 * ``buckets``: discrete region indices at three resolutions, resolved to
   learned embeddings by the models.
 """
@@ -28,11 +32,7 @@ BUCKET_SIZES = tuple(nh * ns * nv for nh, ns, nv in BUCKET_GRIDS)
 
 SCHEMES = ("raw", "fourier", "buckets")
 
-# frequency triples (j, k, l), j outer / l inner
-_FREQS = np.array(
-    [(j, k, l) for j in range(3) for k in range(3) for l in range(3)],
-    dtype=np.float64,
-)
+_FOURIER_SCALE = np.array([360.0, 200.0, 200.0])
 
 
 def raw_feature_array(hsv: np.ndarray) -> np.ndarray:
@@ -41,12 +41,22 @@ def raw_feature_array(hsv: np.ndarray) -> np.ndarray:
     return hsv / np.array([360.0, 100.0, 100.0])
 
 
-def fourier_feature_array(hsv: np.ndarray) -> np.ndarray:
-    """(N, 54) Fourier features: 27 cosine values then 27 sine values."""
+def fourier_feature_array(hsv: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """(N, 54) Fourier features: 27 cosine values then 27 sine values,
+    computed in float64 from each row's phasors and written in ``dtype``."""
     hsv = np.asarray(hsv, dtype=np.float64)
-    scaled = hsv / np.array([360.0, 200.0, 200.0])
-    phase = -2.0 * np.pi * (scaled @ _FREQS.T)  # (N, 27)
-    return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    n = len(hsv)
+    # (axis h/s/v, power 0/1/2, row): the rows innermost, so that every
+    # product below runs as long loops over the rows
+    z = np.empty((3, 3, n), dtype=np.complex128)
+    z[:, 0] = 1.0
+    np.exp((-2j * np.pi) * (hsv / _FOURIER_SCALE).T, out=z[:, 1])
+    np.multiply(z[:, 1], z[:, 1], out=z[:, 2])
+    basis = (z[0, :, None, None] * (z[1, :, None] * z[2, None, :])).reshape(27, n)
+    out = np.empty((n, FOURIER_DIM), dtype=dtype)
+    out[:, :27] = basis.real.T
+    out[:, 27:] = basis.imag.T
+    return out
 
 
 def bucket_index_array(hsv: np.ndarray) -> np.ndarray:
@@ -77,10 +87,11 @@ def feature_dim(scheme: str, bucket_embedding_dim: int = 10) -> int:
     raise ConfigError(f"unknown feature scheme {scheme!r}")
 
 
-def dense_feature_array(hsv: np.ndarray, scheme: str) -> np.ndarray:
-    """Featurize for the continuous schemes; buckets go through embeddings."""
+def dense_feature_array(hsv: np.ndarray, scheme: str, dtype=np.float64) -> np.ndarray:
+    """Featurize for the continuous schemes, in ``dtype``; buckets go
+    through embeddings."""
     if scheme == "raw":
-        return raw_feature_array(hsv)
+        return raw_feature_array(hsv).astype(dtype, copy=False)
     if scheme == "fourier":
-        return fourier_feature_array(hsv)
+        return fourier_feature_array(hsv, dtype)
     raise ConfigError(f"scheme {scheme!r} has no dense featurizer")

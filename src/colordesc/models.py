@@ -278,7 +278,7 @@ class _Model:
                 axis=1,
             )
             return feats, idx
-        return dense_feature_array(colors, self.scheme).astype(self.config.np_dtype), None
+        return dense_feature_array(colors, self.scheme, self.config.np_dtype), None
 
     def score_description(self, c, d) -> float:
         """Natural-log probability of description d given color c."""
@@ -365,7 +365,9 @@ class SequenceDecoderModel(_Model):
 
     Conditioning per ``config.conditioning``: the featurized color is
     concatenated to the token embedding at every step, or mapped through
-    a dense layer to the initial (h0, c0).
+    a dense layer to the initial (h0, c0). Inference projects a color's
+    part of the gate input once per call (``nn.sequence_color_inputs``),
+    and the decode state carries it in place of the features.
     """
 
     family = "sequence"
@@ -409,17 +411,18 @@ class SequenceDecoderModel(_Model):
     # -- incremental decoding (also the enumeration probe used in tests)
 
     def initial_state(self, colors):
-        """(feats, h0, c0) of one color or of each (N, 3) color row."""
+        """(color inputs, h0, c0) of one color or of each (N, 3) color row
+        (``nn.sequence_start_state``)."""
         feats, _ = self.featurize(_as_color_array(colors))
-        return (feats,) + nn.sequence_start_state(self.params, self.config, feats)
+        return nn.sequence_start_state(self.params, self.config, feats)
 
     def step(self, state, prev_id: int):
         """Next-token distribution (float64, sums to 1) after feeding
         prev_id, plus the advanced state."""
-        feats, h, c = state
-        probs, h2, c2 = nn.sequence_step_probs(self.params, self.config, feats,
+        color_in, h, c = state
+        probs, h2, c2 = nn.sequence_step_probs(self.params, self.config, color_in,
                                                np.array([prev_id], dtype=np.int64), h, c)
-        return probs[0], (feats, h2, c2)
+        return probs[0], (color_in, h2, c2)
 
     # -- generation
 
@@ -437,13 +440,13 @@ class SequenceDecoderModel(_Model):
         lengths = np.full(n, max_len)
 
         def sample_chunk(lo, hi):
-            feats, h, c = self.initial_state(colors[lo:hi])
+            color_in, h, c = self.initial_state(colors[lo:hi])
             rows = np.arange(lo, hi)  # rows still sampling
             tok = np.full(hi - lo, START_ID, dtype=np.int64)
             neg_w = nn.negated_peepholes(self.params, 1)
             for t in range(max_len):
-                p, h, c = nn.sequence_step_probs(self.params, self.config, feats, tok, h, c,
-                                                 neg_w=neg_w)
+                p, h, c = nn.sequence_step_probs(self.params, self.config, color_in, tok,
+                                                 h, c, neg_w=neg_w)
                 p[:, START_ID] = 0.0
                 p[:, UNK_ID] = 0.0
                 p /= p.sum(axis=1, keepdims=True)
@@ -451,7 +454,8 @@ class SequenceDecoderModel(_Model):
                 go = tok != END_ID
                 if not go.all():
                     lengths[rows[~go]] = t
-                    rows, feats, tok, h, c = rows[go], feats[go], tok[go], h[go], c[go]
+                    rows, color_in, tok = rows[go], color_in[go], tok[go]
+                    h, c = h[go], c[go]
                     if not rows.size:
                         break
                 ids[rows, t] = tok
@@ -475,11 +479,11 @@ class SequenceDecoderModel(_Model):
         ``predict_top1`` returns for each color row. Beside a beam wider
         than 1 a greedy beam runs, and its completion wins if it is better,
         so widening the beam never hurts the returned score."""
-        feats, h, c = self.initial_state(colors)
+        state = self.initial_state(colors)
         with np.errstate(divide="ignore"):  # a zero probability's log is -inf
-            logp, ids = self._beam(feats, h, c, width, max_len)
+            logp, ids = self._beam(*state, width, max_len)
             if width > 1:
-                greedy_logp, greedy = self._beam(feats, h, c, 1, max_len)
+                greedy_logp, greedy = self._beam(*state, 1, max_len)
                 wins = (greedy_logp > logp) | (
                     (greedy_logp == logp) & _lex_less(greedy, ids))
                 ids = np.where(wins[:, None], greedy, ids)
@@ -487,10 +491,11 @@ class SequenceDecoderModel(_Model):
         lengths = (ids >= 0).sum(axis=1).tolist()
         return logp, [tuple(row[:k]) for row, k in zip(ids.tolist(), lengths)]
 
-    def _beam(self, feats, h, c, width: int, max_len: int):
-        """Beam search from the initial states (h, c) of colors with
-        features ``feats``: the log probability of each color's best
-        completion, and its content token ids padded with -1 to max_len.
+    def _beam(self, color_in, h, c, width: int, max_len: int):
+        """Beam search from the decode states (color inputs, h, c) of
+        colors (``initial_state``): the log probability of each color's
+        best completion, and its content token ids padded with -1 to
+        max_len.
 
         One decode step per depth advances the live hypotheses of every
         color. A color's search records the best completion of its
@@ -504,7 +509,7 @@ class SequenceDecoderModel(_Model):
         its hypotheses in id order, so an extension's rank is (hypothesis
         row, token).
         """
-        n, V = len(feats), len(self.vocab)
+        n, V = len(color_in), len(self.vocab)
         search = np.arange(n)  # color of each live hypothesis, ascending
         starts = group = search  # first row of each searching color; row's group
         # ids, padded with -1: a tuple sorts before the longer ones it starts
@@ -519,7 +524,7 @@ class SequenceDecoderModel(_Model):
 
         for depth in range(max_len + 1):
             probs, h_new, c_new = nn.sequence_step_probs(self.params, self.config,
-                                                         feats[search], prev, h, c,
+                                                         color_in[search], prev, h, c,
                                                          neg_w=neg_w)
             scores = np.log(probs, out=probs)
 
@@ -788,7 +793,11 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
     checked after the batch that ends each ``evals_per_epoch``-th of an
     epoch, at most once per batch (one batch, one check); training stops
     after ``patience`` consecutive non-improving checks and the best
-    parameters are copied back into the buffer.
+    parameters are copied back into the buffer. Each check's history
+    record also holds ``grad_norm``, the L2 norm of the dense gradient
+    buffer of the batch before the check (the bucket tables' rows, updated
+    apart, are not in it), and ``max_abs_param``, the largest |entry| of
+    the parameter buffer, each one reduction over its flat buffer.
     """
     params, model.params = nn.flatten(model.params)
     grad_flat, grads = nn.flatten({k: np.zeros_like(v) for k, v in model.params.items()
@@ -829,7 +838,9 @@ def _neural_train_loop(model, config: TrainingConfig, train: Dataset, batch_grad
                 frac = epoch - 1 + (b + 1) / n_batches
                 ppl = _monitor_perplexity(model, monitor_ds)
                 history.append({"epoch": round(frac, 4), "split": monitor_name,
-                                "perplexity": ppl})
+                                "perplexity": ppl,
+                                "grad_norm": float(np.linalg.norm(grad_flat)),
+                                "max_abs_param": float(np.abs(params).max())})
                 if ppl < best_ppl:
                     best_ppl = ppl
                     best_params = params.copy()
@@ -864,7 +875,9 @@ def check_family_scheme(family: str, scheme: str) -> None:
 def train_model(family: str, train: Dataset, config: TrainingConfig,
                 scheme: str = "fourier", dev: Dataset | None = None):
     """Train a model of the given family; returns (model, history) where
-    history is a list of {epoch, split, perplexity} records."""
+    history is a list of {epoch, split, perplexity} records, which a
+    neural family's records extend with grad_norm and max_abs_param
+    (``_neural_train_loop``)."""
     check_family_scheme(family, scheme)
     config.validate()
     if len(train) == 0:

@@ -603,26 +603,47 @@ def _tile_matmul(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _rows(_tiles(x) @ W, len(x))
 
 
+def sequence_color_inputs(params: Params, cfg: TrainingConfig, feats: np.ndarray):
+    """(..., 4H) color part of the gate input of (..., F) color rows, the
+    same at every step: feats W_x[:F] + b in every-step mode, and b alone
+    in init-state mode, where the color enters through (h0, c0) instead.
+    A step's gate input is then h_prev W_h + (emb W_x[F:] + this), which
+    inference forms once per call rather than at every step."""
+    b = params["lstm.b"]
+    if cfg.conditioning == "every-step":
+        return feats @ params["lstm.W_x"][: feats.shape[-1]] + b
+    return np.broadcast_to(b, feats.shape[:-1] + b.shape)
+
+
+def _embedding_weights(params: Params, cfg: TrainingConfig) -> np.ndarray:
+    """The rows of W_x that multiply the token embedding: its last E."""
+    W_x = params["lstm.W_x"]
+    return W_x[len(W_x) - cfg.embedding_dim :]
+
+
 def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
                       ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Per-item log probability (nats) of the target sequences, dropout
     off, for a batch as ``EncodedDataset.teacher_forcing`` gives it.
 
-    Rows run longest first (stable order), and step t advances the
-    prefix of rows still live at t, rounded up to whole tiles (``TILE``),
-    from that step's inputs alone, so a call's buffers grow with its rows
-    and not with its steps. The log-softmax is taken on the live rows at
-    the target only, z[target] - log(sum(exp(z))) with z = logits - max
-    in float64, the same operations as a full log-softmax row. Scores
-    come back in input order, summed over steps per item in float64.
+    Rows run longest first (stable order). The color inputs
+    (``sequence_color_inputs``) and initial states are computed once, on
+    tiles; step t then advances the prefix of rows still live at t,
+    rounded up to whole tiles (``TILE``), from that step's token inputs
+    alone, so a call's buffers grow with its rows and not with its steps.
+    The log-softmax is taken on the live rows at the target only,
+    z[target] - log(sum(exp(z))) with z = logits - max in float64, the
+    same operations as a full log-softmax row. Scores come back in input
+    order, summed over steps per item in float64.
     """
     B = len(steps)
     order, n_live = _longest_first(steps)
     k_live = -(-n_live // TILE)
     feats = _tiles(feats[order])
+    color_in = sequence_color_inputs(params, cfg, feats)
     h, c = sequence_initial_state(params, cfg, feats)
-    feats = feats.reshape(-1, feats.shape[-1])
     ids = _tiles(ids[order]).reshape(-1, ids.shape[1])
+    W_e = _embedding_weights(params, cfg)
 
     # each step overwrites the live tiles of one state stack in place
     neg_w = negated_peepholes(params, TILE)
@@ -631,9 +652,10 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     logits = np.empty(h.shape[:2] + params["out.b"].shape, dtype=h.dtype)
     total = np.zeros(B, dtype=np.float64)
     for t, (n, k) in enumerate(zip(n_live, k_live)):
-        x = _step_inputs(params, cfg, feats[: k * TILE], ids[: k * TILE, t])
+        x = params["emb"][ids[: k * TILE, t]].reshape(k, TILE, -1) @ W_e
+        x += color_in[:k]
         a = h[:k] @ params["lstm.W_h"]
-        a += x.reshape(k, TILE, -1) @ params["lstm.W_x"] + params["lstm.b"]
+        a += x
         _lstm_step(a, neg_w, c[:k], gates[:, :k], c[:k], tanh_c[:k], h[:k])
         step_logits = np.matmul(h[:k], params["out.W"], out=logits[:k])
         step_logits += params["out.b"]
@@ -644,23 +666,27 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
 
 
 def sequence_start_state(params: Params, cfg: TrainingConfig, feats: np.ndarray):
-    """(h0, c0) of each row of ``feats`` for decoding, computed on tiles."""
-    return tuple(_rows(s, len(feats))
-                 for s in sequence_initial_state(params, cfg, _tiles(feats)))
+    """(color inputs, h0, c0) of each row of ``feats`` for decoding,
+    computed on tiles: the state that ``sequence_step_probs`` advances."""
+    tiles = _tiles(feats)
+    return tuple(_rows(s, len(feats)) for s in (sequence_color_inputs(params, cfg, tiles),)
+                 + sequence_initial_state(params, cfg, tiles))
 
 
-def sequence_step_probs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
+def sequence_step_probs(params: Params, cfg: TrainingConfig, color_in: np.ndarray,
                         prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray, *,
                         neg_w: np.ndarray | None = None):
     """Incremental decode step of each row: next-token distribution
-    (float64) and new state. The products run on tiles, the elementwise
-    steps on the rows. A caller that steps many times passes
-    ``neg_w = negated_peepholes(params, 1)``, built once."""
+    (float64) and new state, from the row's color inputs
+    (``sequence_start_state``) and previous token. The products run on
+    tiles, the elementwise steps on the rows. A caller that steps many
+    times passes ``neg_w = negated_peepholes(params, 1)``, built once."""
     if neg_w is None:
         neg_w = negated_peepholes(params, 1)
-    x = _step_inputs(params, cfg, feats, prev_ids)
+    x = _tile_matmul(params["emb"][prev_ids], _embedding_weights(params, cfg))
+    x += color_in
     a = _tile_matmul(h, params["lstm.W_h"])
-    a += _tile_matmul(x, params["lstm.W_x"]) + params["lstm.b"]
+    a += x
     h, c = _lstm_step(a, neg_w, c,
                       np.empty((4,) + c.shape, dtype=c.dtype), np.empty_like(c),
                       np.empty_like(c), np.empty_like(c))

@@ -124,20 +124,31 @@ def tile_matmul(x, W):
     return np.concatenate([tile @ W for tile in np.split(tiles, k)])[:n]
 
 
-def padded_sequence_logprobs(params, cfg, feats, ids, steps):
+def padded_sequence_logprobs(params, cfg, feats, ids, steps, concat=False):
     """The padded scorer: every row runs all T steps of the (B, T + 1)
     ``ids``, the full (B, V) log-softmax is built at each step and a mask
     of each row's ``steps`` zeroes padding. Every product runs on whole
-    tiles (``tile_matmul``)."""
+    tiles (``tile_matmul``). A step's gate input is h W_h + (emb W_x[F:]
+    + C), with the color inputs C = feats W_x[:F] + b (every-step) or b
+    (init-state) formed once, as ``nn.sequence_logprobs`` forms it. With
+    ``concat`` it is h W_h + ([feats ; emb] W_x + b) instead, the formula
+    that projected the features again at every step."""
     in_ids, targets = ids[:, :-1], ids[:, 1:]
     B, T = in_ids.shape
     mask = (np.arange(T) < steps[:, None]).astype(np.float64)
-    H = cfg.hidden_size
+    H, E = cfg.hidden_size, cfg.embedding_dim
+    W_x, b = params["lstm.W_x"], params["lstm.b"]
+    every_step = cfg.conditioning == "every-step"
     X = params["emb"][in_ids]
-    if cfg.conditioning == "every-step":
-        tiled = np.broadcast_to(feats[:, None, :], (B, T, feats.shape[1]))
-        X = np.concatenate([tiled, X], axis=2)
-    AX = tile_matmul(X.reshape(B * T, -1), params["lstm.W_x"]) + params["lstm.b"]
+    if concat:
+        if every_step:
+            tiled = np.broadcast_to(feats[:, None, :], (B, T, feats.shape[1]))
+            X = np.concatenate([tiled, X], axis=2)
+        AX = tile_matmul(X.reshape(B * T, -1), W_x) + b
+    else:
+        color = tile_matmul(feats, W_x[: len(W_x) - E]) + b if every_step else b
+        AX = tile_matmul(X.reshape(B * T, E), W_x[len(W_x) - E :]).reshape(B, T, 4 * H)
+        AX += np.broadcast_to(color, (B, 4 * H))[:, None]
     AX = AX.reshape(B, T, 4 * H)
     if cfg.conditioning == "init-state":
         h = tile_matmul(feats, params["cond.W_h0"]) + params["cond.b_h0"]

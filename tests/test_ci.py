@@ -2,8 +2,10 @@
 run CI makes. The workflows are read as plain text: PyYAML is no
 dependency of the tests."""
 
+import json
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,35 @@ def test_every_script_is_called_by_a_workflow():
 def test_bash_accepts_the_script(script):
     result = subprocess.run(["bash", "-n", str(script)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def _eval_run(path: Path, log2_probs: list, perplexity: float = 4.0) -> Path:
+    """An `eval --out` directory holding what ci/same_scores.py reads."""
+    path.mkdir()
+    (path / "eval-dev.json").write_text(json.dumps(
+        {"log2_probs": log2_probs, "perplexity": perplexity}))
+    (path / "run-meta.json").write_text(json.dumps(
+        {"counts": {"skipped_records": {"dev": 0}}}))
+    return path
+
+
+def _same_scores(*args):
+    return subprocess.run([sys.executable, str(ROOT / "ci" / "same_scores.py"), *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def test_same_scores_within_bounds_the_largest_difference(tmp_path):
+    a = _eval_run(tmp_path / "a", [-1.0, -2.0, -3.0])
+    b = _eval_run(tmp_path / "b", [-1.0, -2.0 + 3e-6, -3.0 - 1e-6], 3.9999965)
+    # equality stays the default
+    assert _same_scores(a, b).returncode == 1
+    ok = _same_scores(a, b, "--within", "5e-6")
+    assert ok.returncode == 0, ok.stderr
+    assert "max |delta log2 p| 3e-06 bits, 2 of 3 rows changed" in ok.stdout
+    assert "perplexity 4.0 and 3.9999965" in ok.stdout
+    assert _same_scores(a, b, "--within", "2e-6").returncode == 1
+    # a row -inf (null) in one run only is an infinite difference
+    c = _eval_run(tmp_path / "c", [-1.0, None, -3.0])
+    assert "max |delta log2 p| inf bits" in _same_scores(a, c, "--within", "1").stdout
+    assert _same_scores(a, c, "--within", "1").returncode == 1
+    assert _same_scores(a, a, "--within", "0").returncode == 0

@@ -64,6 +64,9 @@ def test_train_writes_artifacts_and_logs(tmp_corpus, tmp_path, capsys):
     assert log_lines
     pat = re.compile(r"^epoch=\d+\.\d{4} split=(train|dev) perplexity=\d")
     assert all(pat.match(ln) for ln in log_lines)
+    # the monitor's extra fields follow the pinned prefix
+    extra = re.compile(r" perplexity=\S+ grad_norm=\S+ max_abs_param=\S+$")
+    assert all(extra.search(ln) for ln in log_lines)
     stdout = capsys.readouterr().out
     assert "checkpoint:" in stdout
     meta = json.loads((out / "run-meta.json").read_text())

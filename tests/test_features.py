@@ -159,6 +159,44 @@ def test_fourier_identities(hsv):
     assert (f[:, 27] == 0.0).all()
 
 
+def _direct_fourier(hsv: np.ndarray) -> np.ndarray:
+    """The 54 features by the defining formula: cos and sin of each of the
+    27 phases -2*pi*(j*h' + k*s' + l*v'), in float64."""
+    freqs = np.array([(j, k, l) for j in range(3) for k in range(3) for l in range(3)],
+                     dtype=np.float64)
+    phase = -2.0 * np.pi * ((hsv / np.array([360.0, 200.0, 200.0])) @ freqs.T)
+    return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+
+
+def _edge_or_any(lo: float, hi: float):
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+
+
+@given(hsv=st.lists(st.tuples(_edge_or_any(0.0, 360.0), _edge_or_any(0.0, 100.0),
+                              _edge_or_any(0.0, 100.0)),
+                    min_size=1, max_size=40).map(np.array))
+def test_phasor_features_equal_the_direct_formula(hsv):
+    direct = _direct_fourier(hsv)
+    got = fourier_feature_array(hsv)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.abs(got - direct).max() <= 1e-14
+    # float32 is the float64 value rounded once, so it differs from the
+    # direct formula's float32 only where the two float64 values, at most
+    # 1e-14 apart, round apart: at a tie, where the midpoint of two adjacent
+    # float32 values lies between them. Below 1e-6 in magnitude float32's
+    # steps are finer than 1e-14, and an entry that is zero up to rounding
+    # (the direct formula's sin(-pi) is -1.2e-16) may move several steps.
+    got32 = fourier_feature_array(hsv, np.float32)
+    assert got32.dtype == np.float32
+    assert got32.tobytes() == got.astype(np.float32).tobytes()
+    want32 = direct.astype(np.float32)
+    differ = got32 != want32
+    lo, hi = np.minimum(got32, want32)[differ], np.maximum(got32, want32)[differ]
+    mid = (lo.astype(np.float64) + hi.astype(np.float64)) / 2
+    tie = (np.nextafter(lo, np.float32(np.inf)) == hi) & (np.abs(direct[differ] - mid) <= 1e-14)
+    assert (tie | (np.abs(direct[differ]) < 1e-6)).all()
+
+
 @given(hsv=_hsv_rows())
 def test_bucket_ids_in_range_and_mid_follows_fine(hsv):
     idx = bucket_index_array(hsv)

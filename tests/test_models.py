@@ -303,23 +303,31 @@ def test_sample_batch_rows_depend_only_on_their_own_uniforms():
 def test_decoders_and_samplers_never_run_a_one_row_block(monkeypatch):
     # numpy sends a one-row product to gemv, and a GEMM's row can round
     # differently with a different row count: every product of sequence
-    # scoring, of the initial state and of the atomic classifier runs on a
-    # (k, nn.TILE, ...) stack, one GEMM per tile, and each product of a
-    # decode step through nn._tile_matmul, which makes that stack
+    # scoring, of the initial state, of the color inputs and of the atomic
+    # classifier runs on a (k, nn.TILE, ...) stack, one GEMM per tile, and
+    # each product of a decode step through nn._tile_matmul, which makes
+    # that stack
     seen = []  # (array, leading shape) of the rows each product multiplies
-    tiled = set()  # ids of the weights multiplied through nn._tile_matmul
-    real_start, real_step, real_logits, real_matmul = (
-        nn.sequence_initial_state, nn._lstm_step, nn.atomic_logits, nn._tile_matmul)
+    # (id, rows) of the weights multiplied through nn._tile_matmul, a view
+    # by the id of the tensor it is a view of
+    tiled = set()
+    real_start, real_color, real_step, real_logits, real_matmul = (
+        nn.sequence_initial_state, nn.sequence_color_inputs, nn._lstm_step,
+        nn.atomic_logits, nn._tile_matmul)
 
     def tile_matmul(x, W):
-        tiled.add(id(W))
+        tiled.add((id(W if W.base is None else W.base), len(W)))
         return real_matmul(x, W)
 
     def initial_state(params, cfg, feats):
         seen.append(("feats", feats.shape[:-1]))
         return real_start(params, cfg, feats)
 
-    def lstm_step(a, *rest):  # a = h W_h + (x W_x + b)
+    def color_inputs(params, cfg, feats):
+        seen.append(("color inputs", feats.shape[:-1]))
+        return real_color(params, cfg, feats)
+
+    def lstm_step(a, *rest):  # a = h W_h + (emb W_x[F:] + color inputs)
         seen.append(("scoring gate inputs", a.shape[:-1]))
         return real_step(a, *rest)
 
@@ -329,6 +337,7 @@ def test_decoders_and_samplers_never_run_a_one_row_block(monkeypatch):
 
     monkeypatch.setattr(nn, "_tile_matmul", tile_matmul)
     monkeypatch.setattr(nn, "sequence_initial_state", initial_state)
+    monkeypatch.setattr(nn, "sequence_color_inputs", color_inputs)
     monkeypatch.setattr(nn, "_lstm_step", lstm_step)
     monkeypatch.setattr(nn, "atomic_logits", atomic_logits)
     sequence, atomic, _ = _models_of_each_family()
@@ -352,8 +361,13 @@ def test_decoders_and_samplers_never_run_a_one_row_block(monkeypatch):
         model.sample_batch(colors, np.random.default_rng(29))
         for width in (1, 3):
             model.predict_top1(color, beam_width=width, max_len=6)
-    assert {name for name, _ in seen} == {"feats", "scoring gate inputs", "atomic feats"}
-    assert tiled == {id(sequence.params[k]) for k in ("lstm.W_x", "lstm.W_h", "out.W")}
+    assert {name for name, _ in seen} == {"feats", "color inputs", "scoring gate inputs",
+                                          "atomic feats"}
+    # a decode step multiplies only the embedding rows of W_x: the color
+    # inputs were projected on tiles when the state was made
+    E, H = sequence.config.embedding_dim, sequence.config.hidden_size
+    assert tiled == {(id(sequence.params["lstm.W_x"]), E), (id(sequence.params["lstm.W_h"]), H),
+                     (id(sequence.params["out.W"]), H)}
     for name, shape in seen:
         assert len(shape) == 2 and shape[0] >= 1 and shape[1] == nn.TILE, (name, shape)
 
@@ -472,7 +486,8 @@ def test_training_history_schema_and_early_stop():
     cfg = TrainingConfig(max_epochs=8, batch_size=4, dropout=0.0, seed=0,
                          patience=2, evals_per_epoch=2)
     model, history = train_model("sequence", ds, cfg, scheme="raw")
-    assert all(set(rec) == {"epoch", "split", "perplexity"} for rec in history)
+    assert all(set(rec) == {"epoch", "split", "perplexity", "grad_norm", "max_abs_param"}
+               for rec in history)
     epochs = [rec["epoch"] for rec in history]
     assert epochs == sorted(epochs)
     assert len(history) <= cfg.max_epochs * cfg.evals_per_epoch
@@ -503,6 +518,37 @@ def test_bucket_scheme_trains_sequence_and_atomic():
         assert math.isfinite(history[-1]["perplexity"])
         # bucket tables moved away from their tiny init: training reached them
         assert float(np.abs(model.params["buckets.fine"]).max()) > 0.05
+
+
+@pytest.mark.parametrize("family,scheme", [("sequence", "raw"), ("atomic", "buckets")])
+def test_history_records_the_checked_batchs_gradient_norm_and_largest_parameter(
+        monkeypatch, family, scheme):
+    # each check records the norm of the gradient of the batch just before
+    # it, bucket rows and the input gradient excluded, and the largest
+    # |parameter| after that batch's update
+    backward_name = f"{family}_backward"
+    real_backward, real_monitor = getattr(nn, backward_name), models._monitor_perplexity
+    norms, at_checks = [], []
+
+    def backward(cache, grads=None, input_grad=False):
+        out = real_backward(cache, grads, input_grad)
+        norms.append(math.sqrt(sum(float((v.astype(np.float64) ** 2).sum())
+                                   for k, v in out.items() if k != "feats")))
+        return out
+
+    def monitor(model, ds):
+        top = max(float(np.abs(v).max()) for v in model.params.values())
+        at_checks.append((norms[-1], top))
+        return real_monitor(model, ds)
+
+    monkeypatch.setattr(nn, backward_name, backward)
+    monkeypatch.setattr(models, "_monitor_perplexity", monitor)
+    cfg = TrainingConfig(max_epochs=3, batch_size=4, seed=2, patience=10, evals_per_epoch=2)
+    _, history = train_model(family, disjoint_pairs(10, seed=9), cfg, scheme=scheme)
+    assert len(history) == len(at_checks) == 6 and len(norms) == 9
+    for rec, (norm, top) in zip(history, at_checks):
+        assert rec["grad_norm"] == pytest.approx(norm, rel=1e-5)
+        assert rec["max_abs_param"] == top
 
 
 def test_training_uses_dev_split_for_monitoring():

@@ -10,7 +10,8 @@ from colordesc.corpus import END_ID
 from colordesc.errors import ConfigError
 from colordesc import nn
 
-from conftest import fd_max_relative_error, padded_sequence_logprobs
+from conftest import (fd_max_relative_error, lstm_step_full, padded_sequence_logprobs,
+                      tile_matmul)
 
 
 def test_config_validation():
@@ -445,6 +446,64 @@ def test_sequence_logprobs_advances_only_live_rows(monkeypatch):
     assert softmax_rows == [130, 65, 65, 64, 1]
     monkeypatch.undo()
     np.testing.assert_array_equal(got, padded_sequence_logprobs(*setup))
+
+
+# Inference forms a color's part of the gate input once per call, C =
+# feats W_x[:F] + b, and adds emb W_x[F:] at each step; the formula it
+# replaced multiplied [feats ; emb] by all of W_x at every step. The two
+# differ only by float rounding in every-step mode (the sums are taken in
+# another order): measured over 360 random setups, at most 7.0e-7 nats
+# (3.4e-8 relative) in float32 and 1.4e-14 nats in float64. The bounds
+# below leave a margin of ~10x. In init-state mode C is b and every bit
+# is kept.
+HOIST_TOLERANCE = {"float32": dict(rtol=1e-6, atol=1e-5),
+                   "float64": dict(rtol=1e-13, atol=1e-12)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.sampled_from([1, 3, 65, 300]),
+       conditioning=st.sampled_from(["every-step", "init-state"]),
+       dtype=st.sampled_from(["float32", "float64"]),
+       dims=st.sampled_from([(4, 3, 7, 5), (20, 20, 400, 54), (50, 20, 400, 54)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_hoisted_scores_agree_with_the_concat_formula(B, conditioning, dtype, dims, seed):
+    lengths = np.random.default_rng(seed).integers(1, 7, B)
+    setup = _scoring_setup(seed, B, conditioning, dtype, dims, lengths)
+    got = nn.sequence_logprobs(*setup)
+    want = padded_sequence_logprobs(*setup, concat=True)
+    if conditioning == "init-state":
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, **HOIST_TOLERANCE[dtype])
+
+
+def _concat_step_probs(params, cfg, feats, prev_ids, h, c):
+    """The decode step that projected [feats ; emb] by W_x at every step."""
+    x = params["emb"][prev_ids]
+    if cfg.conditioning == "every-step":
+        x = np.concatenate([feats, x], axis=1)
+    a = tile_matmul(x, params["lstm.W_x"]) + params["lstm.b"]
+    h, c, _ = lstm_step_full(params, None, h, c, a=a, matmul=tile_matmul)
+    logits = tile_matmul(h, params["out.W"]) + params["out.b"]
+    return nn.softmax(logits, axis=1), h, c
+
+
+@pytest.mark.parametrize("conditioning", ["every-step", "init-state"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("B", [1, 70])
+def test_hoisted_decode_steps_agree_with_the_concat_formula(conditioning, dtype, B):
+    params, cfg, feats, ids, _ = _scoring_setup(B, B, conditioning, dtype,
+                                                (20, 20, 400, 54), np.full(B, 5))
+    color_in, h, c = nn.sequence_start_state(params, cfg, feats)
+    h_ref, c_ref = h, c
+    for t in range(5):
+        probs, h, c = nn.sequence_step_probs(params, cfg, color_in, ids[:, t], h, c)
+        want, h_ref, c_ref = _concat_step_probs(params, cfg, feats, ids[:, t], h_ref, c_ref)
+        if conditioning == "init-state":
+            assert probs.tobytes() == want.tobytes() and h.tobytes() == h_ref.tobytes()
+        else:
+            np.testing.assert_allclose(np.log(probs), np.log(want), **HOIST_TOLERANCE[dtype])
+            np.testing.assert_allclose(h, h_ref, **HOIST_TOLERANCE[dtype])
 
 
 def test_scoring_working_set_does_not_grow_with_steps():
