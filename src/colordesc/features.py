@@ -50,8 +50,10 @@ def fourier_feature_array(hsv: np.ndarray, dtype=np.float64) -> np.ndarray:
     # product below runs as long loops over the rows
     z = np.empty((3, 3, n), dtype=np.complex128)
     z[:, 0] = 1.0
-    np.exp((-2j * np.pi) * (hsv / _FOURIER_SCALE).T, out=z[:, 1])
-    np.multiply(z[:, 1], z[:, 1], out=z[:, 2])
+    phasors = z[:, 1]  # the phases first, then their exps in place
+    np.multiply((hsv / _FOURIER_SCALE).T, -2j * np.pi, out=phasors)
+    np.exp(phasors, out=phasors)
+    np.multiply(phasors, phasors, out=z[:, 2])
     basis = (z[0, :, None, None] * (z[1, :, None] * z[2, None, :])).reshape(27, n)
     out = np.empty((n, FOURIER_DIM), dtype=dtype)
     out[:, :27] = basis.real.T

@@ -611,7 +611,9 @@ def sequence_color_inputs(params: Params, cfg: TrainingConfig, feats: np.ndarray
     inference forms once per call rather than at every step."""
     b = params["lstm.b"]
     if cfg.conditioning == "every-step":
-        return feats @ params["lstm.W_x"][: feats.shape[-1]] + b
+        x = feats @ params["lstm.W_x"][: feats.shape[-1]]
+        x += b
+        return x
     return np.broadcast_to(b, feats.shape[:-1] + b.shape)
 
 

@@ -21,7 +21,7 @@ def reference_beam(model, c, width: int, max_len: int):
     """(logp, ids) of the best completion: every (row, token) candidate
     becomes a (-score, ids) tuple and the first ``width`` in sorted order
     are kept."""
-    feats1, h_arr, c_arr = model.initial_state(c)
+    color_in, h_arr, c_arr = model.initial_state(c)
     V = len(model.vocab)
     live_ids = [()]
     live_logp = np.zeros(1, dtype=np.float64)
@@ -30,7 +30,7 @@ def reference_beam(model, c, width: int, max_len: int):
     for depth in range(max_len + 1):
         n = len(live_ids)
         probs, h_new, c_new = nn.sequence_step_probs(
-            model.params, model.config, np.repeat(feats1, n, axis=0), prev, h_arr, c_arr)
+            model.params, model.config, np.repeat(color_in, n, axis=0), prev, h_arr, c_arr)
         with np.errstate(divide="ignore"):
             step_logp = np.log(probs)
         for i in range(n):
@@ -83,9 +83,9 @@ def counted(model, fn):
     rows = []
     real = nn.sequence_step_probs
 
-    def step(params, cfg, feats, prev, h, c, **kwargs):
+    def step(params, cfg, color_in, prev, h, c, **kwargs):
         rows.append(len(prev))
-        return real(params, cfg, feats, prev, h, c, **kwargs)
+        return real(params, cfg, color_in, prev, h, c, **kwargs)
 
     nn.sequence_step_probs = step
     try:
