@@ -1,7 +1,7 @@
 """Check that two `colordesc eval` runs scored the same dev rows alike.
 
     python ci/same_scores.py RUN_A RUN_B [KEY ...] [--rows N] [--order FILE]
-        [--within BITS]
+        [--within BITS] [--ppl-within REL]
 
 RUN_A and RUN_B are `eval --out` directories. Neither run may have skipped
 a dev record, and each KEY of their eval-dev.json (log2_probs if none is
@@ -11,6 +11,8 @@ RUN_A's rows, and line i of FILE is the row of RUN_A that is RUN_B's row i.
 --within BITS: log2_probs agree where each row's two values are equal or
 differ by at most BITS; the script then reports the largest |difference|,
 the count of rows that differ and both runs' perplexities.
+--ppl-within REL: the two runs' perplexities also agree to within REL of
+the larger, relative; the script prints both and their relative gap.
 Exits 1 with a message on the first check that fails.
 """
 
@@ -39,7 +41,7 @@ def log2_gap(x: list, y: list) -> tuple:
     return worst, changed
 
 
-def bits(text: str) -> float:
+def bound(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"not a finite bound >= 0: {text}")
@@ -52,7 +54,8 @@ def main() -> None:
     parser.add_argument("keys", nargs="*", default=["log2_probs"], metavar="KEY")
     parser.add_argument("--rows", type=int)
     parser.add_argument("--order", type=Path)
-    parser.add_argument("--within", type=bits, metavar="BITS")
+    parser.add_argument("--within", type=bound, metavar="BITS")
+    parser.add_argument("--ppl-within", type=bound, metavar="REL")
     args = parser.parse_args()
     a, b = (json.loads((run / "eval-dev.json").read_text()) for run in args.runs)
     what = " and ".join(run.name for run in args.runs)
@@ -83,6 +86,13 @@ def main() -> None:
     agreed = [f"{key} within {args.within:g} bits"
               if key == "log2_probs" and args.within is not None else f"{key} equal"
               for key in args.keys]
+    if args.ppl_within is not None:
+        x, y = a["perplexity"], b["perplexity"]
+        gap = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+        print(f"{what}: perplexity {x} and {y}, relative gap {gap:.3g}")
+        check(gap <= args.ppl_within, f"{what}: perplexities differ by more than "
+                                      f"{args.ppl_within:g} relative")
+        agreed.append(f"perplexity within {args.ppl_within:g} relative")
     print(f"{what}: {n} rows, {', '.join(agreed)}")
 
 

@@ -343,41 +343,31 @@ def _lstm_step(a, neg_w, c, gates, c_out, tc_out, h_out):
     return h, c
 
 
-_LOG_SOFTMAX_BUFFER = 1 << 18  # entries of _log_softmax_at's buffer
-
 # glibc raises its mmap threshold to the largest mapped block freed so far, and its trim
-# threshold to twice that: with this 4 MiB block freed at import, every scoring buffer (at
-# most 2 MiB) comes from a heap not trimmed between chunks. Other allocators ignore it.
-np.empty(2 * _LOG_SOFTMAX_BUFFER)
+# threshold to twice that: with this 4 MiB block freed at import, the logits stacks and
+# tiles of scoring (0.8-7.2 MB) come from a heap not trimmed between chunks. Other
+# allocators ignore it.
+np.empty(1 << 19)
 
 
-def _block_rows(N: int, C: int) -> int:
-    """Rows of a block of an (N, C) array that fills at most
-    ``_LOG_SOFTMAX_BUFFER`` entries, and at least one row."""
-    return max(1, min(N, _LOG_SOFTMAX_BUFFER // C))
+def _log_sum_exp(logits: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """log(sum(exp(logits - top))) of each row, in float64: exp in the
+    logits' dtype, in place, summed per row in float64."""
+    logits -= top
+    return np.log(np.add.reduce(np.exp(logits, out=logits), axis=1, dtype=np.float64))
 
 
 def _log_softmax_at(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """log_softmax(logits)[row, targets[row]] of each row, in float64,
-    without building the (N, C) log-softmax: z[target] - log(sum(exp(z)))
-    with z = logits - max, the operations of a full log-softmax row.
-    Blocks of rows go through one reused float64 buffer of at most
-    ``_LOG_SOFTMAX_BUFFER`` entries (at least one row), so the logits are
-    never converted whole; a row's value does not depend on its block.
-    Each row max is cast to float64 once, not per element."""
-    N, C = logits.shape
-    step = _block_rows(N, C)
-    out = np.empty(N, dtype=np.float64)
-    buf = np.empty((step, C), dtype=np.float64)
-    for lo in range(0, N, step):
-        block = logits[lo : lo + step]
-        z = buf[: len(block)]
-        np.copyto(z, block)
-        z -= block.max(axis=1, keepdims=True).astype(np.float64)
-        z_target = z[np.arange(len(z)), targets[lo : lo + len(z)]]
-        log_sum = np.log(np.sum(np.exp(z, out=z), axis=1))
-        np.subtract(z_target, log_sum, out=out[lo : lo + len(z)])
-    return out
+    without building the (N, C) log-softmax: (logits[target] - max) -
+    log(sum(exp(logits - max))), the target term taken exactly in float64
+    and the exponentials in the logits' own dtype (``_log_sum_exp``).
+    Overwrites ``logits``. A row's value does not depend on its batch."""
+    top = logits.max(axis=1, keepdims=True)
+    z_target = np.subtract(logits[np.arange(len(logits)), targets], top[:, 0],
+                           dtype=np.float64)
+    z_target -= _log_sum_exp(logits, top)
+    return z_target
 
 
 def _softmax_xent(logits: np.ndarray, targets: np.ndarray):
@@ -633,9 +623,9 @@ def sequence_logprobs(params: Params, cfg: TrainingConfig, feats: np.ndarray,
     tiles; step t then advances the prefix of rows still live at t,
     rounded up to whole tiles (``TILE``), from that step's token inputs
     alone, so a call's buffers grow with its rows and not with its steps.
-    The log-softmax is taken on the live rows at the target only,
-    z[target] - log(sum(exp(z))) with z = logits - max in float64, the
-    same operations as a full log-softmax row. Scores come back in input
+    The log-softmax is taken on the live rows at the target only, in
+    place in the step's logits buffer (``_log_softmax_at``): one exp per
+    logit in the logits' dtype, float64 row sums. Scores come back in input
     order, summed over steps per item in float64.
     """
     B = len(steps)
@@ -784,12 +774,14 @@ def atomic_tile_logits(params: Params, feats: np.ndarray) -> np.ndarray:
 def atomic_logprobs(params: Params, cfg: TrainingConfig,
                     feats: np.ndarray) -> np.ndarray:
     """(B, C) log class probabilities, dropout off, float64, taken tile
-    by tile (``atomic_tile_logits``)."""
+    by tile (``atomic_tile_logits``) with ``_log_softmax_at``'s arithmetic
+    at every class."""
     out = np.empty((len(feats), params["out.b"].size), dtype=np.float64)
     for lo in range(0, len(feats), TILE):
-        rows = slice(lo, lo + TILE)
-        out[rows] = log_softmax(atomic_tile_logits(params, feats[rows]).astype(np.float64),
-                                axis=1)
+        logits = atomic_tile_logits(params, feats[lo : lo + TILE])
+        top = logits.max(axis=1, keepdims=True)
+        z = np.subtract(logits, top, out=out[lo : lo + len(logits)], dtype=np.float64)
+        z -= _log_sum_exp(logits, top)[:, None]
     return out
 
 

@@ -124,9 +124,25 @@ def tile_matmul(x, W):
     return np.concatenate([tile @ W for tile in np.split(tiles, k)])[:n]
 
 
+def reference_log_softmax(logits):
+    """The (N, C) float64 log-softmax of (N, C) logits, with the arithmetic
+    of ``nn._log_softmax_at`` at every entry: (logit - max) in float64
+    minus the log of the float64 row sum of exp(logits - max), the
+    exponentials taken in the logits' own dtype. The logits are kept."""
+    top = logits.max(axis=1, keepdims=True)
+    sums = np.sum(np.exp(logits - top), axis=1, dtype=np.float64, keepdims=True)
+    return np.subtract(logits, top, dtype=np.float64) - np.log(sums)
+
+
+def reference_log_softmax_at(logits, targets):
+    """``reference_log_softmax`` at each row's target."""
+    return reference_log_softmax(logits)[np.arange(len(logits)), targets]
+
+
 def padded_sequence_logprobs(params, cfg, feats, ids, steps, concat=False):
     """The padded scorer: every row runs all T steps of the (B, T + 1)
-    ``ids``, the full (B, V) log-softmax is built at each step and a mask
+    ``ids``, the full (B, V) log-softmax (``reference_log_softmax``) is
+    built at each step and a mask
     of each row's ``steps`` zeroes padding. Every product runs on whole
     tiles (``tile_matmul``). A step's gate input is h W_h + (emb W_x[F:]
     + C), with the color inputs C = feats W_x[:F] + b (every-step) or b
@@ -156,12 +172,10 @@ def padded_sequence_logprobs(params, cfg, feats, ids, steps, concat=False):
     else:
         h = c = np.zeros((B, H), dtype=params["lstm.b"].dtype)
     total = np.zeros(B, dtype=np.float64)
-    rows = np.arange(B)
     for t in range(T):
         h, c, _ = lstm_step_full(params, None, h, c, a=AX[:, t], matmul=tile_matmul)
-        logits = (tile_matmul(h, params["out.W"]) + params["out.b"]).astype(np.float64)
-        logp = nn.log_softmax(logits, axis=1)
-        total += logp[rows, targets[:, t]] * mask[:, t]
+        logits = tile_matmul(h, params["out.W"]) + params["out.b"]
+        total += reference_log_softmax_at(logits, targets[:, t]) * mask[:, t]
     return total
 
 

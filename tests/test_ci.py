@@ -66,3 +66,21 @@ def test_same_scores_within_bounds_the_largest_difference(tmp_path):
     assert "max |delta log2 p| inf bits" in _same_scores(a, c, "--within", "1").stdout
     assert _same_scores(a, c, "--within", "1").returncode == 1
     assert _same_scores(a, a, "--within", "0").returncode == 0
+
+
+def test_same_scores_ppl_within_bounds_the_relative_perplexity_gap(tmp_path):
+    a = _eval_run(tmp_path / "a", [-1.0, -2.0, -3.0])
+    b = _eval_run(tmp_path / "b", [-1.0, -2.0 + 3e-6, -3.0], 3.9999996)
+    ok = _same_scores(a, b, "--within", "5e-6", "--ppl-within", "2e-7")
+    assert ok.returncode == 0, ok.stderr
+    assert "perplexity 4.0 and 3.9999996, relative gap 1e-07" in ok.stdout
+    assert "log2_probs within 5e-06 bits, perplexity within 2e-07 relative" in ok.stdout
+    bad = _same_scores(a, b, "--within", "5e-6", "--ppl-within", "5e-8")
+    assert bad.returncode == 1
+    assert "perplexities differ by more than 5e-08 relative" in bad.stderr
+    # the rows are checked as well: equality by default, so b fails
+    assert _same_scores(a, b, "--ppl-within", "1").returncode == 1
+    assert _same_scores(a, a, "--ppl-within", "0").returncode == 0
+    for value in ("-1e-7", "inf", "nan", "x"):
+        refused = _same_scores(a, b, "--ppl-within", value)
+        assert refused.returncode == 2 and "--ppl-within" in refused.stderr, value

