@@ -142,13 +142,13 @@ def reference_log_softmax_at(logits, targets):
 def padded_sequence_logprobs(params, cfg, feats, ids, steps, concat=False):
     """The padded scorer: every row runs all T steps of the (B, T + 1)
     ``ids``, the full (B, V) log-softmax (``reference_log_softmax``) is
-    built at each step and a mask
-    of each row's ``steps`` zeroes padding. Every product runs on whole
-    tiles (``tile_matmul``). A step's gate input is h W_h + (emb W_x[F:]
-    + C), with the color inputs C = feats W_x[:F] + b (every-step) or b
-    (init-state) formed once, as ``nn.sequence_logprobs`` forms it. With
-    ``concat`` it is h W_h + ([feats ; emb] W_x + b) instead, the formula
-    that projected the features again at every step."""
+    built at each step and a mask of each row's ``steps`` zeroes padding.
+    Every product runs on whole tiles (``tile_matmul``). A step's gate
+    input is h W_h + (emb W_x[F:] + C), with the color inputs C = feats
+    W_x[:F] + b (every-step) or b (init-state) formed once, as
+    ``nn.sequence_logprobs`` forms it. With ``concat`` it is h W_h +
+    ([feats ; emb] W_x + b) instead, the formula that projected the
+    features again at every step."""
     in_ids, targets = ids[:, :-1], ids[:, 1:]
     B, T = in_ids.shape
     mask = (np.arange(T) < steps[:, None]).astype(np.float64)

@@ -709,9 +709,9 @@ def _whole_chunk_reference(model, colors, classes, u, rng):
     tiles (a lone row runs twice, as numpy would send one row to gemv;
     a product of 1,000 rows or more rounds the first layer differently):
     the log-softmax at the class (``reference_log_softmax_at``), the
-    argmax, and the inverse-CDF draw from the float64 softmax. Every third row's uniform is moved onto a
-    cumulative probability of its row, where a last-bit change of the
-    row's distribution would change the draw."""
+    argmax, and the inverse-CDF draw from the float64 softmax. Every third
+    row's uniform is moved onto a cumulative probability of its row, where
+    a last-bit change of the row's distribution would change the draw."""
     n, C = len(colors), len(model.inventory)
     p = model.params
     scores = np.empty(n)
